@@ -155,61 +155,70 @@ def restrict_action(h, M):
     return MAction(h.src, M.carrier, act)
 
 
-def _equivariant_tuples(M, N):
-    """Yield image-index tuples of equivariant maps M -> N.
+def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
+    """Yield every assignment of variables 0..n-1 that obeys the forcing
+    rules, as a tuple of values, in lexicographic order.
 
-    Backtracks point by point, closing each choice under the action, so the
-    cost tracks the number of solutions rather than |N|^|M|.  Solutions come
-    out in image-tuple lexicographic order, the canonical hom order.
+    Variable v takes values in range(sizes[v]); rules[v] lists pairs
+    (w, table) meaning "v = q forces w = table[q]".  The search fixes the
+    first free variable to each value in turn and closes the choice under
+    the rules (arc consistency in the sense of Mackworth), so its cost
+    tracks the number of solutions rather than the product of the domains.
+    Every assignment made, chosen or forced, counts against `limit`.
     """
-    xs = M.carrier.elements
-    n = len(xs)
-    if n == 0:
-        yield ()
-        return
-    ny = len(N.carrier)
-    if ny == 0:
-        return
-    aM = M.index_table()
-    aN = N.index_table()
-    elems = M.monoid.elements
+    n = len(sizes)
     assign = [-1] * n
+    made = 0
 
-    def close(i, y, trail):
-        # force f(a.x) = a.y for everything reachable; False on a clash
-        stack = [(i, y)]
+    def close(v, q, trail):
+        # assign v = q and everything it forces; False on a clash
+        nonlocal made
+        stack = [(v, q)]
         while stack:
-            p, q = stack.pop()
-            cur = assign[p]
+            v, q = stack.pop()
+            cur = assign[v]
             if cur != -1:
                 if cur != q:
                     return False
                 continue
-            assign[p] = q
-            trail.append(p)
-            for a in elems:
-                stack.append((aM[a][p], aN[a][q]))
+            made += 1
+            if made > limit:
+                raise SizingError("%s: %d candidate assignments exceed the limit of %d"
+                                  % (layer, made, limit))
+            assign[v] = q
+            trail.append(v)
+            for w, table in rules[v]:
+                stack.append((w, table[q]))
         return True
 
-    def free_point():
-        for p in range(n):
-            if assign[p] == -1:
-                return p
-        return -1
-
-    def rec():
-        p = free_point()
-        if p == -1:
+    def rec(v):
+        while v < n and assign[v] != -1:
+            v += 1
+        if v == n:
             yield tuple(assign)
             return
-        for y in range(ny):
+        for q in range(sizes[v]):
             trail = []
-            if close(p, y, trail):
-                yield from rec()
-            for q in trail:
-                assign[q] = -1
+            if close(v, q, trail):
+                yield from rec(v + 1)
+            for w in trail:
+                assign[w] = -1
 
-    yield from rec()
+    yield from rec(0)
+
+
+def _equivariant_tuples(M, N):
+    """Yield image-index tuples of equivariant maps M -> N.
+
+    Each point is a variable whose value is its image; f(x) = y forces
+    f(a.x) = a.y for every monoid element a.  Solutions come out in
+    image-tuple lexicographic order, the canonical hom order.
+    """
+    aM = M.index_table()
+    aN = N.index_table()
+    elems = M.monoid.elements
+    rules = [[(aM[a][p], aN[a]) for a in elems] for p in range(len(M.carrier))]
+    return propagate([len(N.carrier)] * len(M.carrier), rules)
 
 
 def equivariant_maps(M, N):
@@ -220,8 +229,6 @@ def equivariant_maps(M, N):
     ys = N.carrier.elements
     out = []
     for t in _equivariant_tuples(M, N):
-        if len(out) >= MAX_ENUMERATION:
-            raise SizingError("hom set between actions exceeds the ceiling")
         fmap = FinMap(M.carrier, N.carrier, {x: ys[i] for x, i in zip(xs, t)})
         # the search already established equivariance
         em = EquivariantMap.__new__(EquivariantMap)

@@ -12,8 +12,7 @@ import sys
 
 from .finset import FinSet, FinSetError, SizingError, MAX_ENUMERATION
 from .monoid import (Monoid, MonoidHom, MonoidError, validate_monoid,
-                     enumerate_submonoids, enumerate_subgroups,
-                     is_hopf, hopf_witness, antipode, kernel_pairs)
+                     enumerate_submonoids, is_hopf, hopf_witness, antipode, kernel_pairs)
 from .actions import (MAction, ActionError, Site, validate_action,
                       canonical_site, default_site, coinduct)
 from .ends import EndError, end_of_forgetful, end_monoid, reconstruction_hom
@@ -170,9 +169,10 @@ def cmd_validate(args):
 
 def cmd_subgroups(args):
     m = _monoid_from(args)
+    subs = [S for S, _ in enumerate_submonoids(m)]
     return 0, {"schema": SCHEMA, "command": "subgroups",
-               "submonoids": [list(S.elements) for S, _ in enumerate_submonoids(m)],
-               "subgroups": [list(S.elements) for S, _ in enumerate_subgroups(m)]}
+               "submonoids": [list(S.elements) for S in subs],
+               "subgroups": [list(S.elements) for S in subs if hopf_witness(S) is None]}
 
 
 def cmd_hopf(args):
@@ -351,7 +351,9 @@ def build_parser():
         p.add_argument("--out", choices=["json", "dot"], default="json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-families", type=int, default=MAX_ENUMERATION,
-                       dest="max_families")
+                       dest="max_families",
+                       help="bound on the assignments, chosen or forced, that the "
+                            "end solver makes before it refuses (default %(default)s)")
     return parser
 
 

@@ -2,10 +2,10 @@
 
 The carrier of [V, W] collects one map V(M) -> W(M) per site object,
 subject to the wedge condition against every site morphism.  Families are
-found by filtering each object's candidates against its own endomorphisms
-and then extending across objects with incremental wedge checks; this
-visits no more assignments than the product of the filtered candidate
-counts, which is what the sizing guard bounds.
+found by the propagation search of `actions.propagate`: fixing the image
+of one point forces images along every morphism out of its object, so the
+work tracks the families found rather than the |W|^|V| candidate maps of
+each object, and the sizing guard bounds the assignments made.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
@@ -18,7 +18,7 @@ from functools import lru_cache
 from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, map_label,
                      exponential, product, proj_right, curry, singleton, terminal_map)
 from .monoid import Monoid, MonoidHom
-from .actions import Site, trivial_action, underlying_site
+from .actions import Site, propagate, trivial_action, underlying_site
 
 
 class EndError(Exception):
@@ -202,84 +202,51 @@ class EndObject:
         return self._monoid
 
 
+def _generating_tuples(site, i, j):
+    """Morphisms i -> j that, composed with the other objects' generators,
+    give every morphism i -> j.
+
+    Pairs of trivial actions have every map as a morphism; a transposition,
+    an n-cycle and a rank-(n-1) idempotent generate all self-maps of an
+    n-point set, and one map of largest rank then reaches every map between
+    two of them.  Other pairs list all their morphisms.
+    """
+    if not site._pair_is_lazy(i, j):
+        return site.iter_hom_tuples(i, j)
+    nx = len(site.objects[i].carrier)
+    ny = len(site.objects[j].carrier)
+    if i != j:
+        return [tuple(min(p, ny - 1) for p in range(nx))] if nx and ny else []
+    if nx < 2:
+        return []
+    rest = tuple(range(2, nx))
+    return [(1, 0) + rest, tuple(range(1, nx)) + (0,), (0, 0) + rest]
+
+
 def internal_nat(V, W, max_families=MAX_ENUMERATION):
-    """Compute the end of [V, W] over the diagrams' common site."""
+    """Compute the end of [V, W] over the diagrams' common site.
+
+    One variable per (object i, point p) holds the image of p under the
+    i-th component, and every generating morphism f: i -> j adds the rule
+    "(i, p) = q forces (j, V f(p)) = W f(q)".  Naturality is closed under
+    composition, so the generators impose the whole wedge condition.
+    """
     site = V.site
     if site != W.site:
         raise EndError("both diagrams must live over the same site")
     k = site.nobj
-    vsize = [len(ob) for ob in V.obs]
-    wsize = [len(ob) for ob in W.obs]
-
-    cands = []
-    for i in range(k):
-        raw = wsize[i] ** vsize[i] if vsize[i] else 1
-        if raw > max_families:
-            raise SizingError("object %r alone carries %d candidate maps"
-                              % (site.names[i], raw))
-        kept = []
-        rng = range(vsize[i])
-        for t in itertools.product(range(wsize[i]), repeat=vsize[i]):
-            ok = True
-            for f in site.iter_hom_tuples(i, i):
-                Vf = V.mor(i, i, f)
-                Wf = W.mor(i, i, f)
-                for p in rng:
-                    if t[Vf[p]] != Wf[t[p]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                kept.append(t)
-        cands.append(kept)
-
-    total = 1
-    for kept in cands:
-        total *= len(kept)
-    if total > max_families:
-        raise SizingError("%d candidate families exceed the guard of %d"
-                          % (total, max_families))
-
-    # translated morphism actions, cached for pairs with materialized homs
-    pair_mors = {}
-
-    def mors(j, i):
-        if site._pair_is_lazy(j, i):
-            return ((V.mor(j, i, f), W.mor(j, i, f))
-                    for f in site.iter_hom_tuples(j, i))
-        if (j, i) not in pair_mors:
-            pair_mors[(j, i)] = tuple((V.mor(j, i, f), W.mor(j, i, f))
-                                      for f in site.iter_hom_tuples(j, i))
-        return pair_mors[(j, i)]
-
-    families = []
-    assign = [None] * k
-
-    def fits(i, t):
-        for j in range(i):
-            tj = assign[j]
-            for Vf, Wf in mors(j, i):
-                for p in range(vsize[j]):
-                    if Wf[tj[p]] != t[Vf[p]]:
-                        return False
-            for Vf, Wf in mors(i, j):
-                for p in range(vsize[i]):
-                    if Wf[t[p]] != tj[Vf[p]]:
-                        return False
-        return True
-
-    def rec(i):
-        if i == k:
-            families.append(tuple(assign))
-            return
-        for t in cands[i]:
-            if fits(i, t):
-                assign[i] = t
-                rec(i + 1)
-                assign[i] = None
-
-    rec(0)
+    offset = [0]
+    for ob in V.obs:
+        offset.append(offset[-1] + len(ob))
+    sizes = [len(W.obs[i]) for i in range(k) for _ in V.obs[i]]
+    rules = [[] for _ in sizes]
+    for i, j in itertools.product(range(k), repeat=2):
+        for f in _generating_tuples(site, i, j):
+            Vf, Wf = V.mor(i, j, f), W.mor(i, j, f)
+            for p, vp in enumerate(Vf):
+                rules[offset[i] + p].append((offset[j] + vp, Wf))
+    families = [tuple(flat[offset[i]:offset[i + 1]] for i in range(k))
+                for flat in propagate(sizes, rules, max_families, "ends")]
     return EndObject(site, V, W, families)
 
 

@@ -264,8 +264,8 @@ def exponential(X, Z):
     """Internal hom [X, Z]: all total maps as decodable function elements."""
     n = len(Z) ** len(X) if len(X) else 1
     if n > MAX_ENUMERATION:
-        raise SizingError("exponential of size %d^%d exceeds the ceiling"
-                          % (len(Z), len(X)))
+        raise SizingError("finset.exponential: %d^%d elements exceed the limit of %d"
+                          % (len(Z), len(X), MAX_ENUMERATION))
     xs = X.elements
     graph, enc = {}, {}
     for images in itertools.product(Z.elements, repeat=len(xs)):

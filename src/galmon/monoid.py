@@ -213,11 +213,7 @@ def enumerate_submonoids(m):
 
 def enumerate_subgroups(m):
     """Submonoids in which every element has a two-sided inverse."""
-    out = []
-    for S, incl in enumerate_submonoids(m):
-        if all(S.inverse(a) is not None for a in S.elements):
-            out.append((S, incl))
-    return out
+    return [(S, incl) for S, incl in enumerate_submonoids(m) if hopf_witness(S) is None]
 
 
 def fusion_morphism(m):

@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+from galmon import samples
+from galmon.actions import default_site
 from galmon.cli import run
+from galmon.galois import invariants_oracle
+from galmon.monoid import enumerate_submonoids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -115,6 +119,26 @@ def test_end_sizing_guard(capsys):
                                   "--site", "free", "--max-families", "10"])
     assert code == 2
     assert "candidate" in out["error"]
+
+
+@pytest.mark.parametrize("m", [samples.cyclic(8), samples.mult_mod(8)],
+                         ids=["Z8", "M8"])
+def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"elements": list(m.elements), "unit": m.unit,
+         "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}}))
+    code, doc = run_json(capsys, ["end", "--monoid", str(path)])
+    assert code == 0
+    assert doc["size"] == len(m)
+    assert doc["reconstruction"]["isomorphism"]
+    site = default_site(m)
+    for k, (_, incl) in enumerate(enumerate_submonoids(m)):
+        sub = tmp_path / ("inv%d.json" % k)
+        sub.write_text(json.dumps({"subsets": invariants_oracle(incl, site).as_dict()}))
+        code, doc = run_json(capsys, ["stab", "--monoid", str(path), "--sub", str(sub)])
+        assert code == 0
+        assert doc["agree"]
 
 
 def test_laws(capsys):

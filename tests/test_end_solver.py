@@ -1,0 +1,192 @@
+"""The propagation search behind ends, against brute-force enumeration.
+
+`nat_oracle` finds the families of an end without propagation: it lists
+every map V(M_i) -> W(M_i), keeps those that commute with the object's
+own endomorphisms, then extends object by object with wedge checks against
+every site morphism, including every map of a pair of trivial actions.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, strategies as st
+
+from galmon.finset import FinSet, SizingError
+from galmon.monoid import Monoid, enumerate_submonoids, is_hopf, submonoid, trivial_monoid
+from galmon.actions import (MAction, Site, canonical_site, propagate, trivial_action,
+                            underlying_site)
+from galmon.ends import ForgetfulDiagram, TableDiagram, internal_nat
+from galmon.galois import invariants_oracle
+from galmon import samples
+
+# Sum over objects of |W_i|^|V_i| above which the oracle is too slow to run.
+ORACLE_CANDIDATES = 10000
+
+
+def nat_oracle(V, W):
+    """The wedge families of [V, W], by enumerating candidate maps."""
+    site = V.site
+    k = site.nobj
+    vsize = [len(ob) for ob in V.obs]
+    wsize = [len(ob) for ob in W.obs]
+    cands = []
+    for i in range(k):
+        kept = []
+        for t in itertools.product(range(wsize[i]), repeat=vsize[i]):
+            if all(t[Vf[p]] == Wf[t[p]]
+                   for Vf, Wf in ((V.mor(i, i, f), W.mor(i, i, f))
+                                  for f in site.iter_hom_tuples(i, i))
+                   for p in range(vsize[i])):
+                kept.append(t)
+        cands.append(kept)
+
+    def mors(i, j):
+        return [(V.mor(i, j, f), W.mor(i, j, f)) for f in site.iter_hom_tuples(i, j)]
+
+    def fits(assign, i, t):
+        for j, tj in enumerate(assign):
+            for Vf, Wf in mors(j, i):
+                if any(Wf[tj[p]] != t[Vf[p]] for p in range(vsize[j])):
+                    return False
+            for Vf, Wf in mors(i, j):
+                if any(Wf[t[p]] != tj[Vf[p]] for p in range(vsize[i])):
+                    return False
+        return True
+
+    families = []
+
+    def rec(assign):
+        if len(assign) == k:
+            families.append(tuple(assign))
+            return
+        for t in cands[len(assign)]:
+            if fits(assign, len(assign), t):
+                rec(assign + [t])
+
+    rec([])
+    return families
+
+
+def agree_with_oracle(site, subfunctors):
+    """Compare solver and oracle on the carriers of the site and of its
+    underlying-carrier site, and on each subfunctor against the carriers.
+    Pairs whose oracle would be slow are skipped; returns how many ran."""
+    U = ForgetfulDiagram(site)
+    B = ForgetfulDiagram(underlying_site(site)[0])
+    checked = 0
+    for V, W in [(U, U), (B, B)] + [(sub.diagram(), U) for sub in subfunctors]:
+        if sum(len(w) ** len(v) for v, w in zip(V.obs, W.obs)) <= ORACLE_CANDIDATES:
+            assert list(internal_nat(V, W).families) == nat_oracle(V, W)
+            checked += 1
+    return checked
+
+
+CASES = [pytest.param(m, recipe, id="%d-%s" % (k, recipe))
+         for k, m in enumerate(samples.groups_up_to_order_6() + samples.nongroup_monoids())
+         for recipe in ("free", "free+trivial", "cosets+free")
+         if recipe != "cosets+free" or is_hopf(m)]
+
+
+@pytest.mark.parametrize("m, recipe", CASES)
+def test_solver_matches_oracle_on_samples(m, recipe):
+    site = canonical_site(m, recipe)
+    invariant = dict.fromkeys(invariants_oracle(incl, site)
+                              for _, incl in enumerate_submonoids(m))
+    assert agree_with_oracle(site, invariant) >= 1
+
+
+@st.composite
+def transformation_monoids(draw):
+    """k random self-maps of n points closed under composition, as a
+    monoid with its faithful action on the points."""
+    n = draw(st.integers(1, 4))
+    point = st.integers(0, n - 1)
+    gens = draw(st.lists(st.tuples(*[point] * n), min_size=1, max_size=3))
+    unit = tuple(range(n))
+    elems = {unit}
+    frontier = list(gens)
+    while frontier:
+        f = frontier.pop()
+        if f not in elems:
+            elems.add(f)
+            frontier.extend(tuple(f[p] for p in g) for g in elems)
+            frontier.extend(tuple(g[p] for p in f) for g in elems)
+    label = {f: "".join(map(str, f)) for f in elems}
+    table = {(label[f], label[g]): label[tuple(f[p] for p in g)]
+             for f in elems for g in elems}
+    m = Monoid(FinSet(label.values()), label[unit], table)
+    points = FinSet(str(p) for p in range(n))
+    act = MAction(m, points, {(label[f], str(p)): str(f[p]) for f in elems for p in range(n)})
+    return m, act, [label[g] for g in gens]
+
+
+@given(transformation_monoids())
+def test_solver_matches_oracle_on_transformation_monoids(drawn):
+    m, act, gens = drawn
+    recipe = "free+trivial+custom" if len(m) <= 5 else "trivial+custom"
+    site = canonical_site(m, recipe, custom=[("X", act)])
+    invariant = []
+    for g in gens:
+        S = {m.unit, g}
+        while any(m.mul(a, b) not in S for a in S for b in S):
+            S |= {m.mul(a, b) for a in S for b in S}
+        invariant.append(invariants_oracle(submonoid(m, S)[1], site))
+    agree_with_oracle(site, invariant)
+
+
+def points_site(*sizes):
+    one = trivial_monoid()
+    return Site(one, [("X%d" % n, trivial_action(one, FinSet(str(p) for p in range(n))))
+                      for n in sizes])
+
+
+def test_maps_between_trivial_objects_constrain_the_end():
+    # the constant functor at a two-point set: a natural family from the
+    # carriers is constant on each carrier, and the maps between carriers
+    # make those constants agree
+    site = points_site(1, 2, 3)
+    tables = {(i, j): {f: (0, 1) for f in site.iter_hom_tuples(i, j)}
+              for i in range(site.nobj) for j in range(site.nobj)}
+    U, W = ForgetfulDiagram(site), TableDiagram(site, [FinSet(("a", "b"))] * 3, tables)
+    families = nat_oracle(U, W)
+    assert len(families) == 2
+    assert list(internal_nat(U, W).families) == families
+
+
+def test_transpositions_constrain_the_end():
+    # all self-maps of three points acting on {a, b, z}: odd permutations
+    # swap a and b, other maps of rank 3 fix everything, the rest send all
+    # to z; only the transpositions force a natural family to commute with
+    # the swap
+    site = points_site(3)
+
+    def image(f):
+        if len(set(f)) < 3:
+            return (2, 2, 2)
+        odd = sum(f[p] > f[q] for p in range(3) for q in range(p + 1, 3)) % 2
+        return (1, 0, 2) if odd else (0, 1, 2)
+
+    tables = {(0, 0): {f: image(f) for f in site.iter_hom_tuples(0, 0)}}
+    V = TableDiagram(site, [FinSet(("a", "b", "z"))], tables)
+    families = nat_oracle(V, V)
+    assert len(families) == 3
+    assert list(internal_nat(V, V).families) == families
+
+
+def test_propagate_yields_lexicographic_solutions():
+    # x0 = q forces x1 = q; x2 is free
+    rules = [[(1, (0, 1))], [], []]
+    assert list(propagate([2, 2, 3], rules)) == [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 0), (1, 1, 1), (1, 1, 2)]
+    # x0 = 0 clashes with itself through x1
+    rules = [[(1, (1, 1))], [(0, (1, 1))]]
+    assert list(propagate([2, 2], rules)) == [(1, 1)]
+    assert list(propagate([], [])) == [()]
+    assert list(propagate([0], [[]])) == []
+
+
+def test_end_refusal_names_layer_count_and_limit():
+    U = ForgetfulDiagram(canonical_site(samples.symmetric3(), "free"))
+    with pytest.raises(SizingError) as exc:
+        internal_nat(U, U, 10)
+    assert str(exc.value) == "ends: 11 candidate assignments exceed the limit of 10"

@@ -231,6 +231,14 @@ def test_sizing_guards():
         exponential(big, nine)
 
 
+def test_exponential_refusal_names_guard_and_limit():
+    big = FinSet(tuple("x%02d" % i for i in range(12)))
+    nine = FinSet(tuple(str(i) for i in range(9)))
+    with pytest.raises(SizingError) as exc:
+        exponential(big, nine)
+    assert str(exc.value) == "finset.exponential: 9^12 elements exceed the limit of 10000000"
+
+
 def test_terminal_map():
     t = terminal_map(ABC)
     assert t.cod == singleton()
