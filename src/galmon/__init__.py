@@ -10,10 +10,10 @@ and checks the Galois connection the two constructions induce.
 from .finset import (FinSet, FinMap, FinSetError, SizingError, singleton,
                      product, proj_left, proj_right, pairing, exponential,
                      curry, uncurry, evaluation, equalizer, hom_set)
-from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError, Augmentation,
-                     validate_monoid, trivial_monoid, canonical_augmentation,
-                     submonoid, enumerate_submonoids, enumerate_subgroups,
-                     fusion_morphism, is_hopf, hopf_witness, antipode, kernel_pairs)
+from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
+                     validate_monoid, trivial_monoid, submonoid,
+                     enumerate_submonoids, enumerate_subgroups, fusion_morphism,
+                     is_hopf, hopf_witness, antipode, kernel_pairs)
 from .actions import (MAction, EquivariantMap, ActionError, Site,
                       validate_action, trivial_action, free_action,
                       restrict_action, equivariant_maps, fixed_points,
@@ -29,7 +29,6 @@ from .galois import (Subfunctor, GaloisError, fixes, invariants,
                      invariants_oracle, stabilizer, stabilizer_via_end,
                      galois_correspondence, connection_laws,
                      connection_law_failures, enumerate_subfunctors,
-                     random_subfunctor, Preorder, FiniteRelation,
-                     Representants, representants)
+                     random_subfunctor)
 
 __version__ = "0.1.0"

@@ -9,8 +9,8 @@ trivial actions contain every map, so those pairs are iterated lazily.
 import itertools
 from functools import lru_cache
 
-from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, hom_set,
-                     map_label, product, singleton)
+from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, MAX_MATERIALIZED,
+                     hom_set, map_label, product, singleton)
 from .monoid import trivial_monoid, enumerate_subgroups, hopf_witness, is_hopf
 
 
@@ -245,10 +245,6 @@ def fixed_points(M):
     return F, FinMap(F, M.carrier, {x: x for x in kept})
 
 
-def _probes(maps, limit=8):
-    return maps[:limit]
-
-
 def check_trivial_fixed_adjunction(m, X, M):
     """Equivariant maps out of the trivial action on X correspond to plain
     maps into the fixed points of M; checks the bijection and spot-checks
@@ -272,9 +268,9 @@ def check_trivial_fixed_adjunction(m, X, M):
     for g in rhs:
         if g.image_tuple() not in down:
             return False
-    for g0 in _probes(hom_set(X, X)):
+    for g0 in hom_set(X, X)[:8]:
         Eg0 = EquivariantMap(EX, EX, g0)
-        for k in _probes(equivariant_maps(M, M)):
+        for k in equivariant_maps(M, M)[:8]:
             kF = FinMap(F, F, {x: k(x) for x in F})
             for f in lhs:
                 composite = k * f * Eg0
@@ -345,12 +341,12 @@ def check_restriction_coinduction_adjunction(h, M, N):
         up[f] = g
     if len(set(up.values())) != len(lhs):
         return False
-    for u in _probes(equivariant_maps(M, M)):
+    for u in equivariant_maps(M, M)[:8]:
         Hu = EquivariantMap(HM, HM, u.map)
         for f in lhs:
             if transpose_to_coinduced(h, M, f * Hu, K) != up[f] * u:
                 return False
-    for v in _probes(equivariant_maps(N, N)):
+    for v in equivariant_maps(N, N)[:8]:
         Kv = EquivariantMap(K, K, {e: K.carrier.map_element(
             tuple(v(y) for y in K.carrier.map_images(e))) for e in K.carrier})
         for f in lhs:
@@ -420,6 +416,26 @@ class Site:
             return itertools.product(range(ny), repeat=nx)
         return iter(self._filtered(i, j))
 
+    def generating_tuples(self, i, j):
+        """Morphisms i -> j that, composed with the other objects' generators,
+        give every morphism i -> j.
+
+        Pairs of trivial actions have every map as a morphism; a transposition,
+        an n-cycle and a rank-(n-1) idempotent generate all self-maps of an
+        n-point set, and one map of largest rank then reaches every map between
+        two of them.  Other pairs list all their morphisms.
+        """
+        if not self._pair_is_lazy(i, j):
+            return self.iter_hom_tuples(i, j)
+        nx = len(self.objects[i].carrier)
+        ny = len(self.objects[j].carrier)
+        if i != j:
+            return [tuple(min(p, ny - 1) for p in range(nx))] if nx and ny else []
+        if nx < 2:
+            return []
+        rest = tuple(range(2, nx))
+        return [(1, 0) + rest, tuple(range(1, nx)) + (0,), (0, 0) + rest]
+
     def _filtered(self, i, j):
         if (i, j) not in self._homs:
             self._homs[(i, j)] = tuple(_equivariant_tuples(self.objects[i], self.objects[j]))
@@ -427,9 +443,10 @@ class Site:
 
     def hom_maps(self, i, j):
         """Morphisms as EquivariantMap objects; refuses oversized lazy pairs."""
-        if self._pair_is_lazy(i, j) and self.hom_raw_size(i, j) > 100_000:
-            raise SizingError("hom set between %r and %r is too large to materialize"
-                              % (self.names[i], self.names[j]))
+        if self._pair_is_lazy(i, j) and self.hom_raw_size(i, j) > MAX_MATERIALIZED:
+            raise SizingError("actions.Site.hom_maps: %d^%d maps %r -> %r exceed the limit of %d"
+                              % (len(self.objects[j].carrier), len(self.objects[i].carrier),
+                                 self.names[i], self.names[j], MAX_MATERIALIZED))
         return equivariant_maps(self.objects[i], self.objects[j])
 
 

@@ -15,8 +15,9 @@ action of its source on every site object at once.
 import itertools
 from functools import lru_cache
 
-from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, map_label,
-                     exponential, product, proj_right, curry, singleton, terminal_map)
+from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, MAX_MATERIALIZED,
+                     map_label, exponential, product, proj_right, curry, singleton,
+                     terminal_map)
 from .monoid import Monoid, MonoidHom
 from .actions import Site, propagate, trivial_action, underlying_site
 
@@ -106,8 +107,10 @@ class TableDiagram(SiteDiagram):
 
     def __init__(self, site, obs, tables):
         for i in range(site.nobj):
-            if site.hom_raw_size(i, i) > 100_000:
-                raise SizingError("site too large for explicit functor tables")
+            if site.hom_raw_size(i, i) > MAX_MATERIALIZED:
+                n = len(site.objects[i].carrier)
+                raise SizingError("ends.TableDiagram: %d^%d self-maps of %r exceed the limit of %d"
+                                  % (n, n, site.names[i], MAX_MATERIALIZED))
         self.site = site
         self.obs = list(obs)
         self.tables = tables
@@ -202,27 +205,6 @@ class EndObject:
         return self._monoid
 
 
-def _generating_tuples(site, i, j):
-    """Morphisms i -> j that, composed with the other objects' generators,
-    give every morphism i -> j.
-
-    Pairs of trivial actions have every map as a morphism; a transposition,
-    an n-cycle and a rank-(n-1) idempotent generate all self-maps of an
-    n-point set, and one map of largest rank then reaches every map between
-    two of them.  Other pairs list all their morphisms.
-    """
-    if not site._pair_is_lazy(i, j):
-        return site.iter_hom_tuples(i, j)
-    nx = len(site.objects[i].carrier)
-    ny = len(site.objects[j].carrier)
-    if i != j:
-        return [tuple(min(p, ny - 1) for p in range(nx))] if nx and ny else []
-    if nx < 2:
-        return []
-    rest = tuple(range(2, nx))
-    return [(1, 0) + rest, tuple(range(1, nx)) + (0,), (0, 0) + rest]
-
-
 def internal_nat(V, W, max_families=MAX_ENUMERATION):
     """Compute the end of [V, W] over the diagrams' common site.
 
@@ -241,7 +223,7 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
     sizes = [len(W.obs[i]) for i in range(k) for _ in V.obs[i]]
     rules = [[] for _ in sizes]
     for i, j in itertools.product(range(k), repeat=2):
-        for f in _generating_tuples(site, i, j):
+        for f in site.generating_tuples(i, j):
             Vf, Wf = V.mor(i, j, f), W.mor(i, j, f)
             for p, vp in enumerate(Vf):
                 rules[offset[i] + p].append((offset[j] + vp, Wf))

@@ -14,6 +14,9 @@ ARROW = "↦"  # separates argument from image in function-element labels
 # Hard ceiling on any single enumerated carrier or hom scan.
 MAX_ENUMERATION = 10_000_000
 
+# Ceiling on a hom set that is listed map by map.
+MAX_MATERIALIZED = 100_000
+
 
 class FinSetError(Exception):
     """Structural error in a finite-set construction."""
@@ -43,21 +46,6 @@ def check_symbol(sym):
             raise FinSetError("symbol %r contains a top-level %r" % (sym, ch))
     if stack:
         raise FinSetError("unbalanced brackets in symbol %r" % sym)
-
-
-def split_top(s):
-    """Split at commas that sit outside every bracket."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
-        if ch in _OPENERS:
-            depth += 1
-        elif ch in _CLOSERS:
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
-    parts.append(s[start:])
-    return parts
 
 
 def pair_label(x, y):
@@ -229,8 +217,8 @@ def terminal_map(X):
 def product(X, Y):
     """Cartesian product with decodable pair elements."""
     if len(X) * len(Y) > MAX_ENUMERATION:
-        raise SizingError("product of %d x %d elements exceeds the ceiling"
-                          % (len(X), len(Y)))
+        raise SizingError("finset.product: %d x %d elements exceed the limit of %d"
+                          % (len(X), len(Y), MAX_ENUMERATION))
     pairs = {}
     for x in X:
         for y in Y:
@@ -324,8 +312,8 @@ def hom_set(X, Y):
     """All total maps X -> Y in canonical table order."""
     n = len(Y) ** len(X) if len(X) else 1
     if n > MAX_ENUMERATION:
-        raise SizingError("hom set of size %d^%d exceeds the ceiling"
-                          % (len(Y), len(X)))
+        raise SizingError("finset.hom_set: %d^%d maps exceed the limit of %d"
+                          % (len(Y), len(X), MAX_ENUMERATION))
     xs = X.elements
     out = []
     for images in itertools.product(Y.elements, repeat=len(xs)):

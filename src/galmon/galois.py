@@ -11,29 +11,21 @@ object correspondence are then checked rather than assumed.
 import itertools
 from functools import lru_cache
 
-from .finset import FinMap, curry, equalizer, exponential, product
-from .monoid import MonoidHom, enumerate_submonoids, submonoid
+from .finset import FinMap, curry, equalizer, product
+from .monoid import enumerate_submonoids, submonoid
 from . import ends
 
 
 class GaloisError(Exception):
-    """Structural error in a subfunctor, relation, or correspondence input."""
+    """Structural error in a subfunctor or correspondence input."""
 
 
 def _naturality_violation(site, comps):
     """First (morphism, element) pushing a chosen subset outside another,
-    or None.  comps holds element-index sets per site object."""
+    or None.  comps holds element-index sets per site object.  Naturality is
+    closed under composition, so the generating morphisms suffice."""
     for i, j in itertools.product(range(site.nobj), repeat=2):
-        if not comps[i]:
-            continue
-        nj = len(site.objects[j].carrier)
-        if site._pair_is_lazy(i, j):
-            # every map is a morphism, and constants land anywhere
-            if nj and len(comps[j]) < nj:
-                missing = min(q for q in range(nj) if q not in comps[j])
-                return (i, j, site.objects[j].carrier.elements[missing])
-            continue
-        for f in site.iter_hom_tuples(i, j):
+        for f in site.generating_tuples(i, j):
             for p in comps[i]:
                 if f[p] not in comps[j]:
                     return (i, j, site.objects[i].carrier.elements[p])
@@ -119,23 +111,13 @@ def fixes(h, V):
 
 
 def _invariant_component(h, M):
-    """Elements of one site object fixed by the image of h, computed as an
-    equalizer of curried maps after restricting the exponent along h."""
-    A = h.dst.carrier
-    B = h.src.carrier
+    """Elements of one site object fixed by the image of h: the equalizer
+    of the curried maps X -> [B, X] of (x, b) -> h(b).x and (x, b) -> x."""
     X = M.carrier
-    P = product(X, A)
-    acting = FinMap(P, X, {p: M.apply(a, x) for p, (x, a) in P._pairs.items()})
-    dropping = FinMap(P, X, {p: x for p, (x, a) in P._pairs.items()})
-    over_A = exponential(A, X)
-    over_B = exponential(B, X)
-    hidx = tuple(A.index(h(b)) for b in B)
-    along_h = FinMap(over_A, over_B,
-                     {phi: over_B.map_element(tuple(over_A.map_images(phi)[q] for q in hidx))
-                      for phi in over_A})
-    left = along_h * curry(acting)
-    right = along_h * curry(dropping)
-    eq, _ = equalizer(left, right)
+    P = product(X, h.src.carrier)
+    acting = FinMap(P, X, {p: M.apply(h(b), x) for p, (x, b) in P._pairs.items()})
+    dropping = FinMap(P, X, {p: x for p, (x, b) in P._pairs.items()})
+    eq, _ = equalizer(curry(acting), curry(dropping))
     return eq.elements
 
 
@@ -314,7 +296,7 @@ def enumerate_subfunctors(site, limit=200_000):
 
 def random_subfunctor(site, rng):
     """A natural subfunctor grown from random seeds by closing under the
-    site morphisms."""
+    generating site morphisms."""
     idxsets = []
     for act in site.objects:
         n = len(act.carrier)
@@ -323,15 +305,7 @@ def random_subfunctor(site, rng):
     while changed:
         changed = False
         for i, j in itertools.product(range(site.nobj), repeat=2):
-            if not idxsets[i]:
-                continue
-            nj = len(site.objects[j].carrier)
-            if site._pair_is_lazy(i, j):
-                if nj and len(idxsets[j]) < nj:
-                    idxsets[j] = set(range(nj))
-                    changed = True
-                continue
-            for f in site.iter_hom_tuples(i, j):
+            for f in site.generating_tuples(i, j):
                 for p in list(idxsets[i]):
                     if f[p] not in idxsets[j]:
                         idxsets[j].add(f[p])
@@ -340,91 +314,3 @@ def random_subfunctor(site, rng):
                for name, act, s in zip(site.names, site.objects, idxsets)}
     return Subfunctor(site, subsets)
 
-
-class Preorder:
-    """Finitely many elements with a reflexive, transitive order table."""
-
-    def __init__(self, elements, leq):
-        elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise GaloisError("preorder elements must be distinct")
-        rel = set()
-        for x, y in leq:
-            if x not in elements or y not in elements:
-                raise GaloisError("order pair (%r, %r) mentions a stranger" % (x, y))
-            rel.add((x, y))
-        for x in elements:
-            if (x, x) not in rel:
-                raise GaloisError("order is not reflexive at %r" % x)
-        for x, y in rel:
-            for y2, z in rel:
-                if y2 == y and (x, z) not in rel:
-                    raise GaloisError("order is not transitive through (%r, %r, %r)" % (x, y, z))
-        self.elements = elements
-        self.rel = frozenset(rel)
-
-    def le(self, x, y):
-        return (x, y) in self.rel
-
-    def __repr__(self):
-        return "Preorder(%s)" % ",".join(self.elements)
-
-
-class FiniteRelation:
-    """A relation between two preorders, closed downward on both sides."""
-
-    def __init__(self, left, right, holds):
-        pairs = set()
-        for x, y in holds:
-            if x not in left.elements or y not in right.elements:
-                raise GaloisError("relation pair (%r, %r) mentions a stranger" % (x, y))
-            pairs.add((x, y))
-        for x, y in pairs:
-            for x2 in left.elements:
-                for y2 in right.elements:
-                    if left.le(x2, x) and right.le(y2, y) and (x2, y2) not in pairs:
-                        raise GaloisError(
-                            "relation is not functorial: holds(%r, %r) but not holds(%r, %r)"
-                            % (x, y, x2, y2))
-        self.left = left
-        self.right = right
-        self.pairs = frozenset(pairs)
-
-    def holds(self, x, y):
-        return (x, y) in self.pairs
-
-
-class Representants:
-    """Greatest related elements on each side, where they exist."""
-
-    def __init__(self, greatest_right, undefined_right, greatest_left, undefined_left):
-        self.greatest_right = greatest_right
-        self.undefined_right = tuple(undefined_right)
-        self.greatest_left = greatest_left
-        self.undefined_left = tuple(undefined_left)
-
-    @property
-    def total(self):
-        return not self.undefined_right and not self.undefined_left
-
-
-def representants(R):
-    """For each element, the greatest element related to it on the other
-    side, plus the points where no greatest exists."""
-    greatest_right, undef_right = {}, []
-    for x in R.left.elements:
-        related = [y for y in R.right.elements if R.holds(x, y)]
-        tops = [y0 for y0 in related if all(R.right.le(y, y0) for y in related)]
-        if tops:
-            greatest_right[x] = tops[0]
-        else:
-            undef_right.append(x)
-    greatest_left, undef_left = {}, []
-    for y in R.right.elements:
-        related = [x for x in R.left.elements if R.holds(x, y)]
-        tops = [x0 for x0 in related if all(R.left.le(x, x0) for x in related)]
-        if tops:
-            greatest_left[y] = tops[0]
-        else:
-            undef_left.append(y)
-    return Representants(greatest_right, undef_right, greatest_left, undef_left)

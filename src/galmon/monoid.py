@@ -1,13 +1,13 @@
 """Finite monoids presented by multiplication tables.
 
-Also the structure the product monad carries: homomorphisms, the unique
-augmentation to the trivial monoid, substructure enumeration, and the
-fusion test that detects when a monoid is a group (and so has an antipode).
+Also the structure the product monad carries: homomorphisms, substructure
+enumeration, and the fusion test that detects when a monoid is a group (and
+so has an antipode).
 """
 
 import itertools
 
-from .finset import FinSet, FinMap, pair_label, product, terminal_map
+from .finset import FinSet, FinMap, pair_label, product
 
 
 class MonoidError(Exception):
@@ -161,21 +161,6 @@ def kernel_pairs(h):
     return tuple(out)
 
 
-class Augmentation:
-    """The unique monoid map to the trivial monoid, as a carrier-level counit."""
-
-    def __init__(self, owner):
-        self.owner = owner
-        self.counit = terminal_map(owner.carrier)
-
-    def __repr__(self):
-        return "Augmentation(%r)" % self.owner
-
-
-def canonical_augmentation(m):
-    return Augmentation(m)
-
-
 def submonoid(m, subset):
     """The submonoid on the given closed subset, with its inclusion hom."""
     elems = tuple(sorted(subset))
@@ -240,8 +225,4 @@ def antipode(m):
     """Inversion as a carrier map; defined exactly when m is a group."""
     if not is_hopf(m):
         raise NotHopfError(hopf_witness(m))
-    table = {a: m.inverse(a) for a in m.elements}
-    s = FinMap(m.carrier, m.carrier, table)
-    for a in m.elements:
-        assert m.mul(s(a), a) == m.unit and m.mul(a, s(a)) == m.unit
-    return s
+    return FinMap(m.carrier, m.carrier, {a: m.inverse(a) for a in m.elements})

@@ -16,7 +16,7 @@ from galmon.monoid import Monoid, enumerate_submonoids, is_hopf, submonoid, triv
 from galmon.actions import (MAction, Site, canonical_site, propagate, trivial_action,
                             underlying_site)
 from galmon.ends import ForgetfulDiagram, TableDiagram, internal_nat
-from galmon.galois import invariants_oracle
+from galmon.galois import invariants, invariants_oracle
 from galmon import samples
 
 # Sum over objects of |W_i|^|V_i| above which the oracle is too slow to run.
@@ -130,7 +130,9 @@ def test_solver_matches_oracle_on_transformation_monoids(drawn):
         S = {m.unit, g}
         while any(m.mul(a, b) not in S for a in S for b in S):
             S |= {m.mul(a, b) for a in S for b in S}
-        invariant.append(invariants_oracle(submonoid(m, S)[1], site))
+        incl = submonoid(m, S)[1]
+        invariant.append(invariants_oracle(incl, site))
+        assert invariants(incl, site) == invariant[-1]
     agree_with_oracle(site, invariant)
 
 

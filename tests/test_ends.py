@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from galmon.finset import FinSet, FinMap, SizingError, exponential
+from galmon.finset import FinSet, FinMap, SizingError, exponential, hom_set, product
 from galmon.monoid import MonoidHom, is_hopf, kernel_pairs, submonoid, trivial_monoid
 from galmon.actions import (MAction, Site, trivial_action, free_action,
                             canonical_site, default_site, coset_action,
@@ -256,6 +256,28 @@ def test_sizing_guard_family_product():
     with pytest.raises(SizingError):
         end_of_forgetful(site, 3)
     assert len(end_of_forgetful(site, 16)) == 2
+
+
+def test_refusals_name_layer_count_and_limit():
+    big = FinSet(tuple("x%04d" % i for i in range(4000)))
+    eight = FinSet(tuple(str(i) for i in range(8)))
+    seven = FinSet(tuple(str(i) for i in range(7)))
+    one = trivial_monoid()
+    site = Site(one, [("a", trivial_action(one, seven)), ("b", trivial_action(one, seven))])
+    refusals = [
+        (lambda: product(big, big),
+         "finset.product: 4000 x 4000 elements exceed the limit of 10000000"),
+        (lambda: hom_set(eight, eight),
+         "finset.hom_set: 8^8 maps exceed the limit of 10000000"),
+        (lambda: site.hom_maps(0, 1),
+         "actions.Site.hom_maps: 7^7 maps 'a' -> 'b' exceed the limit of 100000"),
+        (lambda: TableDiagram(site, [seven, seven], {}),
+         "ends.TableDiagram: 7^7 self-maps of 'a' exceed the limit of 100000"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(SizingError) as exc:
+            refuse()
+        assert str(exc.value) == message
 
 
 def test_monoid_needs_self_hom_end():

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from galmon.finset import (FinSet, FinMap, FinSetError, SizingError,
                            singleton, terminal_map, product, proj_left,
                            proj_right, pairing, exponential, curry, uncurry,
-                           evaluation, equalizer, hom_set, split_top,
+                           evaluation, equalizer, hom_set,
                            pair_label, ARROW)
 
 
@@ -36,10 +36,6 @@ def test_bad_symbols_rejected():
 
 def test_bracketed_symbols_allowed():
     FinSet(("(a,b)", "{x" + ARROW + "y}"))
-
-
-def test_split_top():
-    assert split_top("a,(b,c),{d,e}") == ["a", "(b,c)", "{d,e}"]
 
 
 def test_map_total_and_contained():

@@ -1,16 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from galmon.finset import FinSet
+from galmon.finset import FinSet, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
-from galmon.actions import Site, trivial_action, canonical_site, default_site
-from galmon.galois import (GaloisError, Subfunctor, fixes, invariants,
+from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
+from galmon.galois import (GaloisError, Subfunctor, _naturality_violation, fixes, invariants,
                            invariants_oracle, stabilizer, stabilizer_via_end,
                            galois_correspondence, connection_laws,
                            connection_law_failures, enumerate_subfunctors,
-                           random_subfunctor, Preorder, FiniteRelation,
-                           representants)
+                           random_subfunctor)
 from galmon import samples
 
 Z2 = samples.cyclic(2)
@@ -85,6 +85,15 @@ def test_invariants_match_oracle():
                     (S3, canonical_site(S3, "cosets"))]:
         for S, incl in enumerate_submonoids(m):
             assert invariants(incl, site) == invariants_oracle(incl, site)
+    # homs that identify elements: the exponent is larger than the image
+    one = trivial_monoid()
+    sign = {a: "e" if a in ("e", "(123)", "(132)") else "g" for a in S3.elements}
+    for h in [MonoidHom(Z4, Z2, {"e": "e", "g": "g", "g2": "e", "g3": "g"}),
+              MonoidHom(S3, Z2, sign),
+              MonoidHom(Z2, Z4, {"e": "e", "g": "e"}),
+              MonoidHom(E2, one, {a: "e" for a in E2.elements})]:
+        for site in [default_site(h.dst), canonical_site(h.dst, "free+trivial")]:
+            assert invariants(h, site) == invariants_oracle(h, site)
 
 
 def test_fixes_its_own_invariants():
@@ -111,6 +120,62 @@ def test_enumerate_subfunctors():
     big = trivial_action(Z2, FinSet(tuple("x%02d" % i for i in range(20))))
     with pytest.raises(GaloisError):
         enumerate_subfunctors(Site(Z2, [("big", big)]))
+
+
+def naturality_oracle(site, comps):
+    """Whether every morphism, each map of a pair of trivial actions
+    included, keeps the chosen index sets inside one another."""
+    return all(f[p] in comps[j]
+               for i, j in itertools.product(range(site.nobj), repeat=2)
+               for f in site.iter_hom_tuples(i, j)
+               for p in comps[i])
+
+
+def closure_oracle(site, rng):
+    """The seeds random_subfunctor draws from rng, closed under every morphism."""
+    idxsets = [{p for p in range(len(act.carrier)) if rng.random() < 0.4}
+               for act in site.objects]
+    while not naturality_oracle(site, idxsets):
+        for i, j in itertools.product(range(site.nobj), repeat=2):
+            for f in site.iter_hom_tuples(i, j):
+                idxsets[j] |= {f[p] for p in idxsets[i]}
+    return {name: tuple(act.carrier.elements[p] for p in sorted(s))
+            for name, act, s in zip(site.names, site.objects, idxsets)}
+
+
+def trivials_site(m, sizes, extra=()):
+    return Site(m, [("T%d_%d" % (k, n), trivial_action(m, FinSet(str(p) for p in range(n))))
+                    for k, n in enumerate(sizes)] + list(extra))
+
+
+NATURALITY_SITES = [
+    trivials_site(Z2, (0, 1, 2, 3), [("sw", SWAP), ("F(1)", free_action(Z2, singleton()))]),
+    trivials_site(trivial_monoid(), (1, 2, 3, 3)),
+    trivials_site(E2, (3, 2), [("F(1)", free_action(E2, singleton()))]),
+]
+
+
+@pytest.mark.parametrize("site", NATURALITY_SITES, ids=repr)
+def test_naturality_check_matches_all_morphisms(site):
+    sizes = [len(act.carrier) for act in site.objects]
+    natural = 0
+    for masks in itertools.product(*[range(2 ** n) for n in sizes]):
+        comps = [{p for p in range(n) if mask >> p & 1} for n, mask in zip(sizes, masks)]
+        verdict = naturality_oracle(site, comps)
+        assert (_naturality_violation(site, comps) is None) == verdict
+        natural += verdict
+    assert natural == len(enumerate_subfunctors(site))
+    for seed in range(200):
+        V = random_subfunctor(site, random.Random(seed))
+        assert V.components == closure_oracle(site, random.Random(seed))
+
+
+def test_not_natural_names_the_element_moved_out():
+    site = trivials_site(Z2, (2,))
+    with pytest.raises(GaloisError) as err:
+        Subfunctor(site, {"T0_2": ("1",)})
+    assert str(err.value) == ("not natural: a morphism 'T0_2' -> 'T0_2' moves '1' "
+                              "outside the subset")
 
 
 def test_random_subfunctor_is_natural():
@@ -204,59 +269,3 @@ def test_antitone():
         for S2, i2 in pairs:
             if set(S1.elements) <= set(S2.elements):
                 assert invariants(i2, site) <= invariants(i1, site)
-
-
-def test_preorder_validation():
-    P = Preorder("ab", [("a", "a"), ("b", "b"), ("a", "b")])
-    assert P.le("a", "b") and not P.le("b", "a")
-    with pytest.raises(GaloisError):
-        Preorder("ab", [("a", "a")])  # not reflexive at b
-    with pytest.raises(GaloisError):
-        Preorder("abc", [("a", "a"), ("b", "b"), ("c", "c"),
-                         ("a", "b"), ("b", "c")])  # not transitive
-    with pytest.raises(GaloisError):
-        Preorder("ab", [("a", "z")])
-
-
-def test_relation_functoriality():
-    P = Preorder("ab", [("a", "a"), ("b", "b"), ("a", "b")])
-    FiniteRelation(P, P, [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")])
-    with pytest.raises(GaloisError) as err:
-        FiniteRelation(P, P, [("b", "b")])  # (a,b) below (b,b) is missing
-    assert "not functorial" in str(err.value)
-
-
-def test_representants_centralizer():
-    # subgroups of S3 ordered by inclusion, related when they commute
-    # elementwise; the greatest subgroup commuting with everything is {e}
-    subs = [S.elements for S, _ in enumerate_submonoids(S3)]
-    names = {s: "{%s}" % ",".join(s) for s in subs}
-    leq = [(names[s], names[t]) for s in subs for t in subs
-           if set(s) <= set(t)]
-    P = Preorder([names[s] for s in subs], leq)
-    holds = [(names[s], names[t]) for s in subs for t in subs
-             if all(S3.mul(x, y) == S3.mul(y, x) for x in s for y in t)]
-    R = FiniteRelation(P, P, holds)
-    rep = representants(R)
-    assert rep.total
-    whole = names[S3.elements]
-    assert rep.greatest_right[whole] == names[("e",)]
-    assert rep.greatest_right[names[("e",)]] == whole
-
-
-def test_representants_everything_related():
-    P = Preorder("ab", [("a", "a"), ("b", "b"), ("a", "b")])
-    R = FiniteRelation(P, P, [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")])
-    rep = representants(R)
-    assert rep.greatest_right == {"a": "b", "b": "b"}
-
-
-def test_representants_undefined():
-    # two incomparable tops, both related to everything: no greatest
-    P = Preorder("abc", [("a", "a"), ("b", "b"), ("c", "c"),
-                         ("a", "b"), ("a", "c")])
-    holds = [(x, y) for x in "abc" for y in "abc"]
-    R = FiniteRelation(P, P, holds)
-    rep = representants(R)
-    assert not rep.total
-    assert set(rep.undefined_right) == {"a", "b", "c"}

@@ -8,7 +8,7 @@ from galmon.monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                            validate_monoid, trivial_monoid, submonoid,
                            enumerate_submonoids, enumerate_subgroups,
                            fusion_morphism, hopf_witness, is_hopf, antipode,
-                           kernel_pairs, canonical_augmentation)
+                           kernel_pairs)
 from galmon import samples
 
 Z2 = samples.cyclic(2)
@@ -145,11 +145,6 @@ def test_hom_compose_identity():
     assert (ident * kh).map == kh.map
     assert kernel_pairs(k) == (("e", "g2"), ("g", "g3"))
     assert not k.is_injective() and h.is_injective()
-
-
-def test_augmentation():
-    eps = canonical_augmentation(S3).counit
-    assert all(eps(a) == "*" for a in S3.elements)
 
 
 subsets_of_s3 = st.sets(st.sampled_from(S3.elements), max_size=6)
