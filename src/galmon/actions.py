@@ -7,10 +7,9 @@ trivial actions contain every map, so those pairs are iterated lazily.
 """
 
 import itertools
-from functools import lru_cache
 
-from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, MAX_MATERIALIZED,
-                     hom_set, map_label, product, singleton)
+from .finset import (FinSet, FinMap, FunctionSet, SizingError, MAX_ENUMERATION,
+                     MAX_MATERIALIZED, hom_set, product, singleton)
 from .monoid import trivial_monoid, enumerate_subgroups, hopf_witness, is_hopf
 
 
@@ -288,21 +287,15 @@ def coinduct(h, N):
     B = h.src
     twisted = MAction(B, A.carrier,
                       {(b, a): A.mul(h(b), a) for b in B.elements for a in A.carrier})
-    graph = {}
-    for f in equivariant_maps(twisted, N):
-        images = tuple(f(a) for a in A.carrier)
-        graph[map_label(A.carrier.elements, images)] = images
-    K = FinSet(graph, check=False)
-    K._graph = graph
-    K._enc = {v: k for k, v in graph.items()}
-    K._base = A.carrier
-    K._target = N.carrier
+    K = FunctionSet(A.carrier, N.carrier, [tuple(f(a) for a in A.carrier)
+                                           for f in equivariant_maps(twisted, N)])
     aidx = A.carrier.index
     act = {}
     for a in A.elements:
         shift = tuple(aidx(A.mul(a2, a)) for a2 in A.carrier)
-        for e, images in graph.items():
-            act[(a, e)] = K._enc[tuple(images[i] for i in shift)]
+        for e in K:
+            images = K.map_images(e)
+            act[(a, e)] = K.map_element(tuple(images[i] for i in shift))
     return MAction(A, K, act)
 
 
@@ -496,7 +489,6 @@ def canonical_site(m, recipe, custom=()):
     return Site(m, objects)
 
 
-@lru_cache(maxsize=None)
 def default_site(m):
     """Cosets plus the free object for groups; free plus trivial otherwise."""
     if is_hopf(m):

@@ -13,11 +13,9 @@ action of its source on every site object at once.
 """
 
 import itertools
-from functools import lru_cache
 
 from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, MAX_MATERIALIZED,
-                     map_label, exponential, product, proj_right, curry, singleton,
-                     terminal_map)
+                     map_label, product, proj_right, curry, singleton, terminal_map)
 from .monoid import Monoid, MonoidHom
 from .actions import Site, propagate, trivial_action, underlying_site
 
@@ -39,16 +37,6 @@ class SiteDiagram:
 
     def mor(self, i, j, f):
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return (isinstance(other, SiteDiagram) and self.site == other.site
-                and self.obs == other.obs and self._mor_key() == other._mor_key())
-
-    def __hash__(self):
-        return hash((self.site, tuple(self.obs), self._mor_key()))
-
-    def _mor_key(self):
-        return type(self).__name__
 
 
 class ForgetfulDiagram(SiteDiagram):
@@ -98,16 +86,15 @@ class SubsetDiagram(SiteDiagram):
             out.append(q)
         return tuple(out)
 
-    def _mor_key(self):
-        return ("subset",) + tuple(self._embed)
-
 
 class TableDiagram(SiteDiagram):
     """Explicit functor data, validated for functoriality on construction."""
 
     def __init__(self, site, obs, tables):
+        # trivial objects list every self-map; other hom sets come from the solver
         for i in range(site.nobj):
-            if site.hom_raw_size(i, i) > MAX_MATERIALIZED:
+            if (site.objects[i].is_trivial_action
+                    and site.hom_raw_size(i, i) > MAX_MATERIALIZED):
                 n = len(site.objects[i].carrier)
                 raise SizingError("ends.TableDiagram: %d^%d self-maps of %r exceed the limit of %d"
                                   % (n, n, site.names[i], MAX_MATERIALIZED))
@@ -140,12 +127,9 @@ class TableDiagram(SiteDiagram):
     def mor(self, i, j, f):
         return self.tables[(i, j)][f]
 
-    def _mor_key(self):
-        return ("table", tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self.tables.items())))
-
 
 class EndObject:
-    """The end of [V, W]: wedge families with per-object projections."""
+    """The end of [V, W]: its wedge families, one map per site object."""
 
     def __init__(self, site, V, W, families):
         self.site = site
@@ -163,7 +147,6 @@ class EndObject:
         self.family_of = dict(zip(labels, self.families))
         self.elem_of = dict(zip(self.families, labels))
         self._monoid = None
-        self._projections = {}
 
     def __len__(self):
         return len(self.families)
@@ -175,15 +158,6 @@ class EndObject:
         """The i-th component of a family, as a tuple of target elements."""
         ws = self.W.obs[i].elements
         return tuple(ws[q] for q in self.family_of[elem][i])
-
-    def projection(self, i):
-        """The map into [V(M_i), W(M_i)] reading off the i-th component."""
-        if i not in self._projections:
-            E = exponential(self.V.obs[i], self.W.obs[i])
-            table = {elem: E.map_element(self.component_images(elem, i))
-                     for elem in self.carrier}
-            self._projections[i] = FinMap(self.carrier, E, table)
-        return self._projections[i]
 
     def monoid(self):
         """Componentwise composition; defined when V and W coincide."""
@@ -232,7 +206,6 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
     return EndObject(site, V, W, families)
 
 
-@lru_cache(maxsize=None)
 def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     U = ForgetfulDiagram(site)
     return internal_nat(U, U, max_families)

@@ -1,13 +1,15 @@
 """Finite sets and total maps: the ambient cartesian closed category.
 
-Elements are plain strings.  Carriers built by product() and exponential()
-remember how their elements were assembled, so currying and uncurrying can
-decode them without string parsing.  Every constructor sorts elements into
-a single canonical order and every operation here is pure.
+Elements are plain strings.  Carriers built by product() remember how their
+pairs were assembled; a FunctionSet encodes and decodes its own function
+elements, so currying and uncurrying never parse labels.  The internal hom
+[X, Z] is a FunctionSet that lists its |Z|^|X| elements only when iterated.
+Every constructor sorts elements into a single canonical order, every
+operation here is pure, and nothing is cached between calls.
 """
 
 import itertools
-from functools import lru_cache
+import sys
 
 ARROW = "↦"  # separates argument from image in function-element labels
 
@@ -71,13 +73,9 @@ class FinSet:
         self.elements = elems
         self._lookup = {x: i for i, x in enumerate(elems)}
         self._hash = None
-        # structure metadata, set by product()/exponential(); never compared
+        # structure metadata, set by product(); never compared
         self._pairs = None     # elem -> (left, right)
         self._factors = None   # (left FinSet, right FinSet)
-        self._graph = None     # elem -> tuple of images over _base.elements
-        self._enc = None       # images tuple -> elem
-        self._base = None
-        self._target = None
 
     def __len__(self):
         return len(self.elements)
@@ -109,10 +107,6 @@ class FinSet:
     def is_product(self):
         return self._pairs is not None
 
-    @property
-    def is_exponential(self):
-        return self._graph is not None
-
     def pair_parts(self, elem):
         """Decode an element of a product carrier."""
         if self._pairs is None:
@@ -120,23 +114,91 @@ class FinSet:
         return self._pairs[elem]
 
     def map_images(self, elem):
+        raise FinSetError("%r does not carry function elements" % self)
+
+    map_element = map_images
+
+
+class FunctionSet(FinSet):
+    """Function elements X -> Z: all of [X, Z], or the maps with the given
+    image tuples (over X's order).
+
+    Elements are labelled with map_label and decoded from what this set has
+    encoded.  The full [X, Z] answers len() from |Z|^|X| and lists its
+    elements only when iterated or asked for one it has not encoded.
+    """
+
+    def __init__(self, base, target, images=None):
+        self.base, self.target, self._full = base, target, images is None
+        self._images, self._codes = {}, {}  # elem <-> images over base.elements
+        self._hash = self._pairs = self._factors = self._sorted = None
+        for t in images or ():
+            self._encode(tuple(t))
+        self._size = len(target) ** len(base) if self._full else len(self._images)
+
+    def _encode(self, images):
+        elem = map_label(self.base.elements, images)
+        self._images[elem] = images
+        self._codes[images] = elem
+        return elem
+
+    @property
+    def elements(self):
+        if self._sorted is None:
+            if self._full:
+                if self._size > MAX_ENUMERATION:
+                    raise self._refusal()
+                for t in itertools.product(self.target.elements, repeat=len(self.base)):
+                    self._encode(t)
+            self._sorted = tuple(sorted(self._images))
+            self._lookup = {x: i for i, x in enumerate(self._sorted)}
+        return self._sorted
+
+    def _refusal(self):
+        return SizingError("finset.exponential: %d^%d elements exceed the limit of %d"
+                           % (len(self.target), len(self.base), MAX_ENUMERATION))
+
+    def __len__(self):
+        if self._size > sys.maxsize:  # len() must fit in a machine word
+            raise self._refusal()
+        return self._size
+
+    def __contains__(self, x):
+        if x not in self._images and self._full and self._sorted is None:
+            self.elements  # a label not encoded yet: list [X, Z]
+        return x in self._images
+
+    def index(self, x):
+        self.elements  # positions are taken in the sorted listing
+        return self._lookup[x]
+
+    def __eq__(self, other):
+        # a full set of two or more maps determines its X and Z
+        if isinstance(other, FunctionSet) and self._full and other._full and self._size > 1:
+            return self.base == other.base and self.target == other.target
+        return FinSet.__eq__(self, other)
+
+    __hash__ = FinSet.__hash__
+
+    def map_images(self, elem):
         """Images of a function element, in base order."""
-        if self._graph is None:
-            raise FinSetError("%r does not carry function elements" % self)
-        return self._graph[elem]
+        if elem not in self:
+            raise FinSetError("no function element %r" % (elem,))
+        return self._images[elem]
 
     def map_apply(self, elem, x):
         """Evaluate a function element at a point of its base."""
-        return self.map_images(elem)[self._base.index(x)]
+        return self.map_images(elem)[self.base.index(x)]
 
     def map_element(self, images):
         """Encode a tuple of images, in base order, as a function element."""
-        if self._enc is None:
-            raise FinSetError("%r does not carry function elements" % self)
-        try:
-            return self._enc[tuple(images)]
-        except KeyError:
+        images = tuple(images)
+        if images in self._codes:
+            return self._codes[images]
+        if (not self._full or len(images) != len(self.base)
+                or any(z not in self.target for z in images)):
             raise FinSetError("no function element with images %r" % (images,))
+        return self._encode(images)
 
 
 class FinMap:
@@ -213,7 +275,6 @@ def terminal_map(X):
     return FinMap(X, _SINGLETON, {x: "*" for x in X})
 
 
-@lru_cache(maxsize=None)
 def product(X, Y):
     """Cartesian product with decodable pair elements."""
     if len(X) * len(Y) > MAX_ENUMERATION:
@@ -247,25 +308,9 @@ def pairing(f, g):
     return FinMap(f.dom, P, {x: pair_label(f(x), g(x)) for x in f.dom})
 
 
-@lru_cache(maxsize=None)
 def exponential(X, Z):
-    """Internal hom [X, Z]: all total maps as decodable function elements."""
-    n = len(Z) ** len(X) if len(X) else 1
-    if n > MAX_ENUMERATION:
-        raise SizingError("finset.exponential: %d^%d elements exceed the limit of %d"
-                          % (len(Z), len(X), MAX_ENUMERATION))
-    xs = X.elements
-    graph, enc = {}, {}
-    for images in itertools.product(Z.elements, repeat=len(xs)):
-        e = map_label(xs, images)
-        graph[e] = images
-        enc[images] = e
-    E = FinSet(graph, check=False)
-    E._graph = graph
-    E._enc = enc
-    E._base = X
-    E._target = Z
-    return E
+    """Internal hom [X, Z]: all total maps as function elements."""
+    return FunctionSet(X, Z)
 
 
 def curry(f):
@@ -285,11 +330,11 @@ def curry(f):
 def uncurry(g):
     """Transpose g: Y -> [X, Z] into Y x X -> Z."""
     E = g.cod
-    if not E.is_exponential:
+    if not isinstance(E, FunctionSet):
         raise FinSetError("uncurry needs function elements in the codomain")
-    P = product(g.dom, E._base)
+    P = product(g.dom, E.base)
     table = {p: E.map_apply(g(y), x) for p, (y, x) in P._pairs.items()}
-    return FinMap(P, E._target, table)
+    return FinMap(P, E.target, table)
 
 
 def evaluation(X, Z):

@@ -2,16 +2,18 @@
 Galois connection between submonoids and natural families of subsets.
 
 The two directions are computed along independent routes.  Invariants come
-from an equalizer of curried maps into an exponential, with a direct scan
+from an equalizer of curried maps into the exponential [B, X], which
+encodes only the curried images and is never listed, with a direct scan
 as the oracle; stabilizers come either from a direct scan or through the
 end of the underlying-carrier diagram.  The connection laws and the closed
-object correspondence are then checked rather than assumed.
+object correspondence are then checked rather than assumed.  Nothing is
+cached across calls: a sweep computes the invariants of each submonoid
+once and reads those of a stabilizer, itself a submonoid, from that table.
 """
 
 import itertools
-from functools import lru_cache
 
-from .finset import FinMap, curry, equalizer, product
+from .finset import FinMap, SizingError, curry, equalizer, product
 from .monoid import enumerate_submonoids, submonoid
 from . import ends
 
@@ -121,7 +123,6 @@ def _invariant_component(h, M):
     return eq.elements
 
 
-@lru_cache(maxsize=None)
 def invariants(h, site):
     """The subfunctor of elements fixed by everything in the image of h."""
     if h.dst != site.monoid:
@@ -142,7 +143,6 @@ def invariants_oracle(h, site):
     return Subfunctor(site, subsets)
 
 
-@lru_cache(maxsize=None)
 def stabilizer(V):
     """The largest submonoid acting as the identity on V, with inclusion."""
     m = V.site.monoid
@@ -189,8 +189,8 @@ def galois_correspondence(m, site):
             images.append(V)
     vrows = []
     for V in images:
-        T, incl = stabilizer(V)
-        W = invariants(incl, site)
+        T, _ = stabilizer(V)
+        W = inv_of[T.elements]
         vrows.append({
             "subsets": V.as_dict(),
             "stabilizer": list(T.elements),
@@ -236,25 +236,19 @@ def connection_law_failures(m, site, extra_subfunctors=()):
     for V in list(inv.values()) + list(extra_subfunctors):
         if V not in tested:
             tested.append(V)
-
-    def inv_of_monoid(T):
-        _, incl = submonoid(m, T.elements)
-        return invariants(incl, site)
-
+    stab = {V: stabilizer(V)[0].elements for V in tested}
     for S, incl in pairs:
-        T, _ = stabilizer(inv[S.elements])
-        if not set(S.elements) <= set(T.elements):
+        T = stab[inv[S.elements]]
+        if not set(S.elements) <= set(T):
             failures.append("submonoid {%s} escapes the stabilizer of its invariants"
                             % ",".join(S.elements))
-        if inv_of_monoid(T) != inv[S.elements]:
+        if inv[T] != inv[S.elements]:
             failures.append("invariants not idempotent at {%s}" % ",".join(S.elements))
     for V in tested:
-        T, _ = stabilizer(V)
-        W = inv_of_monoid(T)
+        W = inv[stab[V]]
         if not V <= W:
             failures.append("%r escapes the invariants of its stabilizer" % V)
-        T2, _ = stabilizer(W)
-        if T2.elements != T.elements:
+        if stab[W] != stab[V]:
             failures.append("stabilizer not idempotent at %r" % V)
     for (S1, _), (S2, _) in itertools.product(pairs, repeat=2):
         if set(S1.elements) <= set(S2.elements):
@@ -262,11 +256,8 @@ def connection_law_failures(m, site, extra_subfunctors=()):
                 failures.append("invariants not order reversing on {%s} <= {%s}"
                                 % (",".join(S1.elements), ",".join(S2.elements)))
     for V1, V2 in itertools.product(tested, repeat=2):
-        if V1 <= V2:
-            T1, _ = stabilizer(V1)
-            T2, _ = stabilizer(V2)
-            if not set(T2.elements) <= set(T1.elements):
-                failures.append("stabilizer not order reversing on %r <= %r" % (V1, V2))
+        if V1 <= V2 and not set(stab[V2]) <= set(stab[V1]):
+            failures.append("stabilizer not order reversing on %r <= %r" % (V1, V2))
     return failures
 
 
@@ -277,11 +268,9 @@ def connection_laws(m, site, extra_subfunctors=()):
 def enumerate_subfunctors(site, limit=200_000):
     """All natural subfunctors of a small site, smallest first."""
     sizes = [len(act.carrier) for act in site.objects]
-    total = 1
-    for n in sizes:
-        total *= 2 ** n
-    if total > limit:
-        raise GaloisError("site too large to enumerate subfunctors")
+    if 2 ** sum(sizes) > limit:
+        raise SizingError("galois.enumerate_subfunctors: 2^%d subset families exceed "
+                          "the limit of %d" % (sum(sizes), limit))
     found = []
     for masks in itertools.product(*[range(2 ** n) for n in sizes]):
         idxsets = [{p for p in range(n) if mask >> p & 1}

@@ -133,12 +133,21 @@ def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
     assert doc["size"] == len(m)
     assert doc["reconstruction"]["isomorphism"]
     site = default_site(m)
-    for k, (_, incl) in enumerate(enumerate_submonoids(m)):
+    subs = enumerate_submonoids(m)
+    for k, (_, incl) in enumerate(subs):
         sub = tmp_path / ("inv%d.json" % k)
         sub.write_text(json.dumps({"subsets": invariants_oracle(incl, site).as_dict()}))
         code, doc = run_json(capsys, ["stab", "--monoid", str(path), "--sub", str(sub)])
         assert code == 0
         assert doc["agree"]
+    code, doc = run_json(capsys, ["laws", "--monoid", str(path)])
+    assert code == 0
+    assert doc["ok"]
+    code, doc = run_json(capsys, ["corr", "--monoid", str(path)])
+    assert code == 0
+    assert doc["bijective"]
+    assert [row["invariants"] for row in doc["submonoids"]] == [
+        invariants_oracle(incl, site).as_dict() for _, incl in subs]
 
 
 def test_laws(capsys):

@@ -258,6 +258,16 @@ def test_sizing_guard_family_product():
     assert len(end_of_forgetful(site, 16)) == 2
 
 
+def test_table_diagram_guards_only_trivial_objects():
+    # the free object of Z7 has 7 self-morphisms, not all 7^7 self-maps
+    site = canonical_site(samples.cyclic(7), "free")
+    U = ForgetfulDiagram(site)
+    tables = {(0, 0): {f: U.mor(0, 0, f) for f in site.iter_hom_tuples(0, 0)}}
+    assert len(tables[(0, 0)]) == 7
+    D = TableDiagram(site, U.obs, tables)
+    assert [D.mor(0, 0, f) for f in site.iter_hom_tuples(0, 0)] == list(tables[(0, 0)])
+
+
 def test_refusals_name_layer_count_and_limit():
     big = FinSet(tuple("x%04d" % i for i in range(4000)))
     eight = FinSet(tuple(str(i) for i in range(8)))

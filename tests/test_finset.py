@@ -224,15 +224,52 @@ def test_sizing_guards():
     with pytest.raises(SizingError):
         hom_set(big, nine)
     with pytest.raises(SizingError):
-        exponential(big, nine)
+        list(exponential(big, nine))
 
 
 def test_exponential_refusal_names_guard_and_limit():
     big = FinSet(tuple("x%02d" % i for i in range(12)))
     nine = FinSet(tuple(str(i) for i in range(9)))
     with pytest.raises(SizingError) as exc:
-        exponential(big, nine)
+        list(exponential(big, nine))
     assert str(exc.value) == "finset.exponential: 9^12 elements exceed the limit of 10000000"
+
+
+def test_oversized_exponential_works_without_listing():
+    # listing [big, nine] refuses, so each step below must do without it
+    big = FinSet(tuple("x%02d" % i for i in range(12)))
+    nine = FinSet(tuple(str(i) for i in range(9)))
+    E = exponential(big, nine)
+    assert len(E) == 9 ** 12
+    images = tuple(str(i % 9) for i in range(12))
+    e = E.map_element(images)
+    assert e in E and E.map_images(e) == images
+    assert [E.map_apply(e, x) for x in big] == list(images)
+    Y = fs("p", "q")
+    P = product(Y, big)
+    f = FinMap(P, nine, {p: "4" if P.pair_parts(p)[0] == "q" else "3" for p in P})
+    c = curry(f)
+    assert c.cod == E and c.cod is not E
+    assert c("q") == E.map_element(("4",) * 12)
+    assert uncurry(c) == f
+    with pytest.raises(SizingError):
+        list(E)
+    twenty = FinSet(tuple("y%02d" % i for i in range(20)))
+    with pytest.raises(SizingError):
+        evaluation(twenty, twenty)  # 20^20 elements: too many even to count with len()
+
+
+def test_function_set_equality_and_membership():
+    X, Z = fs("0", "1"), ABC
+    E = exponential(X, Z)
+    assert E == exponential(X, Z) and E != exponential(X, fs("a", "b"))
+    assert E == FinSet(E.elements) and hash(E) == hash(FinSet(E.elements))
+    assert "{0" + ARROW + "b,1" + ARROW + "c}" in exponential(X, Z)
+    assert "{0" + ARROW + "b}" not in E
+    assert exponential(FinSet(), ABC) == exponential(FinSet(), XY)
+    assert exponential(ABC, FinSet()) == exponential(XY, FinSet())
+    e = E.map_element(("a", "b"))
+    assert E.elements[E.index(e)] == e
 
 
 def test_terminal_map():

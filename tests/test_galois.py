@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from galmon.finset import FinSet, singleton
+from galmon.finset import FinSet, SizingError, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
 from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
 from galmon.galois import (GaloisError, Subfunctor, _naturality_violation, fixes, invariants,
@@ -118,8 +120,10 @@ def test_enumerate_subfunctors():
     assert found[0] == Subfunctor.empty(site)
     assert found[-1] == Subfunctor.full(site)
     big = trivial_action(Z2, FinSet(tuple("x%02d" % i for i in range(20))))
-    with pytest.raises(GaloisError):
+    with pytest.raises(SizingError) as exc:
         enumerate_subfunctors(Site(Z2, [("big", big)]))
+    assert str(exc.value) == ("galois.enumerate_subfunctors: 2^20 subset families "
+                              "exceed the limit of 200000")
 
 
 def naturality_oracle(site, comps):
@@ -269,3 +273,19 @@ def test_antitone():
         for S2, i2 in pairs:
             if set(S1.elements) <= set(S2.elements):
                 assert invariants(i2, site) <= invariants(i1, site)
+
+
+def test_long_lived_process_keeps_no_results():
+    """Sweeps run one after another leave nothing reachable behind them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in (samples.symmetric3(), samples.cyclic(6), samples.mult_mod(6)):
+            galois_correspondence(m, default_site(m))
+        del m
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 ** 20
