@@ -10,7 +10,7 @@ import itertools
 
 from .finset import (FinSet, FinMap, FunctionSet, SizingError, MAX_ENUMERATION,
                      MAX_MATERIALIZED, hom_set, product, singleton)
-from .monoid import trivial_monoid, enumerate_subgroups, hopf_witness, is_hopf
+from .monoid import trivial_monoid, submonoid_tuples, is_subgroup, hopf_witness, is_hopf
 
 
 class ActionError(Exception):
@@ -479,9 +479,10 @@ def canonical_site(m, recipe, custom=()):
             if not is_hopf(m):
                 raise ActionError("coset site needs a group; %r has no inverse"
                                   % hopf_witness(m))
-            for S, _ in enumerate_subgroups(m):
-                name = "G/{%s}" % ",".join(S.elements)
-                objects.append((name, coset_action(m, S.elements)))
+            for elements in submonoid_tuples(m):
+                if is_subgroup(m, elements):
+                    name = "G/{%s}" % ",".join(elements)
+                    objects.append((name, coset_action(m, elements)))
         elif token == "custom":
             objects.extend(custom)
         else:

@@ -12,7 +12,8 @@ import sys
 
 from .finset import FinSet, FinSetError, SizingError, MAX_ENUMERATION
 from .monoid import (Monoid, MonoidHom, MonoidError, validate_monoid,
-                     enumerate_submonoids, is_hopf, hopf_witness, antipode, kernel_pairs)
+                     submonoid_tuples, is_subgroup, is_hopf, hopf_witness, antipode,
+                     kernel_pairs)
 from .actions import (MAction, ActionError, Site, validate_action,
                       canonical_site, default_site, coinduct)
 from .ends import EndError, end_of_forgetful, end_monoid, reconstruction_hom
@@ -169,10 +170,10 @@ def cmd_validate(args):
 
 def cmd_subgroups(args):
     m = _monoid_from(args)
-    subs = [S for S, _ in enumerate_submonoids(m)]
+    subs = submonoid_tuples(m)
     return 0, {"schema": SCHEMA, "command": "subgroups",
-               "submonoids": [list(S.elements) for S in subs],
-               "subgroups": [list(S.elements) for S in subs if hopf_witness(S) is None]}
+               "submonoids": [list(s) for s in subs],
+               "subgroups": [list(s) for s in subs if is_subgroup(m, s)]}
 
 
 def cmd_hopf(args):

@@ -1,13 +1,15 @@
 """Finite monoids presented by multiplication tables.
 
-Also the structure the product monad carries: homomorphisms, substructure
-enumeration, and the fusion test that detects when a monoid is a group (and
-so has an antipode).
+Also the structure the product monad carries: homomorphisms, submonoids
+(enumerated by closure under generators, deduplicated as bitmasks, and
+refused past MAX_MATERIALIZED of them), and the fusion test that detects
+when a monoid is a group (and so has an antipode).
 """
 
+import collections
 import itertools
 
-from .finset import FinSet, FinMap, pair_label, product
+from .finset import FinSet, FinMap, MAX_MATERIALIZED, SizingError, pair_label, product
 
 
 class MonoidError(Exception):
@@ -50,6 +52,13 @@ class Monoid:
         self.unit = unit
         self.table = tbl
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, carrier, unit, table):
+        """A monoid on a table the caller has already checked total."""
+        m = cls.__new__(cls)
+        m.carrier, m.unit, m.table, m._hash = carrier, unit, table, None
+        return m
 
     @property
     def elements(self):
@@ -123,6 +132,13 @@ class MonoidHom:
         self.map = fmap
 
     @classmethod
+    def _trusted(cls, src, dst, fmap):
+        """A hom the caller has already checked unital and multiplicative."""
+        h = cls.__new__(cls)
+        h.src, h.dst, h.map = src, dst, fmap
+        return h
+
+    @classmethod
     def identity(cls, m):
         return cls(m, m, FinMap.identity(m.carrier))
 
@@ -174,31 +190,84 @@ def submonoid(m, subset):
             if c not in inside:
                 raise MonoidError("subset not closed: %s*%s = %s escapes" % (a, b, c))
             table[(a, b)] = c
-    S = Monoid(FinSet(elems), m.unit, table)
-    incl = MonoidHom(S, m, {a: a for a in elems})
+    # The two checks above prove the table total and the inclusion
+    # multiplicative, so neither constructor checks them again.
+    S = Monoid._trusted(FinSet(elems, check=False), m.unit, table)
+    incl = MonoidHom._trusted(S, m, FinMap(S.carrier, m.carrier, {a: a for a in elems}))
     return S, incl
 
 
-def enumerate_submonoids(m):
-    """All submonoids with inclusions, ordered by size then element list.
+def _close(mul, mask, members, gens):
+    """Close a submonoid (bitmask and member indices) under right
+    multiplication after adjoining gens[-1]; gens generate the result."""
+    a = gens[-1]
+    new = []
+    for s in members:
+        t = mul[s][a]
+        if not mask >> t & 1:
+            mask |= 1 << t
+            new.append(t)
+    for t in new:
+        row = mul[t]
+        for g in gens:
+            u = row[g]
+            if not mask >> u & 1:
+                mask |= 1 << u
+                new.append(u)
+    return mask, members + new
 
-    Exhaustive over subsets; intended for carriers of a dozen elements or so.
+
+def submonoid_tuples(m):
+    """The element tuples of all submonoids, ordered by size then element list.
+
+    Closure under generators: starting from {e}, every submonoid S found is
+    extended by each element a outside it.  Since S is closed, only the
+    products s*a and their right multiples by the generators of S and a can
+    be new, so the cost follows |submonoids| * |A| * |closure|.  Closed sets
+    are deduplicated as bitmasks over the element indices.
     """
-    rest = [a for a in m.elements if a != m.unit]
-    out = []
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            subset = set(combo)
-            subset.add(m.unit)
-            if all(m.mul(a, b) in subset for a in subset for b in subset):
-                out.append(submonoid(m, subset))
-    out.sort(key=lambda pair: (len(pair[0]), pair[0].elements))
+    elems = m.elements
+    index = {a: i for i, a in enumerate(elems)}
+    mul = [[index[m.table[(a, b)]] for b in elems] for a in elems]
+    unit = index[m.unit]
+    found = {1 << unit}
+    queue = collections.deque([(1 << unit, [unit], ())])
+    while queue:
+        mask, members, gens = queue.popleft()
+        for a in range(len(elems)):
+            # S + {a}, once found, is closed and so its own closure
+            if mask >> a & 1 or mask | 1 << a in found:
+                continue
+            grown = gens + (a,)
+            closed, inside = _close(mul, mask, members, grown)
+            if closed in found:
+                continue
+            found.add(closed)
+            if len(found) > MAX_MATERIALIZED:
+                raise SizingError("monoid.enumerate_submonoids: more than %d submonoids "
+                                  "exceed the limit of %d"
+                                  % (MAX_MATERIALIZED, MAX_MATERIALIZED))
+            queue.append((closed, inside, grown))
+    out = [tuple(a for i, a in enumerate(elems) if mask >> i & 1) for mask in found]
+    out.sort(key=lambda elements: (len(elements), elements))
     return out
+
+
+def is_subgroup(m, elements):
+    """True iff every element has a two-sided inverse among the elements."""
+    return all(any(m.mul(a, b) == m.unit == m.mul(b, a) for b in elements)
+               for a in elements)
+
+
+def enumerate_submonoids(m):
+    """All submonoids with inclusions, ordered by size then element list."""
+    return [submonoid(m, elements) for elements in submonoid_tuples(m)]
 
 
 def enumerate_subgroups(m):
     """Submonoids in which every element has a two-sided inverse."""
-    return [(S, incl) for S, incl in enumerate_submonoids(m) if hopf_witness(S) is None]
+    return [submonoid(m, elements) for elements in submonoid_tuples(m)
+            if is_subgroup(m, elements)]
 
 
 def fusion_morphism(m):

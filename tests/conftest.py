@@ -1,4 +1,69 @@
-from hypothesis import settings
+"""Shared test settings, a monoid-file writer, the brute-force submonoid
+oracle and the hypothesis strategy of transformation monoids."""
+
+import json
+
+from hypothesis import settings, strategies as st
+
+from galmon.finset import FinSet
+from galmon.monoid import Monoid
+from galmon.actions import MAction
 
 settings.register_profile("galmon", deadline=None, max_examples=60)
 settings.load_profile("galmon")
+
+
+def write_monoid(path, m):
+    """Write m as a monoid file of the CLI schema."""
+    with open(path, "w") as fd:
+        json.dump({"elements": list(m.elements), "unit": m.unit,
+                   "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}},
+                  fd)
+
+
+def submonoids_oracle(m):
+    """All submonoids as element tuples, ordered by size then element list,
+    by scanning the subsets that contain the unit and keeping the closed
+    ones.  A branch is cut once two chosen elements multiply to one already
+    left out, since no subset in it can then be closed."""
+    rest = [a for a in m.elements if a != m.unit]
+    out = []
+
+    def scan(k, chosen, left_out):
+        if any(m.mul(a, b) in left_out for a in chosen for b in chosen):
+            return
+        if k == len(rest):
+            if all(m.mul(a, b) in chosen for a in chosen for b in chosen):
+                out.append(tuple(sorted(chosen)))
+            return
+        scan(k + 1, chosen | {rest[k]}, left_out)
+        scan(k + 1, chosen, left_out | {rest[k]})
+
+    scan(0, frozenset([m.unit]), frozenset())
+    out.sort(key=lambda elements: (len(elements), elements))
+    return out
+
+
+@st.composite
+def transformation_monoids(draw):
+    """k random self-maps of n points closed under composition, as a
+    monoid with its faithful action on the points."""
+    n = draw(st.integers(1, 4))
+    point = st.integers(0, n - 1)
+    gens = draw(st.lists(st.tuples(*[point] * n), min_size=1, max_size=3))
+    unit = tuple(range(n))
+    elems = {unit}
+    frontier = list(gens)
+    while frontier:
+        f = frontier.pop()
+        if f not in elems:
+            elems.add(f)
+            frontier.extend(tuple(f[p] for p in g) for g in elems)
+            frontier.extend(tuple(g[p] for p in f) for g in elems)
+    label = {f: "".join(map(str, f)) for f in elems}
+    table = {(label[f], label[g]): label[tuple(f[p] for p in g)]
+             for f in elems for g in elems}
+    m = Monoid(FinSet(label.values()), label[unit], table)
+    points = FinSet(str(p) for p in range(n))
+    act = MAction(m, points, {(label[f], str(p)): str(f[p]) for f in elems for p in range(n)})
+    return m, act, [label[g] for g in gens]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -5,11 +6,13 @@ import sys
 
 import pytest
 
+from conftest import submonoids_oracle, write_monoid
 from galmon import samples
 from galmon.actions import default_site
+from galmon.finset import FinSet
 from galmon.cli import run
 from galmon.galois import invariants_oracle
-from galmon.monoid import enumerate_submonoids
+from galmon.monoid import Monoid, enumerate_submonoids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -125,9 +128,7 @@ def test_end_sizing_guard(capsys):
                          ids=["Z8", "M8"])
 def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(
-        {"elements": list(m.elements), "unit": m.unit,
-         "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}}))
+    write_monoid(path, m)
     code, doc = run_json(capsys, ["end", "--monoid", str(path)])
     assert code == 0
     assert doc["size"] == len(m)
@@ -148,6 +149,45 @@ def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
     assert doc["bijective"]
     assert [row["invariants"] for row in doc["submonoids"]] == [
         invariants_oracle(incl, site).as_dict() for _, incl in subs]
+
+
+def maps_monoid(maps):
+    """The monoid of the given self-maps of 0..n-1, which must contain the
+    identity and be closed under composition."""
+    label = {f: "t" + "".join(map(str, f)) for f in maps}
+    table = {(label[f], label[g]): label[tuple(f[p] for p in g)] for f in maps for g in maps}
+    return Monoid(FinSet(label.values()), label[tuple(range(len(maps[0])))], table)
+
+
+def test_corr_finishes_on_s4(tmp_path, capsys):
+    path = tmp_path / "s4.json"
+    write_monoid(path, maps_monoid(list(itertools.permutations(range(4)))))
+    code, doc = run_json(capsys, ["corr", "--monoid", str(path)])
+    assert code == 0
+    assert doc["bijective"]
+    assert len(doc["submonoids"]) == 30
+    assert all(row["closed"] for row in doc["submonoids"])
+
+
+def test_subgroups_on_t3_match_the_oracle(tmp_path, capsys):
+    t3 = maps_monoid(list(itertools.product(range(3), repeat=3)))
+    path = tmp_path / "t3.json"
+    write_monoid(path, t3)
+    code, doc = run_json(capsys, ["subgroups", "--monoid", str(path)])
+    assert code == 0
+    expected = submonoids_oracle(t3)
+    assert len(expected) == 699
+    assert doc["submonoids"] == [list(s) for s in expected]
+
+
+def test_subgroups_refuses_past_the_submonoid_limit(tmp_path, capsys):
+    m = samples.left_zero_with_unit(18)  # 2^18 submonoids
+    path = tmp_path / "lz18.json"
+    write_monoid(path, m)
+    code, out = run_json(capsys, ["subgroups", "--monoid", str(path)])
+    assert code == 2
+    assert out["error"] == ("monoid.enumerate_submonoids: more than 100000 submonoids "
+                            "exceed the limit of 100000")
 
 
 def test_laws(capsys):

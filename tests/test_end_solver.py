@@ -9,12 +9,12 @@ every site morphism, including every map of a pair of trivial actions.
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from conftest import transformation_monoids
 from galmon.finset import FinSet, SizingError
-from galmon.monoid import Monoid, enumerate_submonoids, is_hopf, submonoid, trivial_monoid
-from galmon.actions import (MAction, Site, canonical_site, propagate, trivial_action,
-                            underlying_site)
+from galmon.monoid import enumerate_submonoids, is_hopf, submonoid, trivial_monoid
+from galmon.actions import Site, canonical_site, propagate, trivial_action, underlying_site
 from galmon.ends import ForgetfulDiagram, TableDiagram, internal_nat
 from galmon.galois import invariants, invariants_oracle
 from galmon import samples
@@ -93,31 +93,6 @@ def test_solver_matches_oracle_on_samples(m, recipe):
     invariant = dict.fromkeys(invariants_oracle(incl, site)
                               for _, incl in enumerate_submonoids(m))
     assert agree_with_oracle(site, invariant) >= 1
-
-
-@st.composite
-def transformation_monoids(draw):
-    """k random self-maps of n points closed under composition, as a
-    monoid with its faithful action on the points."""
-    n = draw(st.integers(1, 4))
-    point = st.integers(0, n - 1)
-    gens = draw(st.lists(st.tuples(*[point] * n), min_size=1, max_size=3))
-    unit = tuple(range(n))
-    elems = {unit}
-    frontier = list(gens)
-    while frontier:
-        f = frontier.pop()
-        if f not in elems:
-            elems.add(f)
-            frontier.extend(tuple(f[p] for p in g) for g in elems)
-            frontier.extend(tuple(g[p] for p in f) for g in elems)
-    label = {f: "".join(map(str, f)) for f in elems}
-    table = {(label[f], label[g]): label[tuple(f[p] for p in g)]
-             for f in elems for g in elems}
-    m = Monoid(FinSet(label.values()), label[unit], table)
-    points = FinSet(str(p) for p in range(n))
-    act = MAction(m, points, {(label[f], str(p)): str(f[p]) for f in elems for p in range(n)})
-    return m, act, [label[g] for g in gens]
 
 
 @given(transformation_monoids())
