@@ -11,7 +11,8 @@ from .finset import (FinSet, FinMap, FinSetError, SizingError, singleton,
                      product, proj_left, proj_right, pairing, exponential,
                      curry, uncurry, evaluation, equalizer, hom_set)
 from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
-                     validate_monoid, trivial_monoid, submonoid, submonoid_tuples,
+                     validate_monoid, laws_hold, generators, trivial_monoid,
+                     submonoid, submonoid_tuples,
                      is_subgroup, enumerate_submonoids, enumerate_subgroups,
                      fusion_morphism, is_hopf, hopf_witness, antipode, kernel_pairs)
 from .actions import (MAction, EquivariantMap, ActionError, Site,

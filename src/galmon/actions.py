@@ -10,7 +10,8 @@ import itertools
 
 from .finset import (FinSet, FinMap, FunctionSet, SizingError, MAX_ENUMERATION,
                      MAX_MATERIALIZED, hom_set, product, singleton)
-from .monoid import trivial_monoid, submonoid_tuples, is_subgroup, hopf_witness, is_hopf
+from .monoid import (trivial_monoid, generators, laws_hold, submonoid_tuples, is_subgroup,
+                     hopf_witness, is_hopf)
 
 
 class ActionError(Exception):
@@ -73,9 +74,32 @@ class MAction:
         return self._idx
 
 
-def validate_action(M):
-    """Return a list of axiom violations; empty means M is an action."""
+def _acts_along(M, gens):
+    """e.x = x, and (ag).x = a.(g.x) for every element a and g in gens."""
     m = M.monoid
+    idx = M.index_table()
+    if idx[m.unit] != tuple(range(len(M.carrier))):
+        return False
+    for g in gens:
+        tg = idx[g]
+        for a in m.elements:
+            ta = idx[a]
+            if idx[m.mul(a, g)] != tuple(map(ta.__getitem__, tg)):
+                return False
+    return True
+
+
+def validate_action(M):
+    """Return a list of axiom violations; empty means M is an action.
+
+    When the monoid's laws hold, checking (ab).x = a.(b.x) for b among its
+    generators is enough, by induction along b = b'g.  Only when that fails,
+    or the monoid's laws do, are all pairs scanned, which lists the
+    violations in their order.
+    """
+    m = M.monoid
+    if laws_hold(m) and _acts_along(M, generators(m)):
+        return []
     out = []
     for x in M.carrier:
         y = M.apply(m.unit, x)
@@ -206,16 +230,20 @@ def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
     yield from rec(0)
 
 
-def _equivariant_tuples(M, N):
+def _equivariant_tuples(M, N, gens=None):
     """Yield image-index tuples of equivariant maps M -> N.
 
     Each point is a variable whose value is its image; f(x) = y forces
-    f(a.x) = a.y for every monoid element a.  Solutions come out in
-    image-tuple lexicographic order, the canonical hom order.
+    f(a.x) = a.y for every monoid element a, or only for a in gens when
+    given.  For actions that obey the laws, the monoid's generators force
+    the same maps: every element is a generator or a product b'g of ones
+    that are, and a map commuting with b' and g commutes with b'g.
+    Solutions come out in image-tuple lexicographic order, the canonical
+    hom order.
     """
     aM = M.index_table()
     aN = N.index_table()
-    elems = M.monoid.elements
+    elems = M.monoid.elements if gens is None else gens
     rules = [[(aM[a][p], aN[a]) for a in elems] for p in range(len(M.carrier))]
     return propagate([len(N.carrier)] * len(M.carrier), rules)
 
@@ -431,7 +459,9 @@ class Site:
 
     def _filtered(self, i, j):
         if (i, j) not in self._homs:
-            self._homs[(i, j)] = tuple(_equivariant_tuples(self.objects[i], self.objects[j]))
+            # the objects were validated, so the generators force every element
+            self._homs[(i, j)] = tuple(_equivariant_tuples(self.objects[i], self.objects[j],
+                                                           generators(self.monoid)))
         return self._homs[(i, j)]
 
     def hom_maps(self, i, j):
@@ -444,20 +474,24 @@ class Site:
 
 
 def coset_action(m, sub_elements):
-    """Left translation on left cosets of a subgroup; labels are the cosets."""
-    subset = tuple(sorted(sub_elements))
+    """Left translation on left cosets of a subgroup; labels are the cosets.
+
+    The left cosets partition the group, so each is computed once, from
+    its first element, which becomes its representative.
+    """
+    subset = tuple(sub_elements)
     label_of = {}
-    for a in m.elements:
-        coset = frozenset(m.mul(a, s) for s in subset)
-        label_of[a] = "{%s}" % ",".join(sorted(coset))
-    carrier = FinSet(sorted(set(label_of.values())), check=False)
     rep = {}
     for a in m.elements:
-        rep.setdefault(label_of[a], a)
-    act = {}
-    for a in m.elements:
-        for c in carrier:
-            act[(a, c)] = label_of[m.mul(a, rep[c])]
+        if a not in label_of:
+            coset = sorted({m.mul(a, s) for s in subset})
+            label = "{%s}" % ",".join(coset)
+            rep[label] = a
+            for b in coset:
+                label_of[b] = label
+    carrier = FinSet(sorted(rep), check=False)
+    table = m.table
+    act = {(a, c): label_of[table[(a, rep[c])]] for a in m.elements for c in carrier}
     return MAction(m, carrier, act)
 
 

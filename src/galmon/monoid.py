@@ -1,15 +1,17 @@
 """Finite monoids presented by multiplication tables.
 
-Also the structure the product monad carries: homomorphisms, submonoids
-(enumerated by closure under generators, deduplicated as bitmasks, and
-refused past MAX_MATERIALIZED of them), and the fusion test that detects
-when a monoid is a group (and so has an antipode).
+Also the structure the product monad carries: homomorphisms, generating
+sets (on which the laws are checked), submonoids (enumerated by closure
+under generators, deduplicated as bitmasks, and refused past
+MAX_MATERIALIZED of them or MAX_ENUMERATION closure products), and the
+fusion test that detects when a monoid is a group (and so has an antipode).
 """
 
 import collections
 import itertools
 
-from .finset import FinSet, FinMap, MAX_MATERIALIZED, SizingError, pair_label, product
+from .finset import (FinSet, FinMap, MAX_ENUMERATION, MAX_MATERIALIZED, SizingError,
+                     pair_label, product)
 
 
 class MonoidError(Exception):
@@ -28,7 +30,8 @@ class Monoid:
     """A finite monoid: carrier, unit, and total multiplication table.
 
     Construction checks the table is total with images in the carrier;
-    the algebraic laws are the business of validate_monoid.
+    the algebraic laws are the business of validate_monoid.  The instance
+    keeps its hash, its generating set and the laws' verdict once computed.
     """
 
     def __init__(self, carrier, unit, table):
@@ -51,13 +54,14 @@ class Monoid:
         self.carrier = carrier
         self.unit = unit
         self.table = tbl
-        self._hash = None
+        self._hash = self._gens = self._lawful = None
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
         """A monoid on a table the caller has already checked total."""
         m = cls.__new__(cls)
-        m.carrier, m.unit, m.table, m._hash = carrier, unit, table, None
+        m.carrier, m.unit, m.table = carrier, unit, table
+        m._hash = m._gens = m._lawful = None
         return m
 
     @property
@@ -91,21 +95,74 @@ class Monoid:
         return None
 
 
+def _index_table(m):
+    """The multiplication table on element indices, and the index map."""
+    elems = m.elements
+    index = {a: i for i, a in enumerate(elems)}
+    return [[index[m.table[(a, b)]] for b in elems] for a in elems], index
+
+
+def generators(m):
+    """A generating set, in element order: each element not yet reached
+    joins it, and what it reaches is closed under right multiplication.
+
+    Every element is a generator or a product ((e g1) g2) ... gk of the
+    unit and generators; when the left unit law holds, every element is
+    such a product.
+    """
+    if m._gens is None:
+        mul, index = _index_table(m)
+        mask, members, gens = 1 << index[m.unit], [index[m.unit]], ()
+        for a in range(len(mul)):
+            if not mask >> a & 1:
+                gens += (a,)
+                mask, members = _close(mul, mask, members, gens)
+        m._gens = tuple(m.elements[g] for g in gens)
+    return m._gens
+
+
+def _associates_along(m, gens):
+    """(xg)y = x(gy) for all x, y and every g in gens."""
+    mul, index = _index_table(m)
+    for g in (index[a] for a in gens):
+        row_g = mul[g]
+        for row in mul:
+            if mul[row[g]] != [row[gy] for gy in row_g]:
+                return False
+    return True
+
+
 def validate_monoid(m):
-    """Return a list of law violations; empty means m is a monoid."""
+    """Return a list of law violations; empty means m is a monoid.
+
+    Once the unit laws hold, Light's test decides associativity: the
+    elements k with (xk)y = x(ky) for all x, y contain the unit and are
+    closed under products, so it is enough that the generators are among
+    them.  Only when that fails are all triples scanned, which lists the
+    violations in their order.  The verdict is kept on m.
+    """
     out = []
     for a in m.elements:
         if m.mul(m.unit, a) != a:
             out.append("unit law fails: %s*%s = %s" % (m.unit, a, m.mul(m.unit, a)))
         if m.mul(a, m.unit) != a:
             out.append("unit law fails: %s*%s = %s" % (a, m.unit, m.mul(a, m.unit)))
-    for a, b, c in itertools.product(m.elements, repeat=3):
-        left = m.mul(m.mul(a, b), c)
-        right = m.mul(a, m.mul(b, c))
-        if left != right:
-            out.append("associativity fails at (%s, %s, %s): %s vs %s"
-                       % (a, b, c, left, right))
+    if out or not _associates_along(m, generators(m)):
+        for a, b, c in itertools.product(m.elements, repeat=3):
+            left = m.mul(m.mul(a, b), c)
+            right = m.mul(a, m.mul(b, c))
+            if left != right:
+                out.append("associativity fails at (%s, %s, %s): %s vs %s"
+                           % (a, b, c, left, right))
+    m._lawful = not out
     return out
+
+
+def laws_hold(m):
+    """True iff validate_monoid(m) is empty; computed once per instance."""
+    if m._lawful is None:
+        validate_monoid(m)
+    return m._lawful
 
 
 def trivial_monoid():
@@ -224,13 +281,15 @@ def submonoid_tuples(m):
     extended by each element a outside it.  Since S is closed, only the
     products s*a and their right multiples by the generators of S and a can
     be new, so the cost follows |submonoids| * |A| * |closure|.  Closed sets
-    are deduplicated as bitmasks over the element indices.
+    are deduplicated as bitmasks over the element indices.  The products
+    computed count against MAX_ENUMERATION, the submonoids found against
+    MAX_MATERIALIZED.
     """
     elems = m.elements
-    index = {a: i for i, a in enumerate(elems)}
-    mul = [[index[m.table[(a, b)]] for b in elems] for a in elems]
+    mul, index = _index_table(m)
     unit = index[m.unit]
     found = {1 << unit}
+    products = 0
     queue = collections.deque([(1 << unit, [unit], ())])
     while queue:
         mask, members, gens = queue.popleft()
@@ -240,6 +299,10 @@ def submonoid_tuples(m):
                 continue
             grown = gens + (a,)
             closed, inside = _close(mul, mask, members, grown)
+            products += len(members) + (len(inside) - len(members)) * len(grown)
+            if products > MAX_ENUMERATION:
+                raise SizingError("monoid.enumerate_submonoids: %d closure products "
+                                  "exceed the limit of %d" % (products, MAX_ENUMERATION))
             if closed in found:
                 continue
             found.add(closed)

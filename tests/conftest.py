@@ -1,5 +1,6 @@
-"""Shared test settings, a monoid-file writer, the brute-force submonoid
-oracle and the hypothesis strategy of transformation monoids."""
+"""Shared test settings, a monoid-file writer, the monoid of given
+self-maps, the brute-force submonoid oracle and the hypothesis strategy of
+transformation monoids."""
 
 import json
 
@@ -19,6 +20,14 @@ def write_monoid(path, m):
         json.dump({"elements": list(m.elements), "unit": m.unit,
                    "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}},
                   fd)
+
+
+def maps_monoid(maps):
+    """The monoid of the given self-maps of 0..n-1, which must contain the
+    identity and be closed under composition."""
+    label = {f: "t" + "".join(map(str, f)) for f in maps}
+    table = {(label[f], label[g]): label[tuple(f[p] for p in g)] for f in maps for g in maps}
+    return Monoid(FinSet(label.values()), label[tuple(range(len(maps[0])))], table)
 
 
 def submonoids_oracle(m):
@@ -44,13 +53,10 @@ def submonoids_oracle(m):
     return out
 
 
-@st.composite
-def transformation_monoids(draw):
-    """k random self-maps of n points closed under composition, as a
-    monoid with its faithful action on the points."""
-    n = draw(st.integers(1, 4))
-    point = st.integers(0, n - 1)
-    gens = draw(st.lists(st.tuples(*[point] * n), min_size=1, max_size=3))
+def transformation_monoid(gens):
+    """The monoid the self-maps gens of 0..n-1 generate under composition,
+    with its faithful action on the points."""
+    n = len(gens[0])
     unit = tuple(range(n))
     elems = {unit}
     frontier = list(gens)
@@ -66,4 +72,15 @@ def transformation_monoids(draw):
     m = Monoid(FinSet(label.values()), label[unit], table)
     points = FinSet(str(p) for p in range(n))
     act = MAction(m, points, {(label[f], str(p)): str(f[p]) for f in elems for p in range(n)})
-    return m, act, [label[g] for g in gens]
+    return m, act
+
+
+@st.composite
+def transformation_monoids(draw):
+    """k random self-maps of n points closed under composition, as a
+    monoid with its faithful action on the points."""
+    n = draw(st.integers(1, 4))
+    point = st.integers(0, n - 1)
+    gens = draw(st.lists(st.tuples(*[point] * n), min_size=1, max_size=3))
+    m, act = transformation_monoid(gens)
+    return m, act, ["".join(map(str, g)) for g in gens]

@@ -6,13 +6,12 @@ import sys
 
 import pytest
 
-from conftest import submonoids_oracle, write_monoid
+from conftest import maps_monoid, submonoids_oracle, transformation_monoid, write_monoid
 from galmon import samples
 from galmon.actions import default_site
-from galmon.finset import FinSet
 from galmon.cli import run
 from galmon.galois import invariants_oracle
-from galmon.monoid import Monoid, enumerate_submonoids
+from galmon.monoid import enumerate_submonoids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -36,16 +35,101 @@ def test_validate_ok(capsys):
     assert doc["actions"]["s3_natural"]["violations"] == []
 
 
+# a unit adjoined to a non-associative table
+NONASSOC = {"elements": ["a", "b", "e"], "unit": "e",
+            "table": {"e": {"e": "e", "a": "a", "b": "b"},
+                      "a": {"e": "a", "a": "e", "b": "b"},
+                      "b": {"e": "b", "a": "b", "b": "a"}}}
+
+
 def test_validate_reports_axiom_violations(tmp_path, capsys):
-    bad = {"elements": ["a", "b", "e"], "unit": "e",
-           "table": {"e": {"e": "e", "a": "a", "b": "b"},
-                     "a": {"e": "a", "a": "e", "b": "b"},
-                     "b": {"e": "b", "a": "b", "b": "a"}}}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(NONASSOC))
     code, doc = run_json(capsys, ["validate", "--monoid", str(path)])
     assert code == 1
     assert doc["violations"]
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_pins_an_invalid_monoid_with_actions(tmp_path, capsys):
+    # a acts as the identity and b as a swap, which obeys every law of an
+    # action; left multiplication does not, since the table does not associate
+    swap = {"set": ["0", "1"], "act": {"e": {"0": "0", "1": "1"}, "a": {"0": "0", "1": "1"},
+                                      "b": {"0": "1", "1": "0"}}}
+    regular = {"set": ["a", "b", "e"], "act": NONASSOC["table"]}
+    code = run(["validate", "--monoid", write_json(tmp_path / "bad.json", NONASSOC),
+                "--action", write_json(tmp_path / "swap.json", swap),
+                "--action", write_json(tmp_path / "regular.json", regular)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == """{
+  "actions": {
+    "regular": {
+      "set": [
+        "a",
+        "b",
+        "e"
+      ],
+      "violations": [
+        "associativity fails at (a, b, b): a vs e",
+        "associativity fails at (b, b, a): e vs a"
+      ]
+    },
+    "swap": {
+      "set": [
+        "0",
+        "1"
+      ],
+      "violations": []
+    }
+  },
+  "command": "validate",
+  "monoid": {
+    "elements": [
+      "a",
+      "b",
+      "e"
+    ],
+    "unit": "e"
+  },
+  "schema": "galmon/1",
+  "violations": [
+    "associativity fails at (a, b, b): a vs e",
+    "associativity fails at (b, b, a): e vs a"
+  ]
+}
+"""
+
+
+def test_inv_pins_a_hom_from_a_non_monoid(tmp_path, capsys):
+    hom = {"src": NONASSOC, "map": {"a": "e", "b": "e", "e": "e"}}
+    code = run(["inv", "--monoid", fx("s3.json"), "--hom", write_json(tmp_path / "hom.json", hom)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == """{
+  "error": "hom file src is not a monoid: associativity fails at (a, b, b): a vs e",
+  "schema": "galmon/1"
+}
+"""
+
+
+def test_custom_site_pins_an_object_that_is_not_an_action(tmp_path, capsys):
+    nat = json.load(open(fx("s3_natural.json")))
+    nat["act"]["(12)"] = {"1": "1", "2": "2", "3": "3"}
+    write_json(tmp_path / "nat.json", nat)
+    code = run(["inv", "--monoid", fx("s3.json"), "--site", "custom:%s" % tmp_path,
+                "--hom", fx("a3_in_s3.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == """{
+  "error": "site object 'nat' is not an action: associativity fails at ((12), (123), 1): 1 vs 2",
+  "schema": "galmon/1"
+}
+"""
 
 
 def test_schema_error_names_the_cell(tmp_path, capsys):
@@ -151,14 +235,6 @@ def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
         invariants_oracle(incl, site).as_dict() for _, incl in subs]
 
 
-def maps_monoid(maps):
-    """The monoid of the given self-maps of 0..n-1, which must contain the
-    identity and be closed under composition."""
-    label = {f: "t" + "".join(map(str, f)) for f in maps}
-    table = {(label[f], label[g]): label[tuple(f[p] for p in g)] for f in maps for g in maps}
-    return Monoid(FinSet(label.values()), label[tuple(range(len(maps[0])))], table)
-
-
 def test_corr_finishes_on_s4(tmp_path, capsys):
     path = tmp_path / "s4.json"
     write_monoid(path, maps_monoid(list(itertools.permutations(range(4)))))
@@ -188,6 +264,18 @@ def test_subgroups_refuses_past_the_submonoid_limit(tmp_path, capsys):
     assert code == 2
     assert out["error"] == ("monoid.enumerate_submonoids: more than 100000 submonoids "
                             "exceed the limit of 100000")
+
+
+def test_subgroups_refuses_past_the_closure_product_limit(tmp_path, capsys):
+    # order 39 with 12 012 submonoids, whose closure takes 16.9 M products
+    m, _ = transformation_monoid([(0, 0, 3, 2), (0, 2, 1, 1), (1, 3, 3, 3)])
+    assert len(m) == 39
+    path = tmp_path / "t39.json"
+    write_monoid(path, m)
+    code, out = run_json(capsys, ["subgroups", "--monoid", str(path)])
+    assert code == 2
+    assert out["error"] == ("monoid.enumerate_submonoids: 10000068 closure products "
+                            "exceed the limit of 10000000")
 
 
 def test_laws(capsys):

@@ -1,0 +1,250 @@
+"""The laws and hom sets checked on a generating set, against the scans
+over all pairs and triples that list every violation."""
+
+import itertools
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from conftest import maps_monoid, transformation_monoids
+from galmon import samples
+from galmon.finset import FinSet, singleton
+from galmon.monoid import (Monoid, generators, validate_monoid, submonoid_tuples,
+                           is_subgroup, is_hopf)
+from galmon.actions import (MAction, Site, validate_action, trivial_action, free_action,
+                            coset_action, canonical_site, default_site, _equivariant_tuples)
+
+
+def monoid_laws_oracle(m):
+    """Every unit-law and associativity violation, over all triples."""
+    out = []
+    for a in m.elements:
+        if m.mul(m.unit, a) != a:
+            out.append("unit law fails: %s*%s = %s" % (m.unit, a, m.mul(m.unit, a)))
+        if m.mul(a, m.unit) != a:
+            out.append("unit law fails: %s*%s = %s" % (a, m.unit, m.mul(a, m.unit)))
+    for a, b, c in itertools.product(m.elements, repeat=3):
+        left = m.mul(m.mul(a, b), c)
+        right = m.mul(a, m.mul(b, c))
+        if left != right:
+            out.append("associativity fails at (%s, %s, %s): %s vs %s"
+                       % (a, b, c, left, right))
+    return out
+
+
+def action_laws_oracle(M):
+    """Every unit and associativity violation of an action, over all pairs."""
+    m = M.monoid
+    out = []
+    for x in M.carrier:
+        y = M.apply(m.unit, x)
+        if y != x:
+            out.append("unit fails: %s.%s = %s" % (m.unit, x, y))
+    for a, b in itertools.product(m.elements, repeat=2):
+        ab = m.mul(a, b)
+        for x in M.carrier:
+            if M.apply(ab, x) != M.apply(a, M.apply(b, x)):
+                out.append("associativity fails at (%s, %s, %s): %s vs %s"
+                           % (a, b, x, M.apply(ab, x), M.apply(a, M.apply(b, x))))
+    return out
+
+
+def coset_action_oracle(m, sub_elements):
+    """The coset action built element by element."""
+    subset = tuple(sorted(sub_elements))
+    label_of = {}
+    for a in m.elements:
+        label_of[a] = "{%s}" % ",".join(sorted(frozenset(m.mul(a, s) for s in subset)))
+    carrier = FinSet(sorted(set(label_of.values())), check=False)
+    rep = {}
+    for a in m.elements:
+        rep.setdefault(label_of[a], a)
+    return MAction(m, carrier, {(a, c): label_of[m.mul(a, rep[c])]
+                                for a in m.elements for c in carrier})
+
+
+def right_closure(m, gens):
+    """The unit and everything reached from it by right multiplication by gens."""
+    reached = {m.unit}
+    frontier = [m.unit]
+    while frontier:
+        s = frontier.pop()
+        for g in gens:
+            t = m.mul(s, g)
+            if t not in reached:
+                reached.add(t)
+                frontier.append(t)
+    return reached
+
+
+def retabled(m, key, value):
+    """A fresh copy of m with one table entry replaced."""
+    table = dict(m.table)
+    table[key] = value
+    return Monoid(m.carrier, m.unit, table)
+
+
+def reacted(M, key, value):
+    """A fresh copy of M with one entry replaced."""
+    act = dict(M.act)
+    act[key] = value
+    return MAction(M.monoid, M.carrier, act)
+
+
+def bumped(elements, x):
+    """The element after x, cyclically: a value different from x."""
+    return elements[(elements.index(x) + 1) % len(elements)]
+
+
+def actions_of(m):
+    """The free action, a two-point trivial action and, for groups, the
+    coset actions of every subgroup."""
+    out = [free_action(m, singleton()), trivial_action(m, FinSet(("p", "q")))]
+    if is_hopf(m):
+        out += [coset_action(m, s) for s in submonoid_tuples(m) if is_subgroup(m, s)]
+    return out
+
+
+SAMPLES = {
+    "1": samples.trivial_monoid(), "Z2": samples.cyclic(2), "Z3": samples.cyclic(3),
+    "Z4": samples.cyclic(4), "V4": samples.klein_four(), "Z6": samples.cyclic(6),
+    "S3": samples.symmetric3(), "E2": samples.idempotent_pair(), "N3": samples.nilpotent3(),
+    "M4": samples.mult_mod(4), "M6": samples.mult_mod(6), "Z8": samples.cyclic(8),
+    "M8": samples.mult_mod(8), "LZ3": samples.left_zero_with_unit(3),
+    "RZ3": samples.right_zero_with_unit(3)}
+S4 = maps_monoid(list(itertools.permutations(range(4))))
+
+# a unit adjoined to a non-associative table: (ab)b = a but a(bb) = e
+NONASSOC = Monoid(FinSet(("a", "b", "e")), "e",
+                  {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+                   ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "b",
+                   ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a"})
+
+
+def assert_generators_reach_everything(m):
+    gens = generators(m)
+    assert list(gens) == sorted(gens, key=m.elements.index)
+    assert right_closure(m, gens) == set(m.elements)
+    for k, g in enumerate(gens):
+        assert g not in right_closure(m, gens[:k])
+
+
+def assert_site_homs_match_all_element_forcing(site):
+    for i, j in itertools.product(range(site.nobj), repeat=2):
+        if not site._pair_is_lazy(i, j):
+            assert tuple(site.iter_hom_tuples(i, j)) == tuple(
+                _equivariant_tuples(site.objects[i], site.objects[j]))
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_generators_reach_every_element(m):
+    assert_generators_reach_everything(m)
+    if is_hopf(m):
+        assert 1 <= len(generators(m)) <= 3 or len(m) == 1
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_validate_monoid_equals_the_scan(m):
+    assert validate_monoid(m) == monoid_laws_oracle(m) == []
+    if len(m) > 8:
+        return
+    for key in m.table:
+        bad = retabled(m, key, bumped(m.elements, m.table[key]))
+        assert validate_monoid(bad) == monoid_laws_oracle(bad)
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_validate_action_equals_the_scan(m):
+    for M in actions_of(m):
+        assert validate_action(M) == action_laws_oracle(M) == []
+        if len(M.act) > 64:
+            continue
+        elements = M.carrier.elements
+        for key in M.act if len(elements) > 1 else ():
+            bad = reacted(M, key, bumped(elements, M.act[key]))
+            assert validate_action(bad) == action_laws_oracle(bad)
+
+
+@pytest.mark.parametrize("m", [SAMPLES["S3"], SAMPLES["M4"], SAMPLES["V4"]],
+                         ids=["S3", "M4", "V4"])
+def test_actions_over_a_corrupted_table_get_the_full_scan(m):
+    for key in m.table:
+        bad = retabled(m, key, bumped(m.elements, m.table[key]))
+        # the regular action of m, now over the corrupted table
+        for M in (MAction(bad, m.carrier, dict(m.table)),
+                  trivial_action(bad, FinSet(("p", "q")))):
+            assert validate_action(M) == action_laws_oracle(M)
+
+
+def test_non_associative_table_with_actions():
+    assert validate_monoid(NONASSOC) == monoid_laws_oracle(NONASSOC) == [
+        "associativity fails at (a, b, b): a vs e", "associativity fails at (b, b, a): e vs a"]
+    assert generators(NONASSOC) == ("a", "b")
+    # a acts as the identity and b as a swap: every law of an action holds
+    swap = MAction(NONASSOC, FinSet(("0", "1")),
+                   {("e", "0"): "0", ("e", "1"): "1", ("a", "0"): "0", ("a", "1"): "1",
+                    ("b", "0"): "1", ("b", "1"): "0"})
+    trivial = trivial_action(NONASSOC, FinSet(("p", "q")))
+    for M in (swap, trivial):
+        assert validate_action(M) == action_laws_oracle(M) == []
+    site = Site(NONASSOC, [("swap", swap), ("E", trivial), ("E1", trivial_action(
+        NONASSOC, singleton()))])
+    assert_site_homs_match_all_element_forcing(site)
+    assert list(site.iter_hom_tuples(0, 0)) == [(0, 1), (1, 0)]
+    assert list(site.iter_hom_tuples(0, 1)) == [(0, 0), (1, 1)]
+
+
+def test_generators_force_homs_when_the_unit_law_fails():
+    # e*b = a, so b is a generator that right multiplication never reaches;
+    # e acts as the identity and a and b as the same swap
+    fake = Monoid(FinSet(("a", "b", "e")), "e",
+                  {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "a",
+                   ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "e",
+                   ("b", "e"): "a", ("b", "a"): "e", ("b", "b"): "e"})
+    assert generators(fake) == ("a", "b")
+    assert right_closure(fake, ("a", "b")) == {"a", "e"}
+    assert validate_monoid(fake) == monoid_laws_oracle(fake) != []
+    swap = MAction(fake, FinSet(("0", "1")),
+                   {("e", "0"): "0", ("e", "1"): "1", ("a", "0"): "1", ("a", "1"): "0",
+                    ("b", "0"): "1", ("b", "1"): "0"})
+    assert validate_action(swap) == action_laws_oracle(swap) == []
+    site = Site(fake, [("swap", swap), ("E", trivial_action(fake, FinSet(("p", "q"))))])
+    assert_site_homs_match_all_element_forcing(site)
+    assert list(site.iter_hom_tuples(0, 0)) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_site_homs_match_all_element_forcing(m):
+    sites = [default_site(m), canonical_site(m, "free+trivial")]
+    if is_hopf(m):
+        sites.append(canonical_site(m, "cosets"))
+    for site in sites:
+        assert_site_homs_match_all_element_forcing(site)
+
+
+@pytest.mark.parametrize("m", [m for m in SAMPLES.values() if is_hopf(m)] + [S4],
+                         ids=[k for k, m in SAMPLES.items() if is_hopf(m)] + ["S4"])
+def test_coset_action_equals_the_per_element_construction(m):
+    for s in submonoid_tuples(m):
+        if is_subgroup(m, s):
+            assert coset_action(m, s) == coset_action_oracle(m, s)
+            assert coset_action(m, reversed(s)) == coset_action_oracle(m, s)
+
+
+@given(transformation_monoids(), st.data())
+def test_fast_paths_match_the_scans_on_transformation_monoids(drawn, data):
+    m, act, _ = drawn
+    assume(len(m) <= 24)  # the scans are cubic and the free object's homs quadratic
+    assert_generators_reach_everything(m)
+    assert validate_monoid(m) == monoid_laws_oracle(m) == []
+    assert validate_action(act) == action_laws_oracle(act) == []
+    assert_site_homs_match_all_element_forcing(
+        canonical_site(m, "free+trivial+custom", custom=[("X", act)]))
+    key = data.draw(st.sampled_from(sorted(act.act)))
+    bad = reacted(act, key, data.draw(st.sampled_from(act.carrier.elements)))
+    assert validate_action(bad) == action_laws_oracle(bad)
+    key = data.draw(st.sampled_from(sorted(m.table)))
+    bad = retabled(m, key, data.draw(st.sampled_from(m.elements)))
+    assert validate_monoid(bad) == monoid_laws_oracle(bad)
+    for M in (MAction(bad, act.carrier, dict(act.act)), trivial_action(bad, FinSet(("p", "q")))):
+        assert validate_action(M) == action_laws_oracle(M)
