@@ -36,12 +36,16 @@ class MAction:
         if len(act) != len(table):
             extra = sorted(set(act) - set(table))
             raise ActionError("action table mentions %r outside the carrier" % (extra[0],))
-        self.monoid = monoid
-        self.carrier = carrier
-        self.act = table
-        self._hash = None
-        self._trivial = None
-        self._idx = None
+        self.monoid, self.carrier, self.act = monoid, carrier, table
+        self._hash = self._trivial = self._idx = None
+
+    @classmethod
+    def _trusted(cls, monoid, carrier, act):
+        """An action on a table the caller has already checked total."""
+        M = cls.__new__(cls)
+        M.monoid, M.carrier, M.act = monoid, carrier, act
+        M._hash = M._trivial = M._idx = None
+        return M
 
     def apply(self, a, x):
         return self.act[(a, x)]
@@ -154,7 +158,7 @@ class EquivariantMap:
 def trivial_action(m, X):
     if not isinstance(X, FinSet):
         X = FinSet(X)
-    return MAction(m, X, {(a, x): x for a in m.elements for x in X})
+    return MAction._trusted(m, X, {(a, x): x for a in m.elements for x in X})
 
 
 def free_action(m, X):
@@ -167,7 +171,7 @@ def free_action(m, X):
     for a in m.elements:
         for p, (b, x) in P._pairs.items():
             act[(a, p)] = label[(m.mul(a, b), x)]
-    return MAction(m, P, act)
+    return MAction._trusted(m, P, act)
 
 
 def restrict_action(h, M):
@@ -175,7 +179,7 @@ def restrict_action(h, M):
     if M.monoid != h.dst:
         raise ActionError("restriction needs an action of the hom's target")
     act = {(b, x): M.apply(h(b), x) for b in h.src.elements for x in M.carrier}
-    return MAction(h.src, M.carrier, act)
+    return MAction._trusted(h.src, M.carrier, act)
 
 
 def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
@@ -313,8 +317,8 @@ def coinduct(h, N):
     monoid (acting on itself through h) into N, translated on the right."""
     A = h.dst
     B = h.src
-    twisted = MAction(B, A.carrier,
-                      {(b, a): A.mul(h(b), a) for b in B.elements for a in A.carrier})
+    twisted = MAction._trusted(B, A.carrier,
+                               {(b, a): A.mul(h(b), a) for b in B.elements for a in A.carrier})
     K = FunctionSet(A.carrier, N.carrier, [tuple(f(a) for a in A.carrier)
                                            for f in equivariant_maps(twisted, N)])
     aidx = A.carrier.index
@@ -324,7 +328,7 @@ def coinduct(h, N):
         for e in K:
             images = K.map_images(e)
             act[(a, e)] = K.map_element(tuple(images[i] for i in shift))
-    return MAction(A, K, act)
+    return MAction._trusted(A, K, act)
 
 
 def transpose_to_coinduced(h, M, f, K):
@@ -492,7 +496,7 @@ def coset_action(m, sub_elements):
     carrier = FinSet(sorted(rep), check=False)
     table = m.table
     act = {(a, c): label_of[table[(a, rep[c])]] for a in m.elements for c in carrier}
-    return MAction(m, carrier, act)
+    return MAction._trusted(m, carrier, act)
 
 
 def canonical_site(m, recipe, custom=()):

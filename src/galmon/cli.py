@@ -158,9 +158,7 @@ def cmd_validate(args):
     report = {"schema": SCHEMA, "command": "validate",
               "monoid": {"elements": list(m.elements), "unit": m.unit},
               "violations": validate_monoid(m), "actions": {}}
-    for path in args.action or []:
-        name = os.path.splitext(os.path.basename(path))[0]
-        act = parse_action(_load(path), m, where=path)
+    for name, act in _actions_from(args, m):
         report["actions"][name] = {"set": list(act.carrier.elements),
                                    "violations": validate_action(act)}
     bad = bool(report["violations"]) or any(
@@ -246,10 +244,8 @@ def cmd_corr(args):
 def cmd_coinduce(args):
     m = _monoid_from(args)
     h = parse_hom(_load(_require(args, "--hom")), m)
-    paths = args.action or []
-    if not paths:
-        raise InputError("this command needs --action")
-    N = parse_action(_load(paths[0]), h.src, where=paths[0])
+    path = _require(args, "--action")[0]
+    N = parse_action(_load(path), h.src, where=path)
     K = coinduct(h, N)
     return 0, {"schema": SCHEMA, "command": "coinduce",
                "monoid": list(m.elements),
@@ -315,61 +311,51 @@ def _corr_dot(report):
 
 
 COMMANDS = {
-    "validate": cmd_validate,
-    "subgroups": cmd_subgroups,
-    "hopf": cmd_hopf,
-    "inv": cmd_inv,
-    "stab": cmd_stab,
-    "end": cmd_end,
-    "corr": cmd_corr,
-    "coinduce": cmd_coinduce,
-    "laws": cmd_laws,
+    "validate": (cmd_validate, "check a monoid table and any actions against the laws"),
+    "subgroups": (cmd_subgroups, "list all submonoids and subgroups"),
+    "hopf": (cmd_hopf, "test for a group structure and print the antipode"),
+    "inv": (cmd_inv, "invariants of a hom, equalizer route and oracle"),
+    "stab": (cmd_stab, "stabilizer of a subfunctor, direct and through the end"),
+    "end": (cmd_end, "the end of the underlying-carrier diagram and reconstruction"),
+    "corr": (cmd_corr, "the full closed-object correspondence"),
+    "coinduce": (cmd_coinduce, "the coinduced action along a hom"),
+    "laws": (cmd_laws, "the connection laws over a site"),
 }
 
 
 def build_parser():
+    """One parser for every command, which all take the same options."""
     parser = argparse.ArgumentParser(
-        prog="galmon",
-        description="invariants and stabilizers of finite monoid actions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-            ("validate", "check a monoid table and any actions against the laws"),
-            ("subgroups", "list all submonoids and subgroups"),
-            ("hopf", "test for a group structure and print the antipode"),
-            ("inv", "invariants of a hom, equalizer route and oracle"),
-            ("stab", "stabilizer of a subfunctor, direct and through the end"),
-            ("end", "the end of the underlying-carrier diagram and reconstruction"),
-            ("corr", "the full closed-object correspondence"),
-            ("coinduce", "the coinduced action along a hom"),
-            ("laws", "the connection laws over a site")]:
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--monoid", help="monoid JSON file")
-        p.add_argument("--action", action="append", help="action JSON file (repeatable)")
-        p.add_argument("--site", default="default",
-                       help="default | free | cosets | trivial | a+b | custom:<dir>")
-        p.add_argument("--sub", help="subfunctor JSON file")
-        p.add_argument("--hom", help="hom JSON file")
-        p.add_argument("--out", choices=["json", "dot"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-families", type=int, default=MAX_ENUMERATION,
-                       dest="max_families",
-                       help="bound on the assignments, chosen or forced, that the "
-                            "end solver makes before it refuses (default %(default)s)")
+        prog="galmon", usage="%(prog)s <command> [options]",
+        description="invariants and stabilizers of finite monoid actions",
+        epilog="commands:\n" + "\n".join("  %-11s%s" % (name, doc)
+                                           for name, (_, doc) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--monoid", help="monoid JSON file")
+    parser.add_argument("--action", action="append", help="action JSON file (repeatable)")
+    parser.add_argument("--site", default="default",
+                        help="default | free | cosets | trivial | a+b | custom:<dir>")
+    parser.add_argument("--sub", help="subfunctor JSON file")
+    parser.add_argument("--hom", help="hom JSON file")
+    parser.add_argument("--out", choices=["json", "dot"], default="json")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-families", type=int, default=MAX_ENUMERATION,
+                        help="bound on the assignments, chosen or forced, that the "
+                             "end solver makes before it refuses (default %(default)s)")
     return parser
 
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code, payload = COMMANDS[args.command](args)
-    except SizingError as exc:
+        code, payload = COMMANDS[args.command][0](args)
+    except (SizingError, InputError, FinSetError, MonoidError, ActionError, EndError,
+            GaloisError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)},
                          sort_keys=True, indent=2))
-        return 2
-    except (InputError, FinSetError, MonoidError, ActionError, EndError, GaloisError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)},
-                         sort_keys=True, indent=2))
-        return 1
+        return 2 if isinstance(exc, SizingError) else 1
     if isinstance(payload, str):
         sys.stdout.write(payload)
     else:

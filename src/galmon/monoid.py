@@ -31,7 +31,7 @@ class Monoid:
 
     Construction checks the table is total with images in the carrier;
     the algebraic laws are the business of validate_monoid.  The instance
-    keeps its hash, its generating set and the laws' verdict once computed.
+    keeps its hash, generating set, laws' verdict and units once computed.
     """
 
     def __init__(self, carrier, unit, table):
@@ -54,14 +54,14 @@ class Monoid:
         self.carrier = carrier
         self.unit = unit
         self.table = tbl
-        self._hash = self._gens = self._lawful = None
+        self._hash = self._gens = self._lawful = self._units = None
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
         """A monoid on a table the caller has already checked total."""
         m = cls.__new__(cls)
         m.carrier, m.unit, m.table = carrier, unit, table
-        m._hash = m._gens = m._lawful = None
+        m._hash = m._gens = m._lawful = m._units = None
         return m
 
     @property
@@ -317,7 +317,17 @@ def submonoid_tuples(m):
 
 
 def is_subgroup(m, elements):
-    """True iff every element has a two-sided inverse among the elements."""
+    """True iff every element of the submonoid `elements` of m has a
+    two-sided inverse among them.
+
+    Once m's laws hold, a unit's inverse is one of its powers (a^i = a^j
+    with i < j gives a^(j-i) = e), so the test is whether the elements are
+    units of m, found once per monoid; otherwise every pair is tried.
+    """
+    if laws_hold(m):
+        if m._units is None:
+            m._units = frozenset(a for a in m.elements if m.inverse(a) is not None)
+        return m._units.issuperset(elements)
     return all(any(m.mul(a, b) == m.unit == m.mul(b, a) for b in elements)
                for a in elements)
 

@@ -1,11 +1,13 @@
 """Shared test settings, a monoid-file writer, the monoid of given
-self-maps, the brute-force submonoid oracle and the hypothesis strategy of
-transformation monoids."""
+self-maps, the sample monoids, the brute-force submonoid and subgroup
+oracles and the hypothesis strategy of transformation monoids."""
 
+import itertools
 import json
 
 from hypothesis import settings, strategies as st
 
+from galmon import samples
 from galmon.finset import FinSet
 from galmon.monoid import Monoid
 from galmon.actions import MAction
@@ -30,6 +32,22 @@ def maps_monoid(maps):
     return Monoid(FinSet(label.values()), label[tuple(range(len(maps[0])))], table)
 
 
+SAMPLES = {
+    "1": samples.trivial_monoid(), "Z2": samples.cyclic(2), "Z3": samples.cyclic(3),
+    "Z4": samples.cyclic(4), "V4": samples.klein_four(), "Z6": samples.cyclic(6),
+    "S3": samples.symmetric3(), "E2": samples.idempotent_pair(), "N3": samples.nilpotent3(),
+    "M4": samples.mult_mod(4), "M6": samples.mult_mod(6), "Z8": samples.cyclic(8),
+    "M8": samples.mult_mod(8), "LZ3": samples.left_zero_with_unit(3),
+    "RZ3": samples.right_zero_with_unit(3)}
+S4 = maps_monoid(list(itertools.permutations(range(4))))
+
+# a unit adjoined to a non-associative table: (ab)b = a but a(bb) = e
+NONASSOC = Monoid(FinSet(("a", "b", "e")), "e",
+                  {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+                   ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "b",
+                   ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a"})
+
+
 def submonoids_oracle(m):
     """All submonoids as element tuples, ordered by size then element list,
     by scanning the subsets that contain the unit and keeping the closed
@@ -51,6 +69,13 @@ def submonoids_oracle(m):
     scan(0, frozenset([m.unit]), frozenset())
     out.sort(key=lambda elements: (len(elements), elements))
     return out
+
+
+def is_subgroup_oracle(m, elements):
+    """True iff every element has a two-sided inverse among the elements,
+    by trying every pair."""
+    return all(any(m.mul(a, b) == m.unit == m.mul(b, a) for b in elements)
+               for a in elements)
 
 
 def transformation_monoid(gens):

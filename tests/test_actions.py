@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import SAMPLES
 from galmon.finset import FinSet, FinMap, SizingError, hom_set, singleton
-from galmon.monoid import MonoidHom, submonoid, trivial_monoid
+from galmon.monoid import (MonoidHom, submonoid, trivial_monoid, enumerate_submonoids,
+                           is_subgroup, is_hopf)
 from galmon.actions import (MAction, ActionError, EquivariantMap, Site,
                             validate_action, trivial_action, free_action,
                             restrict_action, equivariant_maps, fixed_points,
@@ -179,6 +181,25 @@ def test_coinduct_adjunction():
     for f in lhs:
         g = transpose_to_coinduced(h, NAT3, f, K)
         assert transpose_from_coinduced(h, NAT3, N, g) == f
+
+
+def checked(M):
+    """The same table through the constructor that checks it."""
+    return MAction(M.monoid, M.carrier, dict(M.act))
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()), ids=list(SAMPLES))
+def test_package_built_actions_equal_checked_ones(m):
+    built = [trivial_action(m, FinSet(("p", "q"))), free_action(m, FinSet(("x", "y")))]
+    for S, incl in enumerate_submonoids(m):
+        built += [restrict_action(incl, free_action(m, singleton())),
+                  coinduct(incl, free_action(S, singleton()))]
+        if is_hopf(m) and is_subgroup(m, S.elements):
+            built.append(coset_action(m, S.elements))
+    for M in built:
+        C = checked(M)
+        assert M == C and hash(M) == hash(C)
+        assert list(M.act) == list(C.act)
 
 
 def test_site_builders():

@@ -9,7 +9,8 @@ import pytest
 from conftest import maps_monoid, submonoids_oracle, transformation_monoid, write_monoid
 from galmon import samples
 from galmon.actions import default_site
-from galmon.cli import run
+from galmon.cli import COMMANDS, build_parser, run
+from galmon.finset import MAX_ENUMERATION
 from galmon.galois import invariants_oracle
 from galmon.monoid import enumerate_submonoids
 
@@ -24,6 +25,45 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+OPTIONS = ["--monoid", "m.json", "--action", "a.json", "--action", "b.json", "--site", "free",
+           "--sub", "v.json", "--hom", "h.json", "--out", "dot", "--seed", "3",
+           "--max-families", "10"]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_parses_to_the_same_namespace(command):
+    # the namespaces the per-command subparsers produced
+    defaults = {"command": command, "monoid": None, "action": None, "site": "default",
+                "sub": None, "hom": None, "out": "json", "seed": 0,
+                "max_families": MAX_ENUMERATION}
+    given = {"command": command, "monoid": "m.json", "action": ["a.json", "b.json"],
+             "site": "free", "sub": "v.json", "hom": "h.json", "out": "dot", "seed": 3,
+             "max_families": 10}
+    parser = build_parser()
+    assert vars(parser.parse_args([command])) == defaults
+    assert vars(parser.parse_args([command] + OPTIONS)) == given
+    assert vars(parser.parse_args(OPTIONS + [command])) == given
+    assert vars(parser.parse_args(OPTIONS[:6] + [command] + OPTIONS[6:])) == given
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, doc) in COMMANDS.items():
+        assert any(line.split() == [name] + doc.split() for line in lines), name
+
+
+@pytest.mark.parametrize("argv", [["frobnicate", "--monoid", "m.json"], [], ["--seed", "3"]],
+                         ids=["unknown", "missing", "options-only"])
+def test_bad_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_ok(capsys):

@@ -6,8 +6,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import maps_monoid, transformation_monoids
-from galmon import samples
+from conftest import NONASSOC, S4, SAMPLES, transformation_monoids
 from galmon.finset import FinSet, singleton
 from galmon.monoid import (Monoid, generators, validate_monoid, submonoid_tuples,
                            is_subgroup, is_hopf)
@@ -103,22 +102,6 @@ def actions_of(m):
     if is_hopf(m):
         out += [coset_action(m, s) for s in submonoid_tuples(m) if is_subgroup(m, s)]
     return out
-
-
-SAMPLES = {
-    "1": samples.trivial_monoid(), "Z2": samples.cyclic(2), "Z3": samples.cyclic(3),
-    "Z4": samples.cyclic(4), "V4": samples.klein_four(), "Z6": samples.cyclic(6),
-    "S3": samples.symmetric3(), "E2": samples.idempotent_pair(), "N3": samples.nilpotent3(),
-    "M4": samples.mult_mod(4), "M6": samples.mult_mod(6), "Z8": samples.cyclic(8),
-    "M8": samples.mult_mod(8), "LZ3": samples.left_zero_with_unit(3),
-    "RZ3": samples.right_zero_with_unit(3)}
-S4 = maps_monoid(list(itertools.permutations(range(4))))
-
-# a unit adjoined to a non-associative table: (ab)b = a but a(bb) = e
-NONASSOC = Monoid(FinSet(("a", "b", "e")), "e",
-                  {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
-                   ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "b",
-                   ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a"})
 
 
 def assert_generators_reach_everything(m):

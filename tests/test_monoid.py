@@ -8,14 +8,15 @@ import tempfile
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import submonoids_oracle, transformation_monoids, write_monoid
+from conftest import (NONASSOC, S4, is_subgroup_oracle, submonoids_oracle,
+                      transformation_monoids, write_monoid)
 from galmon.cli import run
 from galmon.finset import FinSet, FinMap
 from galmon.monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                            validate_monoid, trivial_monoid, submonoid,
                            enumerate_submonoids, enumerate_subgroups,
                            fusion_morphism, hopf_witness, is_hopf, antipode,
-                           kernel_pairs)
+                           kernel_pairs, submonoid_tuples, is_subgroup)
 from galmon import samples
 
 Z2 = samples.cyclic(2)
@@ -145,6 +146,38 @@ def test_submonoids_match_the_oracle_on_transformation_monoids(drawn):
     # submonoids (88 873 at order 48), which neither side lists quickly.
     assume(len(m) <= 24)
     agree_with_submonoids_oracle(m)
+
+
+def agree_with_is_subgroup_oracle(m):
+    for s in submonoid_tuples(m):
+        assert is_subgroup(m, s) == is_subgroup_oracle(m, s)
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_is_subgroup_matches_the_pairwise_scan(m):
+    agree_with_is_subgroup_oracle(m)
+
+
+@given(transformation_monoids())
+def test_is_subgroup_matches_the_pairwise_scan_on_transformation_monoids(drawn):
+    m = drawn[0]
+    assume(len(m) <= 24)  # as for the submonoid oracle above
+    agree_with_is_subgroup_oracle(m)
+
+
+def test_is_subgroup_on_non_associative_tables():
+    agree_with_is_subgroup_oracle(NONASSOC)
+    # a and b are mutually inverse units, but a*a = a, so {e, a} is closed
+    # and a has no inverse in it; (aa)b = e while a(ab) = a
+    units = Monoid(FinSet(("a", "b", "e")), "e",
+                   {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+                    ("a", "e"): "a", ("a", "a"): "a", ("a", "b"): "e",
+                    ("b", "e"): "b", ("b", "a"): "e", ("b", "b"): "b"})
+    assert validate_monoid(units)
+    assert submonoid_tuples(units) == [("e",), ("a", "e"), ("b", "e"), ("a", "b", "e")]
+    assert [s for s in submonoid_tuples(units) if is_subgroup(units, s)] == [
+        ("e",), ("a", "b", "e")]
+    agree_with_is_subgroup_oracle(units)
 
 
 def test_fusion_examples():

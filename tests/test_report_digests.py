@@ -1,0 +1,66 @@
+"""Byte-identity guard: the stdout and exit code of every command on the
+committed fixtures, pinned by SHA-256 digests of the reports the command
+line printed before its argument parser was flattened."""
+
+import hashlib
+import os
+
+import pytest
+
+from galmon.cli import run
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+# (argv with fixture file names, exit code, SHA-256 of stdout)
+REPORTS = [
+    ("validate --monoid s3.json --action s3_natural.json",
+     0, "c37bd529033d0be939c5979d5ee4655155e35554d404fae802fb905393198632"),
+    ("validate --monoid z2.json --action z2_swap.json",
+     0, "8c0049488b3c5a522c7f9ddeee037613b05191aeb51e957963771b535e1c397d"),
+    ("subgroups --monoid s3.json",
+     0, "04cabf533bbc7395d8de7cc2ba1552ea94f8bb3532feccc25df29c5b1dd2379f"),
+    ("subgroups --monoid z4.json",
+     0, "40b785abe8e0b9e704553645e251fb5ed16f000d5e476642dd57ea6db48e6e7c"),
+    ("subgroups --monoid e2.json",
+     0, "ecd446ce7a18b0c8e500050354dbcf117368e9bb37013770c4a24112937eca56"),
+    ("hopf --monoid s3.json",
+     0, "27cb1f1dd877372482720b3bae44c10e715e47779696884f22403f5ae4e32122"),
+    ("hopf --monoid e2.json",
+     0, "365dd41ef1d6fbae1ced20c0ab374cef02ce40efdd02a8322a745dfe32486067"),
+    ("inv --monoid s3.json --hom a3_in_s3.json",
+     0, "2400818be4b5437f7f5b4f9006540814544288b3e0bd98d4066be25ee348c23a"),
+    ("inv --monoid s3.json --hom z2_in_s3.json --site free+trivial",
+     0, "0b38d5041b40cb0e614f0356fc87e770cd0fa0aab86da2037393cf48eca8d2cc"),
+    ("stab --monoid s3.json --sub a3_invariants.json",
+     0, "3fad6cb10765eab017a7661f46c0b43022d397b3767956a763e16015fc6333b8"),
+    ("end --monoid s3.json",
+     0, "e6941a209e5c4e63536ca0aa7a65db38af10e7235fd16dd54a7069e8ac944dd5"),
+    ("end --monoid z3.json --site free",
+     0, "8d6f7378a03df2bb0e1f37de2d1a65b4795c3fd63e88f9e81236b21059cdaa57"),
+    ("end --monoid s3.json --site free --max-families 10",
+     2, "f24759d61802e1010573164b944ac3203e4727ed17b61e1f10ff5219a02125fc"),
+    ("corr --monoid s3.json",
+     0, "f8e03b924911f1ee7745825f6ff392e4322420b8b93bc651746e3c0d6d67c21c"),
+    ("corr --monoid e2.json",
+     0, "b377719be7247d283e054446cf1b04ab87da50d8ebec9d1bbc9d33da0ece9960"),
+    ("corr --monoid z4.json --out dot",
+     0, "e539aeea312feaf94544d933a5643115d7cade5476f9752ab605bcc01237c373"),
+    ("corr --monoid s3.json --out dot",
+     0, "425ef102a5858c430668be1b855b1a56f840fb04b5c15c375952052ed427a078"),
+    ("coinduce --monoid s3.json --hom z2_in_s3.json --action z2_swap.json",
+     0, "3e78bd8635500b9de0fc00ea7ee03f6f563886e62138cbafb98ee836c697eb1d"),
+    ("laws --monoid e2.json --seed 3",
+     0, "a6030a7510365d80df2ddc5a188bbaf247152eaffb29c713ea40975d98da0a56"),
+    ("laws --monoid s3.json --seed 3",
+     0, "c0c0a167788d2fea280872261a02e70fe433ee82cf67d8377f769d031680dada"),
+    ("subgroups",
+     1, "3960de241e41e8d56b2351414b39a4ef3dda0a2dfbb9a7423b786fbcbdfdeff1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", REPORTS, ids=[r[0] for r in REPORTS])
+def test_report_is_byte_identical(argv, code, digest, capsys):
+    args = [os.path.join(FIXTURES, w) if w.endswith(".json") else w for w in argv.split()]
+    assert run(args) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
