@@ -9,7 +9,7 @@ trivial actions contain every map, so those pairs are iterated lazily.
 import itertools
 
 from .finset import (FinSet, FinMap, FunctionSet, SizingError, MAX_ENUMERATION,
-                     MAX_MATERIALIZED, hom_set, product, singleton)
+                     hom_set, product, singleton)
 from .monoid import (trivial_monoid, generators, laws_hold, submonoid_tuples, is_subgroup,
                      hopf_witness, is_hopf)
 
@@ -37,14 +37,14 @@ class MAction:
             extra = sorted(set(act) - set(table))
             raise ActionError("action table mentions %r outside the carrier" % (extra[0],))
         self.monoid, self.carrier, self.act = monoid, carrier, table
-        self._hash = self._trivial = self._idx = None
+        self._hash = self._trivial = self._idx = self._order = None
 
     @classmethod
     def _trusted(cls, monoid, carrier, act):
         """An action on a table the caller has already checked total."""
         M = cls.__new__(cls)
         M.monoid, M.carrier, M.act = monoid, carrier, act
-        M._hash = M._trivial = M._idx = None
+        M._hash = M._trivial = M._idx = M._order = None
         return M
 
     def apply(self, a, x):
@@ -76,6 +76,15 @@ class MAction:
             self._idx = {a: tuple(idx(self.act[(a, x)]) for x in self.carrier)
                          for a in self.monoid.elements}
         return self._idx
+
+    def _search_order(self):
+        """Carrier indices by decreasing orbit size, ties in carrier order, or
+        () when that is the carrier order, as for every transitive action."""
+        if self._order is None:
+            sizes = [len(set(images)) for images in zip(*self.index_table().values())]
+            order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+            self._order = () if order == sorted(order) else order
+        return self._order
 
 
 def _acts_along(M, gens):
@@ -235,7 +244,7 @@ def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
 
 
 def _equivariant_tuples(M, N, gens=None):
-    """Yield image-index tuples of equivariant maps M -> N.
+    """Image-index tuples of the equivariant maps M -> N.
 
     Each point is a variable whose value is its image; f(x) = y forces
     f(a.x) = a.y for every monoid element a, or only for a in gens when
@@ -243,13 +252,19 @@ def _equivariant_tuples(M, N, gens=None):
     the same maps: every element is a generator or a product b'g of ones
     that are, and a map commuting with b' and g commutes with b'g.
     Solutions come out in image-tuple lexicographic order, the canonical
-    hom order.
+    hom order.  The search fixes the points with the largest orbits first,
+    whose images force most others, and sorts back unless that order is
+    the carrier order.
     """
-    aM = M.index_table()
-    aN = N.index_table()
+    aM, aN = M.index_table(), N.index_table()
     elems = M.monoid.elements if gens is None else gens
-    rules = [[(aM[a][p], aN[a]) for a in elems] for p in range(len(M.carrier))]
-    return propagate([len(N.carrier)] * len(M.carrier), rules)
+    sizes = [len(N.carrier)] * len(M.carrier)
+    order = M._search_order()
+    if not order:
+        return propagate(sizes, [[(aM[a][p], aN[a]) for a in elems] for p in range(len(sizes))])
+    var = {p: k for k, p in enumerate(order)}
+    rules = [[(var[aM[a][p]], aN[a]) for a in elems] for p in order]
+    return sorted(tuple(t[var[p]] for p in range(len(order))) for t in propagate(sizes, rules))
 
 
 def equivariant_maps(M, N):
@@ -413,7 +428,7 @@ class Site:
         return self.objects[self.names.index(name)]
 
     def __eq__(self, other):
-        return (isinstance(other, Site) and self.monoid == other.monoid
+        return (self is other or isinstance(other, Site) and self.monoid == other.monoid
                 and self.names == other.names and self.objects == other.objects)
 
     def __hash__(self):
@@ -467,14 +482,6 @@ class Site:
             self._homs[(i, j)] = tuple(_equivariant_tuples(self.objects[i], self.objects[j],
                                                            generators(self.monoid)))
         return self._homs[(i, j)]
-
-    def hom_maps(self, i, j):
-        """Morphisms as EquivariantMap objects; refuses oversized lazy pairs."""
-        if self._pair_is_lazy(i, j) and self.hom_raw_size(i, j) > MAX_MATERIALIZED:
-            raise SizingError("actions.Site.hom_maps: %d^%d maps %r -> %r exceed the limit of %d"
-                              % (len(self.objects[j].carrier), len(self.objects[i].carrier),
-                                 self.names[i], self.names[j], MAX_MATERIALIZED))
-        return equivariant_maps(self.objects[i], self.objects[j])
 
 
 def coset_action(m, sub_elements):

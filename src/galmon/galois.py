@@ -55,18 +55,24 @@ class Subfunctor:
             i, j, x = bad
             raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
                               % (site.names[i], site.names[j], x))
-        self.site = site
-        self.components = dict(zip(site.names, comps))
-        self._hash = None
+        self.site, self.components, self._hash = site, dict(zip(site.names, comps)), None
+
+    @classmethod
+    def _trusted(cls, site, comps):
+        """Subsets of the site's objects, in site order, that the caller has
+        already closed under the site morphisms."""
+        V = cls.__new__(cls)
+        V.site, V._hash = site, None
+        V.components = {name: tuple(sorted(c)) for name, c in zip(site.names, comps)}
+        return V
 
     @classmethod
     def full(cls, site):
-        return cls(site, {name: act.carrier.elements
-                          for name, act in zip(site.names, site.objects)})
+        return cls._trusted(site, [act.carrier.elements for act in site.objects])
 
     @classmethod
     def empty(cls, site):
-        return cls(site, {})
+        return cls._trusted(site, [() for _ in site.objects])
 
     def component(self, name):
         return self.components[name]
@@ -127,9 +133,8 @@ def invariants(h, site):
     """The subfunctor of elements fixed by everything in the image of h."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
-    subsets = {name: _invariant_component(h, act)
-               for name, act in zip(site.names, site.objects)}
-    return Subfunctor(site, subsets)
+    # natural by construction: a site morphism commutes with every h(b)
+    return Subfunctor._trusted(site, [_invariant_component(h, act) for act in site.objects])
 
 
 def invariants_oracle(h, site):
@@ -172,41 +177,36 @@ def galois_correspondence(m, site):
     objects on both sides, and report the induced bijection."""
     rows = []
     inv_of = {}
+    stab_of = {}  # each distinct invariant image, in order of first appearance
     for S, incl in enumerate_submonoids(m):
         V = invariants(incl, site)
-        T, _ = stabilizer(V)
+        if V not in stab_of:
+            stab_of[V] = stabilizer(V)[0].elements
+        T = stab_of[V]
         inv_of[S.elements] = V
         rows.append({
             "elements": list(S.elements),
             "invariants": V.as_dict(),
-            "stabilizer_of_invariants": list(T.elements),
-            "closed": T.elements == S.elements,
+            "stabilizer_of_invariants": list(T),
+            "closed": T == S.elements,
         })
-    images = []
-    for row in rows:
-        V = inv_of[tuple(row["elements"])]
-        if V not in images:
-            images.append(V)
     vrows = []
-    for V in images:
-        T, _ = stabilizer(V)
-        W = inv_of[T.elements]
+    for V, T in stab_of.items():
+        W = inv_of[T]
         vrows.append({
             "subsets": V.as_dict(),
-            "stabilizer": list(T.elements),
+            "stabilizer": list(T),
             "invariants_of_stabilizer": W.as_dict(),
             "closed": W == V,
         })
     closed_subs = [tuple(r["elements"]) for r in rows if r["closed"]]
-    closed_vs = [V for V, r in zip(images, vrows) if r["closed"]]
+    closed_vs = [V for V, r in zip(stab_of, vrows) if r["closed"]]
     pairing = {S: inv_of[S] for S in closed_subs}
-    targets = list(pairing.values())
-    injective = all(targets[i] != targets[j]
-                    for i in range(len(targets)) for j in range(i + 1, len(targets)))
-    onto = all(V in targets for V in closed_vs) and all(V in closed_vs for V in targets)
-    bijective = injective and onto and len(closed_subs) == len(closed_vs)
+    targets = set(pairing.values())
+    bijective = len(targets) == len(closed_subs) and targets == set(closed_vs)
+    as_set = {S: frozenset(S) for S in closed_subs}
     reversing = all(
-        (set(s1) <= set(s2)) == (pairing[s2] <= pairing[s1])
+        (as_set[s1] <= as_set[s2]) == (pairing[s2] <= pairing[s1])
         for s1, s2 in itertools.product(closed_subs, repeat=2))
     return {
         "schema": "galmon/1",
@@ -229,17 +229,14 @@ def connection_law_failures(m, site, extra_subfunctors=()):
     and empty subfunctors, every invariant image, and any extras."""
     failures = []
     pairs = enumerate_submonoids(m)
-    inv = {}
-    for S, incl in pairs:
-        inv[S.elements] = invariants(incl, site)
-    tested = [Subfunctor.full(site), Subfunctor.empty(site)]
-    for V in list(inv.values()) + list(extra_subfunctors):
-        if V not in tested:
-            tested.append(V)
+    inv = {S.elements: invariants(incl, site) for S, incl in pairs}
+    as_set = {S: frozenset(S) for S in inv}  # stabilizers are submonoids too
+    tested = list(dict.fromkeys([Subfunctor.full(site), Subfunctor.empty(site),
+                                 *inv.values(), *extra_subfunctors]))
     stab = {V: stabilizer(V)[0].elements for V in tested}
     for S, incl in pairs:
         T = stab[inv[S.elements]]
-        if not set(S.elements) <= set(T):
+        if not as_set[S.elements] <= as_set[T]:
             failures.append("submonoid {%s} escapes the stabilizer of its invariants"
                             % ",".join(S.elements))
         if inv[T] != inv[S.elements]:
@@ -250,13 +247,12 @@ def connection_law_failures(m, site, extra_subfunctors=()):
             failures.append("%r escapes the invariants of its stabilizer" % V)
         if stab[W] != stab[V]:
             failures.append("stabilizer not idempotent at %r" % V)
-    for (S1, _), (S2, _) in itertools.product(pairs, repeat=2):
-        if set(S1.elements) <= set(S2.elements):
-            if not inv[S2.elements] <= inv[S1.elements]:
-                failures.append("invariants not order reversing on {%s} <= {%s}"
-                                % (",".join(S1.elements), ",".join(S2.elements)))
+    for S1, S2 in itertools.product(inv, repeat=2):
+        if as_set[S1] <= as_set[S2] and not inv[S2] <= inv[S1]:
+            failures.append("invariants not order reversing on {%s} <= {%s}"
+                            % (",".join(S1), ",".join(S2)))
     for V1, V2 in itertools.product(tested, repeat=2):
-        if V1 <= V2 and not set(stab[V2]) <= set(stab[V1]):
+        if V1 <= V2 and not as_set[stab[V2]] <= as_set[stab[V1]]:
             failures.append("stabilizer not order reversing on %r <= %r" % (V1, V2))
     return failures
 
@@ -265,20 +261,19 @@ def connection_laws(m, site, extra_subfunctors=()):
     return not connection_law_failures(m, site, extra_subfunctors)
 
 
-def enumerate_subfunctors(site, limit=200_000):
+def enumerate_subfunctors(site):
     """All natural subfunctors of a small site, smallest first."""
     sizes = [len(act.carrier) for act in site.objects]
-    if 2 ** sum(sizes) > limit:
+    if 2 ** sum(sizes) > 200_000:
         raise SizingError("galois.enumerate_subfunctors: 2^%d subset families exceed "
-                          "the limit of %d" % (sum(sizes), limit))
+                          "the limit of 200000" % sum(sizes))
     found = []
     for masks in itertools.product(*[range(2 ** n) for n in sizes]):
         idxsets = [{p for p in range(n) if mask >> p & 1}
                    for n, mask in zip(sizes, masks)]
         if _naturality_violation(site, idxsets) is None:
-            subsets = {name: tuple(act.carrier.elements[p] for p in sorted(s))
-                       for name, act, s in zip(site.names, site.objects, idxsets)}
-            found.append(Subfunctor(site, subsets))
+            found.append(Subfunctor._trusted(site, [[act.carrier.elements[p] for p in s]
+                                                    for act, s in zip(site.objects, idxsets)]))
     found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
     return found
 
@@ -299,7 +294,5 @@ def random_subfunctor(site, rng):
                     if f[p] not in idxsets[j]:
                         idxsets[j].add(f[p])
                         changed = True
-    subsets = {name: tuple(act.carrier.elements[p] for p in sorted(s))
-               for name, act, s in zip(site.names, site.objects, idxsets)}
-    return Subfunctor(site, subsets)
-
+    return Subfunctor._trusted(site, [[act.carrier.elements[p] for p in s]
+                                      for act, s in zip(site.objects, idxsets)])

@@ -75,7 +75,7 @@ class Monoid:
         return len(self.carrier)
 
     def __eq__(self, other):
-        return (isinstance(other, Monoid) and self.carrier == other.carrier
+        return (self is other or isinstance(other, Monoid) and self.carrier == other.carrier
                 and self.unit == other.unit and self.table == other.table)
 
     def __hash__(self):

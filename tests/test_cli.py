@@ -224,6 +224,18 @@ def test_inv_agrees(capsys):
         "{(12),(13),(23)}", "{(123),(132),e}"]
 
 
+def test_stab_refuses_a_subfunctor_file_that_is_not_natural(tmp_path, capsys):
+    sub = write_json(tmp_path / "sub.json", {"subsets": {"F(1)": ["(e,*)"], "E(1)": ["*"]}})
+    code = run(["stab", "--monoid", fx("z2.json"), "--site", "free+trivial", "--sub", sub])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == """{
+  "error": "not natural: a morphism 'F(1)' -> 'F(1)' moves '(e,*)' outside the subset",
+  "schema": "galmon/1"
+}
+"""
+
+
 def test_stab_agrees(capsys):
     code, doc = run_json(capsys, ["stab", "--monoid", fx("s3.json"),
                                   "--sub", fx("a3_invariants.json")])
@@ -273,6 +285,15 @@ def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
     assert doc["bijective"]
     assert [row["invariants"] for row in doc["submonoids"]] == [
         invariants_oracle(incl, site).as_dict() for _, incl in subs]
+
+
+def test_end_finishes_on_an_order_20_monoid(tmp_path, capsys):
+    # fixing its free object's points in carrier order made over 10 million assignments
+    path = tmp_path / "m.json"
+    write_monoid(path, transformation_monoid([(1, 0, 1, 2), (0, 1, 1, 1), (2, 2, 3, 3)])[0])
+    code, doc = run_json(capsys, ["end", "--monoid", str(path)])
+    assert code == 0
+    assert doc["size"] == 20
 
 
 def test_corr_finishes_on_s4(tmp_path, capsys):

@@ -279,8 +279,6 @@ def test_refusals_name_layer_count_and_limit():
          "finset.product: 4000 x 4000 elements exceed the limit of 10000000"),
         (lambda: hom_set(eight, eight),
          "finset.hom_set: 8^8 maps exceed the limit of 10000000"),
-        (lambda: site.hom_maps(0, 1),
-         "actions.Site.hom_maps: 7^7 maps 'a' -> 'b' exceed the limit of 100000"),
         (lambda: TableDiagram(site, [seven, seven], {}),
          "ends.TableDiagram: 7^7 self-maps of 'a' exceed the limit of 100000"),
     ]

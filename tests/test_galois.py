@@ -4,7 +4,9 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given
 
+from conftest import S4, SAMPLES, transformation_monoids
 from galmon.finset import FinSet, SizingError, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
 from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
@@ -174,6 +176,49 @@ def test_naturality_check_matches_all_morphisms(site):
         assert V.components == closure_oracle(site, random.Random(seed))
 
 
+def assert_trusted_subfunctors_are_natural(m, site):
+    """Every subfunctor the package builds without the naturality check
+    passes it, and equals the checked construction in == and hash."""
+    built = [invariants(incl, site) for _, incl in enumerate_submonoids(m)]
+    built += [Subfunctor.full(site), Subfunctor.empty(site)]
+    built += [random_subfunctor(site, random.Random(seed)) for seed in range(3)]
+    for V in built:
+        comps = [{act.carrier.index(x) for x in V.components[name]}
+                 for name, act in zip(site.names, site.objects)]
+        assert naturality_oracle(site, comps)
+        C = Subfunctor(site, V.components)
+        assert V == C and hash(V) == hash(C)
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()), ids=list(SAMPLES))
+def test_trusted_subfunctors_on_default_sites(m):
+    assert_trusted_subfunctors_are_natural(m, default_site(m))
+
+
+@given(transformation_monoids())
+def test_trusted_subfunctors_on_transformation_monoids(drawn):
+    m, act, _ = drawn
+    assume(len(m) <= 24)
+    assert_trusted_subfunctors_are_natural(
+        m, canonical_site(m, "free+trivial+custom", custom=[("X", act)]))
+
+
+def test_enumerated_subfunctors_equal_checked_ones():
+    # an 11-point site, so some index sets iterate out of order ({2, 9} as 9, 2)
+    site = default_site(samples.left_zero_with_unit(9))
+    found = enumerate_subfunctors(site)
+    assert len(found) > 3
+    for V in found:
+        C = Subfunctor(site, V.components)
+        assert V == C and hash(V) == hash(C)
+
+
+def test_correspondence_derives_no_hom_set():
+    site = default_site(S4)
+    assert galois_correspondence(S4, site)["bijective"]
+    assert site._homs == {}
+
+
 def test_not_natural_names_the_element_moved_out():
     site = trivials_site(Z2, (2,))
     with pytest.raises(GaloisError) as err:
@@ -186,8 +231,9 @@ def test_random_subfunctor_is_natural():
     rng = random.Random(11)
     for site in [default_site(Z2), default_site(E2), s3_nat_site()]:
         for _ in range(10):
-            V = random_subfunctor(site, rng)  # constructor checks naturality
+            V = random_subfunctor(site, rng)
             assert V.site == site
+            assert Subfunctor(site, V.components) == V  # the checked constructor
 
 
 def test_stabilizer_examples():

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import NONASSOC, S4, SAMPLES, transformation_monoids
+from conftest import NONASSOC, S4, SAMPLES, transformation_monoid, transformation_monoids
 from galmon.finset import FinSet, singleton
 from galmon.monoid import (Monoid, generators, validate_monoid, submonoid_tuples,
                            is_subgroup, is_hopf)
@@ -231,3 +231,28 @@ def test_fast_paths_match_the_scans_on_transformation_monoids(drawn, data):
     assert validate_monoid(bad) == monoid_laws_oracle(bad)
     for M in (MAction(bad, act.carrier, dict(act.act)), trivial_action(bad, FinSet(("p", "q")))):
         assert validate_action(M) == action_laws_oracle(M)
+
+
+def equivariant_filter(M, N):
+    """Image-index tuples of all maps M -> N that commute with every
+    element, in lexicographic order, by testing every map."""
+    aM, aN = M.index_table(), N.index_table()
+    return [t for t in itertools.product(range(len(N.carrier)), repeat=len(M.carrier))
+            if all(t[aM[a][p]] == aN[a][t[p]] for a in aM for p in range(len(t)))]
+
+
+@given(transformation_monoids())
+def test_hom_search_in_orbit_order_matches_the_filter(drawn):
+    m, act, _ = drawn
+    two = trivial_action(m, FinSet(("p", "q")))
+    for M, N in [(act, act), (act, two), (two, act)]:
+        assert list(_equivariant_tuples(M, N)) == equivariant_filter(M, N)
+
+
+def test_free_object_search_starts_from_the_largest_orbit():
+    # the constant maps come first in carrier order; the unit forces every point
+    m, _ = transformation_monoid([(1, 0, 1, 2), (0, 1, 1, 1), (2, 2, 3, 3)])
+    F = free_action(m, singleton())
+    assert len(m) == 20
+    homs = list(_equivariant_tuples(F, F, generators(m)))
+    assert len(homs) == 20 and homs == sorted(homs)
