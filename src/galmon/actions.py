@@ -78,12 +78,10 @@ class MAction:
         return self._idx
 
     def _search_order(self):
-        """Carrier indices by decreasing orbit size, ties in carrier order, or
-        () when that is the carrier order, as for every transitive action."""
+        """Carrier indices by decreasing orbit size, ties in carrier order."""
         if self._order is None:
             sizes = [len(set(images)) for images in zip(*self.index_table().values())]
-            order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
-            self._order = () if order == sorted(order) else order
+            self._order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
         return self._order
 
 
@@ -256,15 +254,16 @@ def _equivariant_tuples(M, N, gens=None):
     whose images force most others, and sorts back unless that order is
     the carrier order.
     """
-    aM, aN = M.index_table(), N.index_table()
+    aM = M.index_table()
+    aN = N.index_table()
     elems = M.monoid.elements if gens is None else gens
-    sizes = [len(N.carrier)] * len(M.carrier)
     order = M._search_order()
-    if not order:
-        return propagate(sizes, [[(aM[a][p], aN[a]) for a in elems] for p in range(len(sizes))])
     var = {p: k for k, p in enumerate(order)}
     rules = [[(var[aM[a][p]], aN[a]) for a in elems] for p in order]
-    return sorted(tuple(t[var[p]] for p in range(len(order))) for t in propagate(sizes, rules))
+    found = propagate([len(N.carrier)] * len(order), rules)
+    if order == sorted(order):
+        return found  # searched in carrier order, so already canonical
+    return sorted(tuple(t[var[p]] for p in range(len(order))) for t in found)
 
 
 def equivariant_maps(M, N):
@@ -423,9 +422,6 @@ class Site:
     @property
     def nobj(self):
         return len(self.names)
-
-    def action_named(self, name):
-        return self.objects[self.names.index(name)]
 
     def __eq__(self, other):
         return (self is other or isinstance(other, Site) and self.monoid == other.monoid

@@ -55,15 +55,18 @@ class Subfunctor:
             i, j, x = bad
             raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
                               % (site.names[i], site.names[j], x))
-        self.site, self.components, self._hash = site, dict(zip(site.names, comps)), None
+        self.site = site
+        self.components = dict(zip(site.names, comps))
+        self._hash = None
 
     @classmethod
     def _trusted(cls, site, comps):
         """Subsets of the site's objects, in site order, that the caller has
         already closed under the site morphisms."""
         V = cls.__new__(cls)
-        V.site, V._hash = site, None
+        V.site = site
         V.components = {name: tuple(sorted(c)) for name, c in zip(site.names, comps)}
+        V._hash = None
         return V
 
     @classmethod

@@ -249,7 +249,7 @@ def test_site_rejects_bad_input():
 def test_custom_site_objects():
     site = canonical_site(Z2, "trivial+custom", custom=(("swap", SWAP),))
     assert site.names == ("E(1)", "swap")
-    assert site.action_named("swap") is SWAP
+    assert site.objects[1] is SWAP
 
 
 def test_underlying_site():

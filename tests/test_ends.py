@@ -127,7 +127,7 @@ def test_restrict_end_along_identity():
 def test_restrict_end_to_one_object_is_that_projection():
     site = canonical_site(Z2, "free+trivial")
     end = end_of_forgetful(site)
-    sub = Site(Z2, [("F(1)", site.action_named("F(1)"))])
+    sub = Site(Z2, [("F(1)", site.objects[site.names.index("F(1)")])])
     sub_end = end_of_forgetful(sub)
     r = restrict_end(end, SiteFunctor(sub, site, (0,)), target_end=None)
     for e in end.carrier:
