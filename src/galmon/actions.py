@@ -78,10 +78,13 @@ class MAction:
         return self._idx
 
     def _search_order(self):
-        """Carrier indices by decreasing orbit size, ties in carrier order."""
+        """Carrier indices by decreasing orbit size, ties in carrier order, and
+        each index's rank in it: the order itself when that is the identity."""
         if self._order is None:
             sizes = [len(set(images)) for images in zip(*self.index_table().values())]
-            self._order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+            order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+            rank = sorted(range(len(order)), key=order.__getitem__)
+            self._order = (order, order) if order == sorted(order) else (order, rank)
         return self._order
 
 
@@ -257,13 +260,12 @@ def _equivariant_tuples(M, N, gens=None):
     aM = M.index_table()
     aN = N.index_table()
     elems = M.monoid.elements if gens is None else gens
-    order = M._search_order()
-    var = {p: k for k, p in enumerate(order)}
-    rules = [[(var[aM[a][p]], aN[a]) for a in elems] for p in order]
+    order, rank = M._search_order()
+    rules = [[(rank[aM[a][p]], aN[a]) for a in elems] for p in order]
     found = propagate([len(N.carrier)] * len(order), rules)
-    if order == sorted(order):
+    if rank is order:
         return found  # searched in carrier order, so already canonical
-    return sorted(tuple(t[var[p]] for p in range(len(order))) for t in found)
+    return sorted(tuple(map(t.__getitem__, rank)) for t in found)
 
 
 def equivariant_maps(M, N):

@@ -2,19 +2,19 @@
 Galois connection between submonoids and natural families of subsets.
 
 The two directions are computed along independent routes.  Invariants come
-from an equalizer of curried maps into the exponential [B, X], which
-encodes only the curried images and is never listed, with a direct scan
-as the oracle; stabilizers come either from a direct scan or through the
-end of the underlying-carrier diagram.  The connection laws and the closed
-object correspondence are then checked rather than assumed.  Nothing is
-cached across calls: a sweep computes the invariants of each submonoid
-once and reads those of a stabilizer, itself a submonoid, from that table.
+from an equalizer of curried maps into the exponential [G, X], G generating
+the source, read off the actions' index tables, with a direct scan as the
+oracle; stabilizers come either from a direct scan or through the end of
+the underlying-carrier diagram.  The connection laws and the closed object
+correspondence are then checked rather than assumed.  Nothing is cached
+across calls: a sweep computes the invariants of each submonoid once and
+reads those of a stabilizer, itself a submonoid, from that table.
 """
 
 import itertools
 
-from .finset import FinMap, SizingError, curry, equalizer, product
-from .monoid import enumerate_submonoids, submonoid
+from .finset import SizingError, equalizer
+from .monoid import enumerate_submonoids, generators, submonoid
 from . import ends
 
 
@@ -57,21 +57,21 @@ class Subfunctor:
                               % (site.names[i], site.names[j], x))
         self.site = site
         self.components = dict(zip(site.names, comps))
-        self._hash = None
+        self._hash = self._sets = None
 
     @classmethod
-    def _trusted(cls, site, comps):
-        """Subsets of the site's objects, in site order, that the caller has
-        already closed under the site morphisms."""
+    def _trusted(cls, site, idxsets):
+        """Carrier index sets, in site order, already closed under the site morphisms."""
         V = cls.__new__(cls)
         V.site = site
-        V.components = {name: tuple(sorted(c)) for name, c in zip(site.names, comps)}
-        V._hash = None
+        V.components = {name: tuple(act.carrier.elements[p] for p in sorted(s))
+                        for name, act, s in zip(site.names, site.objects, idxsets)}
+        V._hash = V._sets = None
         return V
 
     @classmethod
     def full(cls, site):
-        return cls._trusted(site, [act.carrier.elements for act in site.objects])
+        return cls._trusted(site, [range(len(act.carrier)) for act in site.objects])
 
     @classmethod
     def empty(cls, site):
@@ -89,8 +89,10 @@ class Subfunctor:
     def __le__(self, other):
         if self.site != other.site:
             raise GaloisError("subfunctors over different sites are incomparable")
-        return all(set(self.components[n]) <= set(other.components[n])
-                   for n in self.site.names)
+        for V in (self, other):  # each component as a frozenset, built on first use
+            if V._sets is None:
+                V._sets = [frozenset(V.components[n]) for n in V.site.names]
+        return all(a <= b for a, b in zip(self._sets, other._sets))
 
     def __eq__(self, other):
         return (isinstance(other, Subfunctor) and self.site == other.site
@@ -121,23 +123,21 @@ def fixes(h, V):
     return True
 
 
-def _invariant_component(h, M):
-    """Elements of one site object fixed by the image of h: the equalizer
-    of the curried maps X -> [B, X] of (x, b) -> h(b).x and (x, b) -> x."""
-    X = M.carrier
-    P = product(X, h.src.carrier)
-    acting = FinMap(P, X, {p: M.apply(h(b), x) for p, (x, b) in P._pairs.items()})
-    dropping = FinMap(P, X, {p: x for p, (x, b) in P._pairs.items()})
-    eq, _ = equalizer(curry(acting), curry(dropping))
-    return eq.elements
-
-
 def invariants(h, site):
-    """The subfunctor of elements fixed by everything in the image of h."""
+    """The subfunctor of elements fixed by everything in the image of h:
+    per object, the equalizer of the curried maps X -> [G, X] of (x, g) ->
+    h(g).x and (x, g) -> x over the generators G of h's source.  h and the
+    site's actions obey their laws, so what h(G) fixes, all of h fixes."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
+    images = [h(g) for g in generators(h.src)]
+    idxsets = []
+    for act in site.objects:
+        rows = [act.index_table()[a] for a in images]
+        idxsets.append([p for p in range(len(act.carrier))
+                        if all(row[p] == p for row in rows)])
     # natural by construction: a site morphism commutes with every h(b)
-    return Subfunctor._trusted(site, [_invariant_component(h, act) for act in site.objects])
+    return Subfunctor._trusted(site, idxsets)
 
 
 def invariants_oracle(h, site):
@@ -275,8 +275,7 @@ def enumerate_subfunctors(site):
         idxsets = [{p for p in range(n) if mask >> p & 1}
                    for n, mask in zip(sizes, masks)]
         if _naturality_violation(site, idxsets) is None:
-            found.append(Subfunctor._trusted(site, [[act.carrier.elements[p] for p in s]
-                                                    for act, s in zip(site.objects, idxsets)]))
+            found.append(Subfunctor._trusted(site, idxsets))
     found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
     return found
 
@@ -297,5 +296,4 @@ def random_subfunctor(site, rng):
                     if f[p] not in idxsets[j]:
                         idxsets[j].add(f[p])
                         changed = True
-    return Subfunctor._trusted(site, [[act.carrier.elements[p] for p in s]
-                                      for act, s in zip(site.objects, idxsets)])
+    return Subfunctor._trusted(site, idxsets)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given
 
-from conftest import S4, SAMPLES, transformation_monoids
+from conftest import NONASSOC, S4, SAMPLES, transformation_monoids
 from galmon.finset import FinSet, SizingError, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
 from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
@@ -86,7 +86,8 @@ def test_invariants_on_free_and_trivial_objects():
 
 def test_invariants_match_oracle():
     for m, site in [(Z2, default_site(Z2)), (E2, default_site(E2)),
-                    (S3, canonical_site(S3, "cosets"))]:
+                    (S3, canonical_site(S3, "cosets")),
+                    (S4, default_site(S4)), (S4, canonical_site(S4, "free+trivial"))]:
         for S, incl in enumerate_submonoids(m):
             assert invariants(incl, site) == invariants_oracle(incl, site)
     # homs that identify elements: the exponent is larger than the image
@@ -95,7 +96,9 @@ def test_invariants_match_oracle():
     for h in [MonoidHom(Z4, Z2, {"e": "e", "g": "g", "g2": "e", "g3": "g"}),
               MonoidHom(S3, Z2, sign),
               MonoidHom(Z2, Z4, {"e": "e", "g": "e"}),
-              MonoidHom(E2, one, {a: "e" for a in E2.elements})]:
+              MonoidHom(E2, one, {a: "e" for a in E2.elements}),
+              # a source that fails its laws: b generates, and only g moves points
+              MonoidHom(NONASSOC, Z2, {"a": "e", "b": "g", "e": "e"})]:
         for site in [default_site(h.dst), canonical_site(h.dst, "free+trivial")]:
             assert invariants(h, site) == invariants_oracle(h, site)
 
@@ -310,6 +313,17 @@ def test_connection_laws_with_extras():
     extras = [Subfunctor(site, {"nat": ("3",)}),
               Subfunctor(site, {"nat": ("1", "2", "3")})]
     assert connection_laws(S3, site, extra_subfunctors=extras)
+
+
+def test_order_is_componentwise_inclusion():
+    site = default_site(S4)
+    found = [invariants(incl, site) for _, incl in enumerate_submonoids(S4)]
+    found += [Subfunctor.full(site), Subfunctor.empty(site)]
+    assert len(set(found)) > 3
+    for V, W in itertools.product(found, repeat=2):
+        expected = all(set(V.component(n)) <= set(W.component(n)) for n in site.names)
+        assert (V <= W) == expected
+        assert (V <= W) == expected  # again, from the sets kept on V and W
 
 
 def test_antitone():
