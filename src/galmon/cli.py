@@ -267,16 +267,12 @@ def cmd_laws(args):
 
 
 def _hasse_edges(keys, below):
-    """Cover relations of a finite order given its full comparison test."""
-    edges = []
-    for a in keys:
-        for b in keys:
-            if a == b or not below(a, b):
-                continue
-            if any(c not in (a, b) and below(a, c) and below(c, b) for c in keys):
-                continue
-            edges.append((a, b))
-    return edges
+    """Cover relations of a finite order given its comparison test, strict
+    or not: b covers a when no c in a's strict up-set lies below b."""
+    up = {a: [b for b in keys if b != a and below(a, b)] for a in keys}
+    upset = {a: set(bs) for a, bs in up.items()}
+    return [(a, b) for a in keys for b in up[a]
+            if not any(b in upset[c] for c in up[a])]
 
 
 def _corr_dot(report):
@@ -289,19 +285,21 @@ def _corr_dot(report):
     lines.append('    label="closed submonoids";')
     for i, s in enumerate(subs):
         lines.append('    S%d [label="{%s}"];' % (i, ",".join(s)))
-    for a, b in _hasse_edges(subs, lambda a, b: set(a) < set(b)):
+    sub_set = {s: frozenset(s) for s in subs}
+    for a, b in _hasse_edges(subs, lambda a, b: sub_set[a] < sub_set[b]):
         lines.append("    S%d -> S%d;" % (subs.index(a), subs.index(b)))
     lines.append("  }")
     lines.append("  subgraph cluster_subfunctors {")
     lines.append('    label="closed subfunctors";')
+    v_sets = [tuple(map(frozenset, v.values())) for v in vs]
 
-    def vbelow(a, b):
-        return a != b and all(set(a[k]) <= set(b[k]) for k in a)
+    def vbelow(i, j):
+        return all(map(frozenset.issubset, v_sets[i], v_sets[j]))
 
     for i, v in enumerate(vs):
         sizes = "/".join(str(len(v[name])) for name in report["site"])
         lines.append('    V%d [label="sizes %s"];' % (i, sizes))
-    for a, b in _hasse_edges(list(range(len(vs))), lambda i, j: vbelow(vs[i], vs[j])):
+    for a, b in _hasse_edges(list(range(len(vs))), vbelow):
         lines.append("    V%d -> V%d;" % (a, b))
     lines.append("  }")
     for i, s in enumerate(subs):
@@ -342,8 +340,10 @@ def build_parser():
     parser.add_argument("--out", choices=["json", "dot"], default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-families", type=int, default=MAX_ENUMERATION,
-                        help="bound on the assignments, chosen or forced, that the "
-                             "end solver makes before it refuses (default %(default)s)")
+                        help="bound on the assignments an end makes before it refuses: "
+                             "one per family, object and point when it is read off a "
+                             "free object, else each one, chosen or forced, of the "
+                             "wedge search (default %(default)s)")
     return parser
 
 

@@ -9,7 +9,9 @@ each object, and the sizing guard bounds the assignments made.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
-action of its source on every site object at once.
+action of its source on every site object at once.  When the site has a
+free object, End[U] is read off the monoid's own table instead (Yoneda;
+see `end_of_forgetful`).
 """
 
 import itertools
@@ -207,8 +209,37 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
 
 
 def end_of_forgetful(site, max_families=MAX_ENUMERATION):
+    """The end of the underlying-carrier diagram, with its monoid.
+
+    A free object F = A.x0 has a point x0 with a -> a.x0 a bijection from
+    the monoid onto F.  With one in the site, every x in an object X is
+    f(x0) for the morphism f: F -> X, a.x0 -> a.x, so a wedge family is
+    fixed by its value c.x0 at x0 and is the action of c everywhere; every
+    c gives one.  The families are then the action tables of the elements,
+    in the search's lexicographic order, and the end monoid is the monoid's
+    own table.  Reading them off makes one assignment per family, object
+    and point, counted against `max_families` as the search counts its own.
+    Sites without a free object go through `internal_nat`.
+    """
     U = ForgetfulDiagram(site)
-    return internal_nat(U, U, max_families)
+    m = site.monoid
+    n = len(m)
+    if not any(len(set(column)) == n
+               for act in site.objects if len(act.carrier) == n
+               for column in zip(*act.index_table().values())):
+        return internal_nat(U, U, max_families)
+    if n * sum(len(ob) for ob in U.obs) > max_families:
+        raise SizingError("ends: %d candidate assignments exceed the limit of %d"
+                          % (max_families + 1, max_families))
+    tables = [act.index_table() for act in site.objects]
+    fam = {a: tuple(t[a] for t in tables) for a in m.elements}
+    order = sorted(m.elements, key=fam.__getitem__)
+    end = EndObject(site, U, U, [fam[a] for a in order])
+    label = {a: end.elem_of[fam[a]] for a in order}
+    end._monoid = Monoid._trusted(end.carrier, label[m.unit],
+                                  {(label[c], label[d]): label[m.mul(c, d)]
+                                   for c in order for d in order})
+    return end
 
 
 def end_monoid(end):

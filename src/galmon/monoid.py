@@ -31,7 +31,8 @@ class Monoid:
 
     Construction checks the table is total with images in the carrier;
     the algebraic laws are the business of validate_monoid.  The instance
-    keeps its hash, generating set, laws' verdict and units once computed.
+    keeps its hash, generating set, laws' verdict, units and submonoids
+    once computed.
     """
 
     def __init__(self, carrier, unit, table):
@@ -54,14 +55,14 @@ class Monoid:
         self.carrier = carrier
         self.unit = unit
         self.table = tbl
-        self._hash = self._gens = self._lawful = self._units = None
+        self._hash = self._gens = self._lawful = self._units = self._subs = None
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
         """A monoid on a table the caller has already checked total."""
         m = cls.__new__(cls)
         m.carrier, m.unit, m.table = carrier, unit, table
-        m._hash = m._gens = m._lawful = m._units = None
+        m._hash = m._gens = m._lawful = m._units = m._subs = None
         return m
 
     @property
@@ -283,8 +284,10 @@ def submonoid_tuples(m):
     be new, so the cost follows |submonoids| * |A| * |closure|.  Closed sets
     are deduplicated as bitmasks over the element indices.  The products
     computed count against MAX_ENUMERATION, the submonoids found against
-    MAX_MATERIALIZED.
+    MAX_MATERIALIZED.  The tuples are kept on m.
     """
+    if m._subs is not None:
+        return list(m._subs)
     elems = m.elements
     mul, index = _index_table(m)
     unit = index[m.unit]
@@ -313,6 +316,7 @@ def submonoid_tuples(m):
             queue.append((closed, inside, grown))
     out = [tuple(a for i, a in enumerate(elems) if mask >> i & 1) for mask in found]
     out.sort(key=lambda elements: (len(elements), elements))
+    m._subs = tuple(out)
     return out
 
 

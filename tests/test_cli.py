@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,9 @@ import pytest
 from conftest import maps_monoid, submonoids_oracle, transformation_monoid, write_monoid
 from galmon import samples
 from galmon.actions import default_site
-from galmon.cli import COMMANDS, build_parser, run
+from galmon.cli import COMMANDS, _corr_dot, _hasse_edges, build_parser, run
 from galmon.finset import MAX_ENUMERATION
-from galmon.galois import invariants_oracle
+from galmon.galois import galois_correspondence, invariants_oracle
 from galmon.monoid import enumerate_submonoids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -365,6 +366,35 @@ def test_corr_dot(capsys):
     assert "style=dashed" in out
     assert out.count("S0 ->") >= 1
     assert out.endswith("}\n")
+
+
+def hasse_edges_oracle(keys, below):
+    """Cover relations by testing every triple."""
+    return [(a, b) for a in keys for b in keys
+            if a != b and below(a, b)
+            and not any(c not in (a, b) and below(a, c) and below(c, b) for c in keys)]
+
+
+@pytest.mark.parametrize("maps", [list(itertools.permutations(range(4))),
+                                  list(itertools.product(range(3), repeat=3))],
+                         ids=["S4", "T3"])
+def test_hasse_edges_match_every_triple(maps):
+    m = maps_monoid(maps)
+    report = galois_correspondence(m, default_site(m))
+    subs = [tuple(s) for s in report["closed_submonoids"]]
+    vs = report["closed_subfunctors"]
+    orders = [("S", subs, lambda a, b: set(a) < set(b)),
+              ("V", list(range(len(vs))),
+               lambda i, j: vs[i] != vs[j] and all(set(vs[i][k]) <= set(vs[j][k])
+                                                   for k in vs[i]))]
+    dot = _corr_dot(report)
+    for tag, keys, below in orders:
+        expected = hasse_edges_oracle(keys, below)
+        assert _hasse_edges(keys, below) == expected
+        node = {k: n for n, k in enumerate(keys)}
+        assert re.findall(r"^    (%s\d+ -> %s\d+);$" % (tag, tag), dot, re.M) == [
+            "%s%d -> %s%d" % (tag, node[a], tag, node[b]) for a, b in expected]
+        assert len(expected) >= len(keys) - 1
 
 
 def test_coinduce_roundtrips_as_action_file(tmp_path, capsys):

@@ -4,6 +4,9 @@
 every map V(M_i) -> W(M_i), keeps those that commute with the object's
 own endomorphisms, then extends object by object with wedge checks against
 every site morphism, including every map of a pair of trivial actions.
+
+`end_of_forgetful` reads the end off a free object when the site has one;
+the search `internal_nat` is then its oracle.
 """
 
 import itertools
@@ -11,11 +14,13 @@ import itertools
 import pytest
 from hypothesis import given
 
-from conftest import transformation_monoids
+from conftest import S4, SAMPLES, transformation_monoids
 from galmon.finset import FinSet, SizingError
 from galmon.monoid import enumerate_submonoids, is_hopf, submonoid, trivial_monoid
-from galmon.actions import Site, canonical_site, propagate, trivial_action, underlying_site
-from galmon.ends import ForgetfulDiagram, TableDiagram, internal_nat
+from galmon.actions import (MAction, Site, canonical_site, coset_action, default_site,
+                            propagate, trivial_action, underlying_site)
+from galmon import ends
+from galmon.ends import ForgetfulDiagram, TableDiagram, end_of_forgetful, internal_nat
 from galmon.galois import invariants, invariants_oracle
 from galmon import samples
 
@@ -167,3 +172,88 @@ def test_end_refusal_names_layer_count_and_limit():
     with pytest.raises(SizingError) as exc:
         internal_nat(U, U, 10)
     assert str(exc.value) == "ends: 11 candidate assignments exceed the limit of 10"
+
+
+def has_free_object(site):
+    """True iff some object is A.x0 with a -> a.x0 one-to-one."""
+    m = site.monoid
+    return any(len(act.carrier) == len(m) == len({act.apply(a, x) for a in m.elements})
+               for act in site.objects for x in act.carrier)
+
+
+def end_and_route(site, *limit):
+    """end_of_forgetful(site, *limit), and whether it called the search."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return internal_nat(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ends, "internal_nat", spy)
+        end = end_of_forgetful(site, *limit)
+    return end, bool(calls)
+
+
+def assert_end_matches_search(site):
+    """The end is read off exactly when the site has a free object, and
+    then agrees with the search in families, carrier, unit and table."""
+    end, searched = end_and_route(site)
+    assert searched != has_free_object(site)
+    if not searched:
+        U = ForgetfulDiagram(site)
+        ref = internal_nat(U, U)
+        assert end.families == ref.families
+        assert end.carrier.elements == ref.carrier.elements
+        E, R = end.monoid(), ref.monoid()
+        assert E.unit == R.unit
+        assert E.table == R.table
+    return searched
+
+
+READ_OFF = [pytest.param(m, recipe, id="%s-%s" % (name, recipe))
+            for name, m in list(SAMPLES.items()) + [("S4", S4)]
+            for recipe in ("default", "free", "free+trivial")]
+
+
+@pytest.mark.parametrize("m, recipe", READ_OFF)
+def test_read_off_matches_search_on_samples(m, recipe):
+    site = default_site(m) if recipe == "default" else canonical_site(m, recipe)
+    assert not assert_end_matches_search(site)
+
+
+@given(transformation_monoids())
+def test_read_off_matches_search_on_transformation_monoids(drawn):
+    m, act, _ = drawn
+    # the search over the free object of a larger monoid takes seconds
+    recipes = ("custom", "free+custom", "free+trivial") if len(m) <= 30 else ("custom",)
+    for recipe in recipes:
+        assert_end_matches_search(canonical_site(m, recipe, custom=[("X", act)]))
+
+
+def test_sites_without_a_free_object_are_searched():
+    z2, s3 = samples.cyclic(2), samples.symmetric3()
+    # Z2 on itself plus a fixed point: the orbit of the unit is free but is
+    # not the whole object, and collapsing everything onto the fixed point is
+    # a wedge family beside the two translations
+    act = {(a, b): z2.mul(a, b) for a in z2.elements for b in z2.elements}
+    act.update({(a, "*"): "*" for a in z2.elements})
+    plus_point = MAction(z2, FinSet(z2.elements + ("*",)), act)
+    sites = [Site(z2, [("Z2+*", plus_point)]), Site(z2, []),
+             canonical_site(z2, "trivial"), canonical_site(s3, "trivial"),
+             Site(s3, [("G/A3", coset_action(s3, ("e", "(123)", "(132)")))])]
+    for site in sites:
+        assert assert_end_matches_search(site)
+        U = ForgetfulDiagram(site)
+        assert list(end_of_forgetful(site).families) == nat_oracle(U, U)
+    assert len(end_of_forgetful(sites[0])) == 3
+
+
+def test_read_off_guard_counts_one_assignment_per_family_object_and_point():
+    # 6 families of the 6 points of S3's free object
+    site = canonical_site(samples.symmetric3(), "free")
+    end, searched = end_and_route(site, 36)
+    assert len(end) == 6 and not searched
+    with pytest.raises(SizingError) as exc:
+        end_of_forgetful(site, 35)
+    assert str(exc.value) == "ends: 36 candidate assignments exceed the limit of 35"

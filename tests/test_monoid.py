@@ -10,14 +10,16 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import (NONASSOC, S4, is_subgroup_oracle, submonoids_oracle,
                       transformation_monoids, write_monoid)
+from galmon.actions import default_site
 from galmon.cli import run
 from galmon.finset import FinSet, FinMap
 from galmon.monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                            validate_monoid, trivial_monoid, submonoid,
                            enumerate_submonoids, enumerate_subgroups,
                            fusion_morphism, hopf_witness, is_hopf, antipode,
-                           kernel_pairs, submonoid_tuples, is_subgroup)
-from galmon import samples
+                           kernel_pairs, submonoid_tuples, is_subgroup, laws_hold)
+from galmon.galois import connection_law_failures, galois_correspondence
+from galmon import monoid, samples
 
 Z2 = samples.cyclic(2)
 Z3 = samples.cyclic(3)
@@ -146,6 +148,26 @@ def test_submonoids_match_the_oracle_on_transformation_monoids(drawn):
     # submonoids (88 873 at order 48), which neither side lists quickly.
     assume(len(m) <= 24)
     agree_with_submonoids_oracle(m)
+
+
+def test_submonoids_are_enumerated_once_per_monoid(monkeypatch):
+    # the coset site, the correspondence sweep and the law check all list
+    # the submonoids of m; only the first reads m's table to close them
+    m = samples.symmetric3()
+    laws_hold(m)  # its generating set and laws are read off the table too
+    reads = []
+    index_table = monoid._index_table
+    monkeypatch.setattr(monoid, "_index_table",
+                        lambda n: reads.append(n is m) or index_table(n))
+    first = submonoid_tuples(m)
+    assert any(reads) and first == submonoids_oracle(m)
+    first.clear()
+    reads.clear()
+    site = default_site(m)
+    galois_correspondence(m, site)
+    connection_law_failures(m, site)
+    assert submonoid_tuples(m) == submonoids_oracle(m)
+    assert not any(reads)
 
 
 def agree_with_is_subgroup_oracle(m):
