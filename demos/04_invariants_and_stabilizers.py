@@ -1,5 +1,5 @@
-"""Invariants of a monoid map via an equalizer of curried maps, and the
-stabilizer of a subfunctor, each cross-checked against a direct scan."""
+"""Invariants of a monoid map as the points its generators' images fix, and
+the stabilizer of a subfunctor, each cross-checked against a direct scan."""
 
 from galmon.monoid import submonoid, enumerate_submonoids
 from galmon.actions import canonical_site, default_site

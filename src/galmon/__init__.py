@@ -2,9 +2,9 @@
 
 Finite sets with products and exponentials carry actions of a finite
 monoid; a site is a chosen family of such actions.  For a monoid map into
-the acting monoid the package computes the subfunctor of invariants as an
-equalizer, recovers stabilizing submonoids through ends of hom diagrams,
-and checks the Galois connection the two constructions induce.
+the acting monoid the package computes the subfunctor of invariants as
+fixed points, recovers stabilizing submonoids through ends of hom
+diagrams, and checks the Galois connection the two constructions induce.
 """
 
 from .finset import (FinSet, FinMap, FinSetError, SizingError, singleton,
@@ -21,15 +21,13 @@ from .actions import (MAction, EquivariantMap, ActionError, Site,
                       check_trivial_fixed_adjunction, coinduct,
                       check_restriction_coinduction_adjunction,
                       coset_action, canonical_site, default_site, underlying_site)
-from .ends import (EndObject, EndError, SiteDiagram, ForgetfulDiagram,
-                   SubsetDiagram, TableDiagram, SiteFunctor, internal_nat,
-                   end_of_forgetful, end_monoid, restrict_end,
-                   reconstruction_hom, reconstruction_composite_check,
+from .ends import (EndObject, EndError, ForgetfulDiagram, SubsetDiagram,
+                   SiteFunctor, internal_nat, end_of_forgetful, end_monoid,
+                   restrict_end, reconstruction_hom, reconstruction_composite_check,
                    trivial_path, augmentation_square_check, family_restriction)
 from .galois import (Subfunctor, GaloisError, fixes, invariants,
                      invariants_oracle, stabilizer, stabilizer_via_end,
                      galois_correspondence, connection_laws,
-                     connection_law_failures, enumerate_subfunctors,
-                     random_subfunctor)
+                     connection_law_failures, random_subfunctor)
 
 __version__ = "0.1.0"

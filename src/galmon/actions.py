@@ -440,10 +440,6 @@ class Site:
     def _pair_is_lazy(self, i, j):
         return self.objects[i].is_trivial_action and self.objects[j].is_trivial_action
 
-    def hom_raw_size(self, i, j):
-        nx = len(self.objects[i].carrier)
-        return len(self.objects[j].carrier) ** nx if nx else 1
-
     def iter_hom_tuples(self, i, j):
         """Image-index tuples of all morphisms object i -> object j."""
         if self._pair_is_lazy(i, j):
@@ -464,7 +460,7 @@ class Site:
         two of them.  Other pairs list all their morphisms.
         """
         if not self._pair_is_lazy(i, j):
-            return self.iter_hom_tuples(i, j)
+            return self._filtered(i, j)
         nx = len(self.objects[i].carrier)
         ny = len(self.objects[j].carrier)
         if i != j:

@@ -106,6 +106,9 @@ def parse_hom(doc, dst, where="hom file"):
 
 
 def _site_for(m, spec, extra_actions=()):
+    if extra_actions and not any(token.strip().partition(":")[0] == "custom"
+                                 for token in spec.split("+")):
+        raise InputError("--action files need a custom or custom:<dir> token in --site")
     if spec == "default":
         return default_site(m)
     tokens = []
@@ -244,8 +247,10 @@ def cmd_corr(args):
 def cmd_coinduce(args):
     m = _monoid_from(args)
     h = parse_hom(_load(_require(args, "--hom")), m)
-    path = _require(args, "--action")[0]
-    N = parse_action(_load(path), h.src, where=path)
+    paths = _require(args, "--action")
+    if len(paths) > 1:
+        raise InputError("coinduce takes one --action file, not %d" % len(paths))
+    N = parse_action(_load(paths[0]), h.src, where=paths[0])
     K = coinduct(h, N)
     return 0, {"schema": SCHEMA, "command": "coinduce",
                "monoid": list(m.elements),
@@ -312,7 +317,7 @@ COMMANDS = {
     "validate": (cmd_validate, "check a monoid table and any actions against the laws"),
     "subgroups": (cmd_subgroups, "list all submonoids and subgroups"),
     "hopf": (cmd_hopf, "test for a group structure and print the antipode"),
-    "inv": (cmd_inv, "invariants of a hom, equalizer route and oracle"),
+    "inv": (cmd_inv, "invariants of a hom, fixed-point route and oracle"),
     "stab": (cmd_stab, "stabilizer of a subfunctor, direct and through the end"),
     "end": (cmd_end, "the end of the underlying-carrier diagram and reconstruction"),
     "corr": (cmd_corr, "the full closed-object correspondence"),
@@ -334,7 +339,8 @@ def build_parser():
     parser.add_argument("--monoid", help="monoid JSON file")
     parser.add_argument("--action", action="append", help="action JSON file (repeatable)")
     parser.add_argument("--site", default="default",
-                        help="default | free | cosets | trivial | a+b | custom:<dir>")
+                        help="default | free | cosets | trivial | a+b | custom "
+                             "(the --action files) | custom:<dir>")
     parser.add_argument("--sub", help="subfunctor JSON file")
     parser.add_argument("--hom", help="hom JSON file")
     parser.add_argument("--out", choices=["json", "dot"], default="json")

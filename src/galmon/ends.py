@@ -1,11 +1,14 @@
 """Ends of hom diagrams over a site, as concrete finite carriers.
 
-The carrier of [V, W] collects one map V(M) -> W(M) per site object,
-subject to the wedge condition against every site morphism.  Families are
-found by the propagation search of `actions.propagate`: fixing the image
-of one point forces images along every morphism out of its object, so the
-work tracks the families found rather than the |W|^|V| candidate maps of
-each object, and the sizing guard bounds the assignments made.
+A diagram is a functor from a site into finite sets: its `site`, `obs` (one
+carrier per site object) and `mor(i, j, f)`, the image of the morphism with
+carrier-index tuple f as an index tuple over the carriers.  The end of
+[V, W] collects one map V(M) -> W(M) per site object, subject to the wedge
+condition against every site morphism.  Families are found by the
+propagation search of `actions.propagate`: fixing the image of one point
+forces images along every morphism out of its object, so the work tracks
+the families found rather than the |W|^|V| candidate maps of each object,
+and the sizing guard bounds the assignments made.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
@@ -16,8 +19,8 @@ see `end_of_forgetful`).
 
 import itertools
 
-from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, MAX_MATERIALIZED,
-                     map_label, product, proj_right, curry, singleton, terminal_map)
+from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, map_label,
+                     product, proj_right, curry, singleton, terminal_map)
 from .monoid import Monoid, MonoidHom
 from .actions import Site, propagate, trivial_action, underlying_site
 
@@ -26,22 +29,7 @@ class EndError(Exception):
     """Structural error in a diagram, functor, or end computation."""
 
 
-class SiteDiagram:
-    """A functor from a site into finite sets.
-
-    Subclasses provide obs (one carrier per site object) and mor(i, j, f),
-    the image of the site morphism with carrier-index tuple f, again as an
-    index tuple over the object carriers.
-    """
-
-    site = None
-    obs = None
-
-    def mor(self, i, j, f):
-        raise NotImplementedError
-
-
-class ForgetfulDiagram(SiteDiagram):
+class ForgetfulDiagram:
     """Underlying carriers; morphisms pass through unchanged."""
 
     def __init__(self, site):
@@ -52,7 +40,7 @@ class ForgetfulDiagram(SiteDiagram):
         return f
 
 
-class SubsetDiagram(SiteDiagram):
+class SubsetDiagram:
     """Chosen subsets of the carriers; morphisms restrict.
 
     The caller is responsible for naturality; a morphism that carries a
@@ -87,47 +75,6 @@ class SubsetDiagram(SiteDiagram):
                 raise EndError("subsets are not closed under the site morphisms")
             out.append(q)
         return tuple(out)
-
-
-class TableDiagram(SiteDiagram):
-    """Explicit functor data, validated for functoriality on construction."""
-
-    def __init__(self, site, obs, tables):
-        # trivial objects list every self-map; other hom sets come from the solver
-        for i in range(site.nobj):
-            if (site.objects[i].is_trivial_action
-                    and site.hom_raw_size(i, i) > MAX_MATERIALIZED):
-                n = len(site.objects[i].carrier)
-                raise SizingError("ends.TableDiagram: %d^%d self-maps of %r exceed the limit of %d"
-                                  % (n, n, site.names[i], MAX_MATERIALIZED))
-        self.site = site
-        self.obs = list(obs)
-        self.tables = tables
-        for i, j in itertools.product(range(site.nobj), repeat=2):
-            for f in site.iter_hom_tuples(i, j):
-                img = tables.get((i, j), {}).get(f)
-                if img is None or len(img) != len(self.obs[i]):
-                    raise EndError("functor data missing or misshapen on a morphism %r -> %r"
-                                   % (site.names[i], site.names[j]))
-                if any(q >= len(self.obs[j]) for q in img):
-                    raise EndError("functor data escapes the target carrier")
-        for i in range(site.nobj):
-            ident = tuple(range(len(site.objects[i].carrier)))
-            if tables[(i, i)][ident] != tuple(range(len(self.obs[i]))):
-                raise EndError("functor data does not preserve the identity at %r"
-                               % site.names[i])
-        for i, j, k in itertools.product(range(site.nobj), repeat=3):
-            for f in site.iter_hom_tuples(i, j):
-                for g in site.iter_hom_tuples(j, k):
-                    comp = tuple(g[p] for p in f)
-                    left = tables[(i, k)][comp]
-                    right = tuple(tables[(j, k)][g][p] for p in tables[(i, j)][f])
-                    if left != right:
-                        raise EndError("functor data breaks composition across %r -> %r -> %r"
-                                       % (site.names[i], site.names[j], site.names[k]))
-
-    def mor(self, i, j, f):
-        return self.tables[(i, j)][f]
 
 
 class EndObject:
@@ -251,22 +198,21 @@ class SiteFunctor:
     """An object reindexing between sites that keeps carriers and maps as
     they are; each source morphism must already be a target morphism."""
 
-    def __init__(self, src, dst, ob_map, check=True):
+    def __init__(self, src, dst, ob_map):
         if len(ob_map) != src.nobj:
             raise EndError("object map must cover the source site")
         for i, gi in enumerate(ob_map):
             if src.objects[i].carrier != dst.objects[gi].carrier:
                 raise EndError("functor must preserve the carrier of %r" % src.names[i])
-        if check:
-            for i, j in itertools.product(range(src.nobj), repeat=2):
-                gi, gj = ob_map[i], ob_map[j]
-                if dst._pair_is_lazy(gi, gj):
-                    continue  # every map is a morphism there
-                allowed = set(dst._filtered(gi, gj))
-                for f in src.iter_hom_tuples(i, j):
-                    if f not in allowed:
-                        raise EndError("a morphism %r -> %r is not a morphism downstairs"
-                                       % (src.names[i], src.names[j]))
+        for i, j in itertools.product(range(src.nobj), repeat=2):
+            gi, gj = ob_map[i], ob_map[j]
+            if dst._pair_is_lazy(gi, gj):
+                continue  # every map is a morphism there
+            allowed = set(dst._filtered(gi, gj))
+            for f in src.iter_hom_tuples(i, j):
+                if f not in allowed:
+                    raise EndError("a morphism %r -> %r is not a morphism downstairs"
+                                   % (src.names[i], src.names[j]))
         self.src = src
         self.dst = dst
         self.ob_map = tuple(ob_map)
@@ -275,7 +221,7 @@ class SiteFunctor:
         return "SiteFunctor(%r -> %r)" % (self.src, self.dst)
 
 
-def restrict_end(end, functor, max_families=MAX_ENUMERATION, target_end=None):
+def restrict_end(end, functor, target_end=None):
     """Restrict a self-hom end along a site functor into its site.
 
     Returns the monoid map End[W] -> End[W o G] that drops the components
@@ -284,7 +230,7 @@ def restrict_end(end, functor, max_families=MAX_ENUMERATION, target_end=None):
     if functor.dst != end.site:
         raise EndError("functor must land in the end's site")
     if target_end is None:
-        target_end = end_of_forgetful(functor.src, max_families)
+        target_end = end_of_forgetful(functor.src)
     for i, gi in enumerate(functor.ob_map):
         if target_end.V.obs[i] != end.V.obs[gi] or target_end.W.obs[i] != end.W.obs[gi]:
             raise EndError("restriction target disagrees on object %r" % functor.src.names[i])
@@ -297,10 +243,10 @@ def restrict_end(end, functor, max_families=MAX_ENUMERATION, target_end=None):
     return MonoidHom(end.monoid(), target_end.monoid(), table)
 
 
-def reconstruction_hom(m, site, end=None, max_families=MAX_ENUMERATION):
+def reconstruction_hom(m, site, end=None):
     """The monoid map sending a in m to the family (x -> a.x) over the site."""
     if end is None:
-        end = end_of_forgetful(site, max_families)
+        end = end_of_forgetful(site)
     table = {}
     for a in m.elements:
         fam = tuple(act.index_table()[a] for act in site.objects)
@@ -333,7 +279,7 @@ def trivial_path(m, site, end=None, max_families=MAX_ENUMERATION):
     base, ob_map = underlying_site(site)
     base_end = end_of_forgetful(base, max_families)
     down = SiteFunctor(site, base, ob_map)
-    r = restrict_end(base_end, down, max_families, target_end=end)
+    r = restrict_end(base_end, down, target_end=end)
     eps = terminal_map(m.carrier)
     eta = FinMap(singleton(), base_end.carrier, {"*": base_end.monoid().unit})
     return r.map * eta * eps
@@ -362,7 +308,7 @@ def extend_with_trivials(site):
     return extended, base, tuple(into), down
 
 
-def augmentation_square_check(m, site, max_families=MAX_ENUMERATION):
+def augmentation_square_check(m, site):
     """Two identities of the underlying-carrier restriction.
 
     First: restricting to carriers and coming back along the trivial-action
@@ -371,12 +317,10 @@ def augmentation_square_check(m, site, max_families=MAX_ENUMERATION):
     object.  Both are checked elementwise.
     """
     extended, base, into, down = extend_with_trivials(site)
-    end_up = end_of_forgetful(extended, max_families)
-    end_base = end_of_forgetful(base, max_families)
-    to_up = restrict_end(end_base, SiteFunctor(extended, base, down),
-                         max_families, target_end=end_up)
-    back = restrict_end(end_up, SiteFunctor(base, extended, into),
-                        max_families, target_end=end_base)
+    end_up = end_of_forgetful(extended)
+    end_base = end_of_forgetful(base)
+    to_up = restrict_end(end_base, SiteFunctor(extended, base, down), target_end=end_up)
+    back = restrict_end(end_up, SiteFunctor(base, extended, into), target_end=end_base)
     ident = FinMap.identity(end_base.carrier)
     if back.map * to_up.map != ident:
         return False

@@ -1,19 +1,19 @@
 """Invariants of monoid maps, stabilizers of subfunctors, and the induced
 Galois connection between submonoids and natural families of subsets.
 
-The two directions are computed along independent routes.  Invariants come
-from an equalizer of curried maps into the exponential [G, X], G generating
-the source, read off the actions' index tables, with a direct scan as the
-oracle; stabilizers come either from a direct scan or through the end of
-the underlying-carrier diagram.  The connection laws and the closed object
-correspondence are then checked rather than assumed.  Nothing is cached
-across calls: a sweep computes the invariants of each submonoid once and
-reads those of a stabilizer, itself a submonoid, from that table.
+The two directions are computed along independent routes.  Invariants are
+the points fixed by the images of a generating set of the source, read off
+the actions' index tables, with a direct scan as the oracle; stabilizers
+come either from a direct scan or through the end of the underlying-carrier
+diagram.  The connection laws and the closed object correspondence are then
+checked rather than assumed.  Nothing is cached across calls: a sweep
+computes the invariants of each submonoid once and reads those of a
+stabilizer, itself a submonoid, from that table.
 """
 
 import itertools
 
-from .finset import SizingError, equalizer
+from .finset import equalizer
 from .monoid import enumerate_submonoids, generators, submonoid
 from . import ends
 
@@ -125,9 +125,9 @@ def fixes(h, V):
 
 def invariants(h, site):
     """The subfunctor of elements fixed by everything in the image of h:
-    per object, the equalizer of the curried maps X -> [G, X] of (x, g) ->
-    h(g).x and (x, g) -> x over the generators G of h's source.  h and the
-    site's actions obey their laws, so what h(G) fixes, all of h fixes."""
+    per object, the points p with idx[h(g)][p] == p in the action's index
+    table for each generator g of h's source.  h and the site's actions obey
+    their laws, so what h(G) fixes, all of h fixes."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
     images = [h(g) for g in generators(h.src)]
@@ -262,22 +262,6 @@ def connection_law_failures(m, site, extra_subfunctors=()):
 
 def connection_laws(m, site, extra_subfunctors=()):
     return not connection_law_failures(m, site, extra_subfunctors)
-
-
-def enumerate_subfunctors(site):
-    """All natural subfunctors of a small site, smallest first."""
-    sizes = [len(act.carrier) for act in site.objects]
-    if 2 ** sum(sizes) > 200_000:
-        raise SizingError("galois.enumerate_subfunctors: 2^%d subset families exceed "
-                          "the limit of 200000" % sum(sizes))
-    found = []
-    for masks in itertools.product(*[range(2 ** n) for n in sizes]):
-        idxsets = [{p for p in range(n) if mask >> p & 1}
-                   for n, mask in zip(sizes, masks)]
-        if _naturality_violation(site, idxsets) is None:
-            found.append(Subfunctor._trusted(site, idxsets))
-    found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
-    return found
 
 
 def random_subfunctor(site, rng):

@@ -1,6 +1,6 @@
 """Shared test settings, a monoid-file writer, the monoid of given
-self-maps, the sample monoids, the brute-force submonoid and subgroup
-oracles and the hypothesis strategy of transformation monoids."""
+self-maps, the sample monoids, the brute-force submonoid, subgroup and
+subfunctor oracles and the hypothesis strategy of transformation monoids."""
 
 import itertools
 import json
@@ -11,6 +11,7 @@ from galmon import samples
 from galmon.finset import FinSet
 from galmon.monoid import Monoid
 from galmon.actions import MAction
+from galmon.galois import Subfunctor, _naturality_violation
 
 settings.register_profile("galmon", deadline=None, max_examples=60)
 settings.load_profile("galmon")
@@ -69,6 +70,20 @@ def submonoids_oracle(m):
     scan(0, frozenset([m.unit]), frozenset())
     out.sort(key=lambda elements: (len(elements), elements))
     return out
+
+
+def subfunctors_oracle(site):
+    """All natural subfunctors of a small site, smallest first, by scanning
+    every family of subset masks."""
+    sizes = [len(act.carrier) for act in site.objects]
+    found = []
+    for masks in itertools.product(*[range(2 ** n) for n in sizes]):
+        idxsets = [{p for p in range(n) if mask >> p & 1}
+                   for n, mask in zip(sizes, masks)]
+        if _naturality_violation(site, idxsets) is None:
+            found.append(Subfunctor._trusted(site, idxsets))
+    found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
+    return found
 
 
 def is_subgroup_oracle(m, elements):

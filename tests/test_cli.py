@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import os
@@ -261,6 +262,13 @@ def test_end_sizing_guard(capsys):
     assert "candidate" in out["error"]
 
 
+def test_stab_sizing_guard(capsys):
+    code, out = run_json(capsys, ["stab", "--monoid", fx("s3.json"),
+                                  "--sub", fx("a3_invariants.json"), "--max-families", "10"])
+    assert code == 2
+    assert out["error"] == "ends: 11 candidate assignments exceed the limit of 10"
+
+
 @pytest.mark.parametrize("m", [samples.cyclic(8), samples.mult_mod(8)],
                          ids=["Z8", "M8"])
 def test_end_and_stab_finish_at_order_8(m, tmp_path, capsys):
@@ -423,6 +431,48 @@ def test_custom_site(tmp_path, capsys):
                                   "--hom", fx("a3_in_s3.json")])
     assert code == 1
     assert "cannot list" in out["error"]
+
+
+def test_action_files_join_a_custom_site(tmp_path, capsys):
+    os.symlink(fx("s3_natural.json"), tmp_path / "nat.json")
+    argv = ["inv", "--monoid", fx("s3.json"), "--hom", fx("a3_in_s3.json"),
+            "--action", fx("s3_natural.json")]
+    for site, names in [("free+custom", ["F(1)", "s3_natural"]),
+                        ("custom:%s" % tmp_path, ["s3_natural", "nat"])]:
+        code, doc = run_json(capsys, argv + ["--site", site])
+        assert code == 0
+        assert doc["site"] == names
+
+
+@pytest.mark.parametrize("command", ["inv", "stab", "end", "corr", "laws"])
+def test_action_files_without_a_custom_site_are_refused(command, capsys):
+    argv = [command, "--monoid", fx("s3.json"), "--hom", fx("a3_in_s3.json"),
+            "--sub", fx("a3_invariants.json"), "--action", fx("s3_natural.json")]
+    for site in ("default", "free+cosets"):
+        code, out = run_json(capsys, argv + ["--site", site])
+        assert code == 1
+        assert out["error"] == "--action files need a custom or custom:<dir> token in --site"
+
+
+def test_coinduce_takes_one_action_file(capsys):
+    code, out = run_json(capsys, ["coinduce", "--monoid", fx("s3.json"),
+                                  "--hom", fx("z2_in_s3.json"),
+                                  "--action", fx("z2_swap.json"), "--action", fx("z2_swap.json")])
+    assert code == 1
+    assert out["error"] == "coinduce takes one --action file, not 2"
+
+
+def test_fixtures_regenerate_from_the_samples(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make", fx("make.py"))
+    make = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make)
+    monkeypatch.setattr(make, "HERE", str(tmp_path))
+    make.main()
+    written = sorted(os.listdir(tmp_path))
+    assert written == sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
+    for name in written:
+        with open(fx(name), "rb") as fd:
+            assert (tmp_path / name).read_bytes() == fd.read(), name
 
 
 def test_bad_hom_rejected(tmp_path, capsys):

@@ -7,8 +7,8 @@ from galmon.monoid import MonoidHom, is_hopf, kernel_pairs, submonoid, trivial_m
 from galmon.actions import (MAction, Site, trivial_action, free_action,
                             canonical_site, default_site, coset_action,
                             underlying_site)
-from galmon.ends import (EndError, ForgetfulDiagram, SubsetDiagram, TableDiagram,
-                         internal_nat, end_of_forgetful, end_monoid, SiteFunctor,
+from galmon.ends import (EndError, ForgetfulDiagram, SubsetDiagram, internal_nat,
+                         end_of_forgetful, end_monoid, SiteFunctor,
                          restrict_end, reconstruction_hom,
                          reconstruction_composite_check, trivial_path,
                          extend_with_trivials, augmentation_square_check,
@@ -210,39 +210,6 @@ def test_subset_diagram_escape():
         SubsetDiagram(site, [("zzz",), ()])
 
 
-def test_table_diagram_validation():
-    one = trivial_monoid()
-    site = Site(one, [("a", trivial_action(one, FinSet(("p",)))),
-                      ("b", trivial_action(one, FinSet(("u", "v"))))])
-    obs = [site.objects[0].carrier, site.objects[1].carrier]
-
-    def forgetful_tables():
-        return {(i, j): {f: f for f in site.iter_hom_tuples(i, j)}
-                for i in range(2) for j in range(2)}
-
-    TableDiagram(site, obs, forgetful_tables())
-
-    broken = forgetful_tables()
-    del broken[(0, 1)][(0,)]
-    with pytest.raises(EndError):
-        TableDiagram(site, obs, broken)
-
-    broken = forgetful_tables()
-    broken[(1, 1)][(0, 1)] = (1, 0)
-    with pytest.raises(EndError):
-        TableDiagram(site, obs, broken)
-
-    broken = forgetful_tables()
-    broken[(0, 1)][(0,)], broken[(0, 1)][(1,)] = (1,), (0,)
-    with pytest.raises(EndError):
-        TableDiagram(site, obs, broken)
-
-    broken = forgetful_tables()
-    broken[(0, 1)][(0,)] = (7,)
-    with pytest.raises(EndError):
-        TableDiagram(site, obs, broken)
-
-
 def test_sizing_guard_per_object():
     with pytest.raises(SizingError):
         end_of_forgetful(free_site(S3), 10)
@@ -258,29 +225,14 @@ def test_sizing_guard_family_product():
     assert len(end_of_forgetful(site, 16)) == 2
 
 
-def test_table_diagram_guards_only_trivial_objects():
-    # the free object of Z7 has 7 self-morphisms, not all 7^7 self-maps
-    site = canonical_site(samples.cyclic(7), "free")
-    U = ForgetfulDiagram(site)
-    tables = {(0, 0): {f: U.mor(0, 0, f) for f in site.iter_hom_tuples(0, 0)}}
-    assert len(tables[(0, 0)]) == 7
-    D = TableDiagram(site, U.obs, tables)
-    assert [D.mor(0, 0, f) for f in site.iter_hom_tuples(0, 0)] == list(tables[(0, 0)])
-
-
 def test_refusals_name_layer_count_and_limit():
     big = FinSet(tuple("x%04d" % i for i in range(4000)))
     eight = FinSet(tuple(str(i) for i in range(8)))
-    seven = FinSet(tuple(str(i) for i in range(7)))
-    one = trivial_monoid()
-    site = Site(one, [("a", trivial_action(one, seven)), ("b", trivial_action(one, seven))])
     refusals = [
         (lambda: product(big, big),
          "finset.product: 4000 x 4000 elements exceed the limit of 10000000"),
         (lambda: hom_set(eight, eight),
          "finset.hom_set: 8^8 maps exceed the limit of 10000000"),
-        (lambda: TableDiagram(site, [seven, seven], {}),
-         "ends.TableDiagram: 7^7 self-maps of 'a' exceed the limit of 100000"),
     ]
     for refuse, message in refusals:
         with pytest.raises(SizingError) as exc:
