@@ -125,8 +125,8 @@ def _site_for(m, spec, extra_actions=()):
                 doc = _load(os.path.join(directory, fname))
                 custom.append((fname[:-len(".json")],
                                parse_action(doc, m, where=fname)))
-            tokens.append("custom")
-        else:
+            token = "custom"
+        if token != "custom" or token not in tokens:  # the pooled list goes in once
             tokens.append(token)
     return canonical_site(m, "+".join(tokens), custom=custom)
 

@@ -1,13 +1,12 @@
 """Finite monoids presented by multiplication tables.
 
 Also the structure the product monad carries: homomorphisms, generating
-sets (on which the laws are checked), submonoids (enumerated by closure
-under generators, deduplicated as bitmasks, and refused past
-MAX_MATERIALIZED of them or MAX_ENUMERATION closure products), and the
-fusion test that detects when a monoid is a group (and so has an antipode).
+sets (on which the laws are checked), submonoids (each found once by
+prefix-preserving closure extension, and refused past MAX_MATERIALIZED of
+them or MAX_ENUMERATION closure products), and the fusion test that
+detects when a monoid is a group (and so has an antipode).
 """
 
-import collections
 import itertools
 
 from .finset import (FinSet, FinMap, MAX_ENUMERATION, MAX_MATERIALIZED, SizingError,
@@ -31,8 +30,8 @@ class Monoid:
 
     Construction checks the table is total with images in the carrier;
     the algebraic laws are the business of validate_monoid.  The instance
-    keeps its hash, generating set, laws' verdict, units and submonoids
-    once computed.
+    keeps its hash, generating set, laws' verdict, units, submonoids and
+    whether it is a group once computed.
     """
 
     def __init__(self, carrier, unit, table):
@@ -55,14 +54,14 @@ class Monoid:
         self.carrier = carrier
         self.unit = unit
         self.table = tbl
-        self._hash = self._gens = self._lawful = self._units = self._subs = None
+        self._hash = self._gens = self._lawful = self._units = self._subs = self._hopf = None
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
         """A monoid on a table the caller has already checked total."""
         m = cls.__new__(cls)
         m.carrier, m.unit, m.table = carrier, unit, table
-        m._hash = m._gens = m._lawful = m._units = m._subs = None
+        m._hash = m._gens = m._lawful = m._units = m._subs = m._hopf = None
         return m
 
     @property
@@ -117,7 +116,8 @@ def generators(m):
         for a in range(len(mul)):
             if not mask >> a & 1:
                 gens += (a,)
-                mask, members = _close(mul, mask, members, gens)
+                mask, new = _close(mul, mask, members, gens)
+                members += new
         m._gens = tuple(m.elements[g] for g in gens)
     return m._gens
 
@@ -255,14 +255,18 @@ def submonoid(m, subset):
     return S, incl
 
 
-def _close(mul, mask, members, gens):
+def _close(mul, mask, members, gens, floor=0):
     """Close a submonoid (bitmask and member indices) under right
-    multiplication after adjoining gens[-1]; gens generate the result."""
+    multiplication after adjoining gens[-1]; gens generate the result.
+    Returns the mask and the members added; the mask is None, and the
+    closure cut short, once an index below floor would join."""
     a = gens[-1]
     new = []
     for s in members:
         t = mul[s][a]
         if not mask >> t & 1:
+            if t < floor:
+                return None, new
             mask |= 1 << t
             new.append(t)
     for t in new:
@@ -270,54 +274,56 @@ def _close(mul, mask, members, gens):
         for g in gens:
             u = row[g]
             if not mask >> u & 1:
+                if u < floor:
+                    return None, new
                 mask |= 1 << u
                 new.append(u)
-    return mask, members + new
+    return mask, new
 
 
 def submonoid_tuples(m):
     """The element tuples of all submonoids, ordered by size then element list.
 
-    Closure under generators: starting from {e}, every submonoid S found is
-    extended by each element a outside it.  Since S is closed, only the
-    products s*a and their right multiples by the generators of S and a can
-    be new, so the cost follows |submonoids| * |A| * |closure|.  Closed sets
-    are deduplicated as bitmasks over the element indices.  The products
-    computed count against MAX_ENUMERATION, the submonoids found against
-    MAX_MATERIALIZED.  The tuples are kept on m.
+    Prefix-preserving closure extension (Uno, Kiyomi & Arimura, "LCM ver. 2",
+    2004): the submonoid S reached by adjoining index c is extended by each
+    index a > c outside S, and the closure is kept only if it adds no index
+    below a, so each submonoid is found once.  Only the products s*a and
+    their right multiples by the generators can be new, and the closure stops
+    once an index below a would join: for a group, one a per right coset Sa
+    is closed (Neubüser's cut).  Indices number the elements in reverse, so
+    the element lists of one size ascend as the masks descend.  A closure
+    counts |S| + |added| * |gens| products against MAX_ENUMERATION, cut
+    short or not; the submonoids count against MAX_MATERIALIZED.  The tuples
+    are kept on m.
     """
     if m._subs is not None:
         return list(m._subs)
-    elems = m.elements
-    mul, index = _index_table(m)
-    unit = index[m.unit]
-    found = {1 << unit}
-    products = 0
-    queue = collections.deque([(1 << unit, [unit], ())])
-    while queue:
-        mask, members, gens = queue.popleft()
-        for a in range(len(elems)):
-            # S + {a}, once found, is closed and so its own closure
-            if mask >> a & 1 or mask | 1 << a in found:
+    elems = m.elements[::-1]
+    n = len(elems)
+    mul = [[n - 1 - c for c in reversed(row)] for row in reversed(_index_table(m)[0])]
+    unit = elems.index(m.unit)
+    found, products = [], 0
+    stack = [(1 << unit, [unit], (), -1)]
+    while stack:
+        mask, members, gens, core = stack.pop()
+        found.append(((len(members) << n) - mask, members))
+        if len(found) > MAX_MATERIALIZED:
+            raise SizingError("monoid.enumerate_submonoids: more than %d submonoids "
+                              "exceed the limit of %d" % (MAX_MATERIALIZED, MAX_MATERIALIZED))
+        for a in range(core + 1, n):
+            if mask >> a & 1:
                 continue
-            grown = gens + (a,)
-            closed, inside = _close(mul, mask, members, grown)
-            products += len(members) + (len(inside) - len(members)) * len(grown)
+            closed, new = _close(mul, mask, members, gens + (a,), a)
+            products += len(members) + len(new) * (len(gens) + 1)
             if products > MAX_ENUMERATION:
                 raise SizingError("monoid.enumerate_submonoids: %d closure products "
                                   "exceed the limit of %d" % (products, MAX_ENUMERATION))
-            if closed in found:
-                continue
-            found.add(closed)
-            if len(found) > MAX_MATERIALIZED:
-                raise SizingError("monoid.enumerate_submonoids: more than %d submonoids "
-                                  "exceed the limit of %d"
-                                  % (MAX_MATERIALIZED, MAX_MATERIALIZED))
-            queue.append((closed, inside, grown))
-    out = [tuple(a for i, a in enumerate(elems) if mask >> i & 1) for mask in found]
-    out.sort(key=lambda elements: (len(elements), elements))
-    m._subs = tuple(out)
-    return out
+            if closed is not None:
+                stack.append((closed, members + new, gens + (a,), a))
+    found.sort()
+    m._subs = tuple(tuple(map(elems.__getitem__, sorted(members, reverse=True)))
+                    for _, members in found)
+    return list(m._subs)
 
 
 def is_subgroup(m, elements):
@@ -363,8 +369,12 @@ def hopf_witness(m):
 
 
 def is_hopf(m):
-    """True iff fusion is a bijection, i.e. iff m is a group."""
-    return fusion_morphism(m).is_bijection()
+    """True iff fusion is a bijection, i.e. iff m is a group: iff every row
+    b -> ab of the table is one.  The verdict is kept on m."""
+    if m._hopf is None:
+        n = len(m)
+        m._hopf = all(len({m.table[(a, b)] for b in m.elements}) == n for a in m.elements)
+    return m._hopf
 
 
 def antipode(m):

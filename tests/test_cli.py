@@ -336,15 +336,32 @@ def test_subgroups_refuses_past_the_submonoid_limit(tmp_path, capsys):
                             "exceed the limit of 100000")
 
 
-def test_subgroups_refuses_past_the_closure_product_limit(tmp_path, capsys):
-    # order 39 with 12 012 submonoids, whose closure takes 16.9 M products
+def test_subgroups_lists_the_12012_submonoids_of_an_order_39_monoid(tmp_path, capsys):
     m, _ = transformation_monoid([(0, 0, 3, 2), (0, 2, 1, 1), (1, 3, 3, 3)])
     assert len(m) == 39
     path = tmp_path / "t39.json"
     write_monoid(path, m)
+    code, doc = run_json(capsys, ["subgroups", "--monoid", str(path)])
+    assert code == 0
+    subs = [tuple(s) for s in doc["submonoids"]]
+    assert len(subs) == len(set(subs)) == 12012
+    assert subs == sorted(subs, key=lambda s: (len(s), s))
+    table = m.table
+    for s in subs:
+        inside = frozenset(s)
+        assert list(s) == sorted(inside) and m.unit in inside
+        assert all(table[(a, b)] in inside for a in s for b in s)
+
+
+def test_subgroups_refuses_past_the_closure_product_limit(tmp_path, capsys):
+    # order 57, whose closures pass 10 M products before 100 000 submonoids
+    m, _ = transformation_monoid([(2, 0, 1, 3), (0, 0, 1, 2)])
+    assert len(m) == 57
+    path = tmp_path / "t57.json"
+    write_monoid(path, m)
     code, out = run_json(capsys, ["subgroups", "--monoid", str(path)])
     assert code == 2
-    assert out["error"] == ("monoid.enumerate_submonoids: 10000068 closure products "
+    assert out["error"] == ("monoid.enumerate_submonoids: 10000020 closure products "
                             "exceed the limit of 10000000")
 
 
@@ -442,6 +459,16 @@ def test_action_files_join_a_custom_site(tmp_path, capsys):
         code, doc = run_json(capsys, argv + ["--site", site])
         assert code == 0
         assert doc["site"] == names
+
+
+def test_two_custom_directories_pool_into_one_site(tmp_path, capsys):
+    for directory, name in [("d1", "a"), ("d2", "b")]:
+        (tmp_path / directory).mkdir()
+        os.symlink(fx("z2_swap.json"), tmp_path / directory / (name + ".json"))
+    site = "custom:%s+custom:%s" % (tmp_path / "d1", tmp_path / "d2")
+    code, doc = run_json(capsys, ["corr", "--monoid", fx("z2.json"), "--site", site])
+    assert code == 0
+    assert doc["site"] == ["a", "b"]
 
 
 @pytest.mark.parametrize("command", ["inv", "stab", "end", "corr", "laws"])

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, is_subgroup_oracle, submonoids_oracle,
+from conftest import (NONASSOC, S4, is_subgroup_oracle, maps_monoid, submonoids_oracle,
                       transformation_monoids, write_monoid)
 from galmon.actions import default_site
 from galmon.cli import run
@@ -168,6 +168,48 @@ def test_submonoids_are_enumerated_once_per_monoid(monkeypatch):
     connection_law_failures(m, site)
     assert submonoid_tuples(m) == submonoids_oracle(m)
     assert not any(reads)
+
+
+def dihedral(n):
+    rotations = [tuple((p + k) % n for p in range(n)) for k in range(n)]
+    return maps_monoid(rotations + [tuple((k - p) % n for p in range(n)) for k in range(n)])
+
+
+@pytest.mark.parametrize("m", [samples.mult_mod(16), dihedral(10)], ids=["M16", "D10"])
+def test_closures_cut_short_keep_every_submonoid(m, monkeypatch):
+    # most extensions stop once an element below the adjoined one would join
+    close, cut = monoid._close, []
+
+    def counted(*args):
+        closed, new = close(*args)
+        cut.append(closed is None)
+        return closed, new
+
+    monkeypatch.setattr(monoid, "_close", counted)
+    assert submonoid_tuples(m) == submonoids_oracle(m)
+    assert sum(cut) > len(cut) // 2
+
+
+def test_s5_lists_each_of_its_156_subgroups_once():
+    s5 = maps_monoid(list(itertools.permutations(range(5))))
+    subs = submonoid_tuples(s5)
+    assert len(subs) == len(set(subs)) == 156
+    for s in subs:
+        assert is_subgroup(s5, s)
+        assert all(s5.mul(a, b) in s for a in s for b in s)
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [NONASSOC],
+                         ids=list(SAMPLES) + ["NONASSOC"])
+def test_hopf_by_rows_matches_fusion(m):
+    assert is_hopf(m) == fusion_morphism(m).is_bijection()
+
+
+@given(transformation_monoids())
+def test_hopf_by_rows_matches_fusion_on_transformation_monoids(drawn):
+    m = drawn[0]
+    assume(len(m) <= 24)  # fusion lists |A|^2 pairs
+    assert is_hopf(m) == fusion_morphism(m).is_bijection()
 
 
 def agree_with_is_subgroup_oracle(m):
