@@ -1,9 +1,10 @@
 """Left actions of a finite monoid on finite sets.
 
-An action is a total table (a, x) -> a.x.  Sites are finite lists of named
-actions; their morphisms (all equivariant maps between listed objects) are
-derived on demand and cached, never stored by hand.  Hom sets between
-trivial actions contain every map, so those pairs are iterated lazily.
+An action is one table of rows: for each monoid element a, the carrier
+indices of a.x in carrier order.  Sites are finite lists of named actions;
+their morphisms (all equivariant maps between listed objects) are derived
+on demand and cached, never stored by hand.  Hom sets between trivial
+actions contain every map, so those pairs are iterated lazily.
 """
 
 import itertools
@@ -19,46 +20,49 @@ class ActionError(Exception):
 
 
 class MAction:
-    """A monoid acting on a finite carrier through a total table."""
+    """A monoid acting on a finite carrier: table[a] is the row of carrier
+    indices of a.x, x in carrier order, for each element a in element order.
+    The constructor checks a total dict (a, x) -> a.x of element names and
+    converts it; package builders write rows through `_trusted`."""
 
     def __init__(self, monoid, carrier, act):
         if not isinstance(carrier, FinSet):
             carrier = FinSet(carrier)
         table = {}
         for a in monoid.elements:
+            row = []
             for x in carrier:
                 if (a, x) not in act:
                     raise ActionError("action table missing entry for (%s, %s)" % (a, x))
                 y = act[(a, x)]
                 if y not in carrier:
                     raise ActionError("image %s.%s = %r lies outside the carrier" % (a, x, y))
-                table[(a, x)] = y
-        if len(act) != len(table):
-            extra = sorted(set(act) - set(table))
+                row.append(carrier.index(y))
+            table[a] = tuple(row)
+        if len(act) != len(monoid) * len(carrier):
+            extra = sorted(set(act) - set(itertools.product(monoid.elements, carrier)))
             raise ActionError("action table mentions %r outside the carrier" % (extra[0],))
-        self.monoid, self.carrier, self.act = monoid, carrier, table
-        self._hash = self._trivial = self._idx = self._order = None
+        self.monoid, self.carrier, self.table = monoid, carrier, table
+        self._trivial = self._order = None
 
     @classmethod
-    def _trusted(cls, monoid, carrier, act):
-        """An action on a table the caller has already checked total."""
+    def _trusted(cls, monoid, carrier, table):
+        """An action on rows the caller has already built total, in element order."""
         M = cls.__new__(cls)
-        M.monoid, M.carrier, M.act = monoid, carrier, act
-        M._hash = M._trivial = M._idx = M._order = None
+        M.monoid, M.carrier, M.table = monoid, carrier, table
+        M._trivial = M._order = None
         return M
 
     def apply(self, a, x):
-        return self.act[(a, x)]
+        return self.carrier.elements[self.table[a][self.carrier.index(x)]]
 
     def __eq__(self, other):
         return (isinstance(other, MAction) and self.monoid == other.monoid
-                and self.carrier == other.carrier and self.act == other.act)
+                and self.carrier == other.carrier and self.table == other.table)
 
     def __hash__(self):
-        if self._hash is None:
-            key = tuple(self.act[(a, x)] for a in self.monoid.elements for x in self.carrier)
-            self._hash = hash((self.monoid, self.carrier, key))
-        return self._hash
+        return hash((self.monoid, self.carrier,
+                     tuple(map(self.table.__getitem__, self.monoid.elements))))
 
     def __repr__(self):
         return "MAction(%r on %r)" % (self.monoid, self.carrier)
@@ -66,22 +70,15 @@ class MAction:
     @property
     def is_trivial_action(self):
         if self._trivial is None:
-            self._trivial = all(y == x for (_, x), y in self.act.items())
+            ident = tuple(range(len(self.carrier)))
+            self._trivial = all(row == ident for row in self.table.values())
         return self._trivial
-
-    def index_table(self):
-        """Per monoid element, the action as a tuple of carrier indices."""
-        if self._idx is None:
-            idx = self.carrier.index
-            self._idx = {a: tuple(idx(self.act[(a, x)]) for x in self.carrier)
-                         for a in self.monoid.elements}
-        return self._idx
 
     def _search_order(self):
         """Carrier indices by decreasing orbit size, ties in carrier order, and
         each index's rank in it: the order itself when that is the identity."""
         if self._order is None:
-            sizes = [len(set(images)) for images in zip(*self.index_table().values())]
+            sizes = [len(set(images)) for images in zip(*self.table.values())]
             order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
             rank = sorted(range(len(order)), key=order.__getitem__)
             self._order = (order, order) if order == sorted(order) else (order, rank)
@@ -91,7 +88,7 @@ class MAction:
 def _acts_along(M, gens):
     """e.x = x, and (ag).x = a.(g.x) for every element a and g in gens."""
     m = M.monoid
-    idx = M.index_table()
+    idx = M.table
     if idx[m.unit] != tuple(range(len(M.carrier))):
         return False
     for g in gens:
@@ -168,7 +165,7 @@ class EquivariantMap:
 def trivial_action(m, X):
     if not isinstance(X, FinSet):
         X = FinSet(X)
-    return MAction._trusted(m, X, {(a, x): x for a in m.elements for x in X})
+    return MAction._trusted(m, X, dict.fromkeys(m.elements, tuple(range(len(X)))))
 
 
 def free_action(m, X):
@@ -176,20 +173,17 @@ def free_action(m, X):
     if not isinstance(X, FinSet):
         X = FinSet(X)
     P = product(m.carrier, X)
-    label = {(b, x): p for p, (b, x) in P._pairs.items()}
-    act = {}
-    for a in m.elements:
-        for p, (b, x) in P._pairs.items():
-            act[(a, p)] = label[(m.mul(a, b), x)]
-    return MAction._trusted(m, P, act)
+    pairs = [P._pairs[p] for p in P]
+    at = {bx: q for q, bx in enumerate(pairs)}
+    return MAction._trusted(m, P, {a: tuple(at[(m.mul(a, b), x)] for b, x in pairs)
+                                   for a in m.elements})
 
 
 def restrict_action(h, M):
     """Pull an action on the target of h back along h."""
     if M.monoid != h.dst:
         raise ActionError("restriction needs an action of the hom's target")
-    act = {(b, x): M.apply(h(b), x) for b in h.src.elements for x in M.carrier}
-    return MAction._trusted(h.src, M.carrier, act)
+    return MAction._trusted(h.src, M.carrier, {b: M.table[h(b)] for b in h.src.elements})
 
 
 def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
@@ -257,8 +251,8 @@ def _equivariant_tuples(M, N, gens=None):
     whose images force most others, and sorts back unless that order is
     the carrier order.
     """
-    aM = M.index_table()
-    aN = N.index_table()
+    aM = M.table
+    aN = N.table
     elems = M.monoid.elements if gens is None else gens
     order, rank = M._search_order()
     rules = [[(rank[aM[a][p]], aN[a]) for a in elems] for p in order]
@@ -286,8 +280,8 @@ def equivariant_maps(M, N):
 
 def fixed_points(M):
     """The subcarrier on which every monoid element acts as the identity."""
-    kept = [x for x in M.carrier
-            if all(M.apply(a, x) == x for a in M.monoid.elements)]
+    rows = M.table.values()
+    kept = [x for p, x in enumerate(M.carrier) if all(row[p] == p for row in rows)]
     F = FinSet(kept, check=False)
     return F, FinMap(F, M.carrier, {x: x for x in kept})
 
@@ -332,19 +326,18 @@ def coinduct(h, N):
     """The right adjoint of restriction along h: maps from the target
     monoid (acting on itself through h) into N, translated on the right."""
     A = h.dst
-    B = h.src
-    twisted = MAction._trusted(B, A.carrier,
-                               {(b, a): A.mul(h(b), a) for b in B.elements for a in A.carrier})
-    K = FunctionSet(A.carrier, N.carrier, [tuple(f(a) for a in A.carrier)
-                                           for f in equivariant_maps(twisted, N)])
     aidx = A.carrier.index
-    act = {}
+    twisted = MAction._trusted(h.src, A.carrier, {
+        b: tuple(aidx(A.mul(h(b), a)) for a in A.carrier) for b in h.src.elements})
+    K = FunctionSet(A.carrier, N.carrier, [f.map.image_tuple()
+                                           for f in equivariant_maps(twisted, N)])
+    images = [K.map_images(e) for e in K]
+    at = {t: q for q, t in enumerate(images)}
+    table = {}
     for a in A.elements:
-        shift = tuple(aidx(A.mul(a2, a)) for a2 in A.carrier)
-        for e in K:
-            images = K.map_images(e)
-            act[(a, e)] = K.map_element(tuple(images[i] for i in shift))
-    return MAction._trusted(A, K, act)
+        shift = [aidx(A.mul(a2, a)) for a2 in A.carrier]
+        table[a] = tuple(at[tuple(map(t.__getitem__, shift))] for t in images)
+    return MAction._trusted(A, K, table)
 
 
 def transpose_to_coinduced(h, M, f, K):
@@ -495,9 +488,11 @@ def coset_action(m, sub_elements):
             for b in coset:
                 label_of[b] = label
     carrier = FinSet(sorted(rep), check=False)
+    at = {b: carrier.index(label) for b, label in label_of.items()}
+    reps = [rep[c] for c in carrier]
     table = m.table
-    act = {(a, c): label_of[table[(a, rep[c])]] for a in m.elements for c in carrier}
-    return MAction._trusted(m, carrier, act)
+    return MAction._trusted(m, carrier, {a: tuple(at[table[(a, r)]] for r in reps)
+                                         for a in m.elements})
 
 
 def canonical_site(m, recipe, custom=()):

@@ -39,11 +39,19 @@ def _load(path):
 
 
 def _field(doc, key, kind, where):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise InputError("%s is missing %r" % (where, key))
     if not isinstance(doc[key], kind):
         raise InputError("%s field %r has the wrong shape" % (where, key))
     return doc[key]
+
+
+def _symbol(value, cell, *args):
+    """value, unless it is a JSON array or object: no symbol can be one, and
+    neither can be looked up in a set or a dict."""
+    if isinstance(value, (list, dict)):
+        raise InputError("%s: %s is not a symbol" % (cell % args, json.dumps(value)))
+    return value
 
 
 def parse_monoid(doc, where="monoid file"):
@@ -53,15 +61,15 @@ def parse_monoid(doc, where="monoid file"):
     rows = _field(doc, "table", dict, where)
     table = {}
     for a in elements:
-        if a not in rows:
+        if _symbol(a, "%s elements", where) not in rows:
             raise InputError("%s table is missing row %r" % (where, a))
         row = rows[a]
         if not isinstance(row, dict):
             raise InputError("%s table row %r has the wrong shape" % (where, a))
         for b in elements:
-            if b not in row:
+            if _symbol(b, "%s elements", where) not in row:
                 raise InputError("%s table row %r is missing column %r" % (where, a, b))
-            table[(a, b)] = row[b]
+            table[(a, b)] = _symbol(row[b], "%s table row %r column %r", where, a, b)
     return Monoid(FinSet(elements), unit, table)
 
 
@@ -77,9 +85,9 @@ def parse_action(doc, m, where="action file"):
         if not isinstance(row, dict):
             raise InputError("%s act row %r has the wrong shape" % (where, a))
         for x in carrier:
-            if x not in row:
+            if _symbol(x, "%s set", where) not in row:
                 raise InputError("%s act row %r is missing column %r" % (where, a, x))
-            act[(a, x)] = row[x]
+            act[(a, x)] = _symbol(row[x], "%s act row %r column %r", where, a, x)
     return MAction(m, FinSet(carrier), act)
 
 
@@ -89,6 +97,8 @@ def parse_subfunctor(doc, site, where="subfunctor file"):
     for name, chosen in subsets.items():
         if not isinstance(chosen, list):
             raise InputError("%s subset %r has the wrong shape" % (where, name))
+        for x in chosen:
+            _symbol(x, "%s subset %r", where, name)
     return Subfunctor(site, {k: tuple(v) for k, v in subsets.items()})
 
 
@@ -102,7 +112,8 @@ def parse_hom(doc, dst, where="hom file"):
     for b in src.elements:
         if b not in table:
             raise InputError("%s map is missing %r" % (where, b))
-    return MonoidHom(src, dst, {b: table[b] for b in src.elements})
+    return MonoidHom(src, dst, {b: _symbol(table[b], "%s map %r", where, b)
+                                for b in src.elements})
 
 
 def _site_for(m, spec, extra_actions=()):
@@ -356,6 +367,8 @@ def build_parser():
 def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.max_families < 0:
+            raise InputError("--max-families must be 0 or more, not %d" % args.max_families)
         code, payload = COMMANDS[args.command][0](args)
     except (SizingError, InputError, FinSetError, MonoidError, ActionError, EndError,
             GaloisError) as exc:

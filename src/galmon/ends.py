@@ -173,13 +173,12 @@ def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     n = len(m)
     if not any(len(set(column)) == n
                for act in site.objects if len(act.carrier) == n
-               for column in zip(*act.index_table().values())):
+               for column in zip(*act.table.values())):
         return internal_nat(U, U, max_families)
     if n * sum(len(ob) for ob in U.obs) > max_families:
         raise SizingError("ends: %d candidate assignments exceed the limit of %d"
                           % (max_families + 1, max_families))
-    tables = [act.index_table() for act in site.objects]
-    fam = {a: tuple(t[a] for t in tables) for a in m.elements}
+    fam = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
     order = sorted(m.elements, key=fam.__getitem__)
     end = EndObject(site, U, U, [fam[a] for a in order])
     label = {a: end.elem_of[fam[a]] for a in order}
@@ -249,7 +248,7 @@ def reconstruction_hom(m, site, end=None):
         end = end_of_forgetful(site)
     table = {}
     for a in m.elements:
-        fam = tuple(act.index_table()[a] for act in site.objects)
+        fam = tuple(act.table[a] for act in site.objects)
         if fam not in end.elem_of:
             raise EndError("the action family of %r fails the wedge condition" % a)
         table[a] = end.elem_of[fam]
@@ -261,14 +260,8 @@ def reconstruction_composite_check(m, site, end=None):
     if end is None:
         end = end_of_forgetful(site)
     rho = reconstruction_hom(m, site, end=end)
-    for i, act in enumerate(site.objects):
-        xs = act.carrier.elements
-        for a in m.elements:
-            fam = end.family_of[rho(a)]
-            for p, x in enumerate(xs):
-                if xs[fam[i][p]] != act.apply(a, x):
-                    return False
-    return True
+    return all(end.family_of[rho(a)] == tuple(act.table[a] for act in site.objects)
+               for a in m.elements)
 
 
 def trivial_path(m, site, end=None, max_families=MAX_ENUMERATION):

@@ -3,7 +3,7 @@ Galois connection between submonoids and natural families of subsets.
 
 The two directions are computed along independent routes.  Invariants are
 the points fixed by the images of a generating set of the source, read off
-the actions' index tables, with a direct scan as the oracle; stabilizers
+the actions' tables, with a direct scan as the oracle; stabilizers
 come either from a direct scan or through the end of the underlying-carrier
 diagram.  The connection laws and the closed object correspondence are then
 checked rather than assumed.  Nothing is cached across calls: a sweep
@@ -35,7 +35,9 @@ def _naturality_violation(site, comps):
 
 
 class Subfunctor:
-    """Per-object subsets of a site's carriers, closed under all morphisms."""
+    """Per-object subsets of a site's carriers, closed under all morphisms:
+    `_sets` holds their carrier indices in site order, `components` their
+    elements for reports."""
 
     def __init__(self, site, subsets):
         unknown = sorted(set(subsets) - set(site.names))
@@ -44,12 +46,13 @@ class Subfunctor:
         comps = []
         idxsets = []
         for name, act in zip(site.names, site.objects):
-            chosen = tuple(sorted(set(subsets.get(name, ()))))
-            for x in chosen:
-                if x not in act.carrier:
-                    raise GaloisError("element %r is not in site object %r" % (x, name))
+            chosen = set(subsets.get(name, ()))
+            outside = sorted((x for x in chosen if x not in act.carrier), key=str)
+            if outside:  # sorted by str, since outside input need not be strings
+                raise GaloisError("element %r is not in site object %r" % (outside[0], name))
+            chosen = tuple(sorted(chosen))
             comps.append(chosen)
-            idxsets.append({act.carrier.index(x) for x in chosen})
+            idxsets.append(frozenset(map(act.carrier.index, chosen)))
         bad = _naturality_violation(site, idxsets)
         if bad is not None:
             i, j, x = bad
@@ -57,16 +60,16 @@ class Subfunctor:
                               % (site.names[i], site.names[j], x))
         self.site = site
         self.components = dict(zip(site.names, comps))
-        self._hash = self._sets = None
+        self._sets = tuple(idxsets)
 
     @classmethod
     def _trusted(cls, site, idxsets):
         """Carrier index sets, in site order, already closed under the site morphisms."""
         V = cls.__new__(cls)
         V.site = site
+        V._sets = tuple(map(frozenset, idxsets))
         V.components = {name: tuple(act.carrier.elements[p] for p in sorted(s))
-                        for name, act, s in zip(site.names, site.objects, idxsets)}
-        V._hash = V._sets = None
+                        for name, act, s in zip(site.names, site.objects, V._sets)}
         return V
 
     @classmethod
@@ -89,19 +92,14 @@ class Subfunctor:
     def __le__(self, other):
         if self.site != other.site:
             raise GaloisError("subfunctors over different sites are incomparable")
-        for V in (self, other):  # each component as a frozenset, built on first use
-            if V._sets is None:
-                V._sets = [frozenset(V.components[n]) for n in V.site.names]
         return all(a <= b for a, b in zip(self._sets, other._sets))
 
     def __eq__(self, other):
         return (isinstance(other, Subfunctor) and self.site == other.site
-                and self.components == other.components)
+                and self._sets == other._sets)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.site, tuple(self.components[n] for n in self.site.names)))
-        return self._hash
+        return hash((self.site, self._sets))
 
     def __repr__(self):
         return "Subfunctor(%s)" % ", ".join(
@@ -115,25 +113,21 @@ def fixes(h, V):
     """Whether every element coming from h acts as the identity on V."""
     if h.dst != V.site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
-    for name, act in zip(V.site.names, V.site.objects):
-        for v in V.components[name]:
-            for b in h.src.elements:
-                if act.apply(h(b), v) != v:
-                    return False
-    return True
+    return all(act.table[h(b)][p] == p for act, s in zip(V.site.objects, V._sets)
+               for b in h.src.elements for p in s)
 
 
 def invariants(h, site):
     """The subfunctor of elements fixed by everything in the image of h:
-    per object, the points p with idx[h(g)][p] == p in the action's index
-    table for each generator g of h's source.  h and the site's actions obey
+    per object, the points p with table[h(g)][p] == p in the action's table
+    for each generator g of h's source.  h and the site's actions obey
     their laws, so what h(G) fixes, all of h fixes."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
     images = [h(g) for g in generators(h.src)]
     idxsets = []
     for act in site.objects:
-        rows = [act.index_table()[a] for a in images]
+        rows = [act.table[a] for a in images]
         idxsets.append([p for p in range(len(act.carrier))
                         if all(row[p] == p for row in rows)])
     # natural by construction: a site morphism commutes with every h(b)
@@ -155,9 +149,7 @@ def stabilizer(V):
     """The largest submonoid acting as the identity on V, with inclusion."""
     m = V.site.monoid
     kept = [a for a in m.elements
-            if all(act.apply(a, v) == v
-                   for name, act in zip(V.site.names, V.site.objects)
-                   for v in V.components[name])]
+            if all(act.table[a][p] == p for act, s in zip(V.site.objects, V._sets) for p in s)]
     return submonoid(m, kept)
 
 

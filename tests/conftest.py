@@ -1,6 +1,7 @@
-"""Shared test settings, a monoid-file writer, the monoid of given
-self-maps, the sample monoids, the brute-force submonoid, subgroup and
-subfunctor oracles and the hypothesis strategy of transformation monoids."""
+"""Shared test settings, a monoid-file writer, an action's table by
+element names, the monoid of given self-maps, the sample monoids, the
+brute-force submonoid, subgroup and subfunctor oracles and the hypothesis
+strategy of transformation monoids."""
 
 import itertools
 import json
@@ -23,6 +24,12 @@ def write_monoid(path, m):
         json.dump({"elements": list(m.elements), "unit": m.unit,
                    "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}},
                   fd)
+
+
+def entries(M):
+    """The action M as a dict (a, x) -> a.x of element names, the input
+    the checked MAction constructor reads."""
+    return {(a, x): M.apply(a, x) for a in M.monoid.elements for x in M.carrier}
 
 
 def maps_monoid(maps):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SAMPLES
+from conftest import SAMPLES, entries
 from galmon.finset import FinSet, FinMap, hom_set, singleton
 from galmon.monoid import (MonoidHom, submonoid, trivial_monoid, enumerate_submonoids,
                            is_subgroup, is_hopf)
@@ -63,7 +63,7 @@ def test_trivial_action():
 
 def test_restrict_action():
     ident = MonoidHom.identity(S3)
-    assert restrict_action(ident, NAT3).act == NAT3.act
+    assert restrict_action(ident, NAT3).table == NAT3.table
     one, incl1 = submonoid(S3, ("e",))
     assert restrict_action(incl1, NAT3).is_trivial_action
     c2, incl2 = submonoid(S3, ("e", "(12)"))
@@ -77,7 +77,8 @@ def test_restrict_composes():
     c2, incl = submonoid(S3, ("e", "(12)"))
     h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
     k = MonoidHom(Z2, c2, {"e": "e", "g": "(12)"})
-    assert restrict_action(h, NAT3).act == restrict_action(k, restrict_action(incl, NAT3)).act
+    via_c2 = restrict_action(k, restrict_action(incl, NAT3))
+    assert restrict_action(h, NAT3).table == via_c2.table
 
 
 def test_equivariant_maps_counts():
@@ -185,7 +186,7 @@ def test_coinduct_adjunction():
 
 def checked(M):
     """The same table through the constructor that checks it."""
-    return MAction(M.monoid, M.carrier, dict(M.act))
+    return MAction(M.monoid, M.carrier, entries(M))
 
 
 @pytest.mark.parametrize("m", list(SAMPLES.values()), ids=list(SAMPLES))
@@ -199,7 +200,7 @@ def test_package_built_actions_equal_checked_ones(m):
     for M in built:
         C = checked(M)
         assert M == C and hash(M) == hash(C)
-        assert list(M.act) == list(C.act)
+        assert list(M.table) == list(C.table)
 
 
 def test_site_builders():
@@ -237,10 +238,7 @@ def test_site_rejects_bad_input():
         Site(Z2, [("a", SWAP), ("a", SWAP)])
     with pytest.raises(ActionError):
         Site(S3, [("a", SWAP)])
-    bad = MAction.__new__(MAction)
-    bad.monoid, bad.carrier = Z2, FinSet(("0", "1"))
-    bad.act = {(a, x): "0" for a in Z2.elements for x in ("0", "1")}
-    bad._hash = bad._trivial = bad._idx = None
+    bad = MAction._trusted(Z2, FinSet(("0", "1")), dict.fromkeys(Z2.elements, (0, 0)))
     with pytest.raises(ActionError):
         Site(Z2, [("bad", bad)])
 

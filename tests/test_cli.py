@@ -184,6 +184,49 @@ def test_schema_error_names_the_cell(tmp_path, capsys):
     assert "row 'g'" in out["error"] and "'e'" in out["error"]
 
 
+def put(doc, keys, value):
+    """doc with the cell at the path keys replaced by value."""
+    if keys:
+        doc[keys[0]] = put(doc[keys[0]], keys[1:], value)
+        return doc
+    return value
+
+
+# case: (fixture, path to the cell, what replaces it, command, error); BAD
+# stands for the corrupted file and S3 for the S3 monoid file
+MALFORMED = {
+    "elements": ("s3.json", ["elements", 1], ["x"], "hopf --monoid BAD",
+                 'monoid file elements: ["x"] is not a symbol'),
+    "table-cell": ("s3.json", ["table", "e", "(12)"], ["x"], "hopf --monoid BAD",
+                   "monoid file table row 'e' column '(12)': [\"x\"] is not a symbol"),
+    "action-image": ("s3_natural.json", ["act", "e", "1"], ["1"],
+                     "validate --monoid S3 --action BAD",
+                     "BAD act row 'e' column '1': [\"1\"] is not a symbol"),
+    "action-carrier": ("s3_natural.json", ["set", 0], {"x": 1},
+                       "end --monoid S3 --site custom --action BAD",
+                       'BAD set: {"x": 1} is not a symbol'),
+    "subset-member": ("a3_invariants.json", ["subsets", "F(1)"], [["(e,*)"]],
+                      "stab --monoid S3 --sub BAD",
+                      "subfunctor file subset 'F(1)': [\"(e,*)\"] is not a symbol"),
+    "subset-mixed": ("a3_invariants.json", ["subsets", "F(1)"], ["(e,*)", 5],
+                     "stab --monoid S3 --sub BAD", "element 5 is not in site object 'F(1)'"),
+    "hom-image": ("a3_in_s3.json", ["map", "e"], ["e"], "inv --monoid S3 --hom BAD",
+                  "hom file map 'e': [\"e\"] is not a symbol"),
+    "top-level": ("s3.json", [], 5, "hopf --monoid BAD", "monoid file is missing 'elements'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_cell_gets_a_json_error(case, tmp_path, capsys):
+    name, keys, value, command, error = MALFORMED[case]
+    with open(fx(name)) as fd:
+        bad = write_json(tmp_path / name, put(json.load(fd), keys, value))
+    argv = [bad if w == "BAD" else fx("s3.json") if w == "S3" else w for w in command.split()]
+    code, out = run_json(capsys, argv)
+    assert code == 1
+    assert out == {"schema": "galmon/1", "error": error.replace("BAD", bad)}
+
+
 def test_missing_required_flag(capsys):
     code, out = run_json(capsys, ["subgroups"])
     assert code == 1
@@ -267,6 +310,17 @@ def test_stab_sizing_guard(capsys):
                                   "--sub", fx("a3_invariants.json"), "--max-families", "10"])
     assert code == 2
     assert out["error"] == "ends: 11 candidate assignments exceed the limit of 10"
+
+
+@pytest.mark.parametrize("command", ["end", "stab"])
+def test_negative_max_families_is_bad_input(command, capsys):
+    argv = [command, "--monoid", fx("s3.json"), "--sub", fx("a3_invariants.json")]
+    code, out = run_json(capsys, argv + ["--max-families", "-1"])
+    assert code == 1
+    assert out["error"] == "--max-families must be 0 or more, not -1"
+    code, out = run_json(capsys, argv + ["--max-families", "0"])
+    assert code == 2
+    assert out["error"] == "ends: 1 candidate assignments exceed the limit of 0"
 
 
 @pytest.mark.parametrize("m", [samples.cyclic(8), samples.mult_mod(8)],

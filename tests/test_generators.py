@@ -6,12 +6,14 @@ import itertools
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import NONASSOC, S4, SAMPLES, transformation_monoid, transformation_monoids
-from galmon.finset import FinSet, singleton
-from galmon.monoid import (Monoid, generators, validate_monoid, submonoid_tuples,
-                           is_subgroup, is_hopf)
+from conftest import (NONASSOC, S4, SAMPLES, entries, transformation_monoid,
+                      transformation_monoids)
+from galmon.finset import FinSet, FunctionSet, product, singleton
+from galmon.monoid import (Monoid, MonoidHom, generators, validate_monoid, submonoid_tuples,
+                           enumerate_submonoids, is_subgroup, is_hopf)
 from galmon.actions import (MAction, Site, validate_action, trivial_action, free_action,
-                            coset_action, canonical_site, default_site, _equivariant_tuples)
+                            restrict_action, coinduct, coset_action, canonical_site,
+                            default_site, equivariant_maps, _equivariant_tuples)
 
 
 def monoid_laws_oracle(m):
@@ -62,6 +64,66 @@ def coset_action_oracle(m, sub_elements):
                                 for a in m.elements for c in carrier})
 
 
+def trivial_action_oracle(m, X):
+    return MAction(m, X, {(a, x): x for a in m.elements for x in X})
+
+
+def free_action_oracle(m, X):
+    """The free action built pair by pair, by element names."""
+    P = product(m.carrier, X)
+    label = {(b, x): p for p, (b, x) in P._pairs.items()}
+    return MAction(m, P, {(a, p): label[(m.mul(a, b), x)]
+                          for a in m.elements for p, (b, x) in P._pairs.items()})
+
+
+def restrict_action_oracle(h, M):
+    return MAction(h.src, M.carrier, {(b, x): M.apply(h(b), x)
+                                      for b in h.src.elements for x in M.carrier})
+
+
+def coinduct_oracle(h, N):
+    """The coinduced action built map by map, by element names: the maps
+    A -> N equivariant for h, and a sending f to a2 -> f(a2 a)."""
+    A = h.dst
+    twisted = MAction(h.src, A.carrier, {(b, a): A.mul(h(b), a)
+                                         for b in h.src.elements for a in A.carrier})
+    K = FunctionSet(A.carrier, N.carrier, [tuple(f(a) for a in A.carrier)
+                                           for f in equivariant_maps(twisted, N)])
+    act = {}
+    for a in A.elements:
+        for e in K:
+            f = dict(zip(A.carrier, K.map_images(e)))
+            act[(a, e)] = K.map_element(tuple(f[A.mul(a2, a)] for a2 in A.carrier))
+    return MAction(A, K, act)
+
+
+def relabelled(h):
+    """h precomposed with a renaming of its source's elements, so that an
+    element's name no longer says where h sends it."""
+    name = {b: "<%s>" % b for b in h.src.elements}
+    src = Monoid(FinSet(name.values()), name[h.src.unit],
+                 {(name[a], name[b]): name[c] for (a, b), c in h.src.table.items()})
+    return MonoidHom(src, h.dst, {name[b]: h(b) for b in h.src.elements})
+
+
+def constant_hom(m):
+    """m -> m sending every element to the unit."""
+    return MonoidHom(m, m, dict.fromkeys(m.elements, m.unit))
+
+
+def coinduced_size_bound(h, N):
+    """|N| to the number of points that, under left multiplication by the
+    image of h, reach all of h's target: at least |coinduct(h, N)|, since
+    an equivariant map is fixed by its values there."""
+    A = h.dst
+    left, g = set(A.elements), 0
+    while left:
+        x = min(left)
+        left -= {A.mul(h(b), x) for b in h.src.elements}
+        g += 1
+    return len(N.carrier) ** g
+
+
 def right_closure(m, gens):
     """The unit and everything reached from it by right multiplication by gens."""
     reached = {m.unit}
@@ -85,7 +147,7 @@ def retabled(m, key, value):
 
 def reacted(M, key, value):
     """A fresh copy of M with one entry replaced."""
-    act = dict(M.act)
+    act = entries(M)
     act[key] = value
     return MAction(M.monoid, M.carrier, act)
 
@@ -140,11 +202,11 @@ def test_validate_monoid_equals_the_scan(m):
 def test_validate_action_equals_the_scan(m):
     for M in actions_of(m):
         assert validate_action(M) == action_laws_oracle(M) == []
-        if len(M.act) > 64:
+        if len(M.monoid) * len(M.carrier) > 64:
             continue
         elements = M.carrier.elements
-        for key in M.act if len(elements) > 1 else ():
-            bad = reacted(M, key, bumped(elements, M.act[key]))
+        for key, value in entries(M).items() if len(elements) > 1 else ():
+            bad = reacted(M, key, bumped(elements, value))
             assert validate_action(bad) == action_laws_oracle(bad)
 
 
@@ -223,20 +285,20 @@ def test_fast_paths_match_the_scans_on_transformation_monoids(drawn, data):
     assert validate_action(act) == action_laws_oracle(act) == []
     assert_site_homs_match_all_element_forcing(
         canonical_site(m, "free+trivial+custom", custom=[("X", act)]))
-    key = data.draw(st.sampled_from(sorted(act.act)))
+    key = data.draw(st.sampled_from(sorted(entries(act))))
     bad = reacted(act, key, data.draw(st.sampled_from(act.carrier.elements)))
     assert validate_action(bad) == action_laws_oracle(bad)
     key = data.draw(st.sampled_from(sorted(m.table)))
     bad = retabled(m, key, data.draw(st.sampled_from(m.elements)))
     assert validate_monoid(bad) == monoid_laws_oracle(bad)
-    for M in (MAction(bad, act.carrier, dict(act.act)), trivial_action(bad, FinSet(("p", "q")))):
+    for M in (MAction(bad, act.carrier, entries(act)), trivial_action(bad, FinSet(("p", "q")))):
         assert validate_action(M) == action_laws_oracle(M)
 
 
 def equivariant_filter(M, N):
     """Image-index tuples of all maps M -> N that commute with every
     element, in lexicographic order, by testing every map."""
-    aM, aN = M.index_table(), N.index_table()
+    aM, aN = M.table, N.table
     return [t for t in itertools.product(range(len(N.carrier)), repeat=len(M.carrier))
             if all(t[aM[a][p]] == aN[a][t[p]] for a in aM for p in range(len(t)))]
 
@@ -256,3 +318,42 @@ def test_free_object_search_starts_from_the_largest_orbit():
     assert len(m) == 20
     homs = list(_equivariant_tuples(F, F, generators(m)))
     assert len(homs) == 20 and homs == sorted(homs)
+
+
+def assert_builders_match_their_oracles(pairs):
+    for built, oracle in pairs:
+        assert built == oracle and hash(built) == hash(oracle)
+        assert list(built.table) == list(oracle.table) == list(oracle.monoid.elements)
+
+
+def builders_and_oracles(m, M, homs, coinduce_within=256):
+    """Each package builder next to its oracle: trivial and free actions of
+    m, restrictions of M along homs, and coinduction along each hom h of
+    the restriction of M and of h's free action on one point, wherever the
+    coinduced carrier stays small."""
+    X = FinSet(("x", "y"))
+    pairs = [(trivial_action(m, X), trivial_action_oracle(m, X)),
+             (free_action(m, X), free_action_oracle(m, X))]
+    for h in homs:
+        pairs.append((restrict_action(h, M), restrict_action_oracle(h, M)))
+        for N in (restrict_action_oracle(h, M), free_action_oracle(h.src, singleton())):
+            if coinduced_size_bound(h, N) <= coinduce_within:
+                pairs.append((coinduct(h, N), coinduct_oracle(h, N)))
+    return pairs
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_builders_equal_their_oracles(m):
+    F = free_action_oracle(m, singleton())
+    homs = [MonoidHom.identity(m), constant_hom(m)]
+    homs += [relabelled(incl) for _, incl in enumerate_submonoids(m)]
+    assert_builders_match_their_oracles(builders_and_oracles(m, F, homs, 2000))
+
+
+@given(transformation_monoids())
+def test_builders_equal_their_oracles_on_transformation_monoids(drawn):
+    m, act, _ = drawn
+    assume(len(m) <= 24)
+    homs = [MonoidHom.identity(m), constant_hom(m)]
+    homs += [relabelled(incl) for _, incl in enumerate_submonoids(m)]
+    assert_builders_match_their_oracles(builders_and_oracles(m, act, homs))

@@ -55,6 +55,16 @@ REPORTS = [
      0, "c0c0a167788d2fea280872261a02e70fe433ee82cf67d8377f769d031680dada"),
     ("subgroups",
      1, "3960de241e41e8d56b2351414b39a4ef3dda0a2dfbb9a7423b786fbcbdfdeff1"),
+    # sites built from --action files: the checked action constructor, and
+    # the wedge search when the site has no free object
+    ("end --monoid s3.json --site custom --action s3_natural.json",
+     0, "0395df36aa6d3f6639a547bf23bbe064cd93afade00a41564500c62675e10b85"),
+    ("end --monoid s3.json --site free+custom --action s3_natural.json",
+     0, "e2f2fb8598165f08efc1d1b865623d76ed4f20bf9289c62cfa7a31416696b551"),
+    ("corr --monoid s3.json --site cosets+custom --action s3_natural.json",
+     0, "27376f643a2127e709b2fb4142fb0563b596843e3cde5c129f6007be99b3536b"),
+    ("laws --monoid s3.json --site custom --action s3_natural.json --seed 2",
+     0, "a28ea2e7d89fec24177f2f24a167e7adbc20b88746bca884caf924f510d930ba"),
 ]
 
 
