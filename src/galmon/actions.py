@@ -1,18 +1,20 @@
 """Left actions of a finite monoid on finite sets.
 
 An action is one table of rows: for each monoid element a, the carrier
-indices of a.x in carrier order.  Sites are finite lists of named actions;
-their morphisms (all equivariant maps between listed objects) are derived
-on demand and cached, never stored by hand.  Hom sets between trivial
-actions contain every map, so those pairs are iterated lazily.
+indices of a.x in carrier order, the format of a monoid's own table, so
+the law check on rows in galmon.monoid serves actions too.  Sites are
+finite lists of named actions; their morphisms (all equivariant maps
+between listed objects) are derived on demand and cached, never stored
+by hand.  Hom sets between trivial actions contain every map, so those
+pairs are iterated lazily.
 """
 
 import itertools
 
 from .finset import (FinSet, FinMap, FunctionSet, SizingError, MAX_ENUMERATION,
                      hom_set, product, singleton)
-from .monoid import (trivial_monoid, generators, laws_hold, submonoid_tuples, is_subgroup,
-                     hopf_witness, is_hopf)
+from .monoid import (trivial_monoid, generators, laws_hold, acts_along, associativity_failures,
+                     submonoid_tuples, is_subgroup, hopf_witness, is_hopf)
 
 
 class ActionError(Exception):
@@ -85,21 +87,6 @@ class MAction:
         return self._order
 
 
-def _acts_along(M, gens):
-    """e.x = x, and (ag).x = a.(g.x) for every element a and g in gens."""
-    m = M.monoid
-    idx = M.table
-    if idx[m.unit] != tuple(range(len(M.carrier))):
-        return False
-    for g in gens:
-        tg = idx[g]
-        for a in m.elements:
-            ta = idx[a]
-            if idx[m.mul(a, g)] != tuple(map(ta.__getitem__, tg)):
-                return False
-    return True
-
-
 def validate_action(M):
     """Return a list of axiom violations; empty means M is an action.
 
@@ -109,20 +96,12 @@ def validate_action(M):
     violations in their order.
     """
     m = M.monoid
-    if laws_hold(m) and _acts_along(M, generators(m)):
+    if laws_hold(m) and acts_along(m, M.table, generators(m)):
         return []
-    out = []
-    for x in M.carrier:
-        y = M.apply(m.unit, x)
-        if y != x:
-            out.append("unit fails: %s.%s = %s" % (m.unit, x, y))
-    for a, b in itertools.product(m.elements, repeat=2):
-        ab = m.mul(a, b)
-        for x in M.carrier:
-            if M.apply(ab, x) != M.apply(a, M.apply(b, x)):
-                out.append("associativity fails at (%s, %s, %s): %s vs %s"
-                           % (a, b, x, M.apply(ab, x), M.apply(a, M.apply(b, x))))
-    return out
+    points = M.carrier.elements
+    return (["unit fails: %s.%s = %s" % (m.unit, points[p], points[q])
+             for p, q in enumerate(M.table[m.unit]) if q != p]
+            + associativity_failures(m, M.table, points))
 
 
 class EquivariantMap:
@@ -326,16 +305,14 @@ def coinduct(h, N):
     """The right adjoint of restriction along h: maps from the target
     monoid (acting on itself through h) into N, translated on the right."""
     A = h.dst
-    aidx = A.carrier.index
-    twisted = MAction._trusted(h.src, A.carrier, {
-        b: tuple(aidx(A.mul(h(b), a)) for a in A.carrier) for b in h.src.elements})
+    twisted = MAction._trusted(h.src, A.carrier, {b: A.table[h(b)] for b in h.src.elements})
     K = FunctionSet(A.carrier, N.carrier, [f.map.image_tuple()
                                            for f in equivariant_maps(twisted, N)])
     images = [K.map_images(e) for e in K]
     at = {t: q for q, t in enumerate(images)}
     table = {}
-    for a in A.elements:
-        shift = [aidx(A.mul(a2, a)) for a2 in A.carrier]
+    for col, a in enumerate(A.elements):
+        shift = [A.table[a2][col] for a2 in A.elements]
         table[a] = tuple(at[tuple(map(t.__getitem__, shift))] for t in images)
     return MAction._trusted(A, K, table)
 
@@ -488,10 +465,9 @@ def coset_action(m, sub_elements):
             for b in coset:
                 label_of[b] = label
     carrier = FinSet(sorted(rep), check=False)
-    at = {b: carrier.index(label) for b, label in label_of.items()}
-    reps = [rep[c] for c in carrier]
-    table = m.table
-    return MAction._trusted(m, carrier, {a: tuple(at[table[(a, r)]] for r in reps)
+    at = [carrier.index(label_of[b]) for b in m.elements]
+    cols = [m.carrier.index(rep[c]) for c in carrier]
+    return MAction._trusted(m, carrier, {a: tuple(at[m.table[a][r]] for r in cols)
                                          for a in m.elements})
 
 

@@ -116,15 +116,15 @@ class EndObject:
             unit_fam = tuple(tuple(range(len(ob))) for ob in self.V.obs)
             if unit_fam not in self.elem_of:
                 raise EndError("identity family fails the wedge condition")
+            fams = list(map(self.family_of.__getitem__, self.carrier))
+            at = {fam: k for k, fam in enumerate(fams)}
             table = {}
-            for fam_f, ef in self.elem_of.items():
-                for fam_g, eg in self.elem_of.items():
-                    comp = tuple(tuple(ti[q] for q in tj)
-                                 for ti, tj in zip(fam_f, fam_g))
-                    if comp not in self.elem_of:
-                        raise EndError("families are not closed under composition")
-                    table[(ef, eg)] = self.elem_of[comp]
-            self._monoid = Monoid(self.carrier, self.elem_of[unit_fam], table)
+            for e, f in zip(self.carrier, fams):
+                comps = [tuple(tuple(ti[q] for q in tj) for ti, tj in zip(f, g)) for g in fams]
+                if not all(map(at.__contains__, comps)):
+                    raise EndError("families are not closed under composition")
+                table[e] = tuple(map(at.__getitem__, comps))
+            self._monoid = Monoid._trusted(self.carrier, self.elem_of[unit_fam], table)
         return self._monoid
 
 
@@ -181,10 +181,11 @@ def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     fam = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
     order = sorted(m.elements, key=fam.__getitem__)
     end = EndObject(site, U, U, [fam[a] for a in order])
-    label = {a: end.elem_of[fam[a]] for a in order}
-    end._monoid = Monoid._trusted(end.carrier, label[m.unit],
-                                  {(label[c], label[d]): label[m.mul(c, d)]
-                                   for c in order for d in order})
+    # the end monoid is m with each element renamed to its family's label
+    pos = [end.carrier.index(end.elem_of[fam[a]]) for a in m.elements]
+    cols = sorted(range(n), key=pos.__getitem__)  # m's index of each end element
+    end._monoid = Monoid._trusted(end.carrier, end.elem_of[fam[m.unit]], {
+        e: tuple(pos[m.table[m.elements[c]][j]] for j in cols) for e, c in zip(end.carrier, cols)})
     return end
 
 

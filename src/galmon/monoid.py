@@ -1,5 +1,9 @@
 """Finite monoids presented by multiplication tables.
 
+A monoid's table is its action on itself, in the row format of actions,
+so one along-generators check (Light's test) and one associativity scan
+over rows serve both the monoid law and the action law.
+
 Also the structure the product monad carries: homomorphisms, generating
 sets (on which the laws are checked), submonoids (each found once by
 prefix-preserving closure extension, and refused past MAX_MATERIALIZED of
@@ -28,10 +32,12 @@ class NotHopfError(MonoidError):
 class Monoid:
     """A finite monoid: carrier, unit, and total multiplication table.
 
-    Construction checks the table is total with images in the carrier;
-    the algebraic laws are the business of validate_monoid.  The instance
-    keeps its hash, generating set, laws' verdict, units, submonoids and
-    whether it is a group once computed.
+    table[a] is the row of element indices of ab, b in element order: the
+    table of the monoid acting on itself.  The constructor checks a total
+    dict (a, b) -> ab of element names and converts it; package builders
+    write rows through `_trusted`.  The laws are validate_monoid's.  The
+    instance keeps its hash, generating set, laws' verdict, units,
+    submonoids and whether it is a group once computed.
     """
 
     def __init__(self, carrier, unit, table):
@@ -39,26 +45,28 @@ class Monoid:
             carrier = FinSet(carrier)
         if unit not in carrier:
             raise MonoidError("unit %r is not in the carrier" % unit)
-        tbl = {}
+        rows = {}
         for a in carrier:
+            row = []
             for b in carrier:
                 if (a, b) not in table:
                     raise MonoidError("table missing entry for (%s, %s)" % (a, b))
                 c = table[(a, b)]
                 if c not in carrier:
                     raise MonoidError("product %s*%s = %r lies outside the carrier" % (a, b, c))
-                tbl[(a, b)] = c
-        if len(table) != len(tbl):
-            extra = sorted(set(table) - set(tbl))
+                row.append(carrier.index(c))
+            rows[a] = tuple(row)
+        if len(table) != len(carrier) ** 2:
+            extra = sorted(set(table) - set(itertools.product(carrier, repeat=2)))
             raise MonoidError("table mentions %r outside the carrier" % (extra[0],))
         self.carrier = carrier
         self.unit = unit
-        self.table = tbl
+        self.table = rows
         self._hash = self._gens = self._lawful = self._units = self._subs = self._hopf = None
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
-        """A monoid on a table the caller has already checked total."""
+        """A monoid on rows the caller has already built total, in element order."""
         m = cls.__new__(cls)
         m.carrier, m.unit, m.table = carrier, unit, table
         m._hash = m._gens = m._lawful = m._units = m._subs = m._hopf = None
@@ -69,7 +77,7 @@ class Monoid:
         return self.carrier.elements
 
     def mul(self, a, b):
-        return self.table[(a, b)]
+        return self.carrier.elements[self.table[a][self.carrier.index(b)]]
 
     def __len__(self):
         return len(self.carrier)
@@ -80,8 +88,8 @@ class Monoid:
 
     def __hash__(self):
         if self._hash is None:
-            key = tuple(self.table[(a, b)] for a in self.elements for b in self.elements)
-            self._hash = hash((self.carrier.elements, self.unit, key))
+            self._hash = hash((self.carrier.elements, self.unit,
+                               tuple(map(self.table.__getitem__, self.elements))))
         return self._hash
 
     def __repr__(self):
@@ -89,17 +97,11 @@ class Monoid:
 
     def inverse(self, a):
         """The two-sided inverse of a, or None."""
-        for b in self.elements:
-            if self.mul(a, b) == self.unit and self.mul(b, a) == self.unit:
+        u, i, row = self.carrier.index(self.unit), self.carrier.index(a), self.table[a]
+        for b, ab in zip(self.elements, row):
+            if ab == u and self.table[b][i] == u:
                 return b
         return None
-
-
-def _index_table(m):
-    """The multiplication table on element indices, and the index map."""
-    elems = m.elements
-    index = {a: i for i, a in enumerate(elems)}
-    return [[index[m.table[(a, b)]] for b in elems] for a in elems], index
 
 
 def generators(m):
@@ -111,8 +113,9 @@ def generators(m):
     such a product.
     """
     if m._gens is None:
-        mul, index = _index_table(m)
-        mask, members, gens = 1 << index[m.unit], [index[m.unit]], ()
+        mul = list(map(m.table.__getitem__, m.elements))
+        unit = m.carrier.index(m.unit)
+        mask, members, gens = 1 << unit, [unit], ()
         for a in range(len(mul)):
             if not mask >> a & 1:
                 gens += (a,)
@@ -122,25 +125,45 @@ def generators(m):
     return m._gens
 
 
-def _associates_along(m, gens):
-    """(xg)y = x(gy) for all x, y and every g in gens."""
-    mul, index = _index_table(m)
-    for g in (index[a] for a in gens):
-        row_g = mul[g]
-        for row in mul:
-            if mul[row[g]] != [row[gy] for gy in row_g]:
+def acts_along(m, table, gens):
+    """True iff the rows `table` (one per element of m, over any points)
+    obey the action law along gens: the unit's row is the identity, and
+    row(ag) = row(a)∘row(g) for every element a and every g in gens.  On
+    m's own table this is Light's test."""
+    rows = list(map(table.__getitem__, m.elements))
+    if table[m.unit] != tuple(range(len(rows[0]))):
+        return False
+    for g in gens:
+        col, row_g = m.carrier.index(g), table[g]
+        for row_a, products in zip(rows, map(m.table.__getitem__, m.elements)):
+            if rows[products[col]] != tuple(map(row_a.__getitem__, row_g)):
                 return False
     return True
+
+
+def associativity_failures(m, table, points):
+    """Every (a, b, x) with (ab).x != a.(b.x) for the rows table over the
+    named points, in that order, as violation lines."""
+    rows = list(map(table.__getitem__, m.elements))
+    out = []
+    for a, row_a, products in zip(m.elements, rows, map(m.table.__getitem__, m.elements)):
+        for b, row_b, ab in zip(m.elements, rows, products):
+            for x, left, right in zip(points, rows[ab], map(row_a.__getitem__, row_b)):
+                if left != right:
+                    out.append("associativity fails at (%s, %s, %s): %s vs %s"
+                               % (a, b, x, points[left], points[right]))
+    return out
 
 
 def validate_monoid(m):
     """Return a list of law violations; empty means m is a monoid.
 
-    Once the unit laws hold, Light's test decides associativity: the
-    elements k with (xk)y = x(ky) for all x, y contain the unit and are
-    closed under products, so it is enough that the generators are among
-    them.  Only when that fails are all triples scanned, which lists the
-    violations in their order.  The verdict is kept on m.
+    Associativity is the action law of m on itself.  Once the unit laws
+    hold, Light's test decides it: the elements g with row(xg) =
+    row(x)∘row(g) for all x contain the unit and are closed under products,
+    so it is enough that the generators are among them.  Only when that
+    fails are all triples scanned, which lists the violations in their
+    order.  The verdict is kept on m.
     """
     out = []
     for a in m.elements:
@@ -148,13 +171,8 @@ def validate_monoid(m):
             out.append("unit law fails: %s*%s = %s" % (m.unit, a, m.mul(m.unit, a)))
         if m.mul(a, m.unit) != a:
             out.append("unit law fails: %s*%s = %s" % (a, m.unit, m.mul(a, m.unit)))
-    if out or not _associates_along(m, generators(m)):
-        for a, b, c in itertools.product(m.elements, repeat=3):
-            left = m.mul(m.mul(a, b), c)
-            right = m.mul(a, m.mul(b, c))
-            if left != right:
-                out.append("associativity fails at (%s, %s, %s): %s vs %s"
-                           % (a, b, c, left, right))
+    if out or not acts_along(m, m.table, generators(m)):
+        out += associativity_failures(m, m.table, m.elements)
     m._lawful = not out
     return out
 
@@ -238,16 +256,21 @@ def kernel_pairs(h):
 def submonoid(m, subset):
     """The submonoid on the given closed subset, with its inclusion hom."""
     elems = tuple(sorted(subset))
+    for a in elems:
+        if a not in m.carrier:
+            raise MonoidError("submonoid element %r is not in the monoid" % (a,))
     if m.unit not in elems:
         raise MonoidError("submonoid must contain the unit")
-    inside = set(elems)
+    cols = list(map(m.carrier.index, elems))
+    at = {c: k for k, c in enumerate(cols)}
     table = {}
     for a in elems:
-        for b in elems:
-            c = m.mul(a, b)
-            if c not in inside:
-                raise MonoidError("subset not closed: %s*%s = %s escapes" % (a, b, c))
-            table[(a, b)] = c
+        row = tuple(map(m.table[a].__getitem__, cols))
+        for b, c in zip(elems, row):
+            if c not in at:
+                raise MonoidError("subset not closed: %s*%s = %s escapes"
+                                  % (a, b, m.elements[c]))
+        table[a] = tuple(map(at.__getitem__, row))
     # The two checks above prove the table total and the inclusion
     # multiplicative, so neither constructor checks them again.
     S = Monoid._trusted(FinSet(elems, check=False), m.unit, table)
@@ -300,7 +323,7 @@ def submonoid_tuples(m):
         return list(m._subs)
     elems = m.elements[::-1]
     n = len(elems)
-    mul = [[n - 1 - c for c in reversed(row)] for row in reversed(_index_table(m)[0])]
+    mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
     unit = elems.index(m.unit)
     found, products = [], 0
     stack = [(1 << unit, [unit], (), -1)]
@@ -372,8 +395,7 @@ def is_hopf(m):
     """True iff fusion is a bijection, i.e. iff m is a group: iff every row
     b -> ab of the table is one.  The verdict is kept on m."""
     if m._hopf is None:
-        n = len(m)
-        m._hopf = all(len({m.table[(a, b)] for b in m.elements}) == n for a in m.elements)
+        m._hopf = all(len(set(row)) == len(row) for row in m.table.values())
     return m._hopf
 
 

@@ -1,5 +1,6 @@
-"""Shared test settings, a monoid-file writer, an action's table by
-element names, the monoid of given self-maps, the sample monoids, the
+"""Shared test settings, a monoid-file writer, a monoid's and an action's
+tables by element names, the check of a package-built monoid against the
+checked constructor, the monoid of given self-maps, the sample monoids, the
 brute-force submonoid, subgroup and subfunctor oracles and the hypothesis
 strategy of transformation monoids."""
 
@@ -24,6 +25,21 @@ def write_monoid(path, m):
         json.dump({"elements": list(m.elements), "unit": m.unit,
                    "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}},
                   fd)
+
+
+def products(m):
+    """The monoid m as a dict (a, b) -> ab of element names, the input the
+    checked Monoid constructor reads."""
+    return {(a, b): m.mul(a, b) for a in m.elements for b in m.elements}
+
+
+def assert_checked(m, table=None):
+    """m, on rows a package builder wrote, equals and hashes as the checked
+    constructor's monoid on `table` (default: m's own products), with its
+    rows in element order."""
+    checked = Monoid(m.carrier, m.unit, products(m) if table is None else table)
+    assert m == checked and hash(m) == hash(checked)
+    assert list(m.table) == list(checked.table) == list(m.elements)
 
 
 def entries(M):

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from conftest import maps_monoid, submonoids_oracle, transformation_monoid, write_monoid
+from conftest import (maps_monoid, products, submonoids_oracle, transformation_monoid,
+                      write_monoid)
 from galmon import samples
 from galmon.actions import default_site
 from galmon.cli import COMMANDS, _corr_dot, _hasse_edges, build_parser, run
@@ -170,6 +171,92 @@ def test_custom_site_pins_an_object_that_is_not_an_action(tmp_path, capsys):
     assert out == """{
   "error": "site object 'nat' is not an action: associativity fails at ((12), (123), 1): 1 vs 2",
   "schema": "galmon/1"
+}
+"""
+
+
+def test_validate_pins_an_unlawful_action_over_a_lawful_monoid(tmp_path, capsys):
+    # e swaps 1 and 2, and (23) sends 1 to 2: the unit law fails at two
+    # points, and the full scan lists every associativity failure after them
+    nat = json.load(open(fx("s3_natural.json")))
+    nat["act"]["e"] = {"1": "2", "2": "1", "3": "3"}
+    nat["act"]["(23)"]["1"] = "2"
+    code = run(["validate", "--monoid", fx("s3.json"),
+                "--action", write_json(tmp_path / "nat.json", nat)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == """{
+  "actions": {
+    "nat": {
+      "set": [
+        "1",
+        "2",
+        "3"
+      ],
+      "violations": [
+        "unit fails: e.1 = 2",
+        "unit fails: e.2 = 1",
+        "associativity fails at ((12), (12), 1): 2 vs 1",
+        "associativity fails at ((12), (12), 2): 1 vs 2",
+        "associativity fails at ((12), (123), 1): 2 vs 1",
+        "associativity fails at ((12), (23), 1): 2 vs 1",
+        "associativity fails at ((12), e, 1): 2 vs 1",
+        "associativity fails at ((12), e, 2): 1 vs 2",
+        "associativity fails at ((123), (13), 1): 2 vs 1",
+        "associativity fails at ((123), (132), 1): 2 vs 1",
+        "associativity fails at ((123), (132), 2): 1 vs 2",
+        "associativity fails at ((123), (23), 1): 2 vs 3",
+        "associativity fails at ((123), e, 1): 2 vs 3",
+        "associativity fails at ((123), e, 2): 3 vs 2",
+        "associativity fails at ((13), (13), 1): 2 vs 1",
+        "associativity fails at ((13), (13), 2): 1 vs 2",
+        "associativity fails at ((13), (132), 1): 2 vs 1",
+        "associativity fails at ((13), (23), 1): 3 vs 2",
+        "associativity fails at ((13), e, 1): 3 vs 2",
+        "associativity fails at ((13), e, 2): 2 vs 3",
+        "associativity fails at ((132), (12), 1): 2 vs 1",
+        "associativity fails at ((132), (123), 1): 2 vs 1",
+        "associativity fails at ((132), (123), 2): 1 vs 2",
+        "associativity fails at ((132), (23), 1): 3 vs 1",
+        "associativity fails at ((132), e, 1): 3 vs 1",
+        "associativity fails at ((132), e, 2): 1 vs 3",
+        "associativity fails at ((23), (12), 2): 1 vs 2",
+        "associativity fails at ((23), (123), 3): 1 vs 2",
+        "associativity fails at ((23), (13), 3): 1 vs 2",
+        "associativity fails at ((23), (132), 2): 1 vs 2",
+        "associativity fails at ((23), (23), 1): 2 vs 3",
+        "associativity fails at ((23), (23), 2): 1 vs 2",
+        "associativity fails at ((23), e, 1): 2 vs 3",
+        "associativity fails at ((23), e, 2): 3 vs 2",
+        "associativity fails at (e, (12), 1): 2 vs 1",
+        "associativity fails at (e, (12), 2): 1 vs 2",
+        "associativity fails at (e, (123), 1): 2 vs 1",
+        "associativity fails at (e, (123), 3): 1 vs 2",
+        "associativity fails at (e, (13), 2): 2 vs 1",
+        "associativity fails at (e, (13), 3): 1 vs 2",
+        "associativity fails at (e, (132), 2): 1 vs 2",
+        "associativity fails at (e, (132), 3): 2 vs 1",
+        "associativity fails at (e, (23), 1): 2 vs 1",
+        "associativity fails at (e, (23), 3): 2 vs 1",
+        "associativity fails at (e, e, 1): 2 vs 1",
+        "associativity fails at (e, e, 2): 1 vs 2"
+      ]
+    }
+  },
+  "command": "validate",
+  "monoid": {
+    "elements": [
+      "(12)",
+      "(123)",
+      "(13)",
+      "(132)",
+      "(23)",
+      "e"
+    ],
+    "unit": "e"
+  },
+  "schema": "galmon/1",
+  "violations": []
 }
 """
 
@@ -400,7 +487,7 @@ def test_subgroups_lists_the_12012_submonoids_of_an_order_39_monoid(tmp_path, ca
     subs = [tuple(s) for s in doc["submonoids"]]
     assert len(subs) == len(set(subs)) == 12012
     assert subs == sorted(subs, key=lambda s: (len(s), s))
-    table = m.table
+    table = products(m)
     for s in subs:
         inside = frozenset(s)
         assert list(s) == sorted(inside) and m.unit in inside

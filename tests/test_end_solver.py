@@ -14,7 +14,7 @@ import itertools
 import pytest
 from hypothesis import given
 
-from conftest import S4, SAMPLES, transformation_monoids
+from conftest import S4, SAMPLES, assert_checked, transformation_monoids
 from galmon.finset import FinSet, SizingError
 from galmon.monoid import enumerate_submonoids, is_hopf, submonoid, trivial_monoid
 from galmon.actions import (MAction, Site, canonical_site, coset_action, default_site,
@@ -207,15 +207,18 @@ def end_and_route(site, *limit):
 
 def assert_end_matches_search(site):
     """The end is read off exactly when the site has a free object, and
-    then agrees with the search in families, carrier, unit and table."""
+    then agrees with the search in families, carrier, unit and table.  Both
+    end monoids equal the checked constructor's."""
     end, searched = end_and_route(site)
     assert searched != has_free_object(site)
+    assert_checked(end.monoid())
     if not searched:
         U = ForgetfulDiagram(site)
         ref = internal_nat(U, U)
         assert end.families == ref.families
         assert end.carrier.elements == ref.carrier.elements
         E, R = end.monoid(), ref.monoid()
+        assert_checked(R)
         assert E.unit == R.unit
         assert E.table == R.table
     return searched

@@ -6,8 +6,9 @@ import itertools
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, SAMPLES, entries, transformation_monoid,
+from conftest import (NONASSOC, S4, SAMPLES, entries, products, transformation_monoid,
                       transformation_monoids)
+from galmon import actions, monoid
 from galmon.finset import FinSet, FunctionSet, product, singleton
 from galmon.monoid import (Monoid, MonoidHom, generators, validate_monoid, submonoid_tuples,
                            enumerate_submonoids, is_subgroup, is_hopf)
@@ -102,7 +103,7 @@ def relabelled(h):
     element's name no longer says where h sends it."""
     name = {b: "<%s>" % b for b in h.src.elements}
     src = Monoid(FinSet(name.values()), name[h.src.unit],
-                 {(name[a], name[b]): name[c] for (a, b), c in h.src.table.items()})
+                 {(name[a], name[b]): name[c] for (a, b), c in products(h.src).items()})
     return MonoidHom(src, h.dst, {name[b]: h(b) for b in h.src.elements})
 
 
@@ -140,7 +141,7 @@ def right_closure(m, gens):
 
 def retabled(m, key, value):
     """A fresh copy of m with one table entry replaced."""
-    table = dict(m.table)
+    table = products(m)
     table[key] = value
     return Monoid(m.carrier, m.unit, table)
 
@@ -193,9 +194,22 @@ def test_validate_monoid_equals_the_scan(m):
     assert validate_monoid(m) == monoid_laws_oracle(m) == []
     if len(m) > 8:
         return
-    for key in m.table:
-        bad = retabled(m, key, bumped(m.elements, m.table[key]))
+    for key, value in products(m).items():
+        bad = retabled(m, key, bumped(m.elements, value))
         assert validate_monoid(bad) == monoid_laws_oracle(bad)
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_lawful_tables_are_decided_on_the_generators(m, monkeypatch):
+    # the along-generators check accepts every lawful monoid and action
+    # alone, with no full scan behind it
+    def scan(*args):
+        raise AssertionError("full associativity scan")
+    monkeypatch.setattr(monoid, "associativity_failures", scan)
+    monkeypatch.setattr(actions, "associativity_failures", scan)
+    assert validate_monoid(m) == []
+    for M in actions_of(m) + [MAction(m, m.carrier, products(m))]:
+        assert validate_action(M) == []
 
 
 @pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
@@ -213,10 +227,10 @@ def test_validate_action_equals_the_scan(m):
 @pytest.mark.parametrize("m", [SAMPLES["S3"], SAMPLES["M4"], SAMPLES["V4"]],
                          ids=["S3", "M4", "V4"])
 def test_actions_over_a_corrupted_table_get_the_full_scan(m):
-    for key in m.table:
-        bad = retabled(m, key, bumped(m.elements, m.table[key]))
+    for key, value in products(m).items():
+        bad = retabled(m, key, bumped(m.elements, value))
         # the regular action of m, now over the corrupted table
-        for M in (MAction(bad, m.carrier, dict(m.table)),
+        for M in (MAction(bad, m.carrier, products(m)),
                   trivial_action(bad, FinSet(("p", "q")))):
             assert validate_action(M) == action_laws_oracle(M)
 
@@ -288,7 +302,7 @@ def test_fast_paths_match_the_scans_on_transformation_monoids(drawn, data):
     key = data.draw(st.sampled_from(sorted(entries(act))))
     bad = reacted(act, key, data.draw(st.sampled_from(act.carrier.elements)))
     assert validate_action(bad) == action_laws_oracle(bad)
-    key = data.draw(st.sampled_from(sorted(m.table)))
+    key = data.draw(st.sampled_from(sorted(products(m))))
     bad = retabled(m, key, data.draw(st.sampled_from(m.elements)))
     assert validate_monoid(bad) == monoid_laws_oracle(bad)
     for M in (MAction(bad, act.carrier, entries(act)), trivial_action(bad, FinSet(("p", "q")))):
@@ -348,6 +362,12 @@ def test_builders_equal_their_oracles(m):
     homs = [MonoidHom.identity(m), constant_hom(m)]
     homs += [relabelled(incl) for _, incl in enumerate_submonoids(m)]
     assert_builders_match_their_oracles(builders_and_oracles(m, F, homs, 2000))
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_a_monoid_table_is_its_regular_action_table(m):
+    regular = MAction(m, m.carrier, products(m))
+    assert regular.table == m.table and list(regular.table) == list(m.table)
 
 
 @given(transformation_monoids())

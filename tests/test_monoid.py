@@ -8,8 +8,9 @@ import tempfile
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, is_subgroup_oracle, maps_monoid, submonoids_oracle,
-                      transformation_monoids, write_monoid)
+from conftest import (NONASSOC, S4, assert_checked, is_subgroup_oracle, maps_monoid,
+                      submonoids_oracle, transformation_monoids, write_monoid)
+from conftest import SAMPLES as SAMPLE_MONOIDS
 from galmon.actions import default_site
 from galmon.cli import run
 from galmon.finset import FinSet, FinMap
@@ -52,12 +53,15 @@ def test_validate_names_violations():
 
 
 def test_monoid_table_shape_errors():
-    with pytest.raises(MonoidError):
-        Monoid(FinSet(("e", "g")), "e", {("e", "e"): "e"})
-    with pytest.raises(MonoidError):
-        Monoid(FinSet(("e",)), "x", {("e", "e"): "e"})
-    with pytest.raises(MonoidError):
-        Monoid(FinSet(("e",)), "e", {("e", "e"): "z"})
+    for table, unit, message in [
+            ({("e", "e"): "e"}, "x", "unit 'x' is not in the carrier"),
+            ({("e", "e"): "e"}, "e", "table missing entry for (e, g)"),
+            ({("e", "e"): "g", ("e", "g"): "z"}, "e", "product e*g = 'z' lies outside the carrier"),
+            (dict.fromkeys(itertools.product("eg", "egz"), "e"), "e",
+             "table mentions ('e', 'z') outside the carrier")]:
+        with pytest.raises(MonoidError) as exc:
+            Monoid(FinSet(("e", "g")), unit, table)
+        assert str(exc.value) == message
 
 
 def test_inverse():
@@ -98,14 +102,20 @@ def test_submonoid_errors():
     assert str(exc.value) == "subset not closed: (12)*(13) = (132) escapes"
 
 
-@pytest.mark.parametrize("m", [S3, samples.mult_mod(8), samples.left_zero_with_unit(3)],
-                         ids=["S3", "M8", "LZ3"])
+def test_submonoid_rejects_an_element_outside_the_monoid():
+    # checked before the unit and closure checks, which would look it up
+    for subset, outside in [(["e", "x"], "x"), (["x", "(12)"], "x"), (["e", "(12)", "g"], "g")]:
+        with pytest.raises(MonoidError) as exc:
+            submonoid(S3, subset)
+        assert str(exc.value) == "submonoid element %r is not in the monoid" % outside
+
+
+@pytest.mark.parametrize("m", list(SAMPLE_MONOIDS.values()) + [S4],
+                         ids=list(SAMPLE_MONOIDS) + ["S4"])
 def test_submonoid_equals_the_checked_construction(m):
     for S, incl in enumerate_submonoids(m):
-        table = {(a, b): m.mul(a, b) for a in S.elements for b in S.elements}
-        checked = Monoid(FinSet(S.elements), m.unit, table)
-        assert S == checked
-        assert incl == MonoidHom(checked, m, {a: a for a in S.elements})
+        assert_checked(S, {(a, b): m.mul(a, b) for a in S.elements for b in S.elements})
+        assert incl == MonoidHom(S, m, {a: a for a in S.elements})
 
 
 SAMPLES = dict(zip(
@@ -152,22 +162,23 @@ def test_submonoids_match_the_oracle_on_transformation_monoids(drawn):
 
 def test_submonoids_are_enumerated_once_per_monoid(monkeypatch):
     # the coset site, the correspondence sweep and the law check all list
-    # the submonoids of m; only the first reads m's table to close them
+    # the submonoids of m; only the first closes any.  The enumeration's
+    # closures pass a floor, while those of `generators` do not.
     m = samples.symmetric3()
     laws_hold(m)  # its generating set and laws are read off the table too
-    reads = []
-    index_table = monoid._index_table
-    monkeypatch.setattr(monoid, "_index_table",
-                        lambda n: reads.append(n is m) or index_table(n))
+    floors = []
+    close = monoid._close
+    monkeypatch.setattr(monoid, "_close",
+                        lambda *args: floors.append(len(args) > 4) or close(*args))
     first = submonoid_tuples(m)
-    assert any(reads) and first == submonoids_oracle(m)
+    assert any(floors) and first == submonoids_oracle(m)
     first.clear()
-    reads.clear()
+    floors.clear()
     site = default_site(m)
     galois_correspondence(m, site)
     connection_law_failures(m, site)
     assert submonoid_tuples(m) == submonoids_oracle(m)
-    assert not any(reads)
+    assert not any(floors)
 
 
 def dihedral(n):
