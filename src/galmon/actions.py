@@ -5,8 +5,11 @@ indices of a.x in carrier order, the format of a monoid's own table, so
 the law check on rows in galmon.monoid serves actions too.  Sites are
 finite lists of named actions; their morphisms (all equivariant maps
 between listed objects) are derived on demand and cached, never stored
-by hand.  Hom sets between trivial actions contain every map, so those
-pairs are iterated lazily.
+by hand.  Out of a cyclic object X = A.x0, which every object the package
+builds is, a map f is fixed by y = f(x0) as f(r.x0) = r.y (Yoneda), so
+its hom sets are read off the target's table; out of other objects they
+are searched by `propagate`, which stays the oracle.  Hom sets between
+trivial actions contain every map, so those pairs are iterated lazily.
 """
 
 import itertools
@@ -45,14 +48,16 @@ class MAction:
             extra = sorted(set(act) - set(itertools.product(monoid.elements, carrier)))
             raise ActionError("action table mentions %r outside the carrier" % (extra[0],))
         self.monoid, self.carrier, self.table = monoid, carrier, table
-        self._trivial = self._order = None
+        self._trivial = self._order = self._cyclic = None
+        self._built = False
 
     @classmethod
     def _trusted(cls, monoid, carrier, table):
         """An action on rows the caller has already built total, in element order."""
         M = cls.__new__(cls)
         M.monoid, M.carrier, M.table = monoid, carrier, table
-        M._trivial = M._order = None
+        M._trivial = M._order = M._cyclic = None
+        M._built = False
         return M
 
     def apply(self, a, x):
@@ -85,6 +90,36 @@ class MAction:
             rank = sorted(range(len(order)), key=order.__getitem__)
             self._order = (order, order) if order == sorted(order) else (order, rank)
         return self._order
+
+    def _yoneda(self):
+        """Read-off data of a cyclic action X = A.x0, x0 its first point
+        whose orbit is X, or None when there is none: the representative
+        r_p of each point, the first element with r_p.x0 = p (the unit for
+        x0), and the distinct Schreier pairs (g r_p, r_{g.p}) of unequal
+        elements, g among the monoid's generators."""
+        if self._cyclic is None:
+            n = len(self.carrier)
+            x0 = next((p for p, column in enumerate(zip(*self.table.values()))
+                       if len(set(column)) == n), None)
+            if x0 is None:
+                self._cyclic = False
+                return None
+            m = self.monoid
+            first = {}
+            for a, row in self.table.items():
+                first.setdefault(row[x0], a)
+            first[x0] = m.unit
+            reps = tuple(map(first.__getitem__, range(n)))
+            at = list(map(m.carrier.index, reps))
+            pairs = {}
+            for g in generators(m):
+                row_g, mul_g = self.table[g], m.table[g]
+                for p, r in enumerate(at):
+                    a, b = m.elements[mul_g[r]], reps[row_g[p]]
+                    if a != b:
+                        pairs[(a, b)] = None
+            self._cyclic = (reps, tuple(pairs))
+        return self._cyclic or None
 
 
 def validate_action(M):
@@ -141,10 +176,17 @@ class EquivariantMap:
         return "EquivariantMap(%r)" % self.map
 
 
+def _built(M):
+    """Mark M as built by trivial_action, free_action or coset_action,
+    which make an action whenever the monoid's laws hold."""
+    M._built = True
+    return M
+
+
 def trivial_action(m, X):
     if not isinstance(X, FinSet):
         X = FinSet(X)
-    return MAction._trusted(m, X, dict.fromkeys(m.elements, tuple(range(len(X)))))
+    return _built(MAction._trusted(m, X, dict.fromkeys(m.elements, tuple(range(len(X))))))
 
 
 def free_action(m, X):
@@ -154,8 +196,8 @@ def free_action(m, X):
     P = product(m.carrier, X)
     pairs = [P._pairs[p] for p in P]
     at = {bx: q for q, bx in enumerate(pairs)}
-    return MAction._trusted(m, P, {a: tuple(at[(m.mul(a, b), x)] for b, x in pairs)
-                                   for a in m.elements})
+    return _built(MAction._trusted(m, P, {a: tuple(at[(m.mul(a, b), x)] for b, x in pairs)
+                                          for a in m.elements}))
 
 
 def restrict_action(h, M):
@@ -370,8 +412,17 @@ class Site:
     """A finite list of named actions of one monoid.
 
     Morphisms between listed objects are all equivariant maps, derived on
-    first use.  Pairs of trivial actions have every map as a morphism, so
+    first use and listed in lexicographic order of their image tuples.  Out
+    of a cyclic object X = A.x0 (G/H, F(1) and E(1) all are), each point p
+    is r_p.x0, so a map f is fixed by y = f(x0) as f(p) = r_p.y, and f is
+    equivariant exactly when (g r_p).y = r_{g.p}.y for each generator g
+    and point p.  Those y are read off the target's table (for G/H, its
+    points fixed by H), and the search over non-cyclic sources finds the
+    same maps.  Pairs of trivial actions have every map as a morphism, so
     those hom sets are iterated lazily instead of being materialized.
+    Objects that trivial_action, free_action and coset_action build are
+    actions once the monoid's laws hold and are not checked again; other
+    objects are.
     """
 
     def __init__(self, monoid, objects):
@@ -382,6 +433,8 @@ class Site:
         for name, act in objects:
             if act.monoid != monoid:
                 raise ActionError("site object %r acts for the wrong monoid" % name)
+            if act._built and laws_hold(monoid):
+                continue
             bad = validate_action(act)
             if bad:
                 raise ActionError("site object %r is not an action: %s" % (name, bad[0]))
@@ -442,9 +495,20 @@ class Site:
 
     def _filtered(self, i, j):
         if (i, j) not in self._homs:
-            # the objects were validated, so the generators force every element
-            self._homs[(i, j)] = tuple(_equivariant_tuples(self.objects[i], self.objects[j],
-                                                           generators(self.monoid)))
+            src, dst = self.objects[i], self.objects[j]
+            cyclic = src._yoneda()
+            if cyclic is None:
+                # the objects are actions, so the generators force every element
+                homs = _equivariant_tuples(src, dst, generators(self.monoid))
+            else:
+                reps, pairs = cyclic
+                rows = dst.table
+                ys = range(len(dst.carrier))
+                for a, b in pairs:
+                    row_a, row_b = rows[a], rows[b]
+                    ys = [y for y in ys if row_a[y] == row_b[y]]
+                homs = sorted(zip(*(map(rows[r].__getitem__, ys) for r in reps)))
+            self._homs[(i, j)] = tuple(homs)
         return self._homs[(i, j)]
 
 
@@ -467,8 +531,14 @@ def coset_action(m, sub_elements):
     carrier = FinSet(sorted(rep), check=False)
     at = [carrier.index(label_of[b]) for b in m.elements]
     cols = [m.carrier.index(rep[c]) for c in carrier]
-    return MAction._trusted(m, carrier, {a: tuple(at[m.table[a][r]] for r in cols)
-                                         for a in m.elements})
+    M = MAction._trusted(m, carrier, {a: tuple(at[m.table[a][r]] for r in cols)
+                                      for a in m.elements})
+    # only a subgroup's cosets are sure to make an action; Site checks the rest
+    sub = set(map(m.carrier.index, subset))
+    if is_hopf(m) and m.carrier.index(m.unit) in sub and all(
+            m.table[a][b] in sub for a in subset for b in sub):
+        _built(M)
+    return M
 
 
 def canonical_site(m, recipe, custom=()):

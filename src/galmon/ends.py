@@ -171,10 +171,8 @@ def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     U = ForgetfulDiagram(site)
     m = site.monoid
     n = len(m)
-    if not any(len(set(column)) == n
-               for act in site.objects if len(act.carrier) == n
-               for column in zip(*act.table.values())):
-        return internal_nat(U, U, max_families)
+    if not any(len(act.carrier) == n and act._yoneda() for act in site.objects):
+        return internal_nat(U, U, max_families)  # a cyclic object of |A| points is free
     if n * sum(len(ob) for ob in U.obs) > max_families:
         raise SizingError("ends: %d candidate assignments exceed the limit of %d"
                           % (max_families + 1, max_families))

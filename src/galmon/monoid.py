@@ -256,9 +256,11 @@ def kernel_pairs(h):
 def submonoid(m, subset):
     """The submonoid on the given closed subset, with its inclusion hom."""
     elems = tuple(sorted(subset))
-    for a in elems:
+    for k, a in enumerate(elems):
         if a not in m.carrier:
             raise MonoidError("submonoid element %r is not in the monoid" % (a,))
+        if k and a == elems[k - 1]:
+            raise MonoidError("submonoid element %r is repeated" % (a,))
     if m.unit not in elems:
         raise MonoidError("submonoid must contain the unit")
     cols = list(map(m.carrier.index, elems))

@@ -110,6 +110,13 @@ def test_submonoid_rejects_an_element_outside_the_monoid():
         assert str(exc.value) == "submonoid element %r is not in the monoid" % outside
 
 
+def test_submonoid_rejects_a_repeated_element():
+    for subset, repeated in [(["e", "e"], "e"), (["(12)", "e", "(12)"], "(12)")]:
+        with pytest.raises(MonoidError) as exc:
+            submonoid(S3, subset)
+        assert str(exc.value) == "submonoid element %r is repeated" % repeated
+
+
 @pytest.mark.parametrize("m", list(SAMPLE_MONOIDS.values()) + [S4],
                          ids=list(SAMPLE_MONOIDS) + ["S4"])
 def test_submonoid_equals_the_checked_construction(m):
