@@ -5,11 +5,13 @@ indices of a.x in carrier order, the format of a monoid's own table, so
 the law check on rows in galmon.monoid serves actions too.  Sites are
 finite lists of named actions; their morphisms (all equivariant maps
 between listed objects) are derived on demand and cached, never stored
-by hand.  Out of a cyclic object X = A.x0, which every object the package
-builds is, a map f is fixed by y = f(x0) as f(r.x0) = r.y (Yoneda), so
-its hom sets are read off the target's table; out of other objects they
-are searched by `propagate`, which stays the oracle.  Hom sets between
-trivial actions contain every map, so those pairs are iterated lazily.
+by hand.  Every action is presented by generating points x_i and
+relations, so an equivariant map is fixed by its values y_i = f(x_i) as
+f(r.x_i) = r.y_i and its hom set is read off the target's table, one
+generating point for the cyclic objects the package builds.  Hom sets
+between trivial actions contain every map, so those pairs are iterated
+lazily.  The forcing search `propagate` finds the wedge families of
+`galmon.ends`.
 """
 
 import itertools
@@ -48,7 +50,7 @@ class MAction:
             extra = sorted(set(act) - set(itertools.product(monoid.elements, carrier)))
             raise ActionError("action table mentions %r outside the carrier" % (extra[0],))
         self.monoid, self.carrier, self.table = monoid, carrier, table
-        self._trivial = self._order = self._cyclic = None
+        self._trivial = self._pres = None
         self._built = False
 
     @classmethod
@@ -56,7 +58,7 @@ class MAction:
         """An action on rows the caller has already built total, in element order."""
         M = cls.__new__(cls)
         M.monoid, M.carrier, M.table = monoid, carrier, table
-        M._trivial = M._order = M._cyclic = None
+        M._trivial = M._pres = None
         M._built = False
         return M
 
@@ -81,45 +83,47 @@ class MAction:
             self._trivial = all(row == ident for row in self.table.values())
         return self._trivial
 
-    def _search_order(self):
-        """Carrier indices by decreasing orbit size, ties in carrier order, and
-        each index's rank in it: the order itself when that is the identity."""
-        if self._order is None:
-            sizes = [len(set(images)) for images in zip(*self.table.values())]
-            order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
-            rank = sorted(range(len(order)), key=order.__getitem__)
-            self._order = (order, order) if order == sorted(order) else (order, rank)
-        return self._order
+    def _presentation(self):
+        """The action as generated by points x_0..x_{k-1} subject to relations.
 
-    def _yoneda(self):
-        """Read-off data of a cyclic action X = A.x0, x0 its first point
-        whose orbit is X, or None when there is none: the representative
-        r_p of each point, the first element with r_p.x0 = p (the unit for
-        x0), and the distinct Schreier pairs (g r_p, r_{g.p}) of unequal
-        elements, g among the monoid's generators."""
-        if self._cyclic is None:
-            n = len(self.carrier)
-            x0 = next((p for p, column in enumerate(zip(*self.table.values()))
-                       if len(set(column)) == n), None)
-            if x0 is None:
-                self._cyclic = False
-                return None
-            m = self.monoid
-            first = {}
-            for a, row in self.table.items():
-                first.setdefault(row[x0], a)
-            first[x0] = m.unit
-            reps = tuple(map(first.__getitem__, range(n)))
+        Points are taken largest orbit first, ties in carrier order, each
+        not yet reached from an earlier one.  Point p belongs to the first
+        x_i reaching it, and r_p is the first element with r_p.x_i = p, the
+        unit at x_i.  A map with f(x_i) = y_i commutes with a generator g at
+        p iff (g r_p).y_i = r_{g.p}.y_j, j <= i the generating point of g.p.
+        Returns the generating points; per x_i the r_p of its points in
+        carrier order; where each point falls when they are listed x_i by
+        x_i (None when x_0 is the only one); and per x_i its distinct
+        relations (a, j, b), a.y_i = b.y_j.
+        """
+        if self._pres is None:
+            m, n, rows = self.monoid, len(self.carrier), self.table.values()
+            # a point whose orbit is everything comes first and is the only one
+            full = next((p for p, col in enumerate(zip(*rows)) if len(set(col)) == n), None)
+            order = [full] if full is not None else sorted(
+                range(n), key=lambda p: len({row[p] for row in rows}), reverse=True)
+            owner, reps, points = [None] * n, [None] * n, []
+            for x in order:
+                if owner[x] is None:
+                    for a, row in self.table.items():
+                        if owner[row[x]] is None:
+                            owner[row[x]], reps[row[x]] = len(points), a
+                    reps[x] = m.unit
+                    points.append(x)
+            blocks = [[p for p in range(n) if owner[p] == i] for i in range(len(points))]
+            listed = [p for block in blocks for p in block]
+            pos = None if len(blocks) == 1 else sorted(range(n), key=listed.__getitem__)
             at = list(map(m.carrier.index, reps))
-            pairs = {}
+            relations = [{} for _ in points]
             for g in generators(m):
                 row_g, mul_g = self.table[g], m.table[g]
-                for p, r in enumerate(at):
-                    a, b = m.elements[mul_g[r]], reps[row_g[p]]
-                    if a != b:
-                        pairs[(a, b)] = None
-            self._cyclic = (reps, tuple(pairs))
-        return self._cyclic or None
+                for p, q in enumerate(row_g):
+                    a, b = m.elements[mul_g[at[p]]], reps[q]
+                    if a != b or owner[p] != owner[q]:
+                        relations[owner[p]][(a, owner[q], b)] = None
+            self._pres = (tuple(points), [tuple(map(reps.__getitem__, b)) for b in blocks], pos,
+                          list(map(tuple, relations)))
+        return self._pres
 
 
 def validate_action(M):
@@ -259,40 +263,50 @@ def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
     yield from rec(0)
 
 
-def _equivariant_tuples(M, N, gens=None):
-    """Image-index tuples of the equivariant maps M -> N.
-
-    Each point is a variable whose value is its image; f(x) = y forces
-    f(a.x) = a.y for every monoid element a, or only for a in gens when
-    given.  For actions that obey the laws, the monoid's generators force
-    the same maps: every element is a generator or a product b'g of ones
-    that are, and a map commuting with b' and g commutes with b'g.
-    Solutions come out in image-tuple lexicographic order, the canonical
-    hom order.  The search fixes the points with the largest orbits first,
-    whose images force most others, and sorts back unless that order is
-    the carrier order.
-    """
-    aM = M.table
-    aN = N.table
-    elems = M.monoid.elements if gens is None else gens
-    order, rank = M._search_order()
-    rules = [[(rank[aM[a][p]], aN[a]) for a in elems] for p in order]
-    found = propagate([len(N.carrier)] * len(order), rules)
-    if rank is order:
-        return found  # searched in carrier order, so already canonical
-    return sorted(tuple(map(t.__getitem__, rank)) for t in found)
+def hom_tuples(M, N):
+    """Image-index tuples of the equivariant maps M -> N, in lexicographic
+    order, the canonical hom order.  M and N must be actions, so that a map
+    commuting with the monoid's generators commutes with every element.  A
+    map is f(p) = r_p.y_i on the points of x_i (see `MAction._presentation`),
+    so each y_i is chosen in turn, depth first, among the points of N that
+    satisfy the relations ending at i.  Every value tried and every image
+    written counts against MAX_ENUMERATION."""
+    points, reps, pos, relations = M._presentation()
+    if not points:
+        return [()]  # an empty action has one map out, the empty one
+    rows, ny, limit = N.table, len(N.carrier), MAX_ENUMERATION
+    made, out, last = 0, [], len(points) - 1
+    stack = [(0, (), ())]  # generating point i, images of the points before it, y_0..y_{i-1}
+    while stack:
+        i, head, chosen = stack.pop()
+        ys = range(ny)
+        for a, j, b in relations[i]:  # for j < i, b.y_j is one value for every y
+            row_a, row_b = rows[a], rows[b] if j == i else (rows[b][chosen[j]],) * ny
+            ys = [y for y in ys if row_a[y] == row_b[y]]
+        made += ny + len(ys) * len(reps[i])
+        if made > limit:
+            raise SizingError("actions: %d candidate assignments exceed the limit of %d"
+                              % (made, limit))
+        images = zip(*(map(rows[r].__getitem__, ys) for r in reps[i]))
+        if i == last:
+            out.extend(map(head.__add__, images) if head else images)
+        else:
+            stack.extend((i + 1, head + t, chosen + (y,)) for y, t in zip(ys, images))
+    return sorted(out) if pos is None else sorted(tuple(map(f.__getitem__, pos)) for f in out)
 
 
 def equivariant_maps(M, N):
-    """All equivariant maps M -> N in canonical table order."""
+    """All equivariant maps M -> N in canonical table order.  Both must be
+    actions (see `validate_action`): the maps are read off M's presentation,
+    which checks equivariance along the monoid's generators only."""
     if M.monoid != N.monoid:
         raise ActionError("equivariant maps need a common monoid")
     xs = M.carrier.elements
     ys = N.carrier.elements
     out = []
-    for t in _equivariant_tuples(M, N):
+    for t in hom_tuples(M, N):
         fmap = FinMap(M.carrier, N.carrier, {x: ys[i] for x, i in zip(xs, t)})
-        # the search already established equivariance
+        # the read-off already established equivariance
         em = EquivariantMap.__new__(EquivariantMap)
         em.src, em.dst, em.map = M, N, fmap
         out.append(em)
@@ -412,17 +426,16 @@ class Site:
     """A finite list of named actions of one monoid.
 
     Morphisms between listed objects are all equivariant maps, derived on
-    first use and listed in lexicographic order of their image tuples.  Out
-    of a cyclic object X = A.x0 (G/H, F(1) and E(1) all are), each point p
-    is r_p.x0, so a map f is fixed by y = f(x0) as f(p) = r_p.y, and f is
-    equivariant exactly when (g r_p).y = r_{g.p}.y for each generator g
-    and point p.  Those y are read off the target's table (for G/H, its
-    points fixed by H), and the search over non-cyclic sources finds the
-    same maps.  Pairs of trivial actions have every map as a morphism, so
-    those hom sets are iterated lazily instead of being materialized.
-    Objects that trivial_action, free_action and coset_action build are
-    actions once the monoid's laws hold and are not checked again; other
-    objects are.
+    first use by `hom_tuples` and listed in lexicographic order of their
+    image tuples.  Out of a cyclic object X = A.x0 (G/H, F(1) and E(1) all
+    are), each point p is r_p.x0, so a map f is fixed by y = f(x0) as
+    f(p) = r_p.y, and f is equivariant exactly when (g r_p).y = r_{g.p}.y
+    for each generator g and point p: for G/H, y is a point fixed by H.
+    Other objects have more generating points, tied by relations.  Pairs
+    of trivial actions have every map as a morphism, so those hom sets are
+    iterated lazily instead of being materialized.  Objects that
+    trivial_action, free_action and coset_action build are actions once the
+    monoid's laws hold and are not checked again; other objects are.
     """
 
     def __init__(self, monoid, objects):
@@ -466,11 +479,8 @@ class Site:
     def iter_hom_tuples(self, i, j):
         """Image-index tuples of all morphisms object i -> object j."""
         if self._pair_is_lazy(i, j):
-            nx = len(self.objects[i].carrier)
-            ny = len(self.objects[j].carrier)
-            if nx == 0:
-                return iter([()])
-            return itertools.product(range(ny), repeat=nx)
+            return itertools.product(range(len(self.objects[j].carrier)),
+                                     repeat=len(self.objects[i].carrier))
         return iter(self._filtered(i, j))
 
     def generating_tuples(self, i, j):
@@ -495,20 +505,7 @@ class Site:
 
     def _filtered(self, i, j):
         if (i, j) not in self._homs:
-            src, dst = self.objects[i], self.objects[j]
-            cyclic = src._yoneda()
-            if cyclic is None:
-                # the objects are actions, so the generators force every element
-                homs = _equivariant_tuples(src, dst, generators(self.monoid))
-            else:
-                reps, pairs = cyclic
-                rows = dst.table
-                ys = range(len(dst.carrier))
-                for a, b in pairs:
-                    row_a, row_b = rows[a], rows[b]
-                    ys = [y for y in ys if row_a[y] == row_b[y]]
-                homs = sorted(zip(*(map(rows[r].__getitem__, ys) for r in reps)))
-            self._homs[(i, j)] = tuple(homs)
+            self._homs[(i, j)] = tuple(hom_tuples(self.objects[i], self.objects[j]))
         return self._homs[(i, j)]
 
 

@@ -262,6 +262,9 @@ def cmd_coinduce(args):
     if len(paths) > 1:
         raise InputError("coinduce takes one --action file, not %d" % len(paths))
     N = parse_action(_load(paths[0]), h.src, where=paths[0])
+    bad = validate_action(N)
+    if bad:
+        raise InputError("%s is not an action: %s" % (paths[0], bad[0]))
     K = coinduct(h, N)
     return 0, {"schema": SCHEMA, "command": "coinduce",
                "monoid": list(m.elements),

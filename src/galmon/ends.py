@@ -171,8 +171,8 @@ def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     U = ForgetfulDiagram(site)
     m = site.monoid
     n = len(m)
-    if not any(len(act.carrier) == n and act._yoneda() for act in site.objects):
-        return internal_nat(U, U, max_families)  # a cyclic object of |A| points is free
+    if not any(len(X.carrier) == n and len(X._presentation()[0]) == 1 for X in site.objects):
+        return internal_nat(U, U, max_families)  # one generating point and |A| points: free
     if n * sum(len(ob) for ob in U.obs) > max_families:
         raise SizingError("ends: %d candidate assignments exceed the limit of %d"
                           % (max_families + 1, max_families))

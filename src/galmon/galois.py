@@ -258,18 +258,16 @@ def connection_laws(m, site, extra_subfunctors=()):
 
 def random_subfunctor(site, rng):
     """A natural subfunctor grown from random seeds by closing under the
-    generating site morphisms."""
-    idxsets = []
-    for act in site.objects:
-        n = len(act.carrier)
-        idxsets.append({p for p in range(n) if n and rng.random() < 0.4})
-    changed = True
-    while changed:
-        changed = False
-        for i, j in itertools.product(range(site.nobj), repeat=2):
+    generating site morphisms, walking out of an object only when it grew."""
+    idxsets = [{p for p in range(len(act.carrier)) if rng.random() < 0.4}
+               for act in site.objects]
+    fresh = {i: set(s) for i, s in enumerate(idxsets) if s}  # points not yet pushed out
+    while fresh:
+        i, new = fresh.popitem()
+        for j in range(site.nobj):
             for f in site.generating_tuples(i, j):
-                for p in list(idxsets[i]):
-                    if f[p] not in idxsets[j]:
-                        idxsets[j].add(f[p])
-                        changed = True
+                grown = {f[p] for p in new} - idxsets[j]
+                if grown:
+                    idxsets[j] |= grown
+                    fresh.setdefault(j, set()).update(grown)
     return Subfunctor._trusted(site, idxsets)

@@ -1,8 +1,9 @@
 """Shared test settings, a monoid-file writer, a monoid's and an action's
 tables by element names, the check of a package-built monoid against the
 checked constructor, the monoid of given self-maps, the sample monoids, the
-brute-force submonoid, subgroup and subfunctor oracles and the hypothesis
-strategy of transformation monoids."""
+brute-force submonoid, subgroup and subfunctor oracles, the propagation
+search and the filter over all maps for equivariant maps, and the
+hypothesis strategy of transformation monoids."""
 
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis import settings, strategies as st
 from galmon import samples
 from galmon.finset import FinSet
 from galmon.monoid import Monoid
-from galmon.actions import MAction
+from galmon.actions import MAction, propagate
 from galmon.galois import Subfunctor, _naturality_violation
 
 settings.register_profile("galmon", deadline=None, max_examples=60)
@@ -107,6 +108,29 @@ def subfunctors_oracle(site):
             found.append(Subfunctor._trusted(site, idxsets))
     found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
     return found
+
+
+def hom_search_oracle(M, N, gens=None):
+    """Image-index tuples of the equivariant maps M -> N, sorted, by the
+    propagation search: each point is a variable whose value is its image,
+    and f(x) = y forces f(a.x) = a.y for every monoid element a, or only
+    for a in gens when given.  Points with the largest orbits are fixed
+    first, which forces most others."""
+    sizes = [len(set(images)) for images in zip(*M.table.values())]
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    elems = M.monoid.elements if gens is None else gens
+    rules = [[(rank[M.table[a][p]], N.table[a]) for a in elems] for p in order]
+    found = propagate([len(N.carrier)] * len(order), rules)
+    return sorted(tuple(map(t.__getitem__, rank)) for t in found)
+
+
+def equivariant_filter(M, N):
+    """Image-index tuples of all maps M -> N that commute with every
+    element, in lexicographic order, by testing every map."""
+    aM, aN = M.table, N.table
+    return [t for t in itertools.product(range(len(N.carrier)), repeat=len(M.carrier))
+            if all(t[aM[a][p]] == aN[a][t[p]] for a in aM for p in range(len(t)))]
 
 
 def is_subgroup_oracle(m, elements):

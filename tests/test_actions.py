@@ -260,9 +260,13 @@ def test_underlying_site():
 def test_lazy_hom_pairs():
     X = FinSet(tuple("x%d" % i for i in range(7)))
     site = Site(trivial_monoid(), [("a", trivial_action(trivial_monoid(), X)),
-                                   ("b", trivial_action(trivial_monoid(), X))])
+                                   ("b", trivial_action(trivial_monoid(), X)),
+                                   ("0", trivial_action(trivial_monoid(), FinSet(())))])
     first = next(site.iter_hom_tuples(0, 1))
     assert first == (0,) * 7
+    # the empty object has one map out, to everything, and none in from X
+    assert [list(site.iter_hom_tuples(2, j)) for j in range(3)] == [[()]] * 3
+    assert list(site.iter_hom_tuples(0, 2)) == []
 
 
 @given(st.sampled_from([Z2, Z3, E2]), st.integers(0, 2))

@@ -630,6 +630,21 @@ def test_coinduce_takes_one_action_file(capsys):
     assert out["error"] == "coinduce takes one --action file, not 2"
 
 
+@pytest.mark.parametrize("act, violation", [
+    # g is constant, so (gg).1 = 1 but g.(g.1) = 0
+    ({"e": {"0": "0", "1": "1"}, "g": {"0": "0", "1": "0"}},
+     "associativity fails at (g, g, 1): 1 vs 0"),
+    ({"e": {"0": "1", "1": "0"}, "g": {"0": "0", "1": "1"}}, "unit fails: e.0 = 1")])
+def test_coinduce_refuses_an_action_file_that_is_no_action(act, violation, tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fd:
+        json.dump({"set": ["0", "1"], "act": act}, fd)
+    code, out = run_json(capsys, ["coinduce", "--monoid", fx("s3.json"),
+                                  "--hom", fx("z2_in_s3.json"), "--action", path])
+    assert code == 1
+    assert out["error"] == "%s is not an action: %s" % (path, violation)
+
+
 def test_fixtures_regenerate_from_the_samples(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("make", fx("make.py"))
     make = importlib.util.module_from_spec(spec)

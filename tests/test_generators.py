@@ -6,15 +6,15 @@ import itertools
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, SAMPLES, entries, products, transformation_monoid,
-                      transformation_monoids)
+from conftest import (NONASSOC, S4, SAMPLES, entries, equivariant_filter, hom_search_oracle,
+                      products, transformation_monoid, transformation_monoids)
 from galmon import actions, monoid
 from galmon.finset import FinSet, FunctionSet, product, singleton
 from galmon.monoid import (Monoid, MonoidHom, generators, validate_monoid, submonoid_tuples,
                            enumerate_submonoids, is_subgroup, is_hopf)
 from galmon.actions import (MAction, Site, validate_action, trivial_action, free_action,
                             restrict_action, coinduct, coset_action, canonical_site,
-                            default_site, equivariant_maps, _equivariant_tuples)
+                            default_site, hom_tuples)
 
 
 def monoid_laws_oracle(m):
@@ -84,12 +84,13 @@ def restrict_action_oracle(h, M):
 
 def coinduct_oracle(h, N):
     """The coinduced action built map by map, by element names: the maps
-    A -> N equivariant for h, and a sending f to a2 -> f(a2 a)."""
+    A -> N equivariant for h, found by the propagation search, and a
+    sending f to a2 -> f(a2 a)."""
     A = h.dst
     twisted = MAction(h.src, A.carrier, {(b, a): A.mul(h(b), a)
                                          for b in h.src.elements for a in A.carrier})
-    K = FunctionSet(A.carrier, N.carrier, [tuple(f(a) for a in A.carrier)
-                                           for f in equivariant_maps(twisted, N)])
+    K = FunctionSet(A.carrier, N.carrier, [tuple(map(N.carrier.elements.__getitem__, t))
+                                           for t in hom_search_oracle(twisted, N)])
     act = {}
     for a in A.elements:
         for e in K:
@@ -178,8 +179,8 @@ def assert_generators_reach_everything(m):
 def assert_site_homs_match_all_element_forcing(site):
     for i, j in itertools.product(range(site.nobj), repeat=2):
         if not site._pair_is_lazy(i, j):
-            assert tuple(site.iter_hom_tuples(i, j)) == tuple(
-                _equivariant_tuples(site.objects[i], site.objects[j]))
+            assert list(site.iter_hom_tuples(i, j)) == hom_search_oracle(
+                site.objects[i], site.objects[j])
 
 
 @pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
@@ -309,29 +310,24 @@ def test_fast_paths_match_the_scans_on_transformation_monoids(drawn, data):
         assert validate_action(M) == action_laws_oracle(M)
 
 
-def equivariant_filter(M, N):
-    """Image-index tuples of all maps M -> N that commute with every
-    element, in lexicographic order, by testing every map."""
-    aM, aN = M.table, N.table
-    return [t for t in itertools.product(range(len(N.carrier)), repeat=len(M.carrier))
-            if all(t[aM[a][p]] == aN[a][t[p]] for a in aM for p in range(len(t)))]
-
-
 @given(transformation_monoids())
 def test_hom_search_in_orbit_order_matches_the_filter(drawn):
     m, act, _ = drawn
     two = trivial_action(m, FinSet(("p", "q")))
     for M, N in [(act, act), (act, two), (two, act)]:
-        assert list(_equivariant_tuples(M, N)) == equivariant_filter(M, N)
+        assert hom_tuples(M, N) == equivariant_filter(M, N) == hom_search_oracle(M, N)
 
 
 def test_free_object_search_starts_from_the_largest_orbit():
-    # the constant maps come first in carrier order; the unit forces every point
+    # the constant maps come first in carrier order; the unit's point reaches
+    # every point, so it is the one generating point and no other is searched
     m, _ = transformation_monoid([(1, 0, 1, 2), (0, 1, 1, 1), (2, 2, 3, 3)])
     F = free_action(m, singleton())
     assert len(m) == 20
-    homs = list(_equivariant_tuples(F, F, generators(m)))
-    assert len(homs) == 20 and homs == sorted(homs)
+    (x0,) = F._presentation()[0]
+    assert x0 != 0 and sorted(row[x0] for row in F.table.values()) == list(range(20))
+    homs = hom_tuples(F, F)
+    assert len(homs) == 20 and homs == sorted(homs) == hom_search_oracle(F, F, generators(m))
 
 
 def assert_builders_match_their_oracles(pairs):

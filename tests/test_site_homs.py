@@ -1,6 +1,6 @@
-"""Site hom sets read off cyclic objects (Yoneda), against the propagation
-search they replace, and the sites built without re-validating or
-searching."""
+"""Site hom sets read off the source's presentation (generating points and
+relations), against the propagation search and the filter over all maps
+in conftest, its sizing guard, and the sites built without re-validating."""
 
 import hashlib
 import itertools
@@ -12,36 +12,43 @@ from unittest import mock
 import pytest
 from hypothesis import given
 
-from conftest import NONASSOC, S4, SAMPLES, maps_monoid, transformation_monoids, write_monoid
+from conftest import (NONASSOC, S4, SAMPLES, equivariant_filter, hom_search_oracle, maps_monoid,
+                      transformation_monoid, transformation_monoids, write_monoid)
 from test_report_digests import FIXTURES, REPORTS
 from galmon import actions
 from galmon.cli import run
-from galmon.finset import FinSet
+from galmon.finset import FinSet, SizingError
 from galmon.galois import invariants
 from galmon.monoid import generators, submonoid
 from galmon.actions import (ActionError, MAction, Site, canonical_site, default_site,
-                            trivial_action, _equivariant_tuples)
+                            equivariant_maps, hom_tuples, trivial_action)
 
 S5 = maps_monoid(list(itertools.permutations(range(5))))
 
 
-def is_cyclic(X):
-    """Some point's orbit is the whole carrier."""
-    n = len(X.carrier)
-    return any(len({row[p] for row in X.table.values()}) == n for p in range(n))
+def orbit_sizes(X):
+    return [len({row[p] for row in X.table.values()}) for p in range(len(X.carrier))]
+
+
+def two_copies(X):
+    """The disjoint union of X with itself, points tagged a and b."""
+    tags = [(x, t) for t in "ab" for x in X.carrier]
+    return MAction(X.monoid, FinSet(x + t for x, t in tags),
+                   {(a, x + t): X.apply(a, x) + t for a in X.monoid.elements for x, t in tags})
 
 
 def assert_pairs_match_the_search(site, pairs):
     gens = generators(site.monoid)
     for i, j in pairs:
-        assert site._filtered(i, j) == tuple(
-            _equivariant_tuples(site.objects[i], site.objects[j], gens)), (i, j)
+        assert list(site._filtered(i, j)) == hom_search_oracle(
+            site.objects[i], site.objects[j], gens), (i, j)
 
 
 @pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
 def test_default_site_homs_are_read_off_and_match_the_search(m):
     site = default_site(m)
-    assert all(X._yoneda() is not None for X in site.objects)
+    for X in site.objects:  # cyclic: one generating point, the first whose orbit is X
+        assert X._presentation()[0] == (orbit_sizes(X).index(len(X.carrier)),)
     assert_pairs_match_the_search(site, itertools.product(range(site.nobj), repeat=2))
 
 
@@ -67,30 +74,70 @@ def test_read_off_of_a_coset_object_is_the_fixed_points():
 
 
 @given(transformation_monoids())
-def test_non_cyclic_objects_take_the_search_and_both_routes_agree(drawn):
+def test_non_cyclic_objects_are_read_off_and_match_the_search(drawn):
     m, act, _ = drawn
     two = trivial_action(m, FinSet(("p", "q")))
-    site = canonical_site(m, "free+trivial+custom", custom=[("X", act), ("P", two)])
-    searched = []
-
-    def spy(M, N, gens=None):
-        searched.append(M)
-        return _equivariant_tuples(M, N, gens)
-
-    with mock.patch.object(actions, "_equivariant_tuples", spy):
-        homs = {(i, j): site._filtered(i, j)
-                for i, j in itertools.product(range(site.nobj), repeat=2)}
-    assert two._yoneda() is None
+    site = canonical_site(m, "free+trivial+custom",
+                          custom=[("X", act), ("P", two), ("XX", two_copies(act))])
     for i, X in enumerate(site.objects):
-        assert (X._yoneda() is not None) == is_cyclic(X)
-        assert sum(M is X for M in searched) == (0 if is_cyclic(X) else site.nobj)
+        points = X._presentation()[0]
+        sizes = [orbit_sizes(X)[p] for p in points]
+        assert sizes == sorted(sizes, reverse=True)
+        assert (len(points) == 1) == (len(X.carrier) in orbit_sizes(X))
         for j, Y in enumerate(site.objects):
-            assert homs[(i, j)] == tuple(_equivariant_tuples(X, Y, generators(m)))
-            assert homs[(i, j)] == tuple(_equivariant_tuples(X, Y))
+            if site._pair_is_lazy(i, j):
+                continue  # every map, up to 8^8 of them, is iterated, never read off
+            homs = list(site._filtered(i, j))
+            assert homs == hom_search_oracle(X, Y) == hom_search_oracle(X, Y, generators(m))
+            assert homs == [tuple(map(Y.carrier.index, f.map.image_tuple()))
+                            for f in equivariant_maps(X, Y)]
+            if len(Y.carrier) ** len(X.carrier) <= 4096:
+                assert homs == equivariant_filter(X, Y)
 
 
-def no_search(*args, **kwargs):
-    raise AssertionError("a default site searched for its hom sets")
+def test_overlapping_orbits_are_tied_by_relations_across_generating_points():
+    # c = (0,0,0) sends 1 and 2 to 0, so a map fixed by y0 = f(1) and y1 = f(2)
+    # needs c.y0 = c.y1: both land in one copy, 2 * 3 * 3 maps, not 6 * 6
+    m, X = transformation_monoid([(0, 0, 0)])
+    Y = two_copies(X)
+    assert X._presentation()[0] == (1, 2)
+    homs = hom_tuples(X, Y)
+    assert len(homs) == 18
+    assert homs == equivariant_filter(X, Y) == hom_search_oracle(X, Y)
+
+
+def test_site_and_equivariant_maps_share_one_route():
+    m, X = transformation_monoid([(0, 0, 0)])
+    site = canonical_site(m, "free+custom", custom=[("X", X), ("XX", two_copies(X))])
+    called = []
+
+    def spy(M, N):
+        called.append((M, N))
+        return hom_tuples(M, N)
+
+    with mock.patch.object(actions, "hom_tuples", spy):
+        site._filtered(1, 2)
+        equivariant_maps(X, site.objects[2])
+    assert called == [(X, site.objects[2])] * 2
+
+
+def test_the_read_off_refuses_past_the_enumeration_limit(monkeypatch):
+    # each generating point tries 3 values and writes 3 images: 6 at the
+    # first, then 12 at the second, past the limit
+    Z2 = SAMPLES["Z2"]
+    E3 = trivial_action(Z2, FinSet(("0", "1", "2")))
+    assert len(equivariant_maps(E3, E3)) == 27
+    monkeypatch.setattr(actions, "MAX_ENUMERATION", 7)
+    with pytest.raises(SizingError) as exc:
+        equivariant_maps(E3, E3)
+    assert str(exc.value) == "actions: 12 candidate assignments exceed the limit of 7"
+
+
+def read_off_only(M, N):
+    """hom_tuples, refusing any source that is not cyclic: the read-off of
+    one generating point, which searches no further generating point."""
+    assert len(M._presentation()[0]) == 1, "a default site searched"
+    return hom_tuples(M, N)
 
 
 def stdout_of(argv, capsys):
@@ -102,7 +149,7 @@ def stdout_of(argv, capsys):
                                   "stab --monoid s3.json --sub a3_invariants.json"])
 def test_pinned_default_site_reports_never_search(argv, capsys, monkeypatch):
     code, digest = next((c, d) for a, c, d in REPORTS if a == argv)
-    monkeypatch.setattr(actions, "_equivariant_tuples", no_search)
+    monkeypatch.setattr(actions, "hom_tuples", read_off_only)
     args = [os.path.join(FIXTURES, w) if w.endswith(".json") else w for w in argv.split()]
     assert stdout_of(args, capsys) == (code, digest)
 
@@ -115,10 +162,10 @@ def test_s4_laws_and_stab_never_search(tmp_path, capsys, monkeypatch):
     with open(sub, "w") as fd:
         json.dump({"subsets": invariants(incl, default_site(S4)).as_dict()}, fd)
     commands = [["laws", "--monoid", monoid], ["stab", "--monoid", monoid, "--sub", sub]]
-    with mock.patch.object(MAction, "_yoneda", lambda X: None):  # every hom set searched
+    with mock.patch.object(actions, "hom_tuples", hom_search_oracle):  # every hom set searched
         searched = [stdout_of(argv, capsys) for argv in commands]
     assert [code for code, _ in searched] == [0, 0]
-    monkeypatch.setattr(actions, "_equivariant_tuples", no_search)
+    monkeypatch.setattr(actions, "hom_tuples", read_off_only)
     assert [stdout_of(argv, capsys) for argv in commands] == searched
 
 
