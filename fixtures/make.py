@@ -5,8 +5,9 @@ import os
 
 from galmon import samples
 from galmon.actions import default_site
+from galmon.finset import FinSet
 from galmon.galois import invariants
-from galmon.monoid import submonoid
+from galmon.monoid import Monoid, MonoidHom, submonoid
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -26,6 +27,13 @@ def hom_doc(h):
     return {"src": monoid_doc(h.src), "map": {b: h(b) for b in h.src.elements}}
 
 
+def relabelled(m, names):
+    """m with its elements renamed, in element order, to names."""
+    to = dict(zip(m.elements, names))
+    return Monoid(FinSet(names), to[m.unit], {(to[a], to[b]): to[m.mul(a, b)]
+                                              for a in m.elements for b in m.elements})
+
+
 def dump(name, doc):
     with open(os.path.join(HERE, name), "w") as fd:
         json.dump(doc, fd, sort_keys=True, indent=2)
@@ -39,13 +47,14 @@ def main():
                     ("z3", samples.cyclic(3)), ("z4", samples.cyclic(4)),
                     ("e2", samples.idempotent_pair()), ("s3", s3)]:
         dump(name + ".json", monoid_doc(m))
+    # symbols that JSON escapes: non-ASCII, a quote and a backslash, a space
+    dump("z3_symbols.json", monoid_doc(relabelled(samples.cyclic(3), ["é", 'a"\\b', "∞ x"])))
 
     dump("s3_natural.json", action_doc(samples.natural_action3()))
     dump("z2_swap.json", action_doc(samples.swap_action()))
 
     a3, incl = submonoid(s3, ("e", "(123)", "(132)"))
     dump("a3_in_s3.json", hom_doc(incl))
-    from galmon.monoid import MonoidHom
     dump("z2_in_s3.json", hom_doc(MonoidHom(z2, s3, {"e": "e", "g": "(12)"})))
     dump("a3_invariants.json", {"subsets": invariants(incl, default_site(s3)).as_dict()})
 

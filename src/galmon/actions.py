@@ -359,7 +359,12 @@ def check_trivial_fixed_adjunction(m, X, M):
 
 def coinduct(h, N):
     """The right adjoint of restriction along h: maps from the target
-    monoid (acting on itself through h) into N, translated on the right."""
+    monoid (acting on itself through h) into N, translated on the right.
+    N must be an action of h's source; ActionError names its first
+    violation otherwise."""
+    bad = validate_action(N)
+    if bad:
+        raise ActionError("actions.coinduct: N is not an action: %s" % bad[0])
     A = h.dst
     twisted = MAction._trusted(h.src, A.carrier, {b: A.table[h(b)] for b in h.src.elements})
     K = FunctionSet(A.carrier, N.carrier, [f.map.image_tuple()
@@ -543,28 +548,33 @@ def canonical_site(m, recipe, custom=()):
 
     Builders: 'free' (the monoid on itself, paired with a point), 'trivial'
     (a one-point trivial action), 'cosets' (left cosets of every subgroup;
-    groups only).  Extra named actions come in through `custom`.
+    groups only).  Extra named actions come in through `custom`.  The
+    objects' table cells, |A| times their points, count against
+    MAX_ENUMERATION before any object is built.
     """
-    objects = []
+    plan = []  # (name, points, a function that builds the object)
     for token in recipe.split("+"):
         token = token.strip()
         if token == "free":
-            objects.append(("F(1)", free_action(m, singleton())))
+            plan.append(("F(1)", len(m), lambda: free_action(m, singleton())))
         elif token == "trivial":
-            objects.append(("E(1)", trivial_action(m, singleton())))
+            plan.append(("E(1)", 1, lambda: trivial_action(m, singleton())))
         elif token == "cosets":
             if not is_hopf(m):
                 raise ActionError("coset site needs a group; %r has no inverse"
                                   % hopf_witness(m))
-            for elements in submonoid_tuples(m):
-                if is_subgroup(m, elements):
-                    name = "G/{%s}" % ",".join(elements)
-                    objects.append((name, coset_action(m, elements)))
+            plan.extend(("G/{%s}" % ",".join(sub), len(m) // len(sub),
+                         lambda sub=sub: coset_action(m, sub))
+                        for sub in submonoid_tuples(m) if is_subgroup(m, sub))
         elif token == "custom":
-            objects.extend(custom)
+            plan.extend((name, len(act.carrier), lambda act=act: act) for name, act in custom)
         else:
             raise ActionError("unknown site builder %r" % token)
-    return Site(m, objects)
+    cells = len(m) * sum(points for _, points, _ in plan)
+    if cells > MAX_ENUMERATION:
+        raise SizingError("actions.canonical_site: %d table cells exceed the limit of %d"
+                          % (cells, MAX_ENUMERATION))
+    return Site(m, [(name, build()) for name, _, build in plan])
 
 
 def default_site(m):

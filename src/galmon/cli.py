@@ -183,9 +183,8 @@ def cmd_validate(args):
 def cmd_subgroups(args):
     m = _monoid_from(args)
     subs = submonoid_tuples(m)
-    return 0, {"schema": SCHEMA, "command": "subgroups",
-               "submonoids": [list(s) for s in subs],
-               "subgroups": [list(s) for s in subs if is_subgroup(m, s)]}
+    return 0, {"schema": SCHEMA, "command": "subgroups", "submonoids": subs,
+               "subgroups": [s for s in subs if is_subgroup(m, s)]}
 
 
 def cmd_hopf(args):
@@ -285,6 +284,59 @@ def cmd_laws(args):
                "failures": failures, "ok": not failures}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value):
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for every
+    value that call accepts, and its TypeError where it raises one.
+
+    With indent set, json skips its C encoder and walks the value with
+    nested Python generators, one yield per token.  This walk appends to
+    one list instead, and writes an array of strings as one join over the
+    C string encoder json uses for ensure_ascii.  A value that contains
+    itself raises RecursionError here, not json's ValueError.
+    """
+    out = []
+    _write(value, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out, pad):
+    """Append value's JSON to out; pad is the newline and indent it sits at."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):  # json's sort, so json's TypeError
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                                    % key.__class__.__name__)
+                key = json.dumps(key)
+            out.append(sep + _encode_str(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        inner = pad + "  "
+        try:
+            out.append("[" + inner + ("," + inner).join(map(_encode_str, value))
+                       + pad + "]")
+        except TypeError:  # an item that is not a string
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, out, inner)
+                sep = "," + inner
+            out.append(pad + "]")
+
+
 def _hasse_edges(keys, below):
     """Cover relations of a finite order given its comparison test, strict
     or not: b covers a when no c in a's strict up-set lies below b."""
@@ -367,21 +419,29 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    # One parser per process: parse_args leaves it as it was and gives each
+    # call a fresh namespace.  It is built on the first call, not at import,
+    # so that importing the package stays as cheap as it was.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.max_families < 0:
             raise InputError("--max-families must be 0 or more, not %d" % args.max_families)
         code, payload = COMMANDS[args.command][0](args)
     except (SizingError, InputError, FinSetError, MonoidError, ActionError, EndError,
             GaloisError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)},
-                         sort_keys=True, indent=2))
+        print(_dumps({"schema": SCHEMA, "error": str(exc)}))
         return 2 if isinstance(exc, SizingError) else 1
     if isinstance(payload, str):
         sys.stdout.write(payload)
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dumps(payload))
     return code
 
 

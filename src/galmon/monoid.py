@@ -7,7 +7,7 @@ over rows serve both the monoid law and the action law.
 Also the structure the product monad carries: homomorphisms, generating
 sets (on which the laws are checked), submonoids (each found once by
 prefix-preserving closure extension, and refused past MAX_MATERIALIZED of
-them or MAX_ENUMERATION closure products), and the fusion test that
+them or MAX_ENUMERATION closure products made), and the fusion test that
 detects when a monoid is a group (and so has an antipode).
 """
 
@@ -119,7 +119,7 @@ def generators(m):
         for a in range(len(mul)):
             if not mask >> a & 1:
                 gens += (a,)
-                mask, new = _close(mul, mask, members, gens)
+                mask, new, _ = _close(mul, mask, members, gens)
                 members += new
         m._gens = tuple(m.elements[g] for g in gens)
     return m._gens
@@ -283,15 +283,17 @@ def submonoid(m, subset):
 def _close(mul, mask, members, gens, floor=0):
     """Close a submonoid (bitmask and member indices) under right
     multiplication after adjoining gens[-1]; gens generate the result.
-    Returns the mask and the members added; the mask is None, and the
-    closure cut short, once an index below floor would join."""
+    Returns the mask, the members added and the number of products made;
+    the mask is None, and the closure cut short, once an index below floor
+    would join.  The count is read off where the loops stopped (members,
+    new and gens hold distinct indices), not kept in them."""
     a = gens[-1]
     new = []
     for s in members:
         t = mul[s][a]
         if not mask >> t & 1:
             if t < floor:
-                return None, new
+                return None, new, members.index(s) + 1
             mask |= 1 << t
             new.append(t)
     for t in new:
@@ -300,10 +302,11 @@ def _close(mul, mask, members, gens, floor=0):
             u = row[g]
             if not mask >> u & 1:
                 if u < floor:
-                    return None, new
+                    return None, new, (len(members) + new.index(t) * len(gens)
+                                       + gens.index(g) + 1)
                 mask |= 1 << u
                 new.append(u)
-    return mask, new
+    return mask, new, len(members) + len(new) * len(gens)
 
 
 def submonoid_tuples(m):
@@ -316,10 +319,9 @@ def submonoid_tuples(m):
     their right multiples by the generators can be new, and the closure stops
     once an index below a would join: for a group, one a per right coset Sa
     is closed (Neubüser's cut).  Indices number the elements in reverse, so
-    the element lists of one size ascend as the masks descend.  A closure
-    counts |S| + |added| * |gens| products against MAX_ENUMERATION, cut
-    short or not; the submonoids count against MAX_MATERIALIZED.  The tuples
-    are kept on m.
+    the element lists of one size ascend as the masks descend.  The products
+    the closures make count against MAX_ENUMERATION, and the submonoids
+    against MAX_MATERIALIZED.  The tuples are kept on m.
     """
     if m._subs is not None:
         return list(m._subs)
@@ -338,8 +340,8 @@ def submonoid_tuples(m):
         for a in range(core + 1, n):
             if mask >> a & 1:
                 continue
-            closed, new = _close(mul, mask, members, gens + (a,), a)
-            products += len(members) + len(new) * (len(gens) + 1)
+            closed, new, made = _close(mul, mask, members, gens + (a,), a)
+            products += made
             if products > MAX_ENUMERATION:
                 raise SizingError("monoid.enumerate_submonoids: %d closure products "
                                   "exceed the limit of %d" % (products, MAX_ENUMERATION))

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SAMPLES, entries
-from galmon.finset import FinSet, FinMap, hom_set, singleton
+from conftest import SAMPLES, entries, maps_monoid
+from galmon import actions
+from galmon.finset import FinSet, FinMap, SizingError, hom_set, singleton
 from galmon.monoid import (MonoidHom, submonoid, trivial_monoid, enumerate_submonoids,
                            is_subgroup, is_hopf)
 from galmon.actions import (MAction, ActionError, EquivariantMap, Site,
@@ -164,6 +167,17 @@ def test_coinduct_from_trivial_monoid():
                         == K.carrier.map_apply(e, Z2.mul(a2, a)))
 
 
+def test_coinduct_refuses_a_non_action():
+    # g is constant, so (gg).1 = 1 but g.(g.1) = 0
+    h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
+    N = MAction(Z2, FinSet(("0", "1")), {("e", "0"): "0", ("e", "1"): "1",
+                                         ("g", "0"): "0", ("g", "1"): "0"})
+    with pytest.raises(ActionError) as exc:
+        coinduct(h, N)
+    assert str(exc.value) == ("actions.coinduct: N is not an action: "
+                              "associativity fails at (g, g, 1): 1 vs 0")
+
+
 def test_coinduct_singleton():
     h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
     K = coinduct(h, trivial_action(Z2, singleton()))
@@ -231,6 +245,37 @@ def test_default_site():
                           "G/{(123),(132),e}", "G/{(12),(123),(13),(132),(23),e}",
                           "F(1)")
     assert default_site(E2).names == ("F(1)", "E(1)")
+
+
+def test_site_cells_count_against_the_limit_before_any_object_is_built(monkeypatch):
+    # Z3 on F(1), E(1) and a 2-point custom object: 3 * (3 + 1 + 2) cells
+    custom = (("two", trivial_action(Z3, FinSet(("0", "1")))),)
+    monkeypatch.setattr(actions, "MAX_ENUMERATION", 18)
+    assert len(canonical_site(Z3, "free+trivial+custom", custom=custom).objects) == 3
+    monkeypatch.setattr(actions, "MAX_ENUMERATION", 17)
+    monkeypatch.setattr(actions, "free_action", lambda *args: pytest.fail("F(1) was built"))
+    with pytest.raises(SizingError) as exc:
+        canonical_site(Z3, "free+trivial+custom", custom=custom)
+    assert str(exc.value) == "actions.canonical_site: 18 table cells exceed the limit of 17"
+
+
+def test_s5_default_site_passes_the_cell_guard_at_its_exact_count(monkeypatch):
+    # 120 * (the 120 / |H| cosets of each of 156 subgroups H, and F(1))
+    s5 = maps_monoid(list(itertools.permutations(range(5))))
+    monkeypatch.setattr(actions, "MAX_ENUMERATION", 533_399)
+    with pytest.raises(SizingError, match="^actions.canonical_site: 533400 table cells "):
+        default_site(s5)
+    monkeypatch.setattr(actions, "MAX_ENUMERATION", 533_400)
+    assert len(default_site(s5).objects) == 157
+
+
+def test_s6_default_site_is_refused_before_any_coset_action_is_built(monkeypatch):
+    s6 = maps_monoid(list(itertools.permutations(range(6))))
+    monkeypatch.setattr(actions, "coset_action", lambda *args: pytest.fail("G/H was built"))
+    with pytest.raises(SizingError) as exc:
+        default_site(s6)
+    assert str(exc.value) == ("actions.canonical_site: 120568320 table cells exceed "
+                              "the limit of 10000000")
 
 
 def test_site_rejects_bad_input():

@@ -7,15 +7,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (maps_monoid, products, submonoids_oracle, transformation_monoid,
                       write_monoid)
 from galmon import samples
 from galmon.actions import default_site
-from galmon.cli import COMMANDS, _corr_dot, _hasse_edges, build_parser, run
-from galmon.finset import MAX_ENUMERATION
+from galmon.cli import COMMANDS, _corr_dot, _dumps, _hasse_edges, build_parser, run
+from galmon.finset import MAX_ENUMERATION, FinSet
 from galmon.galois import galois_correspondence, invariants_oracle
-from galmon.monoid import enumerate_submonoids
+from galmon.monoid import Monoid, enumerate_submonoids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -495,15 +496,30 @@ def test_subgroups_lists_the_12012_submonoids_of_an_order_39_monoid(tmp_path, ca
 
 
 def test_subgroups_refuses_past_the_closure_product_limit(tmp_path, capsys):
-    # order 57, whose closures pass 10 M products before 100 000 submonoids
-    m, _ = transformation_monoid([(2, 0, 1, 3), (0, 0, 1, 2)])
-    assert len(m) == 57
-    path = tmp_path / "t57.json"
+    # Z2^7 x Z3 (order 384, 58 424 subgroups), whose closures make 10 M
+    # products before they find 100 000 submonoids; they make 44.2 M in all
+    names = {(b, k): "%s.%d" % (format(b, "07b"), k) for b in range(128) for k in range(3)}
+    m = Monoid(FinSet(names.values()), names[(0, 0)],
+               {(names[x], names[y]): names[(x[0] ^ y[0], (x[1] + y[1]) % 3)]
+                for x in names for y in names})
+    path = tmp_path / "z2_7z3.json"
     write_monoid(path, m)
     code, out = run_json(capsys, ["subgroups", "--monoid", str(path)])
     assert code == 2
-    assert out["error"] == ("monoid.enumerate_submonoids: 10000020 closure products "
+    assert out["error"] == ("monoid.enumerate_submonoids: 10000001 closure products "
                             "exceed the limit of 10000000")
+
+
+def test_s6_lists_its_1455_subgroups_and_its_default_site_is_refused(tmp_path, capsys):
+    path = tmp_path / "s6.json"
+    write_monoid(path, maps_monoid(list(itertools.permutations(range(6)))))
+    code, doc = run_json(capsys, ["subgroups", "--monoid", str(path)])
+    assert code == 0
+    assert len(doc["submonoids"]) == len(doc["subgroups"]) == 1455
+    code, out = run_json(capsys, ["corr", "--monoid", str(path)])
+    assert code == 2
+    assert out["error"] == ("actions.canonical_site: 120568320 table cells exceed "
+                            "the limit of 10000000")
 
 
 def test_laws(capsys):
@@ -675,3 +691,48 @@ def test_corr_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
     assert json.loads(first)["schema"] == "galmon/1"
+
+
+# strings with what JSON escapes: non-ASCII letters and symbols, '"' and '\\'
+# (punctuation), control characters and lone surrogates
+TEXT = st.text(st.characters(categories=["Lu", "Ll", "Po", "Sm", "Zs", "Cc", "Cs"]),
+               max_size=6) | st.sampled_from(["", "\u00e9", 'a"\\b', "\u221e x", "\x00\x1f",
+                                              "\ud800", "\udfff\ud83d"])
+SCALARS = (TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+           | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]))
+# keys of one kind sort; keys of mixed kinds make json.dumps raise TypeError
+KEYS = st.sampled_from([TEXT, st.integers() | st.floats() | st.booleans(), st.none(),
+                        TEXT | st.integers() | st.none()])
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.lists(TEXT, max_size=4) | st.lists(TEXT, max_size=4).map(tuple)
+            | st.tuples(st.lists(TEXT, min_size=1, max_size=3), children).map(
+                lambda p: p[0] + [p[1]])
+            | KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)))
+
+
+@given(st.recursive(SCALARS, _containers, max_leaves=24))
+def test_dumps_writes_what_json_dumps_writes(value):
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            _dumps(value)
+        assert str(got.value) == str(exc)
+    else:
+        assert _dumps(value) == expected
+
+
+@pytest.mark.parametrize("value", [
+    {"a": 1, 2: 1}, [[], {"x": {None: 0, "y": 0}}], {(0, 1): "pair"}, {"set": {1, 2}},
+    [b"bytes"], object()], ids=["str-int", "nested-none-str", "tuple-key", "set",
+                               "bytes", "object"])
+def test_dumps_raises_where_json_dumps_raises(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _dumps(value)
+    assert str(got.value) == str(expected.value)

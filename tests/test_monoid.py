@@ -199,13 +199,38 @@ def test_closures_cut_short_keep_every_submonoid(m, monkeypatch):
     close, cut = monoid._close, []
 
     def counted(*args):
-        closed, new = close(*args)
+        closed, new, made = close(*args)
         cut.append(closed is None)
-        return closed, new
+        return closed, new, made
 
     monkeypatch.setattr(monoid, "_close", counted)
     assert submonoid_tuples(m) == submonoids_oracle(m)
     assert sum(cut) > len(cut) // 2
+
+
+@pytest.mark.parametrize("make", [lambda: samples.mult_mod(16), lambda: dihedral(10),
+                                  lambda: maps_monoid(list(itertools.permutations(range(4))))],
+                         ids=["M16", "D10", "S4"])
+def test_closures_count_the_products_they_make(make, monkeypatch):
+    # each row lookup of the multiplication table is one product
+    close, counts = monoid._close, []
+
+    def tallied(mul, *args):
+        looked_up = []
+
+        class Row(list):
+            def __getitem__(self, i):
+                looked_up.append(i)
+                return list.__getitem__(self, i)
+
+        closed, new, made = close([Row(row) for row in mul], *args)
+        counts.append((closed is None, made, len(looked_up)))
+        return closed, new, made
+
+    monkeypatch.setattr(monoid, "_close", tallied)
+    submonoid_tuples(make())
+    assert any(cut for cut, _, _ in counts) and not all(cut for cut, _, _ in counts)
+    assert [made for _, made, _ in counts] == [looked for _, _, looked in counts]
 
 
 def test_s5_lists_each_of_its_156_subgroups_once():
