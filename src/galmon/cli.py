@@ -419,17 +419,8 @@ def build_parser():
     return parser
 
 
-_parser = None
-
-
 def run(argv=None):
-    # One parser per process: parse_args leaves it as it was and gives each
-    # call a fresh namespace.  It is built on the first call, not at import,
-    # so that importing the package stays as cheap as it was.
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.max_families < 0:
             raise InputError("--max-families must be 0 or more, not %d" % args.max_families)
