@@ -10,7 +10,7 @@ relations, so an equivariant map is fixed by its values y_i = f(x_i) as
 f(r.x_i) = r.y_i and its hom set is read off the target's table, one
 generating point for the cyclic objects the package builds.  Hom sets
 between trivial actions contain every map, so those pairs are iterated
-lazily.  The forcing search `propagate` finds the wedge families of
+lazily.  The same read-off, `read_off`, finds the wedge families of
 `galmon.ends`.
 """
 
@@ -211,88 +211,48 @@ def restrict_action(h, M):
     return MAction._trusted(h.src, M.carrier, {b: M.table[h(b)] for b in h.src.elements})
 
 
-def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
-    """Yield every assignment of variables 0..n-1 that obeys the forcing
-    rules, as a tuple of values, in lexicographic order.
-
-    Variable v takes values in range(sizes[v]); rules[v] lists pairs
-    (w, table) meaning "v = q forces w = table[q]".  The search fixes the
-    first free variable to each value in turn and closes the choice under
-    the rules (arc consistency in the sense of Mackworth), so its cost
-    tracks the number of solutions rather than the product of the domains.
-    Every assignment made, chosen or forced, counts against `limit`.
-    """
-    n = len(sizes)
-    assign = [-1] * n
-    made = 0
-
-    def close(v, q, trail):
-        # assign v = q and everything it forces; False on a clash
-        nonlocal made
-        stack = [(v, q)]
-        while stack:
-            v, q = stack.pop()
-            cur = assign[v]
-            if cur != -1:
-                if cur != q:
-                    return False
-                continue
-            made += 1
-            if made > limit:
-                raise SizingError("%s: %d candidate assignments exceed the limit of %d"
-                                  % (layer, made, limit))
-            assign[v] = q
-            trail.append(v)
-            for w, table in rules[v]:
-                stack.append((w, table[q]))
-        return True
-
-    def rec(v):
-        while v < n and assign[v] != -1:
-            v += 1
-        if v == n:
-            yield tuple(assign)
-            return
-        for q in range(sizes[v]):
-            trail = []
-            if close(v, q, trail):
-                yield from rec(v + 1)
-            for w in trail:
-                assign[w] = -1
-
-    yield from rec(0)
-
-
-def hom_tuples(M, N):
-    """Image-index tuples of the equivariant maps M -> N, in lexicographic
-    order, the canonical hom order.  M and N must be actions, so that a map
-    commuting with the monoid's generators commutes with every element.  A
-    map is f(p) = r_p.y_i on the points of x_i (see `MAction._presentation`),
-    so each y_i is chosen in turn, depth first, among the points of N that
-    satisfy the relations ending at i.  Every value tried and every image
-    written counts against MAX_ENUMERATION."""
-    points, reps, pos, relations = M._presentation()
-    if not points:
-        return [()]  # an empty action has one map out, the empty one
-    rows, ny, limit = N.table, len(N.carrier), MAX_ENUMERATION
-    made, out, last = 0, [], len(points) - 1
+def read_off(reps, relations, pos, rows, sizes, limit=None, layer="actions"):
+    """Sorted image tuples of the maps out of a presentation (see
+    `MAction._presentation`): generating point i takes a value y_i in
+    range(sizes[i]) that satisfies its relations (a, j, b), rows[a][y_i] ==
+    rows[b][y_j], and its points then go to rows[r][y_i] for r in reps[i].
+    The y_i are chosen in turn, depth first.  Points are listed block by
+    block; pos, unless None, gives each point's place in that listing.
+    Every value tried and every image written counts against `limit`
+    (MAX_ENUMERATION when None), and a refusal names `layer`."""
+    if not reps:
+        return [()]  # nothing to map: one map out, the empty one
+    if limit is None:
+        limit = MAX_ENUMERATION
+    made, out, last = 0, [], len(reps) - 1
     stack = [(0, (), ())]  # generating point i, images of the points before it, y_0..y_{i-1}
     while stack:
         i, head, chosen = stack.pop()
+        ny = sizes[i]
         ys = range(ny)
         for a, j, b in relations[i]:  # for j < i, b.y_j is one value for every y
             row_a, row_b = rows[a], rows[b] if j == i else (rows[b][chosen[j]],) * ny
             ys = [y for y in ys if row_a[y] == row_b[y]]
         made += ny + len(ys) * len(reps[i])
         if made > limit:
-            raise SizingError("actions: %d candidate assignments exceed the limit of %d"
-                              % (made, limit))
+            raise SizingError("%s: %d candidate assignments exceed the limit of %d"
+                              % (layer, made, limit))
         images = zip(*(map(rows[r].__getitem__, ys) for r in reps[i]))
         if i == last:
             out.extend(map(head.__add__, images) if head else images)
         else:
             stack.extend((i + 1, head + t, chosen + (y,)) for y, t in zip(ys, images))
     return sorted(out) if pos is None else sorted(tuple(map(f.__getitem__, pos)) for f in out)
+
+
+def hom_tuples(M, N):
+    """Image-index tuples of the equivariant maps M -> N, in lexicographic
+    order, the canonical hom order.  M and N must be actions, so that a map
+    commuting with the monoid's generators commutes with every element.  A
+    map is f(p) = r_p.y_i on the points of x_i, read off M's presentation
+    and N's table."""
+    points, reps, pos, relations = M._presentation()
+    return read_off(reps, relations, pos, N.table, [len(N.carrier)] * len(points))
 
 
 def equivariant_maps(M, N):

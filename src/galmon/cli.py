@@ -412,10 +412,11 @@ def build_parser():
     parser.add_argument("--out", choices=["json", "dot"], default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-families", type=int, default=MAX_ENUMERATION,
-                        help="bound on the assignments an end makes before it refuses: "
-                             "one per family, object and point when it is read off a "
-                             "free object, else each one, chosen or forced, of the "
-                             "wedge search (default %(default)s)")
+                        help="bound on the work an end does before it refuses: one "
+                             "assignment per family, object and point when it is read "
+                             "off a free object, else the table cells its presentation "
+                             "writes and, counted apart, the values tried and images "
+                             "written by the read-off (default %(default)s)")
     return parser
 
 

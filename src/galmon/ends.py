@@ -4,11 +4,12 @@ A diagram is a functor from a site into finite sets: its `site`, `obs` (one
 carrier per site object) and `mor(i, j, f)`, the image of the morphism with
 carrier-index tuple f as an index tuple over the carriers.  The end of
 [V, W] collects one map V(M) -> W(M) per site object, subject to the wedge
-condition against every site morphism.  Families are found by the
-propagation search of `actions.propagate`: fixing the image of one point
-forces images along every morphism out of its object, so the work tracks
-the families found rather than the |W|^|V| candidate maps of each object,
-and the sizing guard bounds the assignments made.
+condition against every site morphism.  Families are read off a
+presentation of V by generating points and relations, as equivariant maps
+are (`actions.read_off`): the image of a generating point fixes the images
+of every point reached from it, so the work tracks the families found
+rather than the |W|^|V| candidate maps of each object, and the sizing
+guard bounds the tables written and the values tried.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
@@ -22,7 +23,7 @@ import itertools
 from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, map_label,
                      product, proj_right, curry, singleton, terminal_map)
 from .monoid import Monoid, MonoidHom
-from .actions import Site, propagate, trivial_action, underlying_site
+from .actions import Site, read_off, trivial_action, underlying_site
 
 
 class EndError(Exception):
@@ -131,27 +132,59 @@ class EndObject:
 def internal_nat(V, W, max_families=MAX_ENUMERATION):
     """Compute the end of [V, W] over the diagrams' common site.
 
-    One variable per (object i, point p) holds the image of p under the
-    i-th component, and every generating morphism f: i -> j adds the rule
-    "(i, p) = q forces (j, V f(p)) = W f(q)".  Naturality is closed under
-    composition, so the generators impose the whole wedge condition.
+    A wedge family sends each point (i, p), p in V(i), into W(i), and
+    (j, V f(p)) to W f of that image for every generating morphism
+    f: i -> j (naturality is closed under composition).  It is read off a
+    presentation of V, as equivariant maps are (`actions.read_off`): each
+    point not reached yet, in flat order, is a generating point x, a walk
+    along the generating morphisms gives each point it reaches the table
+    W(x) -> W(i) of its path, and every later arrival at a point is a
+    relation between two tables.  The table cells the walk writes count
+    against `max_families`, and so, separately, does the read-off.
     """
     site = V.site
     if site != W.site:
         raise EndError("both diagrams must live over the same site")
     k = site.nobj
-    offset = [0]
-    for ob in V.obs:
-        offset.append(offset[-1] + len(ob))
-    sizes = [len(W.obs[i]) for i in range(k) for _ in V.obs[i]]
-    rules = [[] for _ in sizes]
+    offset = [0, *itertools.accumulate(map(len, V.obs))]
+    n = offset[-1]
+    obj = [i for i in range(k) for _ in V.obs[i]]
+    edges = [[] for _ in range(k)]  # out of object i: (offset of j, V f, W f)
     for i, j in itertools.product(range(k), repeat=2):
         for f in site.generating_tuples(i, j):
-            Vf, Wf = V.mor(i, j, f), W.mor(i, j, f)
-            for p, vp in enumerate(Vf):
-                rules[offset[i] + p].append((offset[j] + vp, Wf))
+            edges[i].append((offset[j], V.mor(i, j, f), W.mor(i, j, f)))
+    number = {}  # each distinct table, numbered in order of appearance
+    owner, table, at = [None] * n, [None] * n, [None] * n
+    blocks, relations, sizes, made = [], [], [], 0
+    for x in range(n):
+        if owner[x] is not None:
+            continue
+        b, block, rel = len(blocks), [x], {}
+        table[x] = tuple(range(len(W.obs[obj[x]])))
+        owner[x], at[x] = b, number.setdefault(table[x], len(number))
+        for p in block:  # grows as the walk reaches new points
+            t, vp = table[p], p - offset[obj[p]]
+            for o, Vf, Wf in edges[obj[p]]:
+                q, c = o + Vf[vp], tuple(map(Wf.__getitem__, t))
+                made += len(c)
+                if made > max_families:
+                    raise SizingError("ends: %d candidate assignments exceed the limit of %d"
+                                      % (made, max_families))
+                a = number.setdefault(c, len(number))
+                if owner[q] is None:
+                    owner[q], table[q], at[q] = b, c, a
+                    block.append(q)
+                elif a != at[q] or owner[q] != b:
+                    rel[(a, owner[q], at[q])] = None
+        blocks.append(sorted(block))
+        relations.append(tuple(rel))
+        sizes.append(len(table[x]))
+    listed = [p for block in blocks for p in block]
+    pos = None if listed == list(range(n)) else sorted(range(n), key=listed.__getitem__)
+    reps = [tuple(map(at.__getitem__, block)) for block in blocks]
     families = [tuple(flat[offset[i]:offset[i + 1]] for i in range(k))
-                for flat in propagate(sizes, rules, max_families, "ends")]
+                for flat in read_off(reps, relations, pos, list(number), sizes,
+                                     max_families, "ends")]
     return EndObject(site, V, W, families)
 
 
@@ -163,10 +196,10 @@ def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     f(x0) for the morphism f: F -> X, a.x0 -> a.x, so a wedge family is
     fixed by its value c.x0 at x0 and is the action of c everywhere; every
     c gives one.  The families are then the action tables of the elements,
-    in the search's lexicographic order, and the end monoid is the monoid's
-    own table.  Reading them off makes one assignment per family, object
-    and point, counted against `max_families` as the search counts its own.
-    Sites without a free object go through `internal_nat`.
+    in lexicographic order as `internal_nat` lists them, and the end monoid
+    is the monoid's own table.  Reading them off makes one assignment per
+    family, object and point, counted against `max_families`.  Sites
+    without a free object go through `internal_nat`.
     """
     U = ForgetfulDiagram(site)
     m = site.monoid

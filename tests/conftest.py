@@ -2,8 +2,9 @@
 tables by element names, the check of a package-built monoid against the
 checked constructor, the monoid of given self-maps, the sample monoids, the
 brute-force submonoid, subgroup and subfunctor oracles, the propagation
-search and the filter over all maps for equivariant maps, and the
-hypothesis strategy of transformation monoids."""
+search with its oracles for equivariant maps and for wedge families, the
+filter over all maps for equivariant maps, and the hypothesis strategy of
+transformation monoids."""
 
 import itertools
 import json
@@ -11,9 +12,9 @@ import json
 from hypothesis import settings, strategies as st
 
 from galmon import samples
-from galmon.finset import FinSet
+from galmon.finset import FinSet, SizingError, MAX_ENUMERATION
 from galmon.monoid import Monoid
-from galmon.actions import MAction, propagate
+from galmon.actions import MAction
 from galmon.galois import Subfunctor, _naturality_violation
 
 settings.register_profile("galmon", deadline=None, max_examples=60)
@@ -108,6 +109,79 @@ def subfunctors_oracle(site):
             found.append(Subfunctor._trusted(site, idxsets))
     found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
     return found
+
+
+def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):
+    """Yield every assignment of variables 0..n-1 that obeys the forcing
+    rules, as a tuple of values, in lexicographic order.
+
+    Variable v takes values in range(sizes[v]); rules[v] lists pairs
+    (w, table) meaning "v = q forces w = table[q]".  The search fixes the
+    first free variable to each value in turn and closes the choice under
+    the rules (arc consistency in the sense of Mackworth), so its cost
+    tracks the number of solutions rather than the product of the domains.
+    Every assignment made, chosen or forced, counts against `limit`.
+    """
+    n = len(sizes)
+    assign = [-1] * n
+    made = 0
+
+    def close(v, q, trail):
+        # assign v = q and everything it forces; False on a clash
+        nonlocal made
+        stack = [(v, q)]
+        while stack:
+            v, q = stack.pop()
+            cur = assign[v]
+            if cur != -1:
+                if cur != q:
+                    return False
+                continue
+            made += 1
+            if made > limit:
+                raise SizingError("%s: %d candidate assignments exceed the limit of %d"
+                                  % (layer, made, limit))
+            assign[v] = q
+            trail.append(v)
+            for w, table in rules[v]:
+                stack.append((w, table[q]))
+        return True
+
+    def rec(v):
+        while v < n and assign[v] != -1:
+            v += 1
+        if v == n:
+            yield tuple(assign)
+            return
+        for q in range(sizes[v]):
+            trail = []
+            if close(v, q, trail):
+                yield from rec(v + 1)
+            for w in trail:
+                assign[w] = -1
+
+    yield from rec(0)
+
+
+def nat_search_oracle(V, W):
+    """The wedge families of [V, W], in lexicographic order, by the
+    propagation search: one variable per (object i, point p) holds the
+    image of p under the i-th component, and every generating morphism
+    f: i -> j adds the rule "(i, p) = q forces (j, V f(p)) = W f(q)"."""
+    site = V.site
+    k = site.nobj
+    offset = [0]
+    for ob in V.obs:
+        offset.append(offset[-1] + len(ob))
+    sizes = [len(W.obs[i]) for i in range(k) for _ in V.obs[i]]
+    rules = [[] for _ in sizes]
+    for i, j in itertools.product(range(k), repeat=2):
+        for f in site.generating_tuples(i, j):
+            Vf, Wf = V.mor(i, j, f), W.mor(i, j, f)
+            for p, vp in enumerate(Vf):
+                rules[offset[i] + p].append((offset[j] + vp, Wf))
+    return [tuple(flat[offset[i]:offset[i + 1]] for i in range(k))
+            for flat in propagate(sizes, rules, layer="ends")]
 
 
 def hom_search_oracle(M, N, gens=None):

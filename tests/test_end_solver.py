@@ -1,27 +1,31 @@
-"""The propagation search behind ends, against brute-force enumeration.
+"""The read-off behind ends, against brute-force enumeration and search.
 
-`nat_oracle` finds the families of an end without propagation: it lists
-every map V(M_i) -> W(M_i), keeps those that commute with the object's
-own endomorphisms, then extends object by object with wedge checks against
-every site morphism, including every map of a pair of trivial actions.
+`internal_nat` reads wedge families off a presentation of V by generating
+points and relations.  `nat_oracle` finds them without any presentation:
+it lists every map V(M_i) -> W(M_i), keeps those that commute with the
+object's own endomorphisms, then extends object by object with wedge
+checks against every site morphism, including every map of a pair of
+trivial actions.  `nat_search_oracle` (in conftest) finds them by the
+forcing search `propagate`, which scales to generated instances.
 
 `end_of_forgetful` reads the end off a free object when the site has one;
-the search `internal_nat` is then its oracle.
+`internal_nat` is then its oracle.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import S4, SAMPLES, assert_checked, transformation_monoids
+from conftest import (S4, SAMPLES, assert_checked, nat_search_oracle, propagate,
+                      transformation_monoids)
 from galmon.finset import FinSet, SizingError
 from galmon.monoid import enumerate_submonoids, is_hopf, submonoid, trivial_monoid
 from galmon.actions import (MAction, Site, canonical_site, coset_action, default_site,
-                            propagate, trivial_action, underlying_site)
+                            trivial_action, underlying_site)
 from galmon import ends
 from galmon.ends import ForgetfulDiagram, end_of_forgetful, internal_nat
-from galmon.galois import invariants, invariants_oracle
+from galmon.galois import Subfunctor, invariants, invariants_oracle, random_subfunctor
 from galmon import samples
 
 # Sum over objects of |W_i|^|V_i| above which the oracle is too slow to run.
@@ -116,6 +120,35 @@ def test_solver_matches_oracle_on_transformation_monoids(drawn):
     agree_with_oracle(site, invariant)
 
 
+@given(transformation_monoids(), st.randoms(use_true_random=False))
+def test_read_off_matches_the_search_oracle_on_transformation_monoids(drawn, rng):
+    # subset diagrams of invariants, of random subfunctors and of empty
+    # subsets, on sites with and without an empty object, and underlying
+    # sites whose carriers all have two points or more (every pair lazy)
+    m, act, gens = drawn
+    empty = MAction(m, FinSet(()), {})
+    recipes = ("free+trivial+custom", "trivial+custom") if len(m) <= 5 else ("trivial+custom",)
+    incls = []
+    for g in gens:
+        S = {m.unit, g}
+        while any(m.mul(a, b) not in S for a in S for b in S):
+            S |= {m.mul(a, b) for a in S for b in S}
+        incls.append(submonoid(m, S)[1])
+    for recipe in recipes:
+        for custom in ([("X", act)], [("X", act), ("0", empty)]):
+            site = canonical_site(m, recipe, custom=custom)
+            U = ForgetfulDiagram(site)
+            subs = [invariants(incl, site) for incl in incls]
+            subs += [random_subfunctor(site, rng), Subfunctor.empty(site)]
+            pairs = [(U, U)] + [(sub.diagram(), U) for sub in subs]
+            pairs += [(U, sub.diagram()) for sub in subs[-2:]]
+            for V, W in pairs:
+                assert list(internal_nat(V, W).families) == nat_search_oracle(V, W)
+    for recipe in ("custom", "free+custom") if len(m) <= 30 else ("custom",):
+        B = ForgetfulDiagram(underlying_site(canonical_site(m, recipe, custom=[("X", act)]))[0])
+        assert list(internal_nat(B, B).families) == nat_search_oracle(B, B)
+
+
 def points_site(*sizes):
     one = trivial_monoid()
     return Site(one, [("X%d" % n, trivial_action(one, FinSet(str(p) for p in range(n))))
@@ -181,7 +214,20 @@ def test_end_refusal_names_layer_count_and_limit():
     U = ForgetfulDiagram(canonical_site(samples.symmetric3(), "free"))
     with pytest.raises(SizingError) as exc:
         internal_nat(U, U, 10)
-    assert str(exc.value) == "ends: 11 candidate assignments exceed the limit of 10"
+    assert str(exc.value) == "ends: 12 candidate assignments exceed the limit of 10"
+
+
+def test_the_presentation_build_counts_against_the_limit():
+    # S3's free object: the walk composes a 6-cell table along each of the
+    # 36 edges (6 points, 6 endomorphisms), 216 cells, while the read-off
+    # tries 6 values and writes 6 images for each of 6 families, 42
+    U = ForgetfulDiagram(canonical_site(samples.symmetric3(), "free"))
+    assert len(internal_nat(U, U, 216)) == 6
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ends, "read_off", None)  # refused before the read-off starts
+        with pytest.raises(SizingError) as exc:
+            internal_nat(U, U, 100)
+    assert str(exc.value) == "ends: 102 candidate assignments exceed the limit of 100"
 
 
 def has_free_object(site):
@@ -192,7 +238,7 @@ def has_free_object(site):
 
 
 def end_and_route(site, *limit):
-    """end_of_forgetful(site, *limit), and whether it called the search."""
+    """end_of_forgetful(site, *limit), and whether it called internal_nat."""
     calls = []
 
     def spy(*args):
@@ -207,7 +253,7 @@ def end_and_route(site, *limit):
 
 def assert_end_matches_search(site):
     """The end is read off exactly when the site has a free object, and
-    then agrees with the search in families, carrier, unit and table.  Both
+    then agrees with internal_nat in families, carrier, unit and table.  Both
     end monoids equal the checked constructor's."""
     end, searched = end_and_route(site)
     assert searched != has_free_object(site)
@@ -238,7 +284,7 @@ def test_read_off_matches_search_on_samples(m, recipe):
 @given(transformation_monoids())
 def test_read_off_matches_search_on_transformation_monoids(drawn):
     m, act, _ = drawn
-    # the search over the free object of a larger monoid takes seconds
+    # internal_nat over the free object writes about |A|^3 table cells
     recipes = ("custom", "free+custom", "free+trivial") if len(m) <= 30 else ("custom",)
     for recipe in recipes:
         assert_end_matches_search(canonical_site(m, recipe, custom=[("X", act)]))

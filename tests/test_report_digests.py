@@ -56,7 +56,7 @@ REPORTS = [
     ("subgroups",
      1, "3960de241e41e8d56b2351414b39a4ef3dda0a2dfbb9a7423b786fbcbdfdeff1"),
     # sites built from --action files: the checked action constructor, and
-    # the wedge search when the site has no free object
+    # internal_nat's read-off when the site has no free object
     ("end --monoid s3.json --site custom --action s3_natural.json",
      0, "0395df36aa6d3f6639a547bf23bbe064cd93afade00a41564500c62675e10b85"),
     ("end --monoid s3.json --site free+custom --action s3_natural.json",
