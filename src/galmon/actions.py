@@ -16,8 +16,8 @@ lazily.  The same read-off, `read_off`, finds the wedge families of
 
 import itertools
 
-from .finset import (FinSet, FinMap, FunctionSet, SizingError, MAX_ENUMERATION,
-                     hom_set, product, singleton)
+from . import finset
+from .finset import FinSet, FinMap, FunctionSet, hom_set, product, singleton
 from .monoid import (trivial_monoid, generators, laws_hold, acts_along, associativity_failures,
                      submonoid_tuples, is_subgroup, hopf_witness, is_hopf)
 
@@ -211,20 +211,18 @@ def restrict_action(h, M):
     return MAction._trusted(h.src, M.carrier, {b: M.table[h(b)] for b in h.src.elements})
 
 
-def read_off(reps, relations, pos, rows, sizes, limit=None, layer="actions"):
+def read_off(reps, relations, pos, rows, sizes, layer="actions", made=0):
     """Sorted image tuples of the maps out of a presentation (see
     `MAction._presentation`): generating point i takes a value y_i in
     range(sizes[i]) that satisfies its relations (a, j, b), rows[a][y_i] ==
     rows[b][y_j], and its points then go to rows[r][y_i] for r in reps[i].
     The y_i are chosen in turn, depth first.  Points are listed block by
     block; pos, unless None, gives each point's place in that listing.
-    Every value tried and every image written counts against `limit`
-    (MAX_ENUMERATION when None), and a refusal names `layer`."""
+    Every value tried and image written adds to `made`, the caller's count
+    so far, against finset.MAX_ENUMERATION; a refusal names `layer`."""
     if not reps:
         return [()]  # nothing to map: one map out, the empty one
-    if limit is None:
-        limit = MAX_ENUMERATION
-    made, out, last = 0, [], len(reps) - 1
+    limit, out, last = finset.MAX_ENUMERATION, [], len(reps) - 1
     stack = [(0, (), ())]  # generating point i, images of the points before it, y_0..y_{i-1}
     while stack:
         i, head, chosen = stack.pop()
@@ -235,8 +233,7 @@ def read_off(reps, relations, pos, rows, sizes, limit=None, layer="actions"):
             ys = [y for y in ys if row_a[y] == row_b[y]]
         made += ny + len(ys) * len(reps[i])
         if made > limit:
-            raise SizingError("%s: %d candidate assignments exceed the limit of %d"
-                              % (layer, made, limit))
+            raise finset.refusal(layer, "%d candidate assignments" % made)
         images = zip(*(map(rows[r].__getitem__, ys) for r in reps[i]))
         if i == last:
             out.extend(map(head.__add__, images) if head else images)
@@ -510,7 +507,7 @@ def canonical_site(m, recipe, custom=()):
     (a one-point trivial action), 'cosets' (left cosets of every subgroup;
     groups only).  Extra named actions come in through `custom`.  The
     objects' table cells, |A| times their points, count against
-    MAX_ENUMERATION before any object is built.
+    finset.MAX_ENUMERATION before any object is built.
     """
     plan = []  # (name, points, a function that builds the object)
     for token in recipe.split("+"):
@@ -531,9 +528,8 @@ def canonical_site(m, recipe, custom=()):
         else:
             raise ActionError("unknown site builder %r" % token)
     cells = len(m) * sum(points for _, points, _ in plan)
-    if cells > MAX_ENUMERATION:
-        raise SizingError("actions.canonical_site: %d table cells exceed the limit of %d"
-                          % (cells, MAX_ENUMERATION))
+    if cells > finset.MAX_ENUMERATION:
+        raise finset.refusal("actions.canonical_site", "%d table cells" % cells)
     return Site(m, [(name, build()) for name, _, build in plan])
 
 

@@ -10,7 +10,7 @@ import os
 import random
 import sys
 
-from .finset import FinSet, FinSetError, SizingError, MAX_ENUMERATION
+from .finset import FinSet, FinSetError, SizingError
 from .monoid import (Monoid, MonoidHom, MonoidError, validate_monoid,
                      submonoid_tuples, is_subgroup, is_hopf, hopf_witness, antipode,
                      kernel_pairs)
@@ -219,7 +219,7 @@ def cmd_stab(args):
     site = _site_for(m, args.site, _actions_from(args, m))
     V = parse_subfunctor(_load(_require(args, "--sub")), site)
     S, _ = stabilizer(V)
-    T = stabilizer_via_end(V, max_families=args.max_families)
+    T = stabilizer_via_end(V)
     return 0, {"schema": SCHEMA, "command": "stab",
                "site": list(site.names), "subfunctor": V.as_dict(),
                "stabilizer": list(S.elements),
@@ -230,7 +230,7 @@ def cmd_stab(args):
 def cmd_end(args):
     m = _monoid_from(args)
     site = _site_for(m, args.site, _actions_from(args, m))
-    end = end_of_forgetful(site, args.max_families)
+    end = end_of_forgetful(site)
     E = end_monoid(end)
     rho = reconstruction_hom(m, site, end=end)
     return 0, {"schema": SCHEMA, "command": "end",
@@ -411,20 +411,12 @@ def build_parser():
     parser.add_argument("--hom", help="hom JSON file")
     parser.add_argument("--out", choices=["json", "dot"], default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-families", type=int, default=MAX_ENUMERATION,
-                        help="bound on the work an end does before it refuses: one "
-                             "assignment per family, object and point when it is read "
-                             "off a free object, else the table cells its presentation "
-                             "writes and, counted apart, the values tried and images "
-                             "written by the read-off (default %(default)s)")
     return parser
 
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.max_families < 0:
-            raise InputError("--max-families must be 0 or more, not %d" % args.max_families)
         code, payload = COMMANDS[args.command][0](args)
     except (SizingError, InputError, FinSetError, MonoidError, ActionError, EndError,
             GaloisError) as exc:

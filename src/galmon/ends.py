@@ -20,8 +20,8 @@ see `end_of_forgetful`).
 
 import itertools
 
-from .finset import (FinSet, FinMap, SizingError, MAX_ENUMERATION, map_label,
-                     product, proj_right, curry, singleton, terminal_map)
+from . import finset
+from .finset import FinSet, FinMap, map_label, product, proj_right, curry, singleton, terminal_map
 from .monoid import Monoid, MonoidHom
 from .actions import Site, read_off, trivial_action, underlying_site
 
@@ -110,13 +110,17 @@ class EndObject:
         return tuple(ws[q] for q in self.family_of[elem][i])
 
     def monoid(self):
-        """Componentwise composition; defined when V and W coincide."""
+        """Componentwise composition, defined when V and W coincide; its
+        |E|^2 table cells count against the limit before any is composed."""
         if self._monoid is None:
             if self.V.obs != self.W.obs:
                 raise EndError("only an end of a self-hom diagram is a monoid")
             unit_fam = tuple(tuple(range(len(ob))) for ob in self.V.obs)
             if unit_fam not in self.elem_of:
                 raise EndError("identity family fails the wedge condition")
+            cells = len(self.families) ** 2
+            if cells > finset.MAX_ENUMERATION:
+                raise finset.refusal("ends.EndObject.monoid", "%d table cells" % cells)
             fams = list(map(self.family_of.__getitem__, self.carrier))
             at = {fam: k for k, fam in enumerate(fams)}
             table = {}
@@ -129,7 +133,7 @@ class EndObject:
         return self._monoid
 
 
-def internal_nat(V, W, max_families=MAX_ENUMERATION):
+def internal_nat(V, W):
     """Compute the end of [V, W] over the diagrams' common site.
 
     A wedge family sends each point (i, p), p in V(i), into W(i), and
@@ -139,8 +143,8 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
     point not reached yet, in flat order, is a generating point x, a walk
     along the generating morphisms gives each point it reaches the table
     W(x) -> W(i) of its path, and every later arrival at a point is a
-    relation between two tables.  The table cells the walk writes count
-    against `max_families`, and so, separately, does the read-off.
+    relation between two tables.  The walk's table cells and the
+    read-off's values and images make one count against the limit.
     """
     site = V.site
     if site != W.site:
@@ -155,7 +159,7 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
             edges[i].append((offset[j], V.mor(i, j, f), W.mor(i, j, f)))
     number = {}  # each distinct table, numbered in order of appearance
     owner, table, at = [None] * n, [None] * n, [None] * n
-    blocks, relations, sizes, made = [], [], [], 0
+    blocks, relations, sizes, made, limit = [], [], [], 0, finset.MAX_ENUMERATION
     for x in range(n):
         if owner[x] is not None:
             continue
@@ -167,9 +171,8 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
             for o, Vf, Wf in edges[obj[p]]:
                 q, c = o + Vf[vp], tuple(map(Wf.__getitem__, t))
                 made += len(c)
-                if made > max_families:
-                    raise SizingError("ends: %d candidate assignments exceed the limit of %d"
-                                      % (made, max_families))
+                if made > limit:
+                    raise finset.refusal("ends", "%d candidate assignments" % made)
                 a = number.setdefault(c, len(number))
                 if owner[q] is None:
                     owner[q], table[q], at[q] = b, c, a
@@ -183,12 +186,11 @@ def internal_nat(V, W, max_families=MAX_ENUMERATION):
     pos = None if listed == list(range(n)) else sorted(range(n), key=listed.__getitem__)
     reps = [tuple(map(at.__getitem__, block)) for block in blocks]
     families = [tuple(flat[offset[i]:offset[i + 1]] for i in range(k))
-                for flat in read_off(reps, relations, pos, list(number), sizes,
-                                     max_families, "ends")]
+                for flat in read_off(reps, relations, pos, list(number), sizes, "ends", made)]
     return EndObject(site, V, W, families)
 
 
-def end_of_forgetful(site, max_families=MAX_ENUMERATION):
+def end_of_forgetful(site):
     """The end of the underlying-carrier diagram, with its monoid.
 
     A free object F = A.x0 has a point x0 with a -> a.x0 a bijection from
@@ -197,18 +199,18 @@ def end_of_forgetful(site, max_families=MAX_ENUMERATION):
     fixed by its value c.x0 at x0 and is the action of c everywhere; every
     c gives one.  The families are then the action tables of the elements,
     in lexicographic order as `internal_nat` lists them, and the end monoid
-    is the monoid's own table.  Reading them off makes one assignment per
-    family, object and point, counted against `max_families`.  Sites
+    is the monoid's own table.  Reading them off makes |A|·Σ|X| assignments,
+    one per family, object and point, counted against the limit.  Sites
     without a free object go through `internal_nat`.
     """
     U = ForgetfulDiagram(site)
     m = site.monoid
     n = len(m)
     if not any(len(X.carrier) == n and len(X._presentation()[0]) == 1 for X in site.objects):
-        return internal_nat(U, U, max_families)  # one generating point and |A| points: free
-    if n * sum(len(ob) for ob in U.obs) > max_families:
-        raise SizingError("ends: %d candidate assignments exceed the limit of %d"
-                          % (max_families + 1, max_families))
+        return internal_nat(U, U)  # one generating point and |A| points: free
+    made = n * sum(map(len, U.obs))
+    if made > finset.MAX_ENUMERATION:
+        raise finset.refusal("ends", "%d candidate assignments" % made)
     fam = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
     order = sorted(m.elements, key=fam.__getitem__)
     end = EndObject(site, U, U, [fam[a] for a in order])
@@ -296,13 +298,13 @@ def reconstruction_composite_check(m, site, end=None):
                for a in m.elements)
 
 
-def trivial_path(m, site, end=None, max_families=MAX_ENUMERATION):
+def trivial_path(m, site, end=None):
     """The composite A -> 1 -> End[carriers] -> End[U]: every element goes
     to the identity family, reached through the underlying-carrier site."""
     if end is None:
-        end = end_of_forgetful(site, max_families)
+        end = end_of_forgetful(site)
     base, ob_map = underlying_site(site)
-    base_end = end_of_forgetful(base, max_families)
+    base_end = end_of_forgetful(base)
     down = SiteFunctor(site, base, ob_map)
     r = restrict_end(base_end, down, target_end=end)
     eps = terminal_map(m.carrier)
@@ -364,7 +366,7 @@ def augmentation_square_check(m, site):
     return True
 
 
-def family_restriction(end, sub, max_families=MAX_ENUMERATION):
+def family_restriction(end, sub):
     """Precompose a self-hom end with a subset diagram of its source.
 
     Returns the carrier map End[U] -> End[sub, U] together with the end it
@@ -373,7 +375,7 @@ def family_restriction(end, sub, max_families=MAX_ENUMERATION):
     """
     if sub.site != end.site:
         raise EndError("subset diagram must live over the end's site")
-    target = internal_nat(sub, end.W, max_families)
+    target = internal_nat(sub, end.W)
     table = {}
     for fam, elem in end.elem_of.items():
         parts = []

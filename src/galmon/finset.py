@@ -13,10 +13,11 @@ import sys
 
 ARROW = "↦"  # separates argument from image in function-element labels
 
-# Hard ceiling on any single enumerated carrier or hom scan.
+# The one work limit: every sizing guard of the package reads it from here
+# at call time, and its refusal comes from `refusal`.
 MAX_ENUMERATION = 10_000_000
 
-# Ceiling on a hom set that is listed map by map.
+# Ceiling on the submonoids listed, which are all kept in memory.
 MAX_MATERIALIZED = 100_000
 
 
@@ -26,6 +27,13 @@ class FinSetError(Exception):
 
 class SizingError(Exception):
     """An enumeration would exceed the configured ceiling."""
+
+
+def refusal(layer, counted, limit=None):
+    """The SizingError of a guard in `layer` whose count, `counted` (the
+    count with its unit), passed `limit` (MAX_ENUMERATION when None)."""
+    return SizingError("%s: %s exceed the limit of %d"
+                       % (layer, counted, MAX_ENUMERATION if limit is None else limit))
 
 
 _OPENERS = {"(": ")", "{": "}"}
@@ -155,8 +163,8 @@ class FunctionSet(FinSet):
         return self._sorted
 
     def _refusal(self):
-        return SizingError("finset.exponential: %d^%d elements exceed the limit of %d"
-                           % (len(self.target), len(self.base), MAX_ENUMERATION))
+        return refusal("finset.exponential",
+                       "%d^%d elements" % (len(self.target), len(self.base)))
 
     def __len__(self):
         if self._size > sys.maxsize:  # len() must fit in a machine word
@@ -278,8 +286,7 @@ def terminal_map(X):
 def product(X, Y):
     """Cartesian product with decodable pair elements."""
     if len(X) * len(Y) > MAX_ENUMERATION:
-        raise SizingError("finset.product: %d x %d elements exceed the limit of %d"
-                          % (len(X), len(Y), MAX_ENUMERATION))
+        raise refusal("finset.product", "%d x %d elements" % (len(X), len(Y)))
     pairs = {}
     for x in X:
         for y in Y:
@@ -357,8 +364,7 @@ def hom_set(X, Y):
     """All total maps X -> Y in canonical table order."""
     n = len(Y) ** len(X) if len(X) else 1
     if n > MAX_ENUMERATION:
-        raise SizingError("finset.hom_set: %d^%d maps exceed the limit of %d"
-                          % (len(Y), len(X), MAX_ENUMERATION))
+        raise refusal("finset.hom_set", "%d^%d maps" % (len(Y), len(X)))
     xs = X.elements
     out = []
     for images in itertools.product(Y.elements, repeat=len(xs)):

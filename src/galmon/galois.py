@@ -153,15 +153,15 @@ def stabilizer(V):
     return submonoid(m, kept)
 
 
-def stabilizer_via_end(V, max_families=ends.MAX_ENUMERATION):
+def stabilizer_via_end(V):
     """The stabilizer again, through the end: equalize the reconstruction
     map against the trivial path after restricting all families to V."""
     site = V.site
     m = site.monoid
-    end = ends.end_of_forgetful(site, max_families)
+    end = ends.end_of_forgetful(site)
     rho = ends.reconstruction_hom(m, site, end=end)
-    path = ends.trivial_path(m, site, end=end, max_families=max_families)
-    cut, _ = ends.family_restriction(end, V.diagram(), max_families)
+    path = ends.trivial_path(m, site, end=end)
+    cut, _ = ends.family_restriction(end, V.diagram())
     eq, _ = equalizer(cut * rho.map, cut * path)
     S, _ = submonoid(m, eq.elements)
     return S

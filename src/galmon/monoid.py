@@ -13,8 +13,8 @@ detects when a monoid is a group (and so has an antipode).
 
 import itertools
 
-from .finset import (FinSet, FinMap, MAX_ENUMERATION, MAX_MATERIALIZED, SizingError,
-                     pair_label, product)
+from . import finset
+from .finset import FinSet, FinMap, pair_label, product
 
 
 class MonoidError(Exception):
@@ -330,21 +330,22 @@ def submonoid_tuples(m):
     mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
     unit = elems.index(m.unit)
     found, products = [], 0
+    limit, most = finset.MAX_ENUMERATION, finset.MAX_MATERIALIZED
     stack = [(1 << unit, [unit], (), -1)]
     while stack:
         mask, members, gens, core = stack.pop()
         found.append(((len(members) << n) - mask, members))
-        if len(found) > MAX_MATERIALIZED:
-            raise SizingError("monoid.enumerate_submonoids: more than %d submonoids "
-                              "exceed the limit of %d" % (MAX_MATERIALIZED, MAX_MATERIALIZED))
+        if len(found) > most:
+            raise finset.refusal("monoid.enumerate_submonoids",
+                                 "more than %d submonoids" % most, most)
         for a in range(core + 1, n):
             if mask >> a & 1:
                 continue
             closed, new, made = _close(mul, mask, members, gens + (a,), a)
             products += made
-            if products > MAX_ENUMERATION:
-                raise SizingError("monoid.enumerate_submonoids: %d closure products "
-                                  "exceed the limit of %d" % (products, MAX_ENUMERATION))
+            if products > limit:
+                raise finset.refusal("monoid.enumerate_submonoids",
+                                     "%d closure products" % products)
             if closed is not None:
                 stack.append((closed, members + new, gens + (a,), a))
     found.sort()

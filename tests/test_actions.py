@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SAMPLES, entries, maps_monoid
-from galmon import actions
+from galmon import actions, finset
 from galmon.finset import FinSet, FinMap, SizingError, hom_set, singleton
 from galmon.monoid import (MonoidHom, submonoid, trivial_monoid, enumerate_submonoids,
                            is_subgroup, is_hopf)
@@ -250,9 +250,9 @@ def test_default_site():
 def test_site_cells_count_against_the_limit_before_any_object_is_built(monkeypatch):
     # Z3 on F(1), E(1) and a 2-point custom object: 3 * (3 + 1 + 2) cells
     custom = (("two", trivial_action(Z3, FinSet(("0", "1")))),)
-    monkeypatch.setattr(actions, "MAX_ENUMERATION", 18)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 18)
     assert len(canonical_site(Z3, "free+trivial+custom", custom=custom).objects) == 3
-    monkeypatch.setattr(actions, "MAX_ENUMERATION", 17)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 17)
     monkeypatch.setattr(actions, "free_action", lambda *args: pytest.fail("F(1) was built"))
     with pytest.raises(SizingError) as exc:
         canonical_site(Z3, "free+trivial+custom", custom=custom)
@@ -262,10 +262,10 @@ def test_site_cells_count_against_the_limit_before_any_object_is_built(monkeypat
 def test_s5_default_site_passes_the_cell_guard_at_its_exact_count(monkeypatch):
     # 120 * (the 120 / |H| cosets of each of 156 subgroups H, and F(1))
     s5 = maps_monoid(list(itertools.permutations(range(5))))
-    monkeypatch.setattr(actions, "MAX_ENUMERATION", 533_399)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 533_399)
     with pytest.raises(SizingError, match="^actions.canonical_site: 533400 table cells "):
         default_site(s5)
-    monkeypatch.setattr(actions, "MAX_ENUMERATION", 533_400)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 533_400)
     assert len(default_site(s5).objects) == 157
 
 

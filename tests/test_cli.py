@@ -11,10 +11,10 @@ from hypothesis import given, strategies as st
 
 from conftest import (maps_monoid, products, submonoids_oracle, transformation_monoid,
                       write_monoid)
-from galmon import samples
+from galmon import finset, samples
 from galmon.actions import default_site
 from galmon.cli import COMMANDS, _corr_dot, _dumps, _hasse_edges, build_parser, run
-from galmon.finset import MAX_ENUMERATION, FinSet
+from galmon.finset import FinSet
 from galmon.galois import galois_correspondence, invariants_oracle
 from galmon.monoid import Monoid, enumerate_submonoids
 
@@ -32,19 +32,16 @@ def run_json(capsys, argv):
 
 
 OPTIONS = ["--monoid", "m.json", "--action", "a.json", "--action", "b.json", "--site", "free",
-           "--sub", "v.json", "--hom", "h.json", "--out", "dot", "--seed", "3",
-           "--max-families", "10"]
+           "--sub", "v.json", "--hom", "h.json", "--out", "dot", "--seed", "3"]
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_every_command_parses_to_the_same_namespace(command):
     # the namespaces the per-command subparsers produced
     defaults = {"command": command, "monoid": None, "action": None, "site": "default",
-                "sub": None, "hom": None, "out": "json", "seed": 0,
-                "max_families": MAX_ENUMERATION}
+                "sub": None, "hom": None, "out": "json", "seed": 0}
     given = {"command": command, "monoid": "m.json", "action": ["a.json", "b.json"],
-             "site": "free", "sub": "v.json", "hom": "h.json", "out": "dot", "seed": 3,
-             "max_families": 10}
+             "site": "free", "sub": "v.json", "hom": "h.json", "out": "dot", "seed": 3}
     parser = build_parser()
     assert vars(parser.parse_args([command])) == defaults
     assert vars(parser.parse_args([command] + OPTIONS)) == given
@@ -61,8 +58,9 @@ def test_help_names_every_command(capsys):
         assert any(line.split() == [name] + doc.split() for line in lines), name
 
 
-@pytest.mark.parametrize("argv", [["frobnicate", "--monoid", "m.json"], [], ["--seed", "3"]],
-                         ids=["unknown", "missing", "options-only"])
+@pytest.mark.parametrize("argv", [["frobnicate", "--monoid", "m.json"], [], ["--seed", "3"],
+                                  ["end", "--max-families", "10"]],
+                         ids=["unknown", "missing", "options-only", "max-families"])
 def test_bad_command_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -386,29 +384,41 @@ def test_end_reconstruction(capsys):
     assert doc["reconstruction"]["kernel_pairs"] == []
 
 
-def test_end_sizing_guard(capsys):
-    code, out = run_json(capsys, ["end", "--monoid", fx("s3.json"),
-                                  "--site", "free", "--max-families", "10"])
+def test_end_sizing_guard(capsys, monkeypatch):
+    # S3 on its three points alone has 27 wedge families: 729 table cells
+    argv = ["end", "--monoid", fx("s3.json"), "--site", "custom",
+            "--action", fx("s3_natural.json")]
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 728)
+    code, out = run_json(capsys, argv)
     assert code == 2
-    assert "candidate" in out["error"]
+    assert out["error"] == "ends.EndObject.monoid: 729 table cells exceed the limit of 728"
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 729)
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["size"] == 27
 
 
-def test_stab_sizing_guard(capsys):
-    code, out = run_json(capsys, ["stab", "--monoid", fx("s3.json"),
-                                  "--sub", fx("a3_invariants.json"), "--max-families", "10"])
+def test_stab_sizing_guard(capsys, monkeypatch):
+    # the default site's 6 * 24 table cells are counted before it is built,
+    # and the end read off its free object counts the same 144 assignments
+    argv = ["stab", "--monoid", fx("s3.json"), "--sub", fx("a3_invariants.json")]
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 143)
+    code, out = run_json(capsys, argv)
     assert code == 2
-    assert out["error"] == "ends: 11 candidate assignments exceed the limit of 10"
+    assert out["error"] == "actions.canonical_site: 144 table cells exceed the limit of 143"
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 144)
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["agree"] is True
 
 
 @pytest.mark.parametrize("command", ["end", "stab"])
-def test_negative_max_families_is_bad_input(command, capsys):
-    argv = [command, "--monoid", fx("s3.json"), "--sub", fx("a3_invariants.json")]
-    code, out = run_json(capsys, argv + ["--max-families", "-1"])
-    assert code == 1
-    assert out["error"] == "--max-families must be 0 or more, not -1"
-    code, out = run_json(capsys, argv + ["--max-families", "0"])
+def test_a_zero_limit_refuses_the_first_guard(command, capsys, monkeypatch):
+    # the coset objects of the default site list S3's submonoids first
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 0)
+    code, out = run_json(capsys, [command, "--monoid", fx("s3.json"),
+                                  "--sub", fx("a3_invariants.json")])
     assert code == 2
-    assert out["error"] == "ends: 1 candidate assignments exceed the limit of 0"
+    assert out["error"] == ("monoid.enumerate_submonoids: 2 closure products exceed "
+                            "the limit of 0")
 
 
 @pytest.mark.parametrize("m", [samples.cyclic(8), samples.mult_mod(8)],

@@ -23,7 +23,7 @@ from galmon.finset import FinSet, SizingError
 from galmon.monoid import enumerate_submonoids, is_hopf, submonoid, trivial_monoid
 from galmon.actions import (MAction, Site, canonical_site, coset_action, default_site,
                             trivial_action, underlying_site)
-from galmon import ends
+from galmon import ends, finset
 from galmon.ends import ForgetfulDiagram, end_of_forgetful, internal_nat
 from galmon.galois import Subfunctor, invariants, invariants_oracle, random_subfunctor
 from galmon import samples
@@ -210,23 +210,31 @@ def test_propagate_yields_lexicographic_solutions():
     assert list(propagate([0], [[]])) == []
 
 
-def test_end_refusal_names_layer_count_and_limit():
+def test_end_refusal_names_layer_count_and_limit(monkeypatch):
     U = ForgetfulDiagram(canonical_site(samples.symmetric3(), "free"))
+    internal_nat(U, U)  # the site's hom sets are read off, under the default limit
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 10)
     with pytest.raises(SizingError) as exc:
-        internal_nat(U, U, 10)
+        internal_nat(U, U)
     assert str(exc.value) == "ends: 12 candidate assignments exceed the limit of 10"
 
 
-def test_the_presentation_build_counts_against_the_limit():
+def test_the_presentation_build_counts_against_the_limit(monkeypatch):
     # S3's free object: the walk composes a 6-cell table along each of the
-    # 36 edges (6 points, 6 endomorphisms), 216 cells, while the read-off
-    # tries 6 values and writes 6 images for each of 6 families, 42
+    # 36 edges (6 points, 6 endomorphisms), 216 cells, and the read-off then
+    # tries 6 values and writes 6 images for each of 6 families, 42 more on
+    # the same count
     U = ForgetfulDiagram(canonical_site(samples.symmetric3(), "free"))
-    assert len(internal_nat(U, U, 216)) == 6
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ends, "read_off", None)  # refused before the read-off starts
-        with pytest.raises(SizingError) as exc:
-            internal_nat(U, U, 100)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 258)
+    assert len(internal_nat(U, U)) == 6
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 257)
+    with pytest.raises(SizingError) as exc:
+        internal_nat(U, U)
+    assert str(exc.value) == "ends: 258 candidate assignments exceed the limit of 257"
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 100)
+    monkeypatch.setattr(ends, "read_off", None)  # refused before the read-off starts
+    with pytest.raises(SizingError) as exc:
+        internal_nat(U, U)
     assert str(exc.value) == "ends: 102 candidate assignments exceed the limit of 100"
 
 
@@ -237,8 +245,8 @@ def has_free_object(site):
                for act in site.objects for x in act.carrier)
 
 
-def end_and_route(site, *limit):
-    """end_of_forgetful(site, *limit), and whether it called internal_nat."""
+def end_and_route(site):
+    """end_of_forgetful(site), and whether it called internal_nat."""
     calls = []
 
     def spy(*args):
@@ -247,7 +255,7 @@ def end_and_route(site, *limit):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ends, "internal_nat", spy)
-        end = end_of_forgetful(site, *limit)
+        end = end_of_forgetful(site)
     return end, bool(calls)
 
 
@@ -308,11 +316,22 @@ def test_sites_without_a_free_object_are_searched():
     assert len(end_of_forgetful(sites[0])) == 3
 
 
-def test_read_off_guard_counts_one_assignment_per_family_object_and_point():
-    # 6 families of the 6 points of S3's free object
+def test_read_off_guard_counts_one_assignment_per_family_object_and_point(monkeypatch):
+    # 6 families of the 6 points of S3's free object, and of the 24 points
+    # of its default site
     site = canonical_site(samples.symmetric3(), "free")
-    end, searched = end_and_route(site, 36)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 36)
+    end, searched = end_and_route(site)
     assert len(end) == 6 and not searched
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 35)
     with pytest.raises(SizingError) as exc:
-        end_of_forgetful(site, 35)
+        end_of_forgetful(site)
     assert str(exc.value) == "ends: 36 candidate assignments exceed the limit of 35"
+    monkeypatch.undo()
+    site = default_site(samples.symmetric3())
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 144)
+    assert len(end_of_forgetful(site)) == 6
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 143)
+    with pytest.raises(SizingError) as exc:
+        end_of_forgetful(site)
+    assert str(exc.value) == "ends: 144 candidate assignments exceed the limit of 143"

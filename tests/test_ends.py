@@ -13,7 +13,7 @@ from galmon.ends import (EndError, ForgetfulDiagram, SubsetDiagram, internal_nat
                          reconstruction_composite_check, trivial_path,
                          extend_with_trivials, augmentation_square_check,
                          family_restriction)
-from galmon import samples
+from galmon import finset, samples
 
 Z2 = samples.cyclic(2)
 Z3 = samples.cyclic(3)
@@ -210,19 +210,23 @@ def test_subset_diagram_escape():
         SubsetDiagram(site, [("zzz",), ()])
 
 
-def test_sizing_guard_per_object():
+def test_sizing_guard_per_object(monkeypatch):
+    site = free_site(S3)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 10)
     with pytest.raises(SizingError):
-        end_of_forgetful(free_site(S3), 10)
+        end_of_forgetful(site)
 
 
-def test_sizing_guard_family_product():
+def test_sizing_guard_family_product(monkeypatch):
     swap2 = MAction(Z2, FinSet(("a", "b")),
                     {("e", "a"): "a", ("e", "b"): "b",
                      ("g", "a"): "b", ("g", "b"): "a"})
     site = Site(Z2, [("sw", SWAP), ("sw2", swap2)])
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 3)
     with pytest.raises(SizingError):
-        end_of_forgetful(site, 3)
-    assert len(end_of_forgetful(site, 16)) == 2
+        end_of_forgetful(site)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 16)
+    assert len(end_of_forgetful(site)) == 2
 
 
 def test_refusals_name_layer_count_and_limit():

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from galmon import finset
 from galmon.cli import run
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -37,8 +38,6 @@ REPORTS = [
      0, "e6941a209e5c4e63536ca0aa7a65db38af10e7235fd16dd54a7069e8ac944dd5"),
     ("end --monoid z3.json --site free",
      0, "8d6f7378a03df2bb0e1f37de2d1a65b4795c3fd63e88f9e81236b21059cdaa57"),
-    ("end --monoid s3.json --site free --max-families 10",
-     2, "f24759d61802e1010573164b944ac3203e4727ed17b61e1f10ff5219a02125fc"),
     ("corr --monoid s3.json",
      0, "f8e03b924911f1ee7745825f6ff392e4322420b8b93bc651746e3c0d6d67c21c"),
     ("corr --monoid e2.json",
@@ -86,3 +85,14 @@ def test_report_is_byte_identical(argv, code, digest, capsys):
     assert run(args) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_refusal_prints_one_error_object(capsys, monkeypatch):
+    # S3's free site has 6 * 6 table cells, counted before it is built
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 10)
+    assert run(["end", "--monoid", os.path.join(FIXTURES, "s3.json"), "--site", "free"]) == 2
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "error": "actions.canonical_site: 36 table cells exceed the limit of 10",\n'
+        '  "schema": "galmon/1"\n'
+        '}\n')

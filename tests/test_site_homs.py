@@ -15,7 +15,7 @@ from hypothesis import given
 from conftest import (NONASSOC, S4, SAMPLES, equivariant_filter, hom_search_oracle, maps_monoid,
                       transformation_monoid, transformation_monoids, write_monoid)
 from test_report_digests import FIXTURES, REPORTS
-from galmon import actions
+from galmon import actions, finset
 from galmon.cli import run
 from galmon.finset import FinSet, SizingError
 from galmon.galois import invariants
@@ -127,7 +127,7 @@ def test_the_read_off_refuses_past_the_enumeration_limit(monkeypatch):
     Z2 = SAMPLES["Z2"]
     E3 = trivial_action(Z2, FinSet(("0", "1", "2")))
     assert len(equivariant_maps(E3, E3)) == 27
-    monkeypatch.setattr(actions, "MAX_ENUMERATION", 7)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 7)
     with pytest.raises(SizingError) as exc:
         equivariant_maps(E3, E3)
     assert str(exc.value) == "actions: 12 candidate assignments exceed the limit of 7"
