@@ -1,8 +1,8 @@
 """Finite sets as a cartesian closed category: products, exponentials,
 currying, equalizers.  Everything is a table; every carrier is ordered."""
 
-from galmon.finset import (FinSet, FinMap, product, proj_left, proj_right,
-                           exponential, curry, uncurry, equalizer, hom_set)
+from galmon.finset import (FinSet, FinMap, product, exponential, curry, uncurry,
+                           equalizer, hom_set)
 
 X = FinSet(("0", "1"))
 Y = FinSet(("a", "b", "c"))

@@ -57,6 +57,8 @@ def main():
     dump("a3_in_s3.json", hom_doc(incl))
     dump("z2_in_s3.json", hom_doc(MonoidHom(z2, s3, {"e": "e", "g": "(12)"})))
     dump("a3_invariants.json", {"subsets": invariants(incl, default_site(s3)).as_dict()})
+    # a point of the natural action: a subfunctor of the custom site it spans
+    dump("s3_natural_point.json", {"subsets": {"s3_natural": ["1"]}})
 
 
 if __name__ == "__main__":

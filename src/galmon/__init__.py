@@ -8,8 +8,8 @@ diagrams, and checks the Galois connection the two constructions induce.
 """
 
 from .finset import (FinSet, FinMap, FinSetError, SizingError, singleton,
-                     product, proj_left, proj_right, pairing, exponential,
-                     curry, uncurry, evaluation, equalizer, hom_set)
+                     product, proj_right, exponential, curry, uncurry,
+                     equalizer, hom_set)
 from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                      validate_monoid, laws_hold, generators, trivial_monoid,
                      submonoid, submonoid_tuples,

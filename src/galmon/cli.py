@@ -16,7 +16,7 @@ from .monoid import (Monoid, MonoidHom, MonoidError, validate_monoid,
                      kernel_pairs)
 from .actions import (MAction, ActionError, Site, validate_action,
                       canonical_site, default_site, coinduct)
-from .ends import EndError, end_of_forgetful, end_monoid, reconstruction_hom
+from .ends import EndError, end_of_forgetful, reconstruction_hom
 from .galois import (GaloisError, Subfunctor, invariants, invariants_oracle,
                      stabilizer, stabilizer_via_end, galois_correspondence,
                      connection_law_failures, random_subfunctor)
@@ -231,16 +231,15 @@ def cmd_end(args):
     m = _monoid_from(args)
     site = _site_for(m, args.site, _actions_from(args, m))
     end = end_of_forgetful(site)
-    E = end_monoid(end)
     rho = reconstruction_hom(m, site, end=end)
     return 0, {"schema": SCHEMA, "command": "end",
                "site": list(site.names),
                "families": list(end.carrier.elements),
                "size": len(end),
-               "unit": E.unit,
+               "unit": end.unit(),
                "reconstruction": {"map": {a: rho(a) for a in m.elements},
                                   "injective": rho.is_injective(),
-                                  "isomorphism": rho.is_isomorphism(),
+                                  "isomorphism": rho.is_bijection(),
                                   "kernel_pairs": [list(p) for p in kernel_pairs(rho)]}}
 
 

@@ -13,16 +13,19 @@ guard bounds the tables written and the values tried.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
-action of its source on every site object at once.  When the site has a
-free object, End[U] is read off the monoid's own table instead (Yoneda;
-see `end_of_forgetful`).
+action of its source on every site object at once.  Maps into and between
+such ends are carrier maps: composition is componentwise, so whether one
+is unital and multiplicative is read off the components, and no end's
+table is composed.  When the site has a free object, the families of
+End[U] are the monoid's action tables instead (Yoneda; see
+`end_of_forgetful`).
 """
 
 import itertools
 
 from . import finset
 from .finset import FinSet, FinMap, map_label, product, proj_right, curry, singleton, terminal_map
-from .monoid import Monoid, MonoidHom
+from .monoid import Monoid, acts_along, generators
 from .actions import Site, read_off, trivial_action, underlying_site
 
 
@@ -109,15 +112,20 @@ class EndObject:
         ws = self.W.obs[i].elements
         return tuple(ws[q] for q in self.family_of[elem][i])
 
+    def unit(self):
+        """The label of the identity family, defined when V and W coincide."""
+        if self.V.obs != self.W.obs:
+            raise EndError("only an end of a self-hom diagram is a monoid")
+        unit_fam = tuple(tuple(range(len(ob))) for ob in self.V.obs)
+        if unit_fam not in self.elem_of:
+            raise EndError("identity family fails the wedge condition")
+        return self.elem_of[unit_fam]
+
     def monoid(self):
         """Componentwise composition, defined when V and W coincide; its
         |E|^2 table cells count against the limit before any is composed."""
         if self._monoid is None:
-            if self.V.obs != self.W.obs:
-                raise EndError("only an end of a self-hom diagram is a monoid")
-            unit_fam = tuple(tuple(range(len(ob))) for ob in self.V.obs)
-            if unit_fam not in self.elem_of:
-                raise EndError("identity family fails the wedge condition")
+            unit = self.unit()
             cells = len(self.families) ** 2
             if cells > finset.MAX_ENUMERATION:
                 raise finset.refusal("ends.EndObject.monoid", "%d table cells" % cells)
@@ -129,7 +137,7 @@ class EndObject:
                 if not all(map(at.__contains__, comps)):
                     raise EndError("families are not closed under composition")
                 table[e] = tuple(map(at.__getitem__, comps))
-            self._monoid = Monoid._trusted(self.carrier, self.elem_of[unit_fam], table)
+            self._monoid = Monoid._trusted(self.carrier, unit, table)
         return self._monoid
 
 
@@ -191,17 +199,17 @@ def internal_nat(V, W):
 
 
 def end_of_forgetful(site):
-    """The end of the underlying-carrier diagram, with its monoid.
+    """The end of the underlying-carrier diagram.
 
     A free object F = A.x0 has a point x0 with a -> a.x0 a bijection from
     the monoid onto F.  With one in the site, every x in an object X is
     f(x0) for the morphism f: F -> X, a.x0 -> a.x, so a wedge family is
     fixed by its value c.x0 at x0 and is the action of c everywhere; every
     c gives one.  The families are then the action tables of the elements,
-    in lexicographic order as `internal_nat` lists them, and the end monoid
-    is the monoid's own table.  Reading them off makes |A|·Σ|X| assignments,
-    one per family, object and point, counted against the limit.  Sites
-    without a free object go through `internal_nat`.
+    in lexicographic order as `internal_nat` lists them.  Reading them off
+    makes |A|·Σ|X| assignments, one per family, object and point, counted
+    against the limit.  Sites without a free object go through
+    `internal_nat`.
     """
     U = ForgetfulDiagram(site)
     m = site.monoid
@@ -211,15 +219,8 @@ def end_of_forgetful(site):
     made = n * sum(map(len, U.obs))
     if made > finset.MAX_ENUMERATION:
         raise finset.refusal("ends", "%d candidate assignments" % made)
-    fam = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
-    order = sorted(m.elements, key=fam.__getitem__)
-    end = EndObject(site, U, U, [fam[a] for a in order])
-    # the end monoid is m with each element renamed to its family's label
-    pos = [end.carrier.index(end.elem_of[fam[a]]) for a in m.elements]
-    cols = sorted(range(n), key=pos.__getitem__)  # m's index of each end element
-    end._monoid = Monoid._trusted(end.carrier, end.elem_of[fam[m.unit]], {
-        e: tuple(pos[m.table[m.elements[c]][j]] for j in cols) for e, c in zip(end.carrier, cols)})
-    return end
+    return EndObject(site, U, U, sorted(tuple(act.table[a] for act in site.objects)
+                                        for a in m.elements))
 
 
 def end_monoid(end):
@@ -257,8 +258,9 @@ class SiteFunctor:
 def restrict_end(end, functor, target_end=None):
     """Restrict a self-hom end along a site functor into its site.
 
-    Returns the monoid map End[W] -> End[W o G] that drops the components
-    the functor does not reach.
+    Returns the carrier map End[W] -> End[W o G] that drops the components
+    the functor does not reach; dropping components commutes with
+    componentwise composition, so it is a monoid map.
     """
     if functor.dst != end.site:
         raise EndError("functor must land in the end's site")
@@ -273,11 +275,16 @@ def restrict_end(end, functor, target_end=None):
         if sub not in target_end.elem_of:
             raise EndError("a restricted family fails the wedge condition downstairs")
         table[elem] = target_end.elem_of[sub]
-    return MonoidHom(end.monoid(), target_end.monoid(), table)
+    return FinMap(end.carrier, target_end.carrier, table)
 
 
 def reconstruction_hom(m, site, end=None):
-    """The monoid map sending a in m to the family (x -> a.x) over the site."""
+    """The carrier map sending a in m to the family (x -> a.x) over the site.
+
+    Families compose componentwise, so it is a monoid map exactly when
+    every site object obeys the action law along generators of m, which
+    is checked (Light's test).
+    """
     if end is None:
         end = end_of_forgetful(site)
     table = {}
@@ -286,7 +293,9 @@ def reconstruction_hom(m, site, end=None):
         if fam not in end.elem_of:
             raise EndError("the action family of %r fails the wedge condition" % a)
         table[a] = end.elem_of[fam]
-    return MonoidHom(m, end.monoid(), table)
+    if not all(acts_along(m, act.table, generators(m)) for act in site.objects):
+        raise EndError("the action families are not a monoid map into the end")
+    return FinMap(m.carrier, end.carrier, table)
 
 
 def reconstruction_composite_check(m, site, end=None):
@@ -308,8 +317,8 @@ def trivial_path(m, site, end=None):
     down = SiteFunctor(site, base, ob_map)
     r = restrict_end(base_end, down, target_end=end)
     eps = terminal_map(m.carrier)
-    eta = FinMap(singleton(), base_end.carrier, {"*": base_end.monoid().unit})
-    return r.map * eta * eps
+    eta = FinMap(singleton(), base_end.carrier, {"*": base_end.unit()})
+    return r * eta * eps
 
 
 def extend_with_trivials(site):
@@ -349,11 +358,11 @@ def augmentation_square_check(m, site):
     to_up = restrict_end(end_base, SiteFunctor(extended, base, down), target_end=end_up)
     back = restrict_end(end_up, SiteFunctor(base, extended, into), target_end=end_base)
     ident = FinMap.identity(end_base.carrier)
-    if back.map * to_up.map != ident:
+    if back * to_up != ident:
         return False
     eps = terminal_map(m.carrier)
-    eta = FinMap(singleton(), end_base.carrier, {"*": end_base.monoid().unit})
-    by_path = to_up.map * eta * eps
+    eta = FinMap(singleton(), end_base.carrier, {"*": end_base.unit()})
+    by_path = to_up * eta * eps
     for a in m.elements:
         comps = []
         for act in extended.objects:

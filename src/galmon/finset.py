@@ -297,22 +297,9 @@ def product(X, Y):
     return P
 
 
-def proj_left(P):
-    X, _ = P._factors
-    return FinMap(P, X, {p: xy[0] for p, xy in P._pairs.items()})
-
-
 def proj_right(P):
     _, Y = P._factors
     return FinMap(P, Y, {p: xy[1] for p, xy in P._pairs.items()})
-
-
-def pairing(f, g):
-    """The unique map into product(f.cod, g.cod) with the given components."""
-    if f.dom != g.dom:
-        raise FinSetError("pairing needs a common domain")
-    P = product(f.cod, g.cod)
-    return FinMap(f.dom, P, {x: pair_label(f(x), g(x)) for x in f.dom})
 
 
 def exponential(X, Z):
@@ -342,13 +329,6 @@ def uncurry(g):
     P = product(g.dom, E.base)
     table = {p: E.map_apply(g(y), x) for p, (y, x) in P._pairs.items()}
     return FinMap(P, E.target, table)
-
-
-def evaluation(X, Z):
-    """ev: [X, Z] x X -> Z."""
-    E = exponential(X, Z)
-    P = product(E, X)
-    return FinMap(P, Z, {p: E.map_apply(phi, x) for p, (phi, x) in P._pairs.items()})
 
 
 def equalizer(f, g):

@@ -162,7 +162,7 @@ def stabilizer_via_end(V):
     rho = ends.reconstruction_hom(m, site, end=end)
     path = ends.trivial_path(m, site, end=end)
     cut, _ = ends.family_restriction(end, V.diagram())
-    eq, _ = equalizer(cut * rho.map, cut * path)
+    eq, _ = equalizer(cut * rho, cut * path)
     S, _ = submonoid(m, eq.elements)
     return S
 

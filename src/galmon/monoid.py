@@ -240,15 +240,13 @@ class MonoidHom:
     def is_injective(self):
         return self.map.is_injective()
 
-    def is_isomorphism(self):
-        return self.map.is_bijection()
 
-
-def kernel_pairs(h):
-    """Pairs the hom identifies: the congruence it induces on the source."""
+def kernel_pairs(f):
+    """Pairs a carrier map identifies: for a monoid map, the congruence it
+    induces on the source."""
     out = []
-    for a, b in itertools.combinations(h.src.elements, 2):
-        if h(a) == h(b):
+    for a, b in itertools.combinations(f.dom, 2):
+        if f(a) == f(b):
             out.append((a, b))
     return tuple(out)
 

@@ -385,14 +385,15 @@ def test_end_reconstruction(capsys):
 
 
 def test_end_sizing_guard(capsys, monkeypatch):
-    # S3 on its three points alone has 27 wedge families: 729 table cells
+    # S3 on its three points alone has 27 wedge families, which internal_nat
+    # finds in 87 units of work; their 729 table cells are never composed
     argv = ["end", "--monoid", fx("s3.json"), "--site", "custom",
             "--action", fx("s3_natural.json")]
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 728)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 86)
     code, out = run_json(capsys, argv)
     assert code == 2
-    assert out["error"] == "ends.EndObject.monoid: 729 table cells exceed the limit of 728"
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 729)
+    assert out["error"] == "ends: 87 candidate assignments exceed the limit of 86"
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 87)
     code, doc = run_json(capsys, argv)
     assert code == 0 and doc["size"] == 27
 

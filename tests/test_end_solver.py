@@ -10,6 +10,10 @@ forcing search `propagate`, which scales to generated instances.
 
 `end_of_forgetful` reads the end off a free object when the site has one;
 `internal_nat` is then its oracle.
+
+`reconstruction_hom` and `restrict_end` return carrier maps whose monoid
+laws are read off the components; the checked |A|^2 `MonoidHom`
+constructor into the end's own monoid is their oracle.
 """
 
 import itertools
@@ -17,15 +21,17 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (S4, SAMPLES, assert_checked, nat_search_oracle, propagate,
-                      transformation_monoids)
+from conftest import (S4, SAMPLES, assert_checked, maps_monoid, nat_search_oracle,
+                      propagate, transformation_monoids)
 from galmon.finset import FinSet, SizingError
-from galmon.monoid import enumerate_submonoids, is_hopf, submonoid, trivial_monoid
+from galmon.monoid import MonoidHom, enumerate_submonoids, is_hopf, submonoid, trivial_monoid
 from galmon.actions import (MAction, Site, canonical_site, coset_action, default_site,
                             trivial_action, underlying_site)
 from galmon import ends, finset
-from galmon.ends import ForgetfulDiagram, end_of_forgetful, internal_nat
-from galmon.galois import Subfunctor, invariants, invariants_oracle, random_subfunctor
+from galmon.ends import (ForgetfulDiagram, SiteFunctor, end_of_forgetful, internal_nat,
+                         reconstruction_hom, restrict_end)
+from galmon.galois import (Subfunctor, invariants, invariants_oracle, random_subfunctor,
+                           stabilizer, stabilizer_via_end)
 from galmon import samples
 
 # Sum over objects of |W_i|^|V_i| above which the oracle is too slow to run.
@@ -262,10 +268,15 @@ def end_and_route(site):
 def assert_end_matches_search(site):
     """The end is read off exactly when the site has a free object, and
     then agrees with internal_nat in families, carrier, unit and table.  Both
-    end monoids equal the checked constructor's."""
+    end monoids equal the checked constructor's; the end's unit is its
+    monoid's, and the reconstruction carrier map passes the checked |A|^2
+    constructor into that monoid."""
     end, searched = end_and_route(site)
     assert searched != has_free_object(site)
     assert_checked(end.monoid())
+    assert end.unit() == end.monoid().unit
+    rho = reconstruction_hom(site.monoid, site, end=end)
+    assert MonoidHom(site.monoid, end.monoid(), rho).map == rho
     if not searched:
         U = ForgetfulDiagram(site)
         ref = internal_nat(U, U)
@@ -287,6 +298,50 @@ READ_OFF = [pytest.param(m, recipe, id="%s-%s" % (name, recipe))
 def test_read_off_matches_search_on_samples(m, recipe):
     site = default_site(m) if recipe == "default" else canonical_site(m, recipe)
     assert not assert_end_matches_search(site)
+
+
+def test_reconstruction_is_a_hom_on_the_natural_site_of_s3():
+    # 27 families over S3's three points, none of them read off a free object
+    site = canonical_site(samples.symmetric3(), "custom",
+                          custom=[("s3_natural", samples.natural_action3())])
+    assert assert_end_matches_search(site)
+
+
+def test_restrictions_are_homs_between_the_end_monoids():
+    # the sites of test_ends' test_restrict_end_* cases
+    z2 = samples.cyclic(2)
+    site = default_site(z2)
+    cases = [(site, site, tuple(range(site.nobj)))]
+    site = canonical_site(z2, "free+trivial")
+    cases.append((Site(z2, [("F(1)", site.objects[site.names.index("F(1)")])]), site, (0,)))
+    A = canonical_site(z2, "free+trivial+custom", custom=(("sw", samples.swap_action()),))
+    B = Site(z2, list(zip(A.names[:2], A.objects[:2])))
+    C = Site(z2, [(A.names[0], A.objects[0])])
+    cases += [(B, A, (0, 1)), (C, B, (0,)), (C, A, (0,))]
+    for src, dst, ob_map in cases:
+        up, down = end_of_forgetful(dst), end_of_forgetful(src)
+        r = restrict_end(up, SiteFunctor(src, dst, ob_map), target_end=down)
+        assert MonoidHom(up.monoid(), down.monoid(), r).map == r
+
+
+def test_no_end_table_is_composed_on_the_way_to_a_stabilizer(monkeypatch):
+    # S5 on its five points: 3125 wedge families, whose end monoid would
+    # have 9765625 table cells, far past the limit set here
+    s5 = maps_monoid(list(itertools.permutations(range(5))))  # "t" and the images
+    points = FinSet(map(str, range(5)))
+    natural = MAction(s5, points, {(a, x): a[1 + int(x)] for a in s5.elements for x in points})
+    site = canonical_site(s5, "custom", custom=[("X", natural)])
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 100_000)
+    end = end_of_forgetful(site)
+    assert len(end) == 5 ** 5
+    rho = reconstruction_hom(s5, site, end=end)
+    assert rho.is_injective() and not rho.is_bijection()
+    V = Subfunctor(site, {"X": ["0"]})
+    T = stabilizer_via_end(V)
+    assert T.elements == stabilizer(V)[0].elements
+    assert len(T) == 24
+    with pytest.raises(SizingError):
+        end.monoid()
 
 
 @given(transformation_monoids())

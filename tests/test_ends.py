@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from galmon.finset import FinSet, FinMap, SizingError, exponential, hom_set, product
-from galmon.monoid import MonoidHom, is_hopf, kernel_pairs, submonoid, trivial_monoid
+from galmon.monoid import Monoid, is_hopf, kernel_pairs, submonoid, trivial_monoid
 from galmon.actions import (MAction, Site, trivial_action, free_action,
                             canonical_site, default_site, coset_action,
                             underlying_site)
@@ -83,14 +83,14 @@ def test_reconstruction_trivial_monoid():
     one = trivial_monoid()
     site = canonical_site(one, "free")
     rho = reconstruction_hom(one, site)
-    assert rho.is_isomorphism()
+    assert rho.is_bijection()
 
 
 def test_reconstruction_is_iso_over_free_site():
     for m in [Z2, Z3, E2, S3]:
         site = free_site(m)
         rho = reconstruction_hom(m, site)
-        assert rho.is_isomorphism()
+        assert rho.is_bijection()
         assert reconstruction_composite_check(m, site)
 
 
@@ -114,6 +114,15 @@ def test_reconstruction_kernel_without_free_object():
     assert frozenset(("(123)", "(132)")) in kernel
     assert frozenset(("(12)", "(13)")) in kernel
     assert frozenset(("e", "(12)")) not in kernel
+
+
+def test_reconstruction_checks_the_action_law_of_its_source():
+    # Z2's elements with g idempotent: g's family is the swap, whose square
+    # is the identity family, not g's own
+    idem = Monoid(Z2.carrier, "e", {("e", "e"): "e", ("e", "g"): "g",
+                                    ("g", "e"): "g", ("g", "g"): "g"})
+    with pytest.raises(EndError, match="not a monoid map"):
+        reconstruction_hom(idem, free_site(Z2))
 
 
 def test_restrict_end_along_identity():
@@ -142,7 +151,7 @@ def test_restrict_end_composes():
     rBA = restrict_end(endA, SiteFunctor(B, A, (0, 1)), target_end=endB)
     rCB = restrict_end(endB, SiteFunctor(C, B, (0,)), target_end=endC)
     rCA = restrict_end(endA, SiteFunctor(C, A, (0,)), target_end=endC)
-    assert (rCB * rBA).map == rCA.map
+    assert rCB * rBA == rCA
 
 
 def test_trivial_path_lands_on_unit():

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from galmon.finset import (FinSet, FinMap, FinSetError, SizingError,
-                           singleton, terminal_map, product, proj_left,
-                           proj_right, pairing, exponential, curry, uncurry,
-                           evaluation, equalizer, hom_set,
-                           pair_label, ARROW)
+                           singleton, terminal_map, product, proj_right,
+                           exponential, curry, uncurry, equalizer, hom_set, ARROW)
 
 
 def fs(*xs):
@@ -81,17 +79,13 @@ def test_product_counts():
     assert P.pair_parts("(a,1)") == ("a", "1")
 
 
-def test_projections_and_pairing():
+def test_right_projection():
     X, Y = fs("0", "1"), fs("a", "b")
     P = product(X, Y)
-    l, r = proj_left(P), proj_right(P)
+    r = proj_right(P)
+    assert r.cod == Y
     for p in P:
-        x, y = P.pair_parts(p)
-        assert l(p) == x and r(p) == y
-    f = fm(ABC, X, ("a", "0"), ("b", "1"), ("c", "0"))
-    g = fm(ABC, Y, ("a", "b"), ("b", "a"), ("c", "a"))
-    m = pairing(f, g)
-    assert l * m == f and r * m == g
+        assert r(p) == P.pair_parts(p)[1]
 
 
 def test_exponential_counts():
@@ -134,7 +128,7 @@ def test_curry_uncurry_exhaustive_two():
 def test_curry_of_projection_is_constant():
     Y, X = fs("p", "q"), fs("0")
     P = product(Y, X)
-    c = curry(proj_left(P))
+    c = curry(FinMap(P, Y, {p: P.pair_parts(p)[0] for p in P}))
     for y in Y:
         assert c.cod.map_apply(c(y), "0") == y
 
@@ -160,15 +154,6 @@ def test_curry_needs_product():
         curry(FinMap.identity(ABC))
     with pytest.raises(FinSetError):
         uncurry(FinMap.identity(ABC))
-
-
-def test_evaluation():
-    X, Z = fs("0", "1"), ABC
-    ev = evaluation(X, Z)
-    E = exponential(X, Z)
-    for phi in E:
-        for x in X:
-            assert ev(pair_label(phi, x)) == E.map_apply(phi, x)
 
 
 def test_equalizer_examples():
@@ -256,7 +241,7 @@ def test_oversized_exponential_works_without_listing():
         list(E)
     twenty = FinSet(tuple("y%02d" % i for i in range(20)))
     with pytest.raises(SizingError):
-        evaluation(twenty, twenty)  # 20^20 elements: too many even to count with len()
+        product(exponential(twenty, twenty), twenty)  # 20^20: too many even for len()
 
 
 def test_function_set_equality_and_membership():

@@ -83,8 +83,12 @@ def test_an_end_monoid_is_charged_its_table_before_any_composition(monkeypatch):
         end.monoid()
     monkeypatch.setattr(finset, "MAX_ENUMERATION", 729)
     assert len(end.monoid()) == 27
-    # the end read off a free object comes with its monoid, uncharged
+    # the end read off a free object is charged its table like any other
     free = end_of_forgetful(s3_site("free"))
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 35)
+    with pytest.raises(SizingError) as exc:
+        free.monoid()
+    assert str(exc.value) == "ends.EndObject.monoid: 36 table cells exceed the limit of 35"
     monkeypatch.setattr(finset, "MAX_ENUMERATION", 36)
     assert len(free.monoid()) == 6
 
