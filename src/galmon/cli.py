@@ -12,7 +12,7 @@ import sys
 
 from .finset import FinSet, FinSetError, SizingError
 from .monoid import (Monoid, MonoidHom, MonoidError, validate_monoid,
-                     submonoid_tuples, is_subgroup, is_hopf, hopf_witness, antipode,
+                     submonoid_tuples, is_hopf, hopf_witness, antipode,
                      kernel_pairs)
 from .actions import (MAction, ActionError, Site, validate_action,
                       canonical_site, default_site, coinduct)
@@ -55,11 +55,10 @@ def _symbol(value, cell, *args):
 
 
 def parse_monoid(doc, where="monoid file"):
-    """Read {"elements": [...], "unit": ..., "table": {a: {b: ab}}}."""
+    """Read {"elements": [...], "unit": ..., "table": {a: {b: ab}}} by rows, with no pair dict."""
     elements = _field(doc, "elements", list, where)
     unit = _field(doc, "unit", str, where)
     rows = _field(doc, "table", dict, where)
-    table = {}
     for a in elements:
         if _symbol(a, "%s elements", where) not in rows:
             raise InputError("%s table is missing row %r" % (where, a))
@@ -69,8 +68,8 @@ def parse_monoid(doc, where="monoid file"):
         for b in elements:
             if _symbol(b, "%s elements", where) not in row:
                 raise InputError("%s table row %r is missing column %r" % (where, a, b))
-            table[(a, b)] = _symbol(row[b], "%s table row %r column %r", where, a, b)
-    return Monoid(FinSet(elements), unit, table)
+            _symbol(row[b], "%s table row %r column %r", where, a, b)
+    return Monoid.from_rows(FinSet(elements), unit, rows)
 
 
 def parse_action(doc, m, where="action file"):
@@ -150,8 +149,7 @@ def _require(args, flag):
 
 
 def _monoid_from(args):
-    doc = _load(_require(args, "--monoid"))
-    m = parse_monoid(doc)
+    m = parse_monoid(_load(_require(args, "--monoid")))
     bad = validate_monoid(m)
     if bad:
         raise InputError("monoid file violates the laws: %s" % bad[0])
@@ -159,16 +157,12 @@ def _monoid_from(args):
 
 
 def _actions_from(args, m):
-    out = []
-    for path in args.action or []:
-        name = os.path.splitext(os.path.basename(path))[0]
-        out.append((name, parse_action(_load(path), m, where=path)))
-    return out
+    return [(os.path.splitext(os.path.basename(path))[0],
+             parse_action(_load(path), m, where=path)) for path in args.action or []]
 
 
 def cmd_validate(args):
-    doc = _load(_require(args, "--monoid"))
-    m = parse_monoid(doc)
+    m = parse_monoid(_load(_require(args, "--monoid")))
     report = {"schema": SCHEMA, "command": "validate",
               "monoid": {"elements": list(m.elements), "unit": m.unit},
               "violations": validate_monoid(m), "actions": {}}
@@ -183,8 +177,9 @@ def cmd_validate(args):
 def cmd_subgroups(args):
     m = _monoid_from(args)
     subs = submonoid_tuples(m)
+    # m's laws hold, so its subgroups are the submonoids of units
     return 0, {"schema": SCHEMA, "command": "subgroups", "submonoids": subs,
-               "subgroups": [s for s in subs if is_subgroup(m, s)]}
+               "subgroups": list(filter(m.units().issuperset, subs))}
 
 
 def cmd_hopf(args):
@@ -292,9 +287,10 @@ def _dumps(value):
 
     With indent set, json skips its C encoder and walks the value with
     nested Python generators, one yield per token.  This walk appends to
-    one list instead, and writes an array of strings as one join over the
-    C string encoder json uses for ensure_ascii.  A value that contains
-    itself raises RecursionError here, not json's ValueError.
+    one list instead, and writes an array of strings, or of nonempty arrays
+    of strings, as one join over the C string encoder json uses for
+    ensure_ascii.  A value that contains itself raises RecursionError here,
+    not json's ValueError.
     """
     out = []
     _write(value, out, "\n")
@@ -323,10 +319,17 @@ def _write(value, out, pad):
             sep = "," + inner
         out.append(pad + "}")
     else:
-        inner = pad + "  "
+        inner, deeper = pad + "  ", pad + "    "
         try:
-            out.append("[" + inner + ("," + inner).join(map(_encode_str, value))
-                       + pad + "]")
+            if {list, tuple}.issuperset(map(type, value)) and all(value):
+                # nonempty arrays, each one join as below; the first's "," becomes "["
+                items = ["," + inner + "[" + deeper + ("," + deeper).join(map(_encode_str, item))
+                         + inner + "]" for item in value]
+                items[0] = "[" + items[0][1:]
+                out += items
+                out.append(pad + "]")
+            else:
+                out.append("[" + inner + ("," + inner).join(map(_encode_str, value)) + pad + "]")
         except TypeError:  # an item that is not a string
             sep = "[" + inner
             for item in value:
@@ -362,14 +365,11 @@ def _corr_dot(report):
     lines.append("  subgraph cluster_subfunctors {")
     lines.append('    label="closed subfunctors";')
     v_sets = [tuple(map(frozenset, v.values())) for v in vs]
-
-    def vbelow(i, j):
-        return all(map(frozenset.issubset, v_sets[i], v_sets[j]))
-
     for i, v in enumerate(vs):
         sizes = "/".join(str(len(v[name])) for name in report["site"])
         lines.append('    V%d [label="sizes %s"];' % (i, sizes))
-    for a, b in _hasse_edges(list(range(len(vs))), vbelow):
+    for a, b in _hasse_edges(list(range(len(vs))), lambda i, j: all(
+            map(frozenset.issubset, v_sets[i], v_sets[j]))):
         lines.append("    V%d -> V%d;" % (a, b))
     lines.append("  }")
     for i, s in enumerate(subs):

@@ -346,7 +346,5 @@ def hom_set(X, Y):
     if n > MAX_ENUMERATION:
         raise refusal("finset.hom_set", "%d^%d maps" % (len(Y), len(X)))
     xs = X.elements
-    out = []
-    for images in itertools.product(Y.elements, repeat=len(xs)):
-        out.append(FinMap(X, Y, dict(zip(xs, images))))
-    return out
+    return [FinMap(X, Y, dict(zip(xs, images)))
+            for images in itertools.product(Y.elements, repeat=len(xs))]

@@ -34,35 +34,41 @@ class Monoid:
 
     table[a] is the row of element indices of ab, b in element order: the
     table of the monoid acting on itself.  The constructor checks a total
-    dict (a, b) -> ab of element names and converts it; package builders
-    write rows through `_trusted`.  The laws are validate_monoid's.  The
-    instance keeps its hash, generating set, laws' verdict, units,
-    submonoids and whether it is a group once computed.
+    dict (a, b) -> ab of element names and converts it, as `from_rows` does
+    row objects a -> {b: ab}; package builders write rows through
+    `_trusted`.  The laws are validate_monoid's.  The instance keeps its
+    hash, generating set, laws' verdict, units, submonoids and whether it
+    is a group once computed.
     """
 
     def __init__(self, carrier, unit, table):
         if not isinstance(carrier, FinSet):
             carrier = FinSet(carrier)
-        if unit not in carrier:
-            raise MonoidError("unit %r is not in the carrier" % unit)
-        rows = {}
-        for a in carrier:
-            row = []
-            for b in carrier:
-                if (a, b) not in table:
-                    raise MonoidError("table missing entry for (%s, %s)" % (a, b))
-                c = table[(a, b)]
-                if c not in carrier:
-                    raise MonoidError("product %s*%s = %r lies outside the carrier" % (a, b, c))
-                row.append(carrier.index(c))
-            rows[a] = tuple(row)
+        rows = Monoid.from_rows(carrier, unit, {a: {b: table[(a, b)] for b in carrier
+                                                     if (a, b) in table} for a in carrier}).table
         if len(table) != len(carrier) ** 2:
             extra = sorted(set(table) - set(itertools.product(carrier, repeat=2)))
             raise MonoidError("table mentions %r outside the carrier" % (extra[0],))
-        self.carrier = carrier
-        self.unit = unit
-        self.table = rows
+        self.carrier, self.unit, self.table = carrier, unit, rows
         self._hash = self._gens = self._lawful = self._units = self._subs = self._hopf = None
+
+    @classmethod
+    def from_rows(cls, carrier, unit, rows):
+        """The monoid with ab = rows[a][b], checked, cell by cell in order,
+        as the constructor checks a table."""
+        if unit not in carrier:
+            raise MonoidError("unit %r is not in the carrier" % unit)
+        index, table = carrier.index, {}
+        for a in carrier:
+            row = rows[a]
+            try:
+                table[a] = tuple([index(row[b]) for b in carrier])
+            except KeyError:
+                b = next(b for b in carrier if b not in row or row[b] not in carrier)
+                raise MonoidError("table missing entry for (%s, %s)" % (a, b) if b not in row
+                                  else "product %s*%s = %r lies outside the carrier"
+                                  % (a, b, row[b]))
+        return cls._trusted(carrier, unit, table)
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
@@ -94,6 +100,12 @@ class Monoid:
 
     def __repr__(self):
         return "Monoid(%s; unit=%s)" % (",".join(self.elements), self.unit)
+
+    def units(self):
+        """The elements with a two-sided inverse, found once."""
+        if self._units is None:
+            self._units = frozenset(a for a in self.elements if self.inverse(a) is not None)
+        return self._units
 
     def inverse(self, a):
         """The two-sided inverse of a, or None."""
@@ -203,9 +215,7 @@ class MonoidHom:
         for a, b in itertools.product(src.elements, repeat=2):
             if fmap(src.mul(a, b)) != dst.mul(fmap(a), fmap(b)):
                 raise MonoidError("hom breaks multiplicativity at (%s, %s)" % (a, b))
-        self.src = src
-        self.dst = dst
-        self.map = fmap
+        self.src, self.dst, self.map = src, dst, fmap
 
     @classmethod
     def _trusted(cls, src, dst, fmap):
@@ -244,11 +254,7 @@ class MonoidHom:
 def kernel_pairs(f):
     """Pairs a carrier map identifies: for a monoid map, the congruence it
     induces on the source."""
-    out = []
-    for a, b in itertools.combinations(f.dom, 2):
-        if f(a) == f(b):
-            out.append((a, b))
-    return tuple(out)
+    return tuple((a, b) for a, b in itertools.combinations(f.dom, 2) if f(a) == f(b))
 
 
 def submonoid(m, subset):
@@ -284,7 +290,8 @@ def _close(mul, mask, members, gens, floor=0):
     Returns the mask, the members added and the number of products made;
     the mask is None, and the closure cut short, once an index below floor
     would join.  The count is read off where the loops stopped (members,
-    new and gens hold distinct indices), not kept in them."""
+    new and gens hold distinct indices), not kept in them.  An extension
+    submonoid_tuples closes by itself is charged the same count."""
     a = gens[-1]
     new = []
     for s in members:
@@ -316,10 +323,13 @@ def submonoid_tuples(m):
     below a, so each submonoid is found once.  Only the products s*a and
     their right multiples by the generators can be new, and the closure stops
     once an index below a would join: for a group, one a per right coset Sa
-    is closed (Neubüser's cut).  Indices number the elements in reverse, so
-    the element lists of one size ascend as the masks descend.  The products
-    the closures make count against MAX_ENUMERATION, and the submonoids
-    against MAX_MATERIALIZED.  The tuples are kept on m.
+    is closed (Neubüser's cut).  Once m's laws hold, S + a is closed as it
+    stands, and charged what _close would make, when a is an idempotent with
+    s*a in {s, a} for s in S and a*g in {a, g} for the generators g: a*s
+    stays in S + a along s's generator word.  Indices number the elements in
+    reverse, so the element lists of one size ascend as the masks descend.
+    The products the closures make count against MAX_ENUMERATION, and the
+    submonoids against MAX_MATERIALIZED.  The tuples are kept on m.
     """
     if m._subs is not None:
         return list(m._subs)
@@ -327,28 +337,37 @@ def submonoid_tuples(m):
     n = len(elems)
     mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
     unit = elems.index(m.unit)
-    found, products = [], 0
+    # bits s with s*a not in {s, a} and g with a*g not in {a, g}; -1 for a not idempotent
+    off_left, off_right = [-1] * n, [-1] * n
+    for a in range(n) if laws_hold(m) else ():
+        if mul[a][a] == a:
+            off_left[a] = sum(1 << s for s in range(n) if mul[s][a] != s and mul[s][a] != a)
+            off_right[a] = sum(1 << g for g in range(n) if mul[a][g] != a and mul[a][g] != g)
+    keys, subs, products = [], [], 0
     limit, most = finset.MAX_ENUMERATION, finset.MAX_MATERIALIZED
-    stack = [(1 << unit, [unit], (), -1)]
+    stack = [(1 << unit, [unit], (), 0, -1)]
     while stack:
-        mask, members, gens, core = stack.pop()
-        found.append(((len(members) << n) - mask, members))
-        if len(found) > most:
+        mask, members, gens, gmask, core = stack.pop()
+        keys.append((len(members) << n) - mask)
+        subs.append(members)
+        if len(subs) > most:
             raise finset.refusal("monoid.enumerate_submonoids",
                                  "more than %d submonoids" % most, most)
         for a in range(core + 1, n):
             if mask >> a & 1:
                 continue
-            closed, new, made = _close(mul, mask, members, gens + (a,), a)
+            if not mask & off_left[a] and not gmask & off_right[a]:
+                closed, new, made = mask | 1 << a, [a], len(members) + len(gens) + 1
+            else:
+                closed, new, made = _close(mul, mask, members, gens + (a,), a)
             products += made
             if products > limit:
                 raise finset.refusal("monoid.enumerate_submonoids",
                                      "%d closure products" % products)
             if closed is not None:
-                stack.append((closed, members + new, gens + (a,), a))
-    found.sort()
-    m._subs = tuple(tuple(map(elems.__getitem__, sorted(members, reverse=True)))
-                    for _, members in found)
+                stack.append((closed, members + new, gens + (a,), gmask | 1 << a, a))
+    m._subs = tuple(tuple([elems[i] for i in sorted(subs[k], reverse=True)])
+                    for k in sorted(range(len(keys)), key=keys.__getitem__))
     return list(m._subs)
 
 
@@ -361,9 +380,7 @@ def is_subgroup(m, elements):
     units of m, found once per monoid; otherwise every pair is tried.
     """
     if laws_hold(m):
-        if m._units is None:
-            m._units = frozenset(a for a in m.elements if m.inverse(a) is not None)
-        return m._units.issuperset(elements)
+        return m.units().issuperset(elements)
     return all(any(m.mul(a, b) == m.unit == m.mul(b, a) for b in elements)
                for a in elements)
 
@@ -388,10 +405,7 @@ def fusion_morphism(m):
 
 def hopf_witness(m):
     """A non-invertible element, or None when all elements are invertible."""
-    for a in m.elements:
-        if m.inverse(a) is None:
-            return a
-    return None
+    return next((a for a in m.elements if a not in m.units()), None)
 
 
 def is_hopf(m):

@@ -3,8 +3,8 @@ tables by element names, the check of a package-built monoid against the
 checked constructor, the monoid of given self-maps, the sample monoids, the
 brute-force submonoid, subgroup and subfunctor oracles, the propagation
 search with its oracles for equivariant maps and for wedge families, the
-filter over all maps for equivariant maps, and the hypothesis strategy of
-transformation monoids."""
+filter over all maps for equivariant maps, and the hypothesis strategies of
+band-rich monoids and of transformation monoids."""
 
 import itertools
 import json
@@ -234,6 +234,40 @@ def transformation_monoid(gens):
     points = FinSet(str(p) for p in range(n))
     act = MAction(m, points, {(label[f], str(p)): str(f[p]) for f in elems for p in range(n)})
     return m, act
+
+
+def formula_monoid(points, unit, op):
+    """The monoid on the given points under op, each labelled by its place."""
+    label = {p: "p%02d" % k for k, p in enumerate(points)}
+    return Monoid(FinSet(label.values()), label[unit],
+                  {(label[p], label[q]): label[op(p, q)] for p in points for q in points})
+
+
+@st.composite
+def band_monoids(draw):
+    """A monoid rich in idempotents: a unit adjoined to a left-zero,
+    right-zero or rectangular band, the subsets of up to three points under
+    union, or a chain under max; then its direct product with Z1, Z2 or Z3."""
+    kind = draw(st.sampled_from(["left", "right", "rectangular", "subsets", "chain"]))
+    if kind == "subsets":
+        k = draw(st.integers(0, 3))
+        points = [frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+        unit, op = frozenset(), frozenset.union
+    elif kind == "chain":
+        points, unit, op = list(range(draw(st.integers(1, 6)))), 0, max
+    else:
+        rows, cols = {"left": (st.integers(1, 5), st.just(1)),
+                      "right": (st.just(1), st.integers(1, 5)),
+                      "rectangular": (st.integers(2, 3), st.integers(2, 3))}[kind]
+        band = list(itertools.product(range(draw(rows)), range(draw(cols))))
+        points, unit = [None] + band, None
+
+        def op(p, q):  # the band (i, j)(k, l) = (i, l), with a unit None
+            return q if p is None else p if q is None else (p[0], q[1])
+
+    c = draw(st.integers(1, 3))
+    return formula_monoid([(p, i) for p in points for i in range(c)], (unit, 0),
+                          lambda p, q: (op(p[0], q[0]), (p[1] + q[1]) % c))
 
 
 @st.composite

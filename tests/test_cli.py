@@ -313,6 +313,49 @@ def test_malformed_cell_gets_a_json_error(case, tmp_path, capsys):
     assert out == {"schema": "galmon/1", "error": error.replace("BAD", bad)}
 
 
+DROP = object()  # an edit that deletes the cell
+
+# case: edits to z2.json, each (path to a cell, what replaces it), and the
+# error, None where the file still reads.  Every cell's shape is checked
+# first, then that the elements are distinct, then the unit and the products
+MONOID_FILE_ERRORS = {
+    "row-before-unit": ([(["table", "g"], DROP), (["unit"], "x")],
+                        "monoid file table is missing row 'g'"),
+    "symbol-before-unit": ([(["unit"], "x"), (["table", "g", "e"], {"k": 1})],
+                           "monoid file table row 'g' column 'e': {\"k\": 1} is not a symbol"),
+    "column-before-product": ([(["table", "e", "g"], "z"), (["table", "g", "e"], DROP)],
+                              "monoid file table row 'g' is missing column 'e'"),
+    "shape-before-product": ([(["table", "e", "g"], "z"), (["table", "g"], ["e", "g"])],
+                             "monoid file table row 'g' has the wrong shape"),
+    "duplicate-before-product": ([(["elements", 2], "e"), (["table", "e", "g"], "z")],
+                                 "duplicate element symbol 'e'"),
+    "unit-before-product": ([(["unit"], "x"), (["table", "e", "g"], "z")],
+                            "unit 'x' is not in the carrier"),
+    "product": ([(["table", "g", "g"], "z")], "product g*g = 'z' lies outside the carrier"),
+    "number-product": ([(["table", "g", "e"], 1)], "product g*e = 1 lies outside the carrier"),
+    "extra-cells": ([(["table", "g", "z"], "q"), (["table", "z"], {})], None),
+}
+
+
+@pytest.mark.parametrize("case", list(MONOID_FILE_ERRORS))
+def test_monoid_file_errors_come_in_their_order(case, tmp_path, capsys):
+    edits, error = MONOID_FILE_ERRORS[case]
+    with open(fx("z2.json")) as fd:
+        doc = json.load(fd)
+    for keys, value in edits:
+        cell = doc
+        for key in keys[:-1]:
+            cell = cell[key]
+        if value is DROP:
+            del cell[keys[-1]]
+        elif keys[-1] == len(cell):  # one past the end of a list
+            cell.append(value)
+        else:
+            cell[keys[-1]] = value
+    code, out = run_json(capsys, ["hopf", "--monoid", write_json(tmp_path / "m.json", doc)])
+    assert (code, out.get("error")) == ((0, None) if error is None else (1, error))
+
+
 def test_missing_required_flag(capsys):
     code, out = run_json(capsys, ["subgroups"])
     assert code == 1
@@ -716,12 +759,22 @@ KEYS = st.sampled_from([TEXT, st.integers() | st.floats() | st.booleans(), st.no
                         TEXT | st.integers() | st.none()])
 
 
+STRINGS = st.lists(TEXT, max_size=3) | st.lists(TEXT, max_size=3).map(tuple)
+
+
 def _containers(children):
     return (st.lists(children, max_size=4)
             | st.lists(children, max_size=4).map(tuple)
             | st.lists(TEXT, max_size=4) | st.lists(TEXT, max_size=4).map(tuple)
             | st.tuples(st.lists(TEXT, min_size=1, max_size=3), children).map(
                 lambda p: p[0] + [p[1]])
+            # arrays of arrays of strings: nonempty ones, some empty, a string,
+            # a dict or another value among them, and three deep
+            | st.lists(st.lists(TEXT, min_size=1, max_size=3), min_size=1, max_size=4)
+            | st.lists(STRINGS, min_size=1, max_size=4)
+            | st.lists(STRINGS | TEXT | st.dictionaries(TEXT, TEXT, max_size=2) | children,
+                       min_size=1, max_size=4)
+            | st.lists(st.lists(STRINGS, min_size=1, max_size=3), min_size=1, max_size=3)
             | KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)))
 
 
@@ -735,6 +788,14 @@ def test_dumps_writes_what_json_dumps_writes(value):
         assert str(got.value) == str(exc)
     else:
         assert _dumps(value) == expected
+
+
+@pytest.mark.parametrize("value", [
+    [["a"], ["b", "c"]], [("a",), ["b"]], [["a"], []], [[], ["a"]], [["a"], ()], [["a"], "b"],
+    ["a", ["b"]], [["a"], {"k": "v"}], [["a", 1]], [["a"], [None]], [[["a"], ["b"]], [["c"]]],
+    [[["a"], []]], [["\u00e9", 'a"\\b', "\ud800"]]])
+def test_dumps_writes_arrays_of_arrays_as_json_dumps_does(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [

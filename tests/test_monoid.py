@@ -4,23 +4,24 @@ import itertools
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, assert_checked, is_subgroup_oracle, maps_monoid,
-                      submonoids_oracle, transformation_monoids, write_monoid)
+from conftest import (NONASSOC, S4, assert_checked, band_monoids, is_subgroup_oracle,
+                      maps_monoid, submonoids_oracle, transformation_monoids, write_monoid)
 from conftest import SAMPLES as SAMPLE_MONOIDS
 from galmon.actions import default_site
 from galmon.cli import run
-from galmon.finset import FinSet, FinMap
+from galmon.finset import FinSet, FinMap, SizingError
 from galmon.monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                            validate_monoid, trivial_monoid, submonoid,
                            enumerate_submonoids, enumerate_subgroups,
                            fusion_morphism, hopf_witness, is_hopf, antipode,
                            kernel_pairs, submonoid_tuples, is_subgroup, laws_hold)
 from galmon.galois import connection_law_failures, galois_correspondence
-from galmon import monoid, samples
+from galmon import finset, monoid, samples
 
 Z2 = samples.cyclic(2)
 Z3 = samples.cyclic(3)
@@ -233,6 +234,114 @@ def test_closures_count_the_products_they_make(make, monkeypatch):
     assert [made for _, made, _ in counts] == [looked for _, _, looked in counts]
 
 
+def extensions(m):
+    """The element names of m in reverse, and every extension that
+    prefix-preserving closure extension tries on m, as (mask, members, gens,
+    a) over those indices with what `_close` returns on it, every one closed
+    by `_close`."""
+    elems = m.elements[::-1]
+    n = len(elems)
+    mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
+    unit = elems.index(m.unit)
+    out, stack = [], [(1 << unit, [unit], (), -1)]
+    while stack:
+        mask, members, gens, core = stack.pop()
+        for a in range(core + 1, n):
+            if not mask >> a & 1:
+                closed, new, made = monoid._close(mul, mask, members, gens + (a,), a)
+                out.append(((mask, members, gens, a), (closed, new, made)))
+                if closed is not None:
+                    stack.append((closed, members + new, gens + (a,), a))
+    return elems, out
+
+
+def closes_by_itself(m, elems, mask, members, gens, a):
+    """a is an idempotent with s*a in {s, a} for each member s and a*g in
+    {a, g} for each generator g, by element names."""
+    x = elems[a]
+    return (m.mul(x, x) == x and all(m.mul(elems[s], x) in (elems[s], x) for s in members)
+            and all(m.mul(x, elems[g]) in (x, elems[g]) for g in gens))
+
+
+def fresh(m):
+    """m with nothing computed on it yet but its laws' verdict."""
+    copy = Monoid._trusted(m.carrier, m.unit, m.table)
+    laws_hold(copy)  # its generating set is closed by _close too
+    return copy
+
+
+def listing_closes(m):
+    """The submonoids of a fresh copy of m and the calls to _close made
+    while they were listed."""
+    copy = fresh(m)
+    with mock.patch.object(monoid, "_close", wraps=monoid._close) as close:
+        return submonoid_tuples(copy), close.call_count
+
+
+@given(band_monoids())
+def test_idempotent_extensions_are_closed_as_close_closes_them(m):
+    elems, walked = extensions(m)
+    by_itself = [(ext, got) for ext, got in walked if closes_by_itself(m, elems, *ext)]
+    for (mask, members, gens, a), got in by_itself:
+        assert got == (mask | 1 << a, [a], len(members) + len(gens) + 1)
+    # the listing closes exactly the other extensions, and charges them all
+    subs, calls = listing_closes(m)
+    assert subs == submonoids_oracle(m)
+    assert calls == len(walked) - len(by_itself)
+    total = sum(made for _, (_, _, made) in walked)
+    with mock.patch.object(finset, "MAX_ENUMERATION", total):
+        assert submonoid_tuples(fresh(m)) == subs
+    if walked:  # a listing that closes nothing has nothing to refuse
+        with mock.patch.object(finset, "MAX_ENUMERATION", total - 1):
+            with pytest.raises(SizingError):
+                submonoid_tuples(fresh(m))
+
+
+def test_a_unit_and_left_zeros_close_no_extension():
+    m = samples.left_zero_with_unit(12)
+    subs, calls = listing_closes(m)
+    assert len(subs) == 4096 and calls == 0
+
+
+# a and b are mutually inverse units, but a*a = a and b*b = b, so both are
+# idempotents; (aa)b = e while a(ab) = a
+MUTUAL_UNITS = Monoid(FinSet(("a", "b", "e")), "e",
+                      {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+                       ("a", "e"): "a", ("a", "a"): "a", ("a", "b"): "e",
+                       ("b", "e"): "b", ("b", "a"): "e", ("b", "b"): "b"})
+
+
+@pytest.mark.parametrize("m", [NONASSOC, MUTUAL_UNITS], ids=["NONASSOC", "mutual-units"])
+def test_tables_that_break_the_laws_close_every_extension(m):
+    assert not laws_hold(m)
+    _, walked = extensions(m)
+    subs, calls = listing_closes(m)
+    assert subs == submonoids_oracle(m) and calls == len(walked)
+
+
+# the closure products each listing makes, pinned before idempotent
+# extensions stopped calling _close: the least limit that lets it finish
+CLOSURE_PRODUCTS = {
+    "LZ13": (lambda: samples.left_zero_with_unit(12), 49152),
+    "M16": (lambda: samples.mult_mod(16), 2411),
+    "T3": (lambda: maps_monoid(list(itertools.product(range(3), repeat=3))), 21448),
+    "S4": (lambda: maps_monoid(list(itertools.permutations(range(4)))), 1189),
+    "D10": (lambda: dihedral(10), 657),
+    "RZ11": (lambda: samples.right_zero_with_unit(10), 10240)}
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_PRODUCTS))
+def test_closure_products_are_pinned(name, monkeypatch):
+    make, total = CLOSURE_PRODUCTS[name]
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", total)
+    assert submonoid_tuples(make()) == submonoids_oracle(make())
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", total - 1)
+    with pytest.raises(SizingError) as exc:
+        submonoid_tuples(make())
+    assert str(exc.value) == ("monoid.enumerate_submonoids: %d closure products exceed "
+                              "the limit of %d" % (total, total - 1))
+
+
 def test_s5_lists_each_of_its_156_subgroups_once():
     s5 = maps_monoid(list(itertools.permutations(range(5))))
     subs = submonoid_tuples(s5)
@@ -274,12 +383,8 @@ def test_is_subgroup_matches_the_pairwise_scan_on_transformation_monoids(drawn):
 
 def test_is_subgroup_on_non_associative_tables():
     agree_with_is_subgroup_oracle(NONASSOC)
-    # a and b are mutually inverse units, but a*a = a, so {e, a} is closed
-    # and a has no inverse in it; (aa)b = e while a(ab) = a
-    units = Monoid(FinSet(("a", "b", "e")), "e",
-                   {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
-                    ("a", "e"): "a", ("a", "a"): "a", ("a", "b"): "e",
-                    ("b", "e"): "b", ("b", "a"): "e", ("b", "b"): "b"})
+    # a*a = a, so {e, a} is closed and a has no inverse in it
+    units = MUTUAL_UNITS
     assert validate_monoid(units)
     assert submonoid_tuples(units) == [("e",), ("a", "e"), ("b", "e"), ("a", "b", "e")]
     assert [s for s in submonoid_tuples(units) if is_subgroup(units, s)] == [

@@ -57,6 +57,12 @@ REPORTS = [
      0, "c0c0a167788d2fea280872261a02e70fe433ee82cf67d8377f769d031680dada"),
     ("subgroups",
      1, "3960de241e41e8d56b2351414b39a4ef3dda0a2dfbb9a7423b786fbcbdfdeff1"),
+    # a unit and six left zeros: every submonoid is an array of strings
+    # written in one join, and every extension closes by itself
+    ("subgroups --monoid lz6.json",
+     0, "857f7b6d384ce8998cc301b2bfe52c25b309e67ba59a2f24f0b57c60597ecc4d"),
+    ("corr --monoid lz6.json",
+     0, "2794a0c945df69661489ba38b14827cac7e36d9234bd570367008c07bc7a7abb"),
     # sites built from --action files: the checked action constructor, and
     # internal_nat's read-off when the site has no free object
     ("end --monoid s3.json --site custom --action s3_natural.json",
