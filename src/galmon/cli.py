@@ -59,6 +59,10 @@ def parse_monoid(doc, where="monoid file"):
     elements = _field(doc, "elements", list, where)
     unit = _field(doc, "unit", str, where)
     rows = _field(doc, "table", dict, where)
+    try:
+        return Monoid.from_rows(FinSet(elements), unit, rows)
+    except (FinSetError, MonoidError, KeyError, TypeError):
+        pass  # a refused document is scanned cell by cell for its first error
     for a in elements:
         if _symbol(a, "%s elements", where) not in rows:
             raise InputError("%s table is missing row %r" % (where, a))

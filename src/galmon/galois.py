@@ -1,21 +1,25 @@
 """Invariants of monoid maps, stabilizers of subfunctors, and the induced
 Galois connection between submonoids and natural families of subsets.
 
-The two directions are computed along independent routes.  Invariants are
-the points fixed by the images of a generating set of the source, read off
-the actions' tables, with a direct scan as the oracle; stabilizers
-come either from a direct scan or through the end of the underlying-carrier
-diagram.  The connection laws and the closed object correspondence are then
-checked rather than assumed.  Nothing is cached across calls: a sweep
-computes the invariants of each submonoid once and reads those of a
-stabilizer, itself a submonoid, from that table.
+A subfunctor is one int over the site's points, and so is each element's
+fixed-point mask, read off the actions' tables.  Invariants are the AND of
+the masks of a generating set of the source, with a direct scan as the
+oracle; a stabilizer is the elements whose masks cover V, or comes through
+the end of the underlying-carrier diagram.  The connection laws and the
+closed object correspondence are then checked rather than assumed.
+Nothing is cached across calls, and the sweeps build no monoid per
+submonoid: they AND the masks of the generators the listing adjoined.
 """
 
+import functools
 import itertools
+import operator
 
 from .finset import equalizer
-from .monoid import enumerate_submonoids, generators, submonoid
+from .monoid import generators, submonoid, submonoid_generators, submonoid_tuples
 from . import ends
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class GaloisError(Exception):
@@ -34,51 +38,64 @@ def _naturality_violation(site, comps):
     return None
 
 
+def _mask(flags):
+    """The int over a site's points, object by object, whose k-th bit is the k-th 0/1 flag."""
+    return int(bytes(flags)[::-1].translate(_BITS) or b"0", 2)
+
+
+def _fixed_masks(site, elements):
+    """Per element a, the mask of the points a fixes, read off the action rows."""
+    points = list(itertools.chain.from_iterable(range(len(act.carrier)) for act in site.objects))
+    return {a: _mask(map(operator.eq, itertools.chain.from_iterable(
+        [act.table[a] for act in site.objects]), points)) for a in elements}
+
+
 class Subfunctor:
-    """Per-object subsets of a site's carriers, closed under all morphisms:
-    `_sets` holds their carrier indices in site order, `components` their
-    elements for reports."""
+    """Per-object subsets of a site's carriers, closed under all morphisms,
+    held as `mask` (see _mask): `<=` is mask inclusion, and == and hash are
+    the mask's.  `components` reads each object's elements off the mask."""
 
     def __init__(self, site, subsets):
         unknown = sorted(set(subsets) - set(site.names))
         if unknown:
             raise GaloisError("subfunctor names unknown object %r" % unknown[0])
-        comps = []
         idxsets = []
         for name, act in zip(site.names, site.objects):
             chosen = set(subsets.get(name, ()))
             outside = sorted((x for x in chosen if x not in act.carrier), key=str)
             if outside:  # sorted by str, since outside input need not be strings
                 raise GaloisError("element %r is not in site object %r" % (outside[0], name))
-            chosen = tuple(sorted(chosen))
-            comps.append(chosen)
             idxsets.append(frozenset(map(act.carrier.index, chosen)))
         bad = _naturality_violation(site, idxsets)
         if bad is not None:
             i, j, x = bad
             raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
                               % (site.names[i], site.names[j], x))
-        self.site = site
-        self.components = dict(zip(site.names, comps))
-        self._sets = tuple(idxsets)
+        self.site, self.mask = site, _mask(p in s for act, s in zip(site.objects, idxsets)
+                                           for p in range(len(act.carrier)))
 
     @classmethod
-    def _trusted(cls, site, idxsets):
-        """Carrier index sets, in site order, already closed under the site morphisms."""
+    def _trusted(cls, site, mask):
+        """The points of mask, already closed under the site morphisms."""
         V = cls.__new__(cls)
-        V.site = site
-        V._sets = tuple(map(frozenset, idxsets))
-        V.components = {name: tuple(act.carrier.elements[p] for p in sorted(s))
-                        for name, act, s in zip(site.names, site.objects, V._sets)}
+        V.site, V.mask = site, mask
         return V
 
     @classmethod
     def full(cls, site):
-        return cls._trusted(site, [range(len(act.carrier)) for act in site.objects])
+        return cls._trusted(site, _mask([1] * sum(len(act.carrier) for act in site.objects)))
 
     @classmethod
     def empty(cls, site):
-        return cls._trusted(site, [() for _ in site.objects])
+        return cls._trusted(site, 0)
+
+    @property
+    def components(self):
+        """Each object's chosen elements, in carrier order."""
+        bits = itertools.chain(map(int, reversed(format(self.mask, "b"))), itertools.repeat(0))
+        return {name: tuple(itertools.compress(act.carrier.elements,
+                                               itertools.islice(bits, len(act.carrier))))
+                for name, act in zip(self.site.names, self.site.objects)}
 
     def component(self, name):
         return self.components[name]
@@ -87,122 +104,105 @@ class Subfunctor:
         return {name: list(v) for name, v in self.components.items()}
 
     def size(self):
-        return sum(len(v) for v in self.components.values())
+        return self.mask.bit_count()
 
     def __le__(self, other):
         if self.site != other.site:
             raise GaloisError("subfunctors over different sites are incomparable")
-        return all(a <= b for a, b in zip(self._sets, other._sets))
+        return not self.mask & ~other.mask
 
     def __eq__(self, other):
-        return (isinstance(other, Subfunctor) and self.site == other.site
-                and self._sets == other._sets)
+        return isinstance(other, Subfunctor) and (self.mask, self.site) == (other.mask, other.site)
 
     def __hash__(self):
-        return hash((self.site, self._sets))
+        return hash(self.mask)
 
     def __repr__(self):
         return "Subfunctor(%s)" % ", ".join(
             "%s:{%s}" % (n, ",".join(v)) for n, v in self.components.items())
 
     def diagram(self):
-        return ends.SubsetDiagram(self.site, [self.components[n] for n in self.site.names])
+        return ends.SubsetDiagram(self.site, list(self.components.values()))
 
 
 def fixes(h, V):
-    """Whether every element coming from h acts as the identity on V."""
-    if h.dst != V.site.monoid:
-        raise GaloisError("the hom must land in the site's monoid")
-    return all(act.table[h(b)][p] == p for act, s in zip(V.site.objects, V._sets)
-               for b in h.src.elements for p in s)
+    """Whether every element coming from h acts as the identity on V: V lies in its invariants."""
+    return V <= invariants(h, V.site)
 
 
 def invariants(h, site):
-    """The subfunctor of elements fixed by everything in the image of h:
-    per object, the points p with table[h(g)][p] == p in the action's table
-    for each generator g of h's source.  h and the site's actions obey
-    their laws, so what h(G) fixes, all of h fixes."""
+    """The subfunctor of elements fixed by everything in the image of h: the AND of the
+    fixed-point masks of h(e) and h(g) for the generators g of h's source.  h and the
+    site's actions obey their laws, so what h(G) fixes, all of h fixes."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
-    images = [h(g) for g in generators(h.src)]
-    idxsets = []
-    for act in site.objects:
-        rows = [act.table[a] for a in images]
-        idxsets.append([p for p in range(len(act.carrier))
-                        if all(row[p] == p for row in rows)])
+    masks = _fixed_masks(site, {h(g) for g in (h.src.unit, *generators(h.src))})
     # natural by construction: a site morphism commutes with every h(b)
-    return Subfunctor._trusted(site, idxsets)
+    return Subfunctor._trusted(site, functools.reduce(operator.and_, masks.values()))
 
 
 def invariants_oracle(h, site):
     """Direct scan for the same subfunctor: keep x with h(b).x = x for all b."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
-    subsets = {}
-    for name, act in zip(site.names, site.objects):
-        subsets[name] = tuple(x for x in act.carrier
-                              if all(act.apply(h(b), x) == x for b in h.src.elements))
-    return Subfunctor(site, subsets)
+    return Subfunctor(site, {name: tuple(x for x in act.carrier
+                                         if all(act.apply(h(b), x) == x for b in h.src.elements))
+                             for name, act in zip(site.names, site.objects)})
 
 
 def stabilizer(V):
-    """The largest submonoid acting as the identity on V, with inclusion."""
-    m = V.site.monoid
-    kept = [a for a in m.elements
-            if all(act.table[a][p] == p for act, s in zip(V.site.objects, V._sets) for p in s)]
-    return submonoid(m, kept)
+    """The largest submonoid acting as the identity on V, with inclusion:
+    the elements whose fixed-point masks cover V's."""
+    m, masks = V.site.monoid, _fixed_masks(V.site, V.site.monoid.elements)
+    return submonoid(m, [a for a in m.elements if not V.mask & ~masks[a]])
 
 
 def stabilizer_via_end(V):
     """The stabilizer again, through the end: equalize the reconstruction
     map against the trivial path after restricting all families to V."""
-    site = V.site
-    m = site.monoid
+    site, m = V.site, V.site.monoid
     end = ends.end_of_forgetful(site)
     rho = ends.reconstruction_hom(m, site, end=end)
     path = ends.trivial_path(m, site, end=end)
     cut, _ = ends.family_restriction(end, V.diagram())
     eq, _ = equalizer(cut * rho, cut * path)
-    S, _ = submonoid(m, eq.elements)
-    return S
+    return submonoid(m, eq.elements)[0]
+
+
+def _sweep(m, site):
+    """m's submonoids, their invariants and each element's fixed points, as masks: Inv(S)
+    is Inv(S') & fixed(g), S' (listed before S) generated by all but S's last generator g."""
+    masks = _fixed_masks(site, m.elements)
+    by_bit, inv = [masks[a] for a in reversed(m.elements)], {0: masks[m.unit]}
+    for g in submonoid_generators(m)[1:]:  # after the unit's, which has none
+        inv[g] = inv[g ^ 1 << g.bit_length() - 1] & by_bit[g.bit_length() - 1]
+    return submonoid_tuples(m), [inv[g] for g in submonoid_generators(m)], masks
 
 
 def galois_correspondence(m, site):
-    """Sweep all submonoids and their invariant images, flag the closed
-    objects on both sides, and report the induced bijection."""
-    rows = []
-    inv_of = {}
-    stab_of = {}  # each distinct invariant image, in order of first appearance
-    for S, incl in enumerate_submonoids(m):
-        V = invariants(incl, site)
-        if V not in stab_of:
-            stab_of[V] = stabilizer(V)[0].elements
-        T = stab_of[V]
-        inv_of[S.elements] = V
-        rows.append({
-            "elements": list(S.elements),
-            "invariants": V.as_dict(),
-            "stabilizer_of_invariants": list(T),
-            "closed": T == S.elements,
-        })
-    vrows = []
-    for V, T in stab_of.items():
-        W = inv_of[T]
-        vrows.append({
-            "subsets": V.as_dict(),
-            "stabilizer": list(T),
-            "invariants_of_stabilizer": W.as_dict(),
-            "closed": W == V,
-        })
-    closed_subs = [tuple(r["elements"]) for r in rows if r["closed"]]
-    closed_vs = [V for V, r in zip(stab_of, vrows) if r["closed"]]
-    pairing = {S: inv_of[S] for S in closed_subs}
+    """Sweep all submonoids and their invariant masks, flag the closed objects on both sides,
+    and report the induced bijection; a distinct mask gets its stabilizer and dict once."""
+    subs, inv, masks = _sweep(m, site)
+    stab, label, pairing, rows = {}, {}, {}, []  # stab and label in order of first appearance
+    for S, V in zip(subs, inv):
+        if V not in stab:
+            stab[V] = tuple(a for a, f in masks.items() if not V & ~f)
+            label[V] = Subfunctor._trusted(site, V).as_dict()
+        T = stab[V]
+        if T == S:
+            pairing[S] = V
+        rows.append({"elements": list(S), "invariants": label[V],
+                     "stabilizer_of_invariants": list(T), "closed": T == S})
+    vrows = [{"subsets": label[V], "stabilizer": list(T),  # a stabilizer is closed
+              "invariants_of_stabilizer": label[pairing[T]], "closed": pairing[T] == V}
+             for V, T in stab.items()]
+    closed_vs = [V for V, r in zip(stab, vrows) if r["closed"]]
     targets = set(pairing.values())
-    bijective = len(targets) == len(closed_subs) and targets == set(closed_vs)
-    as_set = {S: frozenset(S) for S in closed_subs}
-    reversing = all(
-        (as_set[s1] <= as_set[s2]) == (pairing[s2] <= pairing[s1])
-        for s1, s2 in itertools.product(closed_subs, repeat=2))
+    bijective = len(targets) == len(pairing) and targets == set(closed_vs)
+    bit = {a: 1 << k for k, a in enumerate(m.elements)}
+    pairs = [(sum(map(bit.__getitem__, S)), V) for S, V in pairing.items()]
+    reversing = all((not s1 & ~s2) == (not v2 & ~v1)
+                    for (s1, v1), (s2, v2) in itertools.product(pairs, repeat=2))
     return {
         "schema": "galmon/1",
         "kind": "correspondence",
@@ -210,45 +210,46 @@ def galois_correspondence(m, site):
         "site": list(site.names),
         "submonoids": rows,
         "subfunctors": vrows,
-        "closed_submonoids": [list(s) for s in closed_subs],
-        "closed_subfunctors": [V.as_dict() for V in closed_vs],
-        "bijection": [{"submonoid": list(s), "subfunctor": pairing[s].as_dict()}
-                      for s in closed_subs],
+        "closed_submonoids": [list(s) for s in pairing],
+        "closed_subfunctors": [label[V] for V in closed_vs],
+        "bijection": [{"submonoid": list(s), "subfunctor": label[V]} for s, V in pairing.items()],
         "bijective": bijective,
         "inclusion_reversing": bool(bijective and reversing),
     }
 
 
 def connection_law_failures(m, site, extra_subfunctors=()):
-    """Violations of the five connection laws over all submonoids, the full
-    and empty subfunctors, every invariant image, and any extras."""
+    """Violations of the five connection laws over all submonoids, the full and empty
+    subfunctors, every invariant image, and any extras, all compared as masks."""
+    if any(V.site != site for V in extra_subfunctors):
+        raise GaloisError("subfunctors over different sites are incomparable")
     failures = []
-    pairs = enumerate_submonoids(m)
-    inv = {S.elements: invariants(incl, site) for S, incl in pairs}
-    as_set = {S: frozenset(S) for S in inv}  # stabilizers are submonoids too
-    tested = list(dict.fromkeys([Subfunctor.full(site), Subfunctor.empty(site),
-                                 *inv.values(), *extra_subfunctors]))
-    stab = {V: stabilizer(V)[0].elements for V in tested}
-    for S, incl in pairs:
-        T = stab[inv[S.elements]]
-        if not as_set[S.elements] <= as_set[T]:
+    subs, inv, masks = _sweep(m, site)
+    bit = {a: 1 << k for k, a in enumerate(m.elements)}
+    swept = [(S, sum(map(bit.__getitem__, S)), V) for S, V in zip(subs, inv)]
+    inv_of = {s: V for _, s, V in swept}  # stabilizers are submonoids too
+    tested = list(dict.fromkeys([masks[m.unit], 0, *inv, *(V.mask for V in extra_subfunctors)]))
+    stab = {V: sum(b for a, b in bit.items() if not V & ~masks[a]) for V in tested}
+    named = functools.partial(Subfunctor._trusted, site)
+    for S, s, V in swept:
+        if s & ~stab[V]:
             failures.append("submonoid {%s} escapes the stabilizer of its invariants"
-                            % ",".join(S.elements))
-        if inv[T] != inv[S.elements]:
-            failures.append("invariants not idempotent at {%s}" % ",".join(S.elements))
+                            % ",".join(S))
+        if inv_of[stab[V]] != V:
+            failures.append("invariants not idempotent at {%s}" % ",".join(S))
     for V in tested:
-        W = inv[stab[V]]
-        if not V <= W:
-            failures.append("%r escapes the invariants of its stabilizer" % V)
+        W = inv_of[stab[V]]
+        if V & ~W:
+            failures.append("%r escapes the invariants of its stabilizer" % named(V))
         if stab[W] != stab[V]:
-            failures.append("stabilizer not idempotent at %r" % V)
-    for S1, S2 in itertools.product(inv, repeat=2):
-        if as_set[S1] <= as_set[S2] and not inv[S2] <= inv[S1]:
+            failures.append("stabilizer not idempotent at %r" % named(V))
+    for (S1, s1, V1), (S2, s2, V2) in itertools.product(swept, repeat=2):
+        if not s1 & ~s2 and V2 & ~V1:
             failures.append("invariants not order reversing on {%s} <= {%s}"
                             % (",".join(S1), ",".join(S2)))
     for V1, V2 in itertools.product(tested, repeat=2):
-        if V1 <= V2 and not as_set[stab[V2]] <= as_set[stab[V1]]:
-            failures.append("stabilizer not order reversing on %r <= %r" % (V1, V2))
+        if not V1 & ~V2 and stab[V2] & ~stab[V1]:
+            failures.append("stabilizer not order reversing on %r <= %r" % (named(V1), named(V2)))
     return failures
 
 
@@ -270,4 +271,5 @@ def random_subfunctor(site, rng):
                 if grown:
                     idxsets[j] |= grown
                     fresh.setdefault(j, set()).update(grown)
-    return Subfunctor._trusted(site, idxsets)
+    return Subfunctor._trusted(site, _mask(p in s for act, s in zip(site.objects, idxsets)
+                                           for p in range(len(act.carrier))))

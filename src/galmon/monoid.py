@@ -329,10 +329,10 @@ def submonoid_tuples(m):
     stays in S + a along s's generator word.  Indices number the elements in
     reverse, so the element lists of one size ascend as the masks descend.
     The products the closures make count against MAX_ENUMERATION, and the
-    submonoids against MAX_MATERIALIZED.  The tuples are kept on m.
+    submonoids against MAX_MATERIALIZED.  Tuples and generators stay on m.
     """
     if m._subs is not None:
-        return list(m._subs)
+        return list(m._subs[0])
     elems = m.elements[::-1]
     n = len(elems)
     mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
@@ -343,13 +343,14 @@ def submonoid_tuples(m):
         if mul[a][a] == a:
             off_left[a] = sum(1 << s for s in range(n) if mul[s][a] != s and mul[s][a] != a)
             off_right[a] = sum(1 << g for g in range(n) if mul[a][g] != a and mul[a][g] != g)
-    keys, subs, products = [], [], 0
+    keys, subs, gens_of, products = [], [], [], 0
     limit, most = finset.MAX_ENUMERATION, finset.MAX_MATERIALIZED
     stack = [(1 << unit, [unit], (), 0, -1)]
     while stack:
         mask, members, gens, gmask, core = stack.pop()
         keys.append((len(members) << n) - mask)
         subs.append(members)
+        gens_of.append(gmask)
         if len(subs) > most:
             raise finset.refusal("monoid.enumerate_submonoids",
                                  "more than %d submonoids" % most, most)
@@ -366,9 +367,17 @@ def submonoid_tuples(m):
                                      "%d closure products" % products)
             if closed is not None:
                 stack.append((closed, members + new, gens + (a,), gmask | 1 << a, a))
-    m._subs = tuple(tuple([elems[i] for i in sorted(subs[k], reverse=True)])
-                    for k in sorted(range(len(keys)), key=keys.__getitem__))
-    return list(m._subs)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    m._subs = (tuple(tuple([elems[i] for i in sorted(subs[k], reverse=True)]) for k in order),
+               tuple(map(gens_of.__getitem__, order)))
+    return list(m._subs[0])
+
+
+def submonoid_generators(m):
+    """The generators submonoid_tuples adjoined for each submonoid, in its order: bit i is
+    m.elements[-1 - i], and the highest bit joined the submonoid the lower bits generate."""
+    submonoid_tuples(m)
+    return m._subs[1]
 
 
 def is_subgroup(m, elements):

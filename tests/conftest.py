@@ -1,7 +1,8 @@
 """Shared test settings, a monoid-file writer, a monoid's and an action's
 tables by element names, the check of a package-built monoid against the
 checked constructor, the monoid of given self-maps, the sample monoids, the
-brute-force submonoid, subgroup and subfunctor oracles, the propagation
+brute-force submonoid, subgroup and subfunctor oracles, the object-based
+correspondence and connection-law sweeps, the propagation
 search with its oracles for equivariant maps and for wedge families, the
 filter over all maps for equivariant maps, and the hypothesis strategies of
 band-rich monoids and of transformation monoids."""
@@ -13,9 +14,9 @@ from hypothesis import settings, strategies as st
 
 from galmon import samples
 from galmon.finset import FinSet, SizingError, MAX_ENUMERATION
-from galmon.monoid import Monoid
+from galmon.monoid import Monoid, enumerate_submonoids
 from galmon.actions import MAction
-from galmon.galois import Subfunctor, _naturality_violation
+from galmon.galois import Subfunctor, _mask, _naturality_violation, invariants_oracle
 
 settings.register_profile("galmon", deadline=None, max_examples=60)
 settings.load_profile("galmon")
@@ -66,6 +67,7 @@ SAMPLES = {
     "M8": samples.mult_mod(8), "LZ3": samples.left_zero_with_unit(3),
     "RZ3": samples.right_zero_with_unit(3)}
 S4 = maps_monoid(list(itertools.permutations(range(4))))
+T3 = maps_monoid(list(itertools.product(range(3), repeat=3)))
 
 # a unit adjoined to a non-associative table: (ab)b = a but a(bb) = e
 NONASSOC = Monoid(FinSet(("a", "b", "e")), "e",
@@ -106,9 +108,105 @@ def subfunctors_oracle(site):
         idxsets = [{p for p in range(n) if mask >> p & 1}
                    for n, mask in zip(sizes, masks)]
         if _naturality_violation(site, idxsets) is None:
-            found.append(Subfunctor._trusted(site, idxsets))
+            found.append(Subfunctor._trusted(
+                site, _mask(p in s for n, s in zip(sizes, idxsets) for p in range(n))))
     found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
     return found
+
+
+def point_sets(V):
+    """V as one frozenset of chosen elements per site object, in site order."""
+    return tuple(map(frozenset, V.components.values()))
+
+
+def included(V, W):
+    """Per-object inclusion of the chosen elements, V in W."""
+    return all(map(frozenset.issubset, point_sets(V), point_sets(W)))
+
+
+def stabilizer_oracle(V):
+    """The elements fixing every chosen point, by applying each to each."""
+    site = V.site
+    return tuple(a for a in site.monoid.elements
+                 if all(act.apply(a, x) == x for act, chosen in zip(site.objects, point_sets(V))
+                        for x in chosen))
+
+
+def correspondence_oracle(m, site):
+    """galois_correspondence by objects: a checked submonoid and inclusion
+    for each submonoid, invariants by the direct scan, stabilizers by
+    applying every element, and subfunctors keyed and compared as
+    per-object frozensets."""
+    rows = []
+    inv_of = {}
+    stab_of = {}  # each distinct invariant image, in order of first appearance
+    for S, incl in enumerate_submonoids(m):
+        V = invariants_oracle(incl, site)
+        if point_sets(V) not in stab_of:
+            stab_of[point_sets(V)] = (V, stabilizer_oracle(V))
+        T = stab_of[point_sets(V)][1]
+        inv_of[S.elements] = V
+        rows.append({"elements": list(S.elements), "invariants": V.as_dict(),
+                     "stabilizer_of_invariants": list(T), "closed": T == S.elements})
+    vrows = []
+    for V, T in stab_of.values():
+        W = inv_of[T]
+        vrows.append({"subsets": V.as_dict(), "stabilizer": list(T),
+                      "invariants_of_stabilizer": W.as_dict(),
+                      "closed": point_sets(W) == point_sets(V)})
+    closed_subs = [tuple(r["elements"]) for r in rows if r["closed"]]
+    closed_vs = [V for (V, _), r in zip(stab_of.values(), vrows) if r["closed"]]
+    pairing = {S: inv_of[S] for S in closed_subs}
+    targets = set(map(point_sets, pairing.values()))
+    bijective = len(targets) == len(closed_subs) and targets == set(map(point_sets, closed_vs))
+    reversing = all((set(s1) <= set(s2)) == included(pairing[s2], pairing[s1])
+                    for s1, s2 in itertools.product(closed_subs, repeat=2))
+    return {
+        "schema": "galmon/1",
+        "kind": "correspondence",
+        "monoid": {"elements": list(m.elements), "unit": m.unit},
+        "site": list(site.names),
+        "submonoids": rows,
+        "subfunctors": vrows,
+        "closed_submonoids": [list(s) for s in closed_subs],
+        "closed_subfunctors": [V.as_dict() for V in closed_vs],
+        "bijection": [{"submonoid": list(s), "subfunctor": pairing[s].as_dict()}
+                      for s in closed_subs],
+        "bijective": bijective,
+        "inclusion_reversing": bool(bijective and reversing),
+    }
+
+
+def law_failures_oracle(m, site, extra_subfunctors=()):
+    """connection_law_failures by objects, as correspondence_oracle works."""
+    failures = []
+    inv = {S.elements: invariants_oracle(incl, site) for S, incl in enumerate_submonoids(m)}
+    first = {}  # each distinct subfunctor, in order of first appearance
+    for V in [Subfunctor.full(site), Subfunctor.empty(site), *inv.values(), *extra_subfunctors]:
+        first.setdefault(point_sets(V), V)
+    tested = list(first.values())
+    stab = {point_sets(V): stabilizer_oracle(V) for V in tested}
+    for S, V in inv.items():
+        T = stab[point_sets(V)]
+        if not set(S) <= set(T):
+            failures.append("submonoid {%s} escapes the stabilizer of its invariants"
+                            % ",".join(S))
+        if point_sets(inv[T]) != point_sets(V):
+            failures.append("invariants not idempotent at {%s}" % ",".join(S))
+    for V in tested:
+        W = inv[stab[point_sets(V)]]
+        if not included(V, W):
+            failures.append("%r escapes the invariants of its stabilizer" % V)
+        if stab[point_sets(W)] != stab[point_sets(V)]:
+            failures.append("stabilizer not idempotent at %r" % V)
+    for S1, S2 in itertools.product(inv, repeat=2):
+        if set(S1) <= set(S2) and not included(inv[S2], inv[S1]):
+            failures.append("invariants not order reversing on {%s} <= {%s}"
+                            % (",".join(S1), ",".join(S2)))
+    for V1, V2 in itertools.product(tested, repeat=2):
+        if included(V1, V2) and not set(stab[point_sets(V2)]) <= set(stab[point_sets(V1)]):
+            failures.append("stabilizer not order reversing on %r <= %r" % (V1, V2))
+    return failures
 
 
 def propagate(sizes, rules, limit=MAX_ENUMERATION, layer="actions"):

@@ -13,7 +13,8 @@ from conftest import (maps_monoid, products, submonoids_oracle, transformation_m
                       write_monoid)
 from galmon import finset, samples
 from galmon.actions import default_site
-from galmon.cli import COMMANDS, _corr_dot, _dumps, _hasse_edges, build_parser, run
+from galmon.cli import (COMMANDS, InputError, _corr_dot, _dumps, _field, _hasse_edges,
+                        _symbol, build_parser, parse_monoid, run)
 from galmon.finset import FinSet
 from galmon.galois import galois_correspondence, invariants_oracle
 from galmon.monoid import Monoid, enumerate_submonoids
@@ -354,6 +355,56 @@ def test_monoid_file_errors_come_in_their_order(case, tmp_path, capsys):
             cell[keys[-1]] = value
     code, out = run_json(capsys, ["hopf", "--monoid", write_json(tmp_path / "m.json", doc)])
     assert (code, out.get("error")) == ((0, None) if error is None else (1, error))
+
+
+def parse_monoid_scan_first(doc, where="monoid file"):
+    """parse_monoid as it was before its fast path: every cell's shape is
+    scanned before any construction."""
+    elements = _field(doc, "elements", list, where)
+    unit = _field(doc, "unit", str, where)
+    rows = _field(doc, "table", dict, where)
+    for a in elements:
+        if _symbol(a, "%s elements", where) not in rows:
+            raise InputError("%s table is missing row %r" % (where, a))
+        row = rows[a]
+        if not isinstance(row, dict):
+            raise InputError("%s table row %r has the wrong shape" % (where, a))
+        for b in elements:
+            if _symbol(b, "%s elements", where) not in row:
+                raise InputError("%s table row %r is missing column %r" % (where, a, b))
+            _symbol(row[b], "%s table row %r column %r", where, a, b)
+    return Monoid.from_rows(FinSet(elements), unit, rows)
+
+
+def outcome(parse, doc):
+    try:
+        m = parse(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m.carrier.elements, m.unit, m.table
+
+
+CELL_VALUES = st.sampled_from([DROP, "e", "g", "z", "", 1, 2.5, None, True, ["x"], {"k": 1},
+                               ["e", "g"], {}])
+
+
+@given(st.lists(st.tuples(st.sampled_from(
+    [["elements", 0], ["elements", 1], ["elements", 2], ["unit"], ["table"], ["table", "e"],
+     ["table", "g"], ["table", "z"], ["table", "e", "e"], ["table", "e", "g"],
+     ["table", "g", "e"], ["table", "g", "g"], ["table", "g", "z"]]), CELL_VALUES),
+    max_size=3))
+def test_parse_monoid_raises_what_the_scan_first_parse_raises(edits):
+    with open(fx("z2.json")) as fd:
+        doc = json.load(fd)
+    for keys, value in edits:  # an edit whose path no longer exists is skipped
+        cell, key = doc, keys[-1]
+        for step in keys[:-1]:
+            cell = cell.get(step) if isinstance(cell, dict) else None
+        if isinstance(cell, list) and isinstance(key, int) and key < len(cell):
+            cell.pop(key) if value is DROP else cell.__setitem__(key, value)
+        elif isinstance(cell, dict) and isinstance(key, str):
+            cell.pop(key, None) if value is DROP else cell.__setitem__(key, value)
+    assert outcome(parse_monoid, doc) == outcome(parse_monoid_scan_first, doc)
 
 
 def test_missing_required_flag(capsys):
@@ -808,3 +859,52 @@ def test_dumps_raises_where_json_dumps_raises(value):
     with pytest.raises(TypeError) as got:
         _dumps(value)
     assert str(got.value) == str(expected.value)
+
+
+def count_calls(monkeypatch, names):
+    """Wrap the named functions of galmon.monoid in every galmon module that
+    binds them; each call adds one to its name in the returned counter,
+    under "listing:" + name while submonoid_tuples runs."""
+    import collections
+    from galmon import monoid
+    calls = collections.Counter()
+    depth = [0]  # submonoid_tuples calls running
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[("listing:" if depth[0] else "") + name] += 1
+            lists = name == "submonoid_tuples"
+            depth[0] += lists
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= lists
+        return wrapper
+
+    for name in names:
+        fn = getattr(monoid, name)
+        wrapper = counted(name, fn)
+        for module in [m for key, m in sys.modules.items() if key.startswith("galmon")]:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["corr", "laws"])
+def test_sweeps_build_nothing_per_submonoid(command, tmp_path, capsys, monkeypatch):
+    # corr on a unit with 16 left zeros once built a checked monoid and
+    # re-derived the generators of each of its 65 536 submonoids
+    t3 = tmp_path / "t3.json"
+    write_monoid(t3, maps_monoid(list(itertools.product(range(3), repeat=3))))
+    for path, order, listed in ((fx("lz6.json"), 7, 64), (str(t3), 27, 699)):
+        calls = count_calls(monkeypatch, ["submonoid", "generators", "_close",
+                                          "submonoid_tuples"])
+        code, doc = run_json(capsys, [command, "--monoid", path])
+        assert code == 0 and doc.get("ok", doc.get("bijective"))
+        if command == "corr":
+            assert len(doc["submonoids"]) == listed
+        assert calls["submonoid"] == 0
+        assert calls["generators"] <= 3  # of the monoid itself, kept on it
+        assert calls["_close"] <= order  # closing the monoid's own generators
+        assert calls["submonoid_tuples"] <= 3

@@ -4,9 +4,11 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, strategies as st
 
-from conftest import NONASSOC, S4, SAMPLES, subfunctors_oracle, transformation_monoids
+from conftest import (NONASSOC, S4, SAMPLES, T3, band_monoids, correspondence_oracle, included,
+                      law_failures_oracle, point_sets, subfunctors_oracle,
+                      transformation_monoids)
 from galmon.finset import FinSet, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
 from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
@@ -343,3 +345,49 @@ def test_long_lived_process_keeps_no_results():
     finally:
         tracemalloc.stop()
     assert kept < 2 ** 20
+
+
+def assert_sweeps_match_oracles(m, site, seed=0):
+    extras = [random_subfunctor(site, random.Random(seed + k)) for k in range(3)]
+    assert galois_correspondence(m, site) == correspondence_oracle(m, site)
+    assert connection_law_failures(m, site, extras) == law_failures_oracle(m, site, extras)
+
+
+SWEPT = dict(SAMPLES, S4=S4, T3=T3)
+
+
+@pytest.mark.parametrize("m", list(SWEPT.values()), ids=list(SWEPT))
+def test_mask_sweeps_equal_the_object_sweeps(m):
+    assert_sweeps_match_oracles(m, default_site(m))
+
+
+def test_mask_sweeps_equal_the_object_sweeps_on_custom_sites():
+    assert_sweeps_match_oracles(S3, s3_nat_site())
+    assert_sweeps_match_oracles(S3, canonical_site(S3, "cosets+custom", custom=[("nat", NAT3)]))
+    assert_sweeps_match_oracles(Z4, Site(Z4, []))
+
+
+@given(band_monoids(), st.integers(0, 1000))
+def test_mask_sweeps_equal_the_object_sweeps_on_bands(m, seed):
+    assert_sweeps_match_oracles(m, default_site(m), seed)
+
+
+@given(transformation_monoids(), st.integers(0, 1000))
+def test_mask_order_is_per_object_inclusion(drawn, seed):
+    m, act, _ = drawn
+    assume(len(m) <= 24)
+    site = canonical_site(m, "free+trivial+custom", custom=[("X", act)])
+    rng = random.Random(seed)
+    found = [random_subfunctor(site, rng) for _ in range(6)]
+    found += [Subfunctor.full(site), Subfunctor.empty(site)]
+    for V, W in itertools.product(found, repeat=2):
+        assert (V <= W) == included(V, W)
+        assert (V == W) == (point_sets(V) == point_sets(W))
+        if V == W:
+            assert hash(V) == hash(W)
+
+
+def test_extras_over_another_site_are_refused():
+    extra = Subfunctor.full(default_site(Z4))
+    with pytest.raises(GaloisError):
+        connection_law_failures(Z4, canonical_site(Z4, "free+trivial"), [extra])

@@ -63,6 +63,11 @@ REPORTS = [
      0, "857f7b6d384ce8998cc301b2bfe52c25b309e67ba59a2f24f0b57c60597ecc4d"),
     ("corr --monoid lz6.json",
      0, "2794a0c945df69661489ba38b14827cac7e36d9234bd570367008c07bc7a7abb"),
+    # the law sweep over a dense lattice and over a group's coset site
+    ("laws --monoid lz6.json --seed 3",
+     0, "7da6a6b411b66b6676f7da8368959d5e996c5348005d96a99b025edc4aa87878"),
+    ("laws --monoid z4.json --seed 1",
+     0, "29aa9c3d8f6762f3fc99f2b95116cd9a31992624a2db973148aa7f891a5b4713"),
     # sites built from --action files: the checked action constructor, and
     # internal_nat's read-off when the site has no free object
     ("end --monoid s3.json --site custom --action s3_natural.json",
