@@ -1,5 +1,6 @@
 """Regenerate the JSON fixtures in this directory from the built-in samples."""
 
+import itertools
 import json
 import os
 
@@ -34,6 +35,14 @@ def relabelled(m, names):
                                               for a in m.elements for b in m.elements})
 
 
+def symmetric4():
+    """S4 on 0..3, each permutation named t<images>, composing right to left."""
+    perms = list(itertools.permutations(range(4)))
+    name = {p: "t" + "".join(map(str, p)) for p in perms}
+    return Monoid(FinSet(name.values()), name[perms[0]], {
+        (name[p], name[q]): name[tuple(p[i] for i in q)] for p in perms for q in perms})
+
+
 def dump(name, doc):
     with open(os.path.join(HERE, name), "w") as fd:
         json.dump(doc, fd, sort_keys=True, indent=2)
@@ -42,11 +51,12 @@ def dump(name, doc):
 
 def main():
     s3 = samples.symmetric3()
+    s4 = symmetric4()
     z2 = samples.cyclic(2)
     for name, m in [("trivial", samples.cyclic(1)), ("z2", z2),
                     ("z3", samples.cyclic(3)), ("z4", samples.cyclic(4)),
                     ("e2", samples.idempotent_pair()), ("s3", s3),
-                    ("lz6", samples.left_zero_with_unit(6))]:
+                    ("lz6", samples.left_zero_with_unit(6)), ("s4", s4)]:
         dump(name + ".json", monoid_doc(m))
     # symbols that JSON escapes: non-ASCII, a quote and a backslash, a space
     dump("z3_symbols.json", monoid_doc(relabelled(samples.cyclic(3), ["é", 'a"\\b', "∞ x"])))
@@ -58,6 +68,9 @@ def main():
     dump("a3_in_s3.json", hom_doc(incl))
     dump("z2_in_s3.json", hom_doc(MonoidHom(z2, s3, {"e": "e", "g": "(12)"})))
     dump("a3_invariants.json", {"subsets": invariants(incl, default_site(s3)).as_dict()})
+    # S4's default site has 31 objects, whose end families have long labels
+    _, swap01 = submonoid(s4, ("t0123", "t1023"))
+    dump("s4_swap_invariants.json", {"subsets": invariants(swap01, default_site(s4)).as_dict()})
     # a point of the natural action: a subfunctor of the custom site it spans
     dump("s3_natural_point.json", {"subsets": {"s3_natural": ["1"]}})
 

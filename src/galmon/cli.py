@@ -231,12 +231,13 @@ def cmd_end(args):
     site = _site_for(m, args.site, _actions_from(args, m))
     end = end_of_forgetful(site)
     rho = reconstruction_hom(m, site, end=end)
+    label = {fam: end.label(fam) for fam in end.carrier}  # each family named once
     return 0, {"schema": SCHEMA, "command": "end",
                "site": list(site.names),
-               "families": list(end.carrier.elements),
+               "families": sorted(label.values()),
                "size": len(end),
-               "unit": end.unit(),
-               "reconstruction": {"map": {a: rho(a) for a in m.elements},
+               "unit": label[end.unit()],
+               "reconstruction": {"map": {a: label[rho(a)] for a in m.elements},
                                   "injective": rho.is_injective(),
                                   "isomorphism": rho.is_bijection(),
                                   "kernel_pairs": [list(p) for p in kernel_pairs(rho)]}}

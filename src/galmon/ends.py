@@ -9,7 +9,10 @@ presentation of V by generating points and relations, as equivariant maps
 are (`actions.read_off`): the image of a generating point fixes the images
 of every point reached from it, so the work tracks the families found
 rather than the |W|^|V| candidate maps of each object, and the sizing
-guard bounds the tables written and the values tried.
+guard bounds the tables written and the values tried.  An element of an
+end is its family itself, the tuple over site objects of the target
+indices each component sends V's points to; only the `end` report names
+families, through `EndObject.label`.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
@@ -82,23 +85,17 @@ class SubsetDiagram:
 
 
 class EndObject:
-    """The end of [V, W]: its wedge families, one map per site object."""
+    """The end of [V, W]: its wedge families, one map per site object.
+
+    Each family is its own element of `carrier`: per site object, the
+    tuple of W-indices of the images of V's points, in V's order."""
 
     def __init__(self, site, V, W, families):
         self.site = site
         self.V = V
         self.W = W
         self.families = tuple(families)
-        labels = []
-        for fam in self.families:
-            comps = []
-            for i in range(site.nobj):
-                ws = W.obs[i].elements
-                comps.append(map_label(V.obs[i].elements, tuple(ws[q] for q in fam[i])))
-            labels.append("(%s)" % ",".join(comps))
-        self.carrier = FinSet(labels, check=False)
-        self.family_of = dict(zip(labels, self.families))
-        self.elem_of = dict(zip(self.families, labels))
+        self.carrier = FinSet(self.families, check=False)
         self._monoid = None
 
     def __len__(self):
@@ -107,19 +104,23 @@ class EndObject:
     def __repr__(self):
         return "EndObject(%d families over %r)" % (len(self.families), self.site)
 
-    def component_images(self, elem, i):
+    def label(self, fam):
+        """The family as a report names it: "({x↦y,...},...)", one map per site object."""
+        return "(%s)" % ",".join(map_label(V.elements, map(W.elements.__getitem__, images))
+                                 for V, W, images in zip(self.V.obs, self.W.obs, fam))
+
+    def component_images(self, fam, i):
         """The i-th component of a family, as a tuple of target elements."""
-        ws = self.W.obs[i].elements
-        return tuple(ws[q] for q in self.family_of[elem][i])
+        return tuple(map(self.W.obs[i].elements.__getitem__, fam[i]))
 
     def unit(self):
-        """The label of the identity family, defined when V and W coincide."""
+        """The identity family, defined when V and W coincide."""
         if self.V.obs != self.W.obs:
             raise EndError("only an end of a self-hom diagram is a monoid")
         unit_fam = tuple(tuple(range(len(ob))) for ob in self.V.obs)
-        if unit_fam not in self.elem_of:
+        if unit_fam not in self.carrier:
             raise EndError("identity family fails the wedge condition")
-        return self.elem_of[unit_fam]
+        return unit_fam
 
     def monoid(self):
         """Componentwise composition, defined when V and W coincide; its
@@ -129,14 +130,12 @@ class EndObject:
             cells = len(self.families) ** 2
             if cells > finset.MAX_ENUMERATION:
                 raise finset.refusal("ends.EndObject.monoid", "%d table cells" % cells)
-            fams = list(map(self.family_of.__getitem__, self.carrier))
-            at = {fam: k for k, fam in enumerate(fams)}
-            table = {}
-            for e, f in zip(self.carrier, fams):
+            fams, table = self.carrier, {}
+            for f in fams:
                 comps = [tuple(tuple(ti[q] for q in tj) for ti, tj in zip(f, g)) for g in fams]
-                if not all(map(at.__contains__, comps)):
+                if not all(map(fams.__contains__, comps)):
                     raise EndError("families are not closed under composition")
-                table[e] = tuple(map(at.__getitem__, comps))
+                table[f] = tuple(map(fams.index, comps))
             self._monoid = Monoid._trusted(self.carrier, unit, table)
         return self._monoid
 
@@ -269,12 +268,9 @@ def restrict_end(end, functor, target_end=None):
     for i, gi in enumerate(functor.ob_map):
         if target_end.V.obs[i] != end.V.obs[gi] or target_end.W.obs[i] != end.W.obs[gi]:
             raise EndError("restriction target disagrees on object %r" % functor.src.names[i])
-    table = {}
-    for fam, elem in end.elem_of.items():
-        sub = tuple(fam[gi] for gi in functor.ob_map)
-        if sub not in target_end.elem_of:
-            raise EndError("a restricted family fails the wedge condition downstairs")
-        table[elem] = target_end.elem_of[sub]
+    table = {fam: tuple(fam[gi] for gi in functor.ob_map) for fam in end.carrier}
+    if not all(map(target_end.carrier.__contains__, table.values())):
+        raise EndError("a restricted family fails the wedge condition downstairs")
     return FinMap(end.carrier, target_end.carrier, table)
 
 
@@ -287,12 +283,10 @@ def reconstruction_hom(m, site, end=None):
     """
     if end is None:
         end = end_of_forgetful(site)
-    table = {}
-    for a in m.elements:
-        fam = tuple(act.table[a] for act in site.objects)
-        if fam not in end.elem_of:
+    table = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
+    for a, fam in table.items():
+        if fam not in end.carrier:
             raise EndError("the action family of %r fails the wedge condition" % a)
-        table[a] = end.elem_of[fam]
     if not all(acts_along(m, act.table, generators(m)) for act in site.objects):
         raise EndError("the action families are not a monoid map into the end")
     return FinMap(m.carrier, end.carrier, table)
@@ -303,7 +297,7 @@ def reconstruction_composite_check(m, site, end=None):
     if end is None:
         end = end_of_forgetful(site)
     rho = reconstruction_hom(m, site, end=end)
-    return all(end.family_of[rho(a)] == tuple(act.table[a] for act in site.objects)
+    return all(rho(a) == tuple(act.table[a] for act in site.objects)
                for a in m.elements)
 
 
@@ -350,7 +344,7 @@ def augmentation_square_check(m, site):
     First: restricting to carriers and coming back along the trivial-action
     section is the identity on the carrier end.  Second: the trivial path
     agrees with the family of curried projections A x X -> X, object by
-    object.  Both are checked elementwise.
+    object, read back as index tuples.  Both are checked elementwise.
     """
     extended, base, into, down = extend_with_trivials(site)
     end_up = end_of_forgetful(extended)
@@ -367,10 +361,9 @@ def augmentation_square_check(m, site):
         comps = []
         for act in extended.objects:
             X = act.carrier
-            P = product(m.carrier, X)
-            dropped = curry(proj_right(P))  # A -> [X, X], constantly the identity
-            comps.append(dropped(a))
-        if by_path(a) != "(%s)" % ",".join(comps):
+            dropped = curry(proj_right(product(m.carrier, X)))  # A -> [X, X], constantly 1
+            comps.append(tuple(map(X.index, dropped.cod.map_images(dropped(a)))))
+        if by_path(a) != tuple(comps):
             return False
     return True
 
@@ -385,13 +378,8 @@ def family_restriction(end, sub):
     if sub.site != end.site:
         raise EndError("subset diagram must live over the end's site")
     target = internal_nat(sub, end.W)
-    table = {}
-    for fam, elem in end.elem_of.items():
-        parts = []
-        for i, emb in enumerate(sub._embed):
-            parts.append(tuple(fam[i][p] for p in emb))
-        cut = tuple(parts)
-        if cut not in target.elem_of:
-            raise EndError("a restricted family fails the wedge condition")
-        table[elem] = target.elem_of[cut]
+    table = {fam: tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))
+             for fam in end.carrier}
+    if not all(map(target.carrier.__contains__, table.values())):
+        raise EndError("a restricted family fails the wedge condition")
     return FinMap(end.carrier, target.carrier, table), target

@@ -106,7 +106,7 @@ class FinSet:
         return self._hash
 
     def __repr__(self):
-        body = ",".join(self.elements[:6])
+        body = ",".join(map(str, self.elements[:6]))
         if len(self.elements) > 6:
             body += ",...[%d]" % len(self.elements)
         return "FinSet{%s}" % body

@@ -99,7 +99,7 @@ class Monoid:
         return self._hash
 
     def __repr__(self):
-        return "Monoid(%s; unit=%s)" % (",".join(self.elements), self.unit)
+        return "Monoid(%s; unit=%s)" % (",".join(map(str, self.elements)), self.unit)
 
     def units(self):
         """The elements with a two-sided inverse, found once."""

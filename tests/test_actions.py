@@ -46,6 +46,9 @@ def test_action_table_shape_errors():
         MAction(Z2, FinSet(("0",)), {("e", "0"): "0"})
     with pytest.raises(ActionError):
         MAction(Z2, FinSet(("0",)), {("e", "0"): "0", ("g", "0"): "7"})
+    with pytest.raises(ActionError) as exc:
+        MAction(Z2, FinSet(("0",)), {("e", "0"): "0", ("g", "0"): "0", ("g", "1"): "0"})
+    assert str(exc.value) == "action table mentions ('g', '1') outside the carrier"
 
 
 def test_free_action():

@@ -271,12 +271,19 @@ def test_schema_error_names_the_cell(tmp_path, capsys):
     assert "row 'g'" in out["error"] and "'e'" in out["error"]
 
 
+DROP = object()  # an edit that deletes the cell
+
+
 def put(doc, keys, value):
-    """doc with the cell at the path keys replaced by value."""
-    if keys:
+    """doc with the cell at the path keys replaced by value, or deleted
+    when value is DROP."""
+    if len(keys) == 1 and value is DROP:
+        del doc[keys[0]]
+    elif keys:
         doc[keys[0]] = put(doc[keys[0]], keys[1:], value)
-        return doc
-    return value
+    else:
+        return value
+    return doc
 
 
 # case: (fixture, path to the cell, what replaces it, command, error); BAD
@@ -300,6 +307,21 @@ MALFORMED = {
     "hom-image": ("a3_in_s3.json", ["map", "e"], ["e"], "inv --monoid S3 --hom BAD",
                   "hom file map 'e': [\"e\"] is not a symbol"),
     "top-level": ("s3.json", [], 5, "hopf --monoid BAD", "monoid file is missing 'elements'"),
+    "action-row": ("s3_natural.json", ["act", "(12)"], DROP,
+                   "validate --monoid S3 --action BAD", "BAD act is missing row '(12)'"),
+    "action-row-shape": ("s3_natural.json", ["act", "(12)"], ["2", "1", "3"],
+                         "validate --monoid S3 --action BAD",
+                         "BAD act row '(12)' has the wrong shape"),
+    "action-column": ("s3_natural.json", ["act", "(12)", "3"], DROP,
+                      "end --monoid S3 --site custom --action BAD",
+                      "BAD act row '(12)' is missing column '3'"),
+    "subset-shape": ("a3_invariants.json", ["subsets", "F(1)"], "(e,*)",
+                     "stab --monoid S3 --sub BAD",
+                     "subfunctor file subset 'F(1)' has the wrong shape"),
+    "hom-map": ("a3_in_s3.json", ["map", "(123)"], DROP, "inv --monoid S3 --hom BAD",
+                "hom file map is missing '(123)'"),
+    "monoid-laws": ("z2.json", ["table", "e", "g"], "e", "subgroups --monoid BAD",
+                    "monoid file violates the laws: unit law fails: e*g = e"),
 }
 
 
@@ -313,8 +335,6 @@ def test_malformed_cell_gets_a_json_error(case, tmp_path, capsys):
     assert code == 1
     assert out == {"schema": "galmon/1", "error": error.replace("BAD", bad)}
 
-
-DROP = object()  # an edit that deletes the cell
 
 # case: edits to z2.json, each (path to a cell, what replaces it), and the
 # error, None where the file still reads.  Every cell's shape is checked
@@ -411,6 +431,14 @@ def test_missing_required_flag(capsys):
     code, out = run_json(capsys, ["subgroups"])
     assert code == 1
     assert "--monoid" in out["error"]
+
+
+def test_a_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"elements": [')
+    code, out = run_json(capsys, ["hopf", "--monoid", str(path)])
+    assert (code, out["error"]) == (
+        1, "%s is not JSON: Expecting value: line 1 column 15 (char 14)" % path)
 
 
 def test_unreadable_file(capsys):

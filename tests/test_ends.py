@@ -33,6 +33,14 @@ def test_end_over_point_site():
     assert end_monoid(end).elements == (end.monoid().unit,)
 
 
+def test_an_end_of_families_and_its_monoid_have_reprs():
+    end = end_of_forgetful(default_site(S3))
+    assert end.carrier.elements == tuple(sorted(end.families))
+    fams = ",".join(map(str, end.carrier))
+    assert repr(end.carrier) == "FinSet{%s}" % fams
+    assert repr(end.monoid()) == "Monoid(%s; unit=%s)" % (fams, end.unit())
+
+
 def test_end_sizes_over_free_site():
     assert len(end_of_forgetful(free_site(Z2))) == 2
     assert len(end_of_forgetful(free_site(S3))) == 6

@@ -2,14 +2,15 @@
 committed fixtures, pinned by SHA-256 digests of the reports the command
 line printed before its argument parser was flattened.  No command
 composes an end's monoid table, so each runs with `EndObject.monoid`
-disabled."""
+disabled, and `stab`, which prints no end family, runs again with the
+family labels disabled."""
 
 import hashlib
 import os
 
 import pytest
 
-from galmon import finset
+from galmon import ends, finset
 from galmon.cli import run
 from galmon.ends import EndObject
 
@@ -93,7 +94,21 @@ REPORTS = [
      0, "c2969d7d05f6dd2723189339e6b45a67362c5cd3d59ad5da50a114296988855e"),
     ("laws --monoid z3_symbols.json --seed 3",
      0, "e056492ad404f8a93a9c2900ca38947e12f70d4bbe205054af83d12ad2e34bab"),
+    # S4's default site: 31 objects, so each end family's label runs to
+    # 10 119 characters
+    ("end --monoid s4.json",
+     0, "2ad756e9029073f20e83fe9ad69fd624311e01a2bf7c06f25ad0a2166d78f356"),
+    ("stab --monoid s4.json --sub s4_swap_invariants.json",
+     0, "331d6f2770cd45438cec71fc379428376dc7918c1f5870f5d907a0651e0cb988"),
 ]
+STABS = [r for r in REPORTS if r[0].startswith("stab ")]
+
+
+def assert_report(argv, code, digest, capsys):
+    args = [os.path.join(FIXTURES, w) if w.endswith(".json") else w for w in argv.split()]
+    assert run(args) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, code, digest", REPORTS, ids=[r[0] for r in REPORTS])
@@ -102,10 +117,17 @@ def test_report_is_byte_identical(argv, code, digest, capsys, monkeypatch):
         raise AssertionError("a command composed the monoid table of %r" % end)
 
     monkeypatch.setattr(EndObject, "monoid", composed)
-    args = [os.path.join(FIXTURES, w) if w.endswith(".json") else w for w in argv.split()]
-    assert run(args) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert_report(argv, code, digest, capsys)
+
+
+@pytest.mark.parametrize("argv, code, digest", STABS, ids=[r[0] for r in STABS])
+def test_stab_labels_no_family(argv, code, digest, capsys, monkeypatch):
+    def labelled(*args):
+        raise AssertionError("stab wrote the label of an end family")
+
+    monkeypatch.setattr(ends, "map_label", labelled)
+    monkeypatch.setattr(EndObject, "label", labelled)
+    assert_report(argv, code, digest, capsys)
 
 
 def test_a_refusal_prints_one_error_object(capsys, monkeypatch):
