@@ -418,8 +418,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()  # holds the options only, never a result
+
+
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code, payload = COMMANDS[args.command][0](args)
     except (SizingError, InputError, FinSetError, MonoidError, ActionError, EndError,

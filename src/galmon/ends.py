@@ -160,8 +160,8 @@ def internal_nat(V, W):
     offset = [0, *itertools.accumulate(map(len, V.obs))]
     n = offset[-1]
     obj = [i for i in range(k) for _ in V.obs[i]]
-    edges = [[] for _ in range(k)]  # out of object i: (offset of j, V f, W f)
-    for i, j in itertools.product(range(k), repeat=2):
+    edges = [[] for _ in range(k)]  # out of i: (offset of j, V f, W f); no walk visits empty V(i)
+    for i, j in itertools.product((i for i in range(k) if V.obs[i]), range(k)):
         for f in site.generating_tuples(i, j):
             edges[i].append((offset[j], V.mor(i, j, f), W.mor(i, j, f)))
     number = {}  # each distinct table, numbered in order of appearance
@@ -377,7 +377,8 @@ def family_restriction(end, sub):
     """
     if sub.site != end.site:
         raise EndError("subset diagram must live over the end's site")
-    target = internal_nat(sub, end.W)
+    full = end.V is end.W and sub.obs == end.W.obs  # sub keeps every point: the end's families
+    target = EndObject(end.site, sub, end.W, end.families) if full else internal_nat(sub, end.W)
     table = {fam: tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))
              for fam in end.carrier}
     if not all(map(target.carrier.__contains__, table.values())):

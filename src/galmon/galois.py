@@ -29,8 +29,9 @@ class GaloisError(Exception):
 def _naturality_violation(site, comps):
     """First (morphism, element) pushing a chosen subset outside another,
     or None.  comps holds element-index sets per site object.  Naturality is
-    closed under composition, so the generating morphisms suffice."""
-    for i, j in itertools.product(range(site.nobj), repeat=2):
+    closed under composition, so the generating morphisms suffice; no hom set
+    out of an object with an empty subset is derived."""
+    for i, j in itertools.product((i for i in range(site.nobj) if comps[i]), range(site.nobj)):
         for f in site.generating_tuples(i, j):
             for p in comps[i]:
                 if f[p] not in comps[j]:

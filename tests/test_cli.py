@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import itertools
 import json
@@ -67,6 +68,28 @@ def test_bad_command_exits_2(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_runs_build_no_parser(capsys, monkeypatch):
+    # galmon.cli builds its one parser when it is imported
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    for _ in range(3):
+        assert run_json(capsys, ["validate", "--monoid", fx("s3.json")])[0] == 0
+    assert built == []
+
+
+def test_runs_in_one_process_share_no_options(capsys):
+    code, first = run_json(capsys, ["validate", "--monoid", fx("s3.json"),
+                                    "--action", fx("s3_natural.json")])
+    assert (code, list(first["actions"])) == (0, ["s3_natural"])
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--out", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, doc = run_json(capsys, ["validate", "--monoid", fx("s3.json")])
+    assert (code, doc) == (0, dict(first, actions={}))
 
 
 def test_validate_ok(capsys):

@@ -294,17 +294,65 @@ READ_OFF = [pytest.param(m, recipe, id="%s-%s" % (name, recipe))
             for recipe in ("default", "free", "free+trivial")]
 
 
+def site_of(m, recipe):
+    if recipe == "natural":  # S3 on its three points, no free object
+        return canonical_site(m, "custom", custom=[("s3_natural", samples.natural_action3())])
+    return default_site(m) if recipe == "default" else canonical_site(m, recipe)
+
+
 @pytest.mark.parametrize("m, recipe", READ_OFF)
 def test_read_off_matches_search_on_samples(m, recipe):
-    site = default_site(m) if recipe == "default" else canonical_site(m, recipe)
-    assert not assert_end_matches_search(site)
+    assert not assert_end_matches_search(site_of(m, recipe))
 
 
 def test_reconstruction_is_a_hom_on_the_natural_site_of_s3():
     # 27 families over S3's three points, none of them read off a free object
-    site = canonical_site(samples.symmetric3(), "custom",
-                          custom=[("s3_natural", samples.natural_action3())])
-    assert assert_end_matches_search(site)
+    assert assert_end_matches_search(site_of(samples.symmetric3(), "natural"))
+
+
+@pytest.mark.parametrize("m, recipe", READ_OFF + [
+    pytest.param(samples.symmetric3(), "natural", id="S3-natural")])
+def test_a_full_subset_diagram_restricts_an_end_to_its_own_families(m, recipe, monkeypatch):
+    site = site_of(m, recipe)
+    end = end_of_forgetful(site)
+    full = Subfunctor.full(site).diagram()
+    ref = internal_nat(full, ForgetfulDiagram(site))
+    monkeypatch.setattr(ends, "internal_nat", None)  # no walk: the end's families are End[V, U]'s
+    cut, target = ends.family_restriction(end, full)
+    assert (target.families, target.carrier) == (ref.families, ref.carrier)
+    assert all(cut(fam) == fam for fam in end.carrier)
+
+
+def assert_read_off_matches_search(site, subs):
+    """internal_nat and the search agree on [V, U] for each subfunctor V."""
+    U = ForgetfulDiagram(site)
+    for V in subs:
+        assert list(internal_nat(V.diagram(), U).families) == nat_search_oracle(V.diagram(), U)
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_read_off_matches_search_where_v_misses_objects(m):
+    # the walk derives no hom set out of an object where V is empty; on a
+    # group's cosets-and-free site a subgroup's invariants miss G/{e}
+    site = default_site(m)
+    subs = {invariants(incl, site) for _, incl in enumerate_submonoids(m)}
+    subs.add(Subfunctor.empty(site))
+    if is_hopf(m) and len(m) > 1:
+        assert [V for V in subs if V.mask and not all(V.components.values())]
+    assert_read_off_matches_search(site, subs)
+
+
+@given(st.sampled_from(sorted(SAMPLES)), st.data(), st.randoms(use_true_random=False))
+def test_read_off_matches_search_on_drawn_subfunctors_that_miss_objects(name, data, rng):
+    # a subgroup's invariants cut down by a random subfunctor: natural, and
+    # empty on every object the invariants miss
+    m = SAMPLES[name]
+    site = default_site(m)
+    _, incl = data.draw(st.sampled_from(list(enumerate_submonoids(m))))
+    V = invariants(incl, site)
+    V = Subfunctor._trusted(site, V.mask & random_subfunctor(site, rng).mask)
+    assert Subfunctor(site, V.components) == V  # the naturality check passes
+    assert_read_off_matches_search(site, [V])
 
 
 def test_restrictions_are_homs_between_the_end_monoids():

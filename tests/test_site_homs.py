@@ -16,9 +16,9 @@ from conftest import (NONASSOC, S4, SAMPLES, equivariant_filter, hom_search_orac
                       transformation_monoid, transformation_monoids, write_monoid)
 from test_report_digests import FIXTURES, REPORTS
 from galmon import actions, finset
-from galmon.cli import run
+from galmon.cli import parse_monoid, run
 from galmon.finset import FinSet, SizingError
-from galmon.galois import invariants
+from galmon.galois import Subfunctor, invariants, stabilizer, stabilizer_via_end
 from galmon.monoid import generators, submonoid
 from galmon.actions import (ActionError, MAction, Site, canonical_site, default_site,
                             equivariant_maps, hom_tuples, trivial_action)
@@ -167,6 +167,20 @@ def test_s4_laws_and_stab_never_search(tmp_path, capsys, monkeypatch):
     assert [code for code, _ in searched] == [0, 0]
     monkeypatch.setattr(actions, "hom_tuples", read_off_only)
     assert [stdout_of(argv, capsys) for argv in commands] == searched
+
+
+@pytest.mark.parametrize("monoid, sub", [("s3.json", "a3_invariants.json"),
+                                          ("s4.json", "s4_swap_invariants.json")])
+def test_stab_derives_no_hom_set_out_of_an_object_v_misses(monoid, sub):
+    with open(os.path.join(FIXTURES, monoid)) as fd:
+        site = default_site(parse_monoid(json.load(fd)))
+    with open(os.path.join(FIXTURES, sub)) as fd:
+        V = Subfunctor(site, json.load(fd)["subsets"])
+    missed = {i for i, name in enumerate(site.names) if not V.component(name)}
+    assert missed and site._homs
+    assert not [(i, j) for i, j in site._homs if i in missed]
+    assert stabilizer_via_end(V).elements == stabilizer(V)[0].elements
+    assert not [(i, j) for i, j in site._homs if i in missed]
 
 
 def test_site_skips_validating_builder_actions_only(monkeypatch):
