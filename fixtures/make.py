@@ -68,6 +68,9 @@ def main():
     dump("a3_in_s3.json", hom_doc(incl))
     dump("z2_in_s3.json", hom_doc(MonoidHom(z2, s3, {"e": "e", "g": "(12)"})))
     dump("a3_invariants.json", {"subsets": invariants(incl, default_site(s3)).as_dict()})
+    # every point: stab restricts the end to its own families
+    _, unit = submonoid(s3, ("e",))
+    dump("s3_all_points.json", {"subsets": invariants(unit, default_site(s3)).as_dict()})
     # S4's default site has 31 objects, whose end families have long labels
     _, swap01 = submonoid(s4, ("t0123", "t1023"))
     dump("s4_swap_invariants.json", {"subsets": invariants(swap01, default_site(s4)).as_dict()})

@@ -21,7 +21,7 @@ from .actions import (MAction, EquivariantMap, ActionError, Site,
                       check_trivial_fixed_adjunction, coinduct,
                       check_restriction_coinduction_adjunction,
                       coset_action, canonical_site, default_site, underlying_site)
-from .ends import (EndObject, EndError, ForgetfulDiagram, SubsetDiagram,
+from .ends import (EndObject, EndError, ForgetfulDiagram,
                    SiteFunctor, internal_nat, end_of_forgetful, end_monoid,
                    restrict_end, reconstruction_hom, reconstruction_composite_check,
                    trivial_path, augmentation_square_check, family_restriction)

@@ -257,7 +257,7 @@ def equivariant_maps(M, N):
     actions (see `validate_action`): the maps are read off M's presentation,
     which checks equivariance along the monoid's generators only."""
     if M.monoid != N.monoid:
-        raise ActionError("equivariant maps need a common monoid")
+        raise ActionError("actions.coinduct: N is not an action of h's source")
     xs = M.carrier.elements
     ys = N.carrier.elements
     out = []
@@ -322,10 +322,12 @@ def coinduct(h, N):
     bad = validate_action(N)
     if bad:
         raise ActionError("actions.coinduct: N is not an action: %s" % bad[0])
-    A = h.dst
+    if N.monoid != h.src:
+        raise ActionError("actions.coinduct: N is not an action of h's source")
+    A, ys = h.dst, N.carrier.elements
     twisted = MAction._trusted(h.src, A.carrier, {b: A.table[h(b)] for b in h.src.elements})
-    K = FunctionSet(A.carrier, N.carrier, [f.map.image_tuple()
-                                           for f in equivariant_maps(twisted, N)])
+    K = FunctionSet(A.carrier, N.carrier, [tuple(map(ys.__getitem__, t))
+                                           for t in hom_tuples(twisted, N)])
     images = [K.map_images(e) for e in K]
     at = {t: q for q, t in enumerate(images)}
     table = {}

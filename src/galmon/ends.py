@@ -2,17 +2,19 @@
 
 A diagram is a functor from a site into finite sets: its `site`, `obs` (one
 carrier per site object) and `mor(i, j, f)`, the image of the morphism with
-carrier-index tuple f as an index tuple over the carriers.  The end of
-[V, W] collects one map V(M) -> W(M) per site object, subject to the wedge
-condition against every site morphism.  Families are read off a
+carrier-index tuple f as an index tuple over the carriers.  There are two:
+U, the underlying carriers (`ForgetfulDiagram`), and a subfunctor V ⊆ U
+(`galois.Subfunctor`), whose morphisms are U's restricted to its subsets.
+The end of [V, W] collects one map V(M) -> W(M) per site object, subject to
+the wedge condition against every site morphism.  Families are read off a
 presentation of V by generating points and relations, as equivariant maps
 are (`actions.read_off`): the image of a generating point fixes the images
-of every point reached from it, so the work tracks the families found
-rather than the |W|^|V| candidate maps of each object, and the sizing
-guard bounds the tables written and the values tried.  An element of an
-end is its family itself, the tuple over site objects of the target
-indices each component sends V's points to; only the `end` report names
-families, through `EndObject.label`.
+of every point reached from it, so the work tracks the families found rather
+than the |W|^|V| candidate maps of each object, and the sizing guard bounds
+the tables written and the values tried.  An element of an end is its family
+itself, the tuple over site objects of the target indices each component
+sends V's points to; only the `end` report names families, through
+`EndObject.label`.
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
@@ -47,43 +49,6 @@ class ForgetfulDiagram:
         return f
 
 
-class SubsetDiagram:
-    """Chosen subsets of the carriers; morphisms restrict.
-
-    The caller is responsible for naturality; a morphism that carries a
-    chosen element outside the chosen subset is reported as an error here.
-    """
-
-    def __init__(self, site, subsets):
-        self.site = site
-        self.obs = []
-        self._embed = []
-        self._back = []
-        for i, chosen in enumerate(subsets):
-            carrier = site.objects[i].carrier
-            sub = FinSet(chosen, check=False)
-            for x in sub:
-                if x not in carrier:
-                    raise EndError("subset element %r is not in site object %r"
-                                   % (x, site.names[i]))
-            self.obs.append(sub)
-            self._embed.append(tuple(carrier.index(x) for x in sub))
-            back = [None] * len(carrier)
-            for p, x in enumerate(sub):
-                back[carrier.index(x)] = p
-            self._back.append(back)
-
-    def mor(self, i, j, f):
-        emb, back = self._embed[i], self._back[j]
-        out = []
-        for p in range(len(self.obs[i])):
-            q = back[f[emb[p]]]
-            if q is None:
-                raise EndError("subsets are not closed under the site morphisms")
-            out.append(q)
-        return tuple(out)
-
-
 class EndObject:
     """The end of [V, W]: its wedge families, one map per site object.
 
@@ -108,10 +73,6 @@ class EndObject:
         """The family as a report names it: "({x↦y,...},...)", one map per site object."""
         return "(%s)" % ",".join(map_label(V.elements, map(W.elements.__getitem__, images))
                                  for V, W, images in zip(self.V.obs, self.W.obs, fam))
-
-    def component_images(self, fam, i):
-        """The i-th component of a family, as a tuple of target elements."""
-        return tuple(map(self.W.obs[i].elements.__getitem__, fam[i]))
 
     def unit(self):
         """The identity family, defined when V and W coincide."""
@@ -320,18 +281,14 @@ def extend_with_trivials(site):
     functor data of both directions of the extension."""
     base, _ = underlying_site(site)
     objects = list(zip(site.names, site.objects))
+    acts = list(site.objects)
     into = []
     for i, b in enumerate(base.objects):
         t = trivial_action(site.monoid, b.carrier)
-        hit = None
-        for j, act in enumerate(site.objects):
-            if act == t:
-                hit = j
-                break
-        if hit is None:
-            hit = len(objects)
+        if t not in acts:
             objects.append(("E(X%d)" % i, t))
-        into.append(hit)
+            acts.append(t)
+        into.append(acts.index(t))
     extended = Site(site.monoid, objects)
     carriers = [b.carrier for b in base.objects]
     down = tuple(carriers.index(act.carrier) for _, act in objects)
@@ -354,9 +311,7 @@ def augmentation_square_check(m, site):
     ident = FinMap.identity(end_base.carrier)
     if back * to_up != ident:
         return False
-    eps = terminal_map(m.carrier)
-    eta = FinMap(singleton(), end_base.carrier, {"*": end_base.unit()})
-    by_path = to_up * eta * eps
+    by_path = trivial_path(m, extended, end=end_up)
     for a in m.elements:
         comps = []
         for act in extended.objects:
@@ -369,14 +324,14 @@ def augmentation_square_check(m, site):
 
 
 def family_restriction(end, sub):
-    """Precompose a self-hom end with a subset diagram of its source.
+    """Precompose a self-hom end with a subfunctor of its source.
 
     Returns the carrier map End[U] -> End[sub, U] together with the end it
     lands in; each component is the original one restricted to the subset,
     so the projection squares commute by the very same table.
     """
     if sub.site != end.site:
-        raise EndError("subset diagram must live over the end's site")
+        raise EndError("subfunctor must live over the end's site")
     full = end.V is end.W and sub.obs == end.W.obs  # sub keeps every point: the end's families
     target = EndObject(end.site, sub, end.W, end.families) if full else internal_nat(sub, end.W)
     table = {fam: tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))

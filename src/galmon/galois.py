@@ -15,11 +15,12 @@ import functools
 import itertools
 import operator
 
-from .finset import equalizer
+from .finset import FinSet, equalizer
 from .monoid import generators, submonoid, submonoid_generators, submonoid_tuples
 from . import ends
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class GaloisError(Exception):
@@ -30,8 +31,9 @@ def _naturality_violation(site, comps):
     """First (morphism, element) pushing a chosen subset outside another,
     or None.  comps holds element-index sets per site object.  Naturality is
     closed under composition, so the generating morphisms suffice; no hom set
-    out of an object with an empty subset is derived."""
-    for i, j in itertools.product((i for i in range(site.nobj) if comps[i]), range(site.nobj)):
+    out of an empty subset or into a full one is derived."""
+    targets = [j for j, act in enumerate(site.objects) if len(comps[j]) < len(act.carrier)]
+    for i, j in itertools.product((i for i in range(site.nobj) if comps[i]), targets):
         for f in site.generating_tuples(i, j):
             for p in comps[i]:
                 if f[p] not in comps[j]:
@@ -54,7 +56,8 @@ def _fixed_masks(site, elements):
 class Subfunctor:
     """Per-object subsets of a site's carriers, closed under all morphisms,
     held as `mask` (see _mask): `<=` is mask inclusion, and == and hash are
-    the mask's.  `components` reads each object's elements off the mask."""
+    the mask's.  It is the diagram V ⊆ U that ends restrict to: `obs` and
+    `mor` are U's carriers and morphisms cut down to the mask's points."""
 
     def __init__(self, site, subsets):
         unknown = sorted(set(subsets) - set(site.names))
@@ -90,22 +93,42 @@ class Subfunctor:
     def empty(cls, site):
         return cls._trusted(site, 0)
 
+    @functools.cached_property
+    def _embed(self):
+        """Per object, the carrier indices of the chosen points, in order."""
+        flags = format(self.mask, "b")[::-1].encode().translate(_FLAGS)
+        sizes = [len(act.carrier) for act in self.site.objects]
+        return tuple(tuple(itertools.compress(range(n), flags[o:o + n]))
+                     for o, n in zip(itertools.accumulate(sizes, initial=0), sizes))
+
+    @functools.cached_property
+    def _back(self):
+        """Per object, each chosen carrier index's place among the chosen points."""
+        return [{x: p for p, x in enumerate(emb)} for emb in self._embed]
+
+    @functools.cached_property
+    def obs(self):
+        return [FinSet(chosen, check=False) for chosen in self.components.values()]
+
+    def mor(self, i, j, f):
+        """V(f) as indices into the chosen points; EndError if f moves one out of V."""
+        back = self._back[j]
+        out = tuple(back.get(f[x]) for x in self._embed[i])
+        if None in out:
+            raise ends.EndError("subsets are not closed under the site morphisms")
+        return out
+
     @property
     def components(self):
         """Each object's chosen elements, in carrier order."""
-        bits = itertools.chain(map(int, reversed(format(self.mask, "b"))), itertools.repeat(0))
-        return {name: tuple(itertools.compress(act.carrier.elements,
-                                               itertools.islice(bits, len(act.carrier))))
-                for name, act in zip(self.site.names, self.site.objects)}
+        return {name: tuple(map(act.carrier.elements.__getitem__, emb))
+                for name, act, emb in zip(self.site.names, self.site.objects, self._embed)}
 
     def component(self, name):
         return self.components[name]
 
     def as_dict(self):
         return {name: list(v) for name, v in self.components.items()}
-
-    def size(self):
-        return self.mask.bit_count()
 
     def __le__(self, other):
         if self.site != other.site:
@@ -121,9 +144,6 @@ class Subfunctor:
     def __repr__(self):
         return "Subfunctor(%s)" % ", ".join(
             "%s:{%s}" % (n, ",".join(v)) for n, v in self.components.items())
-
-    def diagram(self):
-        return ends.SubsetDiagram(self.site, list(self.components.values()))
 
 
 def fixes(h, V):
@@ -165,7 +185,7 @@ def stabilizer_via_end(V):
     end = ends.end_of_forgetful(site)
     rho = ends.reconstruction_hom(m, site, end=end)
     path = ends.trivial_path(m, site, end=end)
-    cut, _ = ends.family_restriction(end, V.diagram())
+    cut, _ = ends.family_restriction(end, V)
     eq, _ = equalizer(cut * rho, cut * path)
     return submonoid(m, eq.elements)[0]
 
@@ -259,18 +279,18 @@ def connection_laws(m, site, extra_subfunctors=()):
 
 
 def random_subfunctor(site, rng):
-    """A natural subfunctor grown from random seeds by closing under the
-    generating site morphisms, walking out of an object only when it grew."""
-    idxsets = [{p for p in range(len(act.carrier)) if rng.random() < 0.4}
-               for act in site.objects]
+    """A natural subfunctor grown from random seeds by closing under the generating
+    site morphisms, walking out of an object only when it grew and into one not full."""
+    sizes = [len(act.carrier) for act in site.objects]
+    idxsets = [{p for p in range(n) if rng.random() < 0.4} for n in sizes]
     fresh = {i: set(s) for i, s in enumerate(idxsets) if s}  # points not yet pushed out
     while fresh:
         i, new = fresh.popitem()
-        for j in range(site.nobj):
+        for j in (j for j in range(site.nobj) if len(idxsets[j]) < sizes[j]):
             for f in site.generating_tuples(i, j):
                 grown = {f[p] for p in new} - idxsets[j]
                 if grown:
                     idxsets[j] |= grown
                     fresh.setdefault(j, set()).update(grown)
-    return Subfunctor._trusted(site, _mask(p in s for act, s in zip(site.objects, idxsets)
-                                           for p in range(len(act.carrier))))
+    return Subfunctor._trusted(site, _mask(p in s for n, s in zip(sizes, idxsets)
+                                           for p in range(n)))

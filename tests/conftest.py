@@ -110,7 +110,7 @@ def subfunctors_oracle(site):
         if _naturality_violation(site, idxsets) is None:
             found.append(Subfunctor._trusted(
                 site, _mask(p in s for n, s in zip(sizes, idxsets) for p in range(n))))
-    found.sort(key=lambda V: (V.size(), tuple(V.components[n] for n in site.names)))
+    found.sort(key=lambda V: (V.mask.bit_count(), tuple(V.components[n] for n in site.names)))
     return found
 
 

@@ -89,7 +89,7 @@ def agree_with_oracle(site, subfunctors):
     U = ForgetfulDiagram(site)
     B = ForgetfulDiagram(underlying_site(site)[0])
     checked = 0
-    for V, W in [(U, U), (B, B)] + [(sub.diagram(), U) for sub in subfunctors]:
+    for V, W in [(U, U), (B, B)] + [(sub, U) for sub in subfunctors]:
         if sum(len(w) ** len(v) for v, w in zip(V.obs, W.obs)) <= ORACLE_CANDIDATES:
             assert list(internal_nat(V, W).families) == nat_oracle(V, W)
             checked += 1
@@ -128,9 +128,9 @@ def test_solver_matches_oracle_on_transformation_monoids(drawn):
 
 @given(transformation_monoids(), st.randoms(use_true_random=False))
 def test_read_off_matches_the_search_oracle_on_transformation_monoids(drawn, rng):
-    # subset diagrams of invariants, of random subfunctors and of empty
-    # subsets, on sites with and without an empty object, and underlying
-    # sites whose carriers all have two points or more (every pair lazy)
+    # invariants, random subfunctors and empty subfunctors, on sites with
+    # and without an empty object, and underlying sites whose carriers all
+    # have two points or more (every pair lazy)
     m, act, gens = drawn
     empty = MAction(m, FinSet(()), {})
     recipes = ("free+trivial+custom", "trivial+custom") if len(m) <= 5 else ("trivial+custom",)
@@ -146,8 +146,8 @@ def test_read_off_matches_the_search_oracle_on_transformation_monoids(drawn, rng
             U = ForgetfulDiagram(site)
             subs = [invariants(incl, site) for incl in incls]
             subs += [random_subfunctor(site, rng), Subfunctor.empty(site)]
-            pairs = [(U, U)] + [(sub.diagram(), U) for sub in subs]
-            pairs += [(U, sub.diagram()) for sub in subs[-2:]]
+            pairs = [(U, U)] + [(sub, U) for sub in subs]
+            pairs += [(U, sub) for sub in subs[-2:]]
             for V, W in pairs:
                 assert list(internal_nat(V, W).families) == nat_search_oracle(V, W)
     for recipe in ("custom", "free+custom") if len(m) <= 30 else ("custom",):
@@ -315,7 +315,7 @@ def test_reconstruction_is_a_hom_on_the_natural_site_of_s3():
 def test_a_full_subset_diagram_restricts_an_end_to_its_own_families(m, recipe, monkeypatch):
     site = site_of(m, recipe)
     end = end_of_forgetful(site)
-    full = Subfunctor.full(site).diagram()
+    full = Subfunctor.full(site)
     ref = internal_nat(full, ForgetfulDiagram(site))
     monkeypatch.setattr(ends, "internal_nat", None)  # no walk: the end's families are End[V, U]'s
     cut, target = ends.family_restriction(end, full)
@@ -327,7 +327,7 @@ def assert_read_off_matches_search(site, subs):
     """internal_nat and the search agree on [V, U] for each subfunctor V."""
     U = ForgetfulDiagram(site)
     for V in subs:
-        assert list(internal_nat(V.diagram(), U).families) == nat_search_oracle(V.diagram(), U)
+        assert list(internal_nat(V, U).families) == nat_search_oracle(V, U)
 
 
 @pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])

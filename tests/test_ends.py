@@ -7,12 +7,13 @@ from galmon.monoid import Monoid, is_hopf, kernel_pairs, submonoid, trivial_mono
 from galmon.actions import (MAction, Site, trivial_action, free_action,
                             canonical_site, default_site, coset_action,
                             underlying_site)
-from galmon.ends import (EndError, ForgetfulDiagram, SubsetDiagram, internal_nat,
+from galmon.ends import (EndError, ForgetfulDiagram, internal_nat,
                          end_of_forgetful, end_monoid, SiteFunctor,
                          restrict_end, reconstruction_hom,
                          reconstruction_composite_check, trivial_path,
                          extend_with_trivials, augmentation_square_check,
                          family_restriction)
+from galmon.galois import GaloisError, Subfunctor
 from galmon import finset, samples
 
 Z2 = samples.cyclic(2)
@@ -76,15 +77,9 @@ def test_projections_are_monoid_homs():
     E = end.monoid()
     for i in range(site.nobj):
         for ef in E.elements:
-            images_f = end.component_images(ef, i)
             for eg in E.elements:
-                images_g = end.component_images(eg, i)
-                prod = end.component_images(E.mul(ef, eg), i)
-                xs = end.V.obs[i].elements
-                composed = tuple(images_f[xs.index(y)] for y in images_g)
-                assert prod == composed
-        unit_images = end.component_images(E.unit, i)
-        assert unit_images == end.V.obs[i].elements
+                assert E.mul(ef, eg)[i] == tuple(ef[i][q] for q in eg[i])
+        assert E.unit[i] == tuple(range(len(end.V.obs[i])))
 
 
 def test_reconstruction_trivial_monoid():
@@ -148,7 +143,7 @@ def test_restrict_end_to_one_object_is_that_projection():
     sub_end = end_of_forgetful(sub)
     r = restrict_end(end, SiteFunctor(sub, site, (0,)), target_end=None)
     for e in end.carrier:
-        assert sub_end.component_images(r(e), 0) == end.component_images(e, 0)
+        assert r(e)[0] == e[0]
 
 
 def test_restrict_end_composes():
@@ -220,11 +215,13 @@ def test_internal_nat_rejects_mismatched_sites():
 def test_subset_diagram_escape():
     site = canonical_site(Z2, "free+trivial")
     U = ForgetfulDiagram(site)
-    sub = SubsetDiagram(site, [("(e,*)",), ("*",)])
-    with pytest.raises(EndError):
+    # a trusted mask of (e,*) in F(1) and * in E(1): the swap moves (e,*) out
+    sub = Subfunctor._trusted(site, 0b101)
+    assert sub.components == {"F(1)": ("(e,*)",), "E(1)": ("*",)}
+    with pytest.raises(EndError, match="not closed under the site morphisms"):
         internal_nat(sub, U)
-    with pytest.raises(EndError):
-        SubsetDiagram(site, [("zzz",), ()])
+    with pytest.raises(GaloisError, match="'zzz' is not in site object 'F"):
+        Subfunctor(site, {"F(1)": ("zzz",)})
 
 
 def test_sizing_guard_per_object(monkeypatch):
@@ -264,8 +261,7 @@ def test_refusals_name_layer_count_and_limit():
 def test_monoid_needs_self_hom_end():
     site = default_site(Z2)
     end = end_of_forgetful(site)
-    sub = SubsetDiagram(site, [() for _ in range(site.nobj)])
-    cut, target = family_restriction(end, sub)
+    cut, target = family_restriction(end, Subfunctor.empty(site))
     with pytest.raises(EndError):
         target.monoid()
 
@@ -273,11 +269,9 @@ def test_monoid_needs_self_hom_end():
 def test_family_restriction_full_and_empty():
     site = default_site(Z2)
     end = end_of_forgetful(site)
-    full = SubsetDiagram(site, [act.carrier.elements for act in site.objects])
-    cut, target = family_restriction(end, full)
+    cut, target = family_restriction(end, Subfunctor.full(site))
     assert cut.is_bijection()
-    empty = SubsetDiagram(site, [() for _ in range(site.nobj)])
-    cut, target = family_restriction(end, empty)
+    cut, target = family_restriction(end, Subfunctor.empty(site))
     assert len(target) == 1
     assert all(cut(e) == target.carrier.elements[0] for e in end.carrier)
 
@@ -285,8 +279,7 @@ def test_family_restriction_full_and_empty():
 def test_family_restriction_components():
     site = default_site(S3)
     end = end_of_forgetful(site)
-    sub = SubsetDiagram(site, [act.carrier.elements for act in site.objects])
-    cut, target = family_restriction(end, sub)
+    cut, target = family_restriction(end, Subfunctor.full(site))
     for e in end.carrier:
         for i in range(site.nobj):
-            assert target.component_images(cut(e), i) == end.component_images(e, i)
+            assert cut(e)[i] == e[i]

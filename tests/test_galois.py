@@ -53,7 +53,7 @@ def test_subfunctor_order_and_extremes():
     top = Subfunctor.full(site)
     bot = Subfunctor.empty(site)
     assert bot <= top and not top <= bot
-    assert top.size() == 3 and bot.size() == 0
+    assert top.mask.bit_count() == 3 and bot.mask.bit_count() == 0
     assert top.as_dict() == {"F(1)": ["(e,*)", "(g,*)"], "E(1)": ["*"]}
 
 
@@ -215,6 +215,25 @@ def test_enumerated_subfunctors_equal_checked_ones():
 def test_correspondence_derives_no_hom_set():
     site = default_site(S4)
     assert galois_correspondence(S4, site)["bijective"]
+    assert site._homs == {}
+
+
+class AllSeeds:
+    """An rng under which random_subfunctor seeds every point."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("m", [S3, S4], ids=["S3", "S4"])
+def test_every_point_derives_no_hom_set(m):
+    # no morphism moves a point out of a full subset, so neither the
+    # naturality check, the closure nor either stab route derives a hom set
+    site = default_site(m)
+    V = Subfunctor(site, {name: act.carrier.elements
+                          for name, act in zip(site.names, site.objects)})
+    assert V == Subfunctor.full(site) == random_subfunctor(site, AllSeeds())
+    assert stabilizer(V)[0].elements == stabilizer_via_end(V).elements == (m.unit,)
     assert site._homs == {}
 
 

@@ -100,6 +100,9 @@ REPORTS = [
      0, "2ad756e9029073f20e83fe9ad69fd624311e01a2bf7c06f25ad0a2166d78f356"),
     ("stab --monoid s4.json --sub s4_swap_invariants.json",
      0, "331d6f2770cd45438cec71fc379428376dc7918c1f5870f5d907a0651e0cb988"),
+    # V keeps every point, so family_restriction reuses the end's families
+    ("stab --monoid s3.json --sub s3_all_points.json",
+     0, "87c038cfcb4109dd4a59bd7d3ac645f6f245d51c5c87aebb8d21858ff18f9688"),
 ]
 STABS = [r for r in REPORTS if r[0].startswith("stab ")]
 
