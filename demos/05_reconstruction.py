@@ -15,23 +15,24 @@ s3 = samples.symmetric3()
 site = canonical_site(s3, "free")
 end = end_of_forgetful(site)
 print("families over {F(1)}:", len(end))
-rho = reconstruction_hom(s3, site, end=end)
+rho = reconstruction_hom(s3, end)
 assert rho.is_bijection()
 assert len(end_monoid(end).elements) == 6
 print("rho is an isomorphism; acting through it reproduces the tables:",
-      reconstruction_composite_check(s3, site))
+      reconstruction_composite_check(s3, end))
 
 # a site with only the coset space of A3 sees nothing but parity
 a3 = ("e", "(123)", "(132)")
 poor = Site(s3, [("G/A3", coset_action(s3, a3))])
-rho2 = reconstruction_hom(s3, poor)
+poor_end = end_of_forgetful(poor)
+rho2 = reconstruction_hom(s3, poor_end)
 pairs = kernel_pairs(rho2)
-print("over {G/A3} the end has", len(end_of_forgetful(poor)), "families;")
+print("over {G/A3} the end has", len(poor_end), "families;")
 print("rho identifies", len(pairs), "pairs, e.g.", pairs[0])
 assert not rho2.is_injective()
 assert len(pairs) == 6
 
-# both identities of the underlying-carrier restriction square
+# the three identities of the underlying-carrier restriction square
 assert augmentation_square_check(s3, default_site(s3))
 print("augmentation square verified over the default site")
 

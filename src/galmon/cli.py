@@ -230,7 +230,7 @@ def cmd_end(args):
     m = _monoid_from(args)
     site = _site_for(m, args.site, _actions_from(args, m))
     end = end_of_forgetful(site)
-    rho = reconstruction_hom(m, site, end=end)
+    rho = reconstruction_hom(m, end)
     label = {fam: end.label(fam) for fam in end.carrier}  # each family named once
     return 0, {"schema": SCHEMA, "command": "end",
                "site": list(site.names),

@@ -19,11 +19,12 @@ sends V's points to; only the `end` report names families, through
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
 action of its source on every site object at once.  Maps into and between
-such ends are carrier maps: composition is componentwise, so whether one
-is unital and multiplicative is read off the components, and no end's
-table is composed.  When the site has a free object, the families of
-End[U] are the monoid's action tables instead (Yoneda; see
-`end_of_forgetful`).
+such ends are carrier maps, so whether one is unital and multiplicative is
+read off the components, and no end's table is composed.  With a free
+object in the site, End[U]'s families are the action tables (Yoneda; see
+`end_of_forgetful`).  A stabilizer's trivial path A -> 1 -> End[U] is the
+augmentation followed by End[U]'s unit; `augmentation_square_check`
+verifies the route through the end of the underlying carriers.
 """
 
 import itertools
@@ -215,7 +216,7 @@ class SiteFunctor:
         return "SiteFunctor(%r -> %r)" % (self.src, self.dst)
 
 
-def restrict_end(end, functor, target_end=None):
+def restrict_end(end, functor, target_end):
     """Restrict a self-hom end along a site functor into its site.
 
     Returns the carrier map End[W] -> End[W o G] that drops the components
@@ -224,8 +225,6 @@ def restrict_end(end, functor, target_end=None):
     """
     if functor.dst != end.site:
         raise EndError("functor must land in the end's site")
-    if target_end is None:
-        target_end = end_of_forgetful(functor.src)
     for i, gi in enumerate(functor.ob_map):
         if target_end.V.obs[i] != end.V.obs[gi] or target_end.W.obs[i] != end.W.obs[gi]:
             raise EndError("restriction target disagrees on object %r" % functor.src.names[i])
@@ -235,15 +234,14 @@ def restrict_end(end, functor, target_end=None):
     return FinMap(end.carrier, target_end.carrier, table)
 
 
-def reconstruction_hom(m, site, end=None):
-    """The carrier map sending a in m to the family (x -> a.x) over the site.
+def reconstruction_hom(m, end):
+    """The carrier map sending a in m to the family (x -> a.x) over end.site.
 
     Families compose componentwise, so it is a monoid map exactly when
     every site object obeys the action law along generators of m, which
     is checked (Light's test).
     """
-    if end is None:
-        end = end_of_forgetful(site)
+    site = end.site
     table = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
     for a, fam in table.items():
         if fam not in end.carrier:
@@ -253,27 +251,18 @@ def reconstruction_hom(m, site, end=None):
     return FinMap(m.carrier, end.carrier, table)
 
 
-def reconstruction_composite_check(m, site, end=None):
+def reconstruction_composite_check(m, end):
     """Acting through the reconstruction map reproduces every action table."""
-    if end is None:
-        end = end_of_forgetful(site)
-    rho = reconstruction_hom(m, site, end=end)
-    return all(rho(a) == tuple(act.table[a] for act in site.objects)
+    rho = reconstruction_hom(m, end)
+    return all(rho(a) == tuple(act.table[a] for act in end.site.objects)
                for a in m.elements)
 
 
-def trivial_path(m, site, end=None):
-    """The composite A -> 1 -> End[carriers] -> End[U]: every element goes
-    to the identity family, reached through the underlying-carrier site."""
-    if end is None:
-        end = end_of_forgetful(site)
-    base, ob_map = underlying_site(site)
-    base_end = end_of_forgetful(base)
-    down = SiteFunctor(site, base, ob_map)
-    r = restrict_end(base_end, down, target_end=end)
-    eps = terminal_map(m.carrier)
-    eta = FinMap(singleton(), base_end.carrier, {"*": base_end.unit()})
-    return r * eta * eps
+def trivial_path(m, end):
+    """A -> 1 -> End[U], the augmentation followed by the end's unit: every
+    element goes to the identity family (see `augmentation_square_check`)."""
+    eta = FinMap(singleton(), end.carrier, {"*": end.unit()})
+    return eta * terminal_map(m.carrier)
 
 
 def extend_with_trivials(site):
@@ -290,28 +279,29 @@ def extend_with_trivials(site):
             acts.append(t)
         into.append(acts.index(t))
     extended = Site(site.monoid, objects)
-    carriers = [b.carrier for b in base.objects]
-    down = tuple(carriers.index(act.carrier) for _, act in objects)
+    _, down = underlying_site(extended)  # the same carriers in the same order
     return extended, base, tuple(into), down
 
 
 def augmentation_square_check(m, site):
-    """Two identities of the underlying-carrier restriction.
+    """Three identities of the underlying-carrier restriction.
 
     First: restricting to carriers and coming back along the trivial-action
-    section is the identity on the carrier end.  Second: the trivial path
-    agrees with the family of curried projections A x X -> X, object by
-    object, read back as index tuples.  Both are checked elementwise.
+    section is the identity on the carrier end.  Second: the carrier end's
+    unit restricts to End[U]'s.  Third: the trivial path agrees with the
+    family of curried projections A x X -> X, object by object, read back
+    as index tuples.  All are checked elementwise.
     """
     extended, base, into, down = extend_with_trivials(site)
     end_up = end_of_forgetful(extended)
     end_base = end_of_forgetful(base)
-    to_up = restrict_end(end_base, SiteFunctor(extended, base, down), target_end=end_up)
-    back = restrict_end(end_up, SiteFunctor(base, extended, into), target_end=end_base)
-    ident = FinMap.identity(end_base.carrier)
-    if back * to_up != ident:
+    to_up = restrict_end(end_base, SiteFunctor(extended, base, down), end_up)
+    back = restrict_end(end_up, SiteFunctor(base, extended, into), end_base)
+    if back * to_up != FinMap.identity(end_base.carrier):
         return False
-    by_path = trivial_path(m, extended, end=end_up)
+    if to_up(end_base.unit()) != end_up.unit():
+        return False
+    by_path = trivial_path(m, end_up)
     for a in m.elements:
         comps = []
         for act in extended.objects:

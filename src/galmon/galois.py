@@ -183,8 +183,8 @@ def stabilizer_via_end(V):
     map against the trivial path after restricting all families to V."""
     site, m = V.site, V.site.monoid
     end = ends.end_of_forgetful(site)
-    rho = ends.reconstruction_hom(m, site, end=end)
-    path = ends.trivial_path(m, site, end=end)
+    rho = ends.reconstruction_hom(m, end)
+    path = ends.trivial_path(m, end)
     cut, _ = ends.family_restriction(end, V)
     eq, _ = equalizer(cut * rho, cut * path)
     return submonoid(m, eq.elements)[0]

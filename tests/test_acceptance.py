@@ -86,8 +86,9 @@ def test_criterion_4_tannakian_reconstruction():
     for m in [samples.cyclic(2), samples.cyclic(3), samples.symmetric3(),
               samples.idempotent_pair()]:
         site = canonical_site(m, "free")
-        rho = reconstruction_hom(m, site)
-        E = end_monoid(end_of_forgetful(site))
+        end = end_of_forgetful(site)
+        rho = reconstruction_hom(m, end)
+        E = end_monoid(end)
         ok = ok and rho.is_bijection() and len(E.elements) == len(m.elements)
     elapsed = time.perf_counter() - start
     verdict(4, "the end over {F(1)} reconstructs the monoid", ok, elapsed, 10)

@@ -275,7 +275,7 @@ def assert_end_matches_search(site):
     assert searched != has_free_object(site)
     assert_checked(end.monoid())
     assert end.unit() == end.monoid().unit
-    rho = reconstruction_hom(site.monoid, site, end=end)
+    rho = reconstruction_hom(site.monoid, end)
     assert MonoidHom(site.monoid, end.monoid(), rho).map == rho
     if not searched:
         U = ForgetfulDiagram(site)
@@ -368,7 +368,7 @@ def test_restrictions_are_homs_between_the_end_monoids():
     cases += [(B, A, (0, 1)), (C, B, (0,)), (C, A, (0,))]
     for src, dst, ob_map in cases:
         up, down = end_of_forgetful(dst), end_of_forgetful(src)
-        r = restrict_end(up, SiteFunctor(src, dst, ob_map), target_end=down)
+        r = restrict_end(up, SiteFunctor(src, dst, ob_map), down)
         assert MonoidHom(up.monoid(), down.monoid(), r).map == r
 
 
@@ -382,7 +382,7 @@ def test_no_end_table_is_composed_on_the_way_to_a_stabilizer(monkeypatch):
     monkeypatch.setattr(finset, "MAX_ENUMERATION", 100_000)
     end = end_of_forgetful(site)
     assert len(end) == 5 ** 5
-    rho = reconstruction_hom(s5, site, end=end)
+    rho = reconstruction_hom(s5, end)
     assert rho.is_injective() and not rho.is_bijection()
     V = Subfunctor(site, {"X": ["0"]})
     T = stabilizer_via_end(V)

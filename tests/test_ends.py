@@ -14,7 +14,7 @@ from galmon.ends import (EndError, ForgetfulDiagram, internal_nat,
                          extend_with_trivials, augmentation_square_check,
                          family_restriction)
 from galmon.galois import GaloisError, Subfunctor
-from galmon import finset, samples
+from galmon import ends, finset, samples
 
 Z2 = samples.cyclic(2)
 Z3 = samples.cyclic(3)
@@ -85,23 +85,23 @@ def test_projections_are_monoid_homs():
 def test_reconstruction_trivial_monoid():
     one = trivial_monoid()
     site = canonical_site(one, "free")
-    rho = reconstruction_hom(one, site)
+    rho = reconstruction_hom(one, end_of_forgetful(site))
     assert rho.is_bijection()
 
 
 def test_reconstruction_is_iso_over_free_site():
     for m in [Z2, Z3, E2, S3]:
-        site = free_site(m)
-        rho = reconstruction_hom(m, site)
+        end = end_of_forgetful(free_site(m))
+        rho = reconstruction_hom(m, end)
         assert rho.is_bijection()
-        assert reconstruction_composite_check(m, site)
+        assert reconstruction_composite_check(m, end)
 
 
 def test_reconstruction_injective_with_free_object_present():
-    site = default_site(S3)
-    rho = reconstruction_hom(S3, site)
+    end = end_of_forgetful(default_site(S3))
+    rho = reconstruction_hom(S3, end)
     assert rho.is_injective()
-    assert reconstruction_composite_check(S3, site)
+    assert reconstruction_composite_check(S3, end)
 
 
 def test_reconstruction_kernel_without_free_object():
@@ -110,7 +110,7 @@ def test_reconstruction_kernel_without_free_object():
     site = Site(S3, [("G/A3", coset_action(S3, a3))])
     end = end_of_forgetful(site)
     assert len(end) == 2
-    rho = reconstruction_hom(S3, site, end=end)
+    rho = reconstruction_hom(S3, end)
     assert not rho.is_injective()
     kernel = {frozenset(p) for p in kernel_pairs(rho)}
     assert len(kernel) == 6
@@ -125,14 +125,13 @@ def test_reconstruction_checks_the_action_law_of_its_source():
     idem = Monoid(Z2.carrier, "e", {("e", "e"): "e", ("e", "g"): "g",
                                     ("g", "e"): "g", ("g", "g"): "g"})
     with pytest.raises(EndError, match="not a monoid map"):
-        reconstruction_hom(idem, free_site(Z2))
+        reconstruction_hom(idem, end_of_forgetful(free_site(Z2)))
 
 
 def test_restrict_end_along_identity():
     site = default_site(Z2)
     end = end_of_forgetful(site)
-    r = restrict_end(end, SiteFunctor(site, site, tuple(range(site.nobj))),
-                     target_end=end)
+    r = restrict_end(end, SiteFunctor(site, site, tuple(range(site.nobj))), end)
     assert all(r(e) == e for e in end.carrier)
 
 
@@ -141,9 +140,10 @@ def test_restrict_end_to_one_object_is_that_projection():
     end = end_of_forgetful(site)
     sub = Site(Z2, [("F(1)", site.objects[site.names.index("F(1)")])])
     sub_end = end_of_forgetful(sub)
-    r = restrict_end(end, SiteFunctor(sub, site, (0,)), target_end=None)
+    r = restrict_end(end, SiteFunctor(sub, site, (0,)), sub_end)
+    assert r.cod == sub_end.carrier
     for e in end.carrier:
-        assert r(e)[0] == e[0]
+        assert r(e) == (e[0],)
 
 
 def test_restrict_end_composes():
@@ -151,16 +151,16 @@ def test_restrict_end_composes():
     B = Site(Z2, list(zip(A.names[:2], A.objects[:2])))
     C = Site(Z2, [(A.names[0], A.objects[0])])
     endA, endB, endC = (end_of_forgetful(s) for s in (A, B, C))
-    rBA = restrict_end(endA, SiteFunctor(B, A, (0, 1)), target_end=endB)
-    rCB = restrict_end(endB, SiteFunctor(C, B, (0,)), target_end=endC)
-    rCA = restrict_end(endA, SiteFunctor(C, A, (0,)), target_end=endC)
+    rBA = restrict_end(endA, SiteFunctor(B, A, (0, 1)), endB)
+    rCB = restrict_end(endB, SiteFunctor(C, B, (0,)), endC)
+    rCA = restrict_end(endA, SiteFunctor(C, A, (0,)), endC)
     assert rCB * rBA == rCA
 
 
 def test_trivial_path_lands_on_unit():
     site = default_site(Z2)
     end = end_of_forgetful(site)
-    path = trivial_path(Z2, site, end=end)
+    path = trivial_path(Z2, end)
     unit = end.monoid().unit
     assert all(path(a) == unit for a in Z2.elements)
 
@@ -180,6 +180,31 @@ def test_augmentation_square():
     assert augmentation_square_check(trivial_monoid(), default_site(trivial_monoid()))
     assert augmentation_square_check(Z2, default_site(Z2))
     assert augmentation_square_check(E2, default_site(E2))
+
+
+def test_augmentation_square_checks_that_the_carrier_unit_restricts_to_the_unit(monkeypatch):
+    # End[carriers] has one family, so a restriction into End[U] that sends
+    # it to g's family still comes back to the identity, and the trivial
+    # path reads End[U]'s unit itself: only the unit identity fails
+    site = default_site(Z2)
+    extended, base, into, down = extend_with_trivials(site)
+    end_up, end_base = end_of_forgetful(extended), end_of_forgetful(base)
+    assert len(end_base) == 1
+    g = next(fam for fam in end_up.carrier if fam != end_up.unit())
+    restrict = ends.restrict_end
+
+    def skewed(end, functor, target_end):
+        r = restrict(end, functor, target_end)
+        return FinMap(r.dom, r.cod, {e: g for e in r.dom}) if functor.src == extended else r
+
+    to_up = skewed(end_base, SiteFunctor(extended, base, down), end_up)
+    back = skewed(end_up, SiteFunctor(base, extended, into), end_base)
+    assert back * to_up == FinMap.identity(end_base.carrier)
+    assert to_up(end_base.unit()) != end_up.unit()
+    assert all(trivial_path(Z2, end_up)(a) == end_up.unit() for a in Z2.elements)
+    assert augmentation_square_check(Z2, site)
+    monkeypatch.setattr(ends, "restrict_end", skewed)
+    assert not augmentation_square_check(Z2, site)
 
 
 def test_site_functor_checks_morphisms():
@@ -202,7 +227,7 @@ def test_restrict_end_rejects_wrong_site():
     f = SiteFunctor(sub, free_site(Z2), (0,))
     other = end_of_forgetful(free_site(Z3))
     with pytest.raises(EndError):
-        restrict_end(other, f)
+        restrict_end(other, f, end_of_forgetful(sub))
 
 
 def test_internal_nat_rejects_mismatched_sites():

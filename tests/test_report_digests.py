@@ -133,6 +133,24 @@ def test_stab_labels_no_family(argv, code, digest, capsys, monkeypatch):
     assert_report(argv, code, digest, capsys)
 
 
+@pytest.mark.parametrize("argv, code, digest", STABS, ids=[r[0] for r in STABS])
+def test_stab_computes_one_end_and_no_second_site(argv, code, digest, capsys, monkeypatch):
+    def second_site(*args):
+        raise AssertionError("stab built the underlying-carrier site")
+
+    calls, end_of_forgetful = [], ends.end_of_forgetful
+
+    def counted(site):
+        calls.append(site)
+        return end_of_forgetful(site)
+
+    monkeypatch.setattr(ends, "underlying_site", second_site)
+    monkeypatch.setattr(ends, "SiteFunctor", second_site)
+    monkeypatch.setattr(ends, "end_of_forgetful", counted)
+    assert_report(argv, code, digest, capsys)
+    assert len(calls) == 1
+
+
 def test_a_refusal_prints_one_error_object(capsys, monkeypatch):
     # S3's free site has 6 * 6 table cells, counted before it is built
     monkeypatch.setattr(finset, "MAX_ENUMERATION", 10)
