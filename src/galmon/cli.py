@@ -20,6 +20,7 @@ from .ends import EndError, end_of_forgetful, reconstruction_hom
 from .galois import (GaloisError, Subfunctor, invariants, invariants_oracle,
                      stabilizer, stabilizer_via_end, galois_correspondence,
                      connection_law_failures, random_subfunctor)
+from .report import write_report, write_text
 
 SCHEMA = "galmon/1"
 
@@ -283,67 +284,6 @@ def cmd_laws(args):
                "failures": failures, "ok": not failures}
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _dumps(value):
-    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for every
-    value that call accepts, and its TypeError where it raises one.
-
-    With indent set, json skips its C encoder and walks the value with
-    nested Python generators, one yield per token.  This walk appends to
-    one list instead, and writes an array of strings, or of nonempty arrays
-    of strings, as one join over the C string encoder json uses for
-    ensure_ascii.  A value that contains itself raises RecursionError here,
-    not json's ValueError.
-    """
-    out = []
-    _write(value, out, "\n")
-    return "".join(out)
-
-
-def _write(value, out, pad):
-    """Append value's JSON to out; pad is the newline and indent it sits at."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif not isinstance(value, (list, tuple, dict)):
-        out.append(json.dumps(value))
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, dict):
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):  # json's sort, so json's TypeError
-            if not isinstance(key, str):
-                if not isinstance(key, (int, float)) and key is not None:
-                    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                                    % key.__class__.__name__)
-                key = json.dumps(key)
-            out.append(sep + _encode_str(key) + ": ")
-            _write(item, out, inner)
-            sep = "," + inner
-        out.append(pad + "}")
-    else:
-        inner, deeper = pad + "  ", pad + "    "
-        try:
-            if {list, tuple}.issuperset(map(type, value)) and all(value):
-                # nonempty arrays, each one join as below; the first's "," becomes "["
-                items = ["," + inner + "[" + deeper + ("," + deeper).join(map(_encode_str, item))
-                         + inner + "]" for item in value]
-                items[0] = "[" + items[0][1:]
-                out += items
-                out.append(pad + "]")
-            else:
-                out.append("[" + inner + ("," + inner).join(map(_encode_str, value)) + pad + "]")
-        except TypeError:  # an item that is not a string
-            sep = "[" + inner
-            for item in value:
-                out.append(sep)
-                _write(item, out, inner)
-                sep = "," + inner
-            out.append(pad + "]")
-
-
 def _hasse_edges(keys, below):
     """Cover relations of a finite order given its comparison test, strict
     or not: b covers a when no c in a's strict up-set lies below b."""
@@ -427,12 +367,14 @@ def run(argv=None):
         code, payload = COMMANDS[args.command][0](args)
     except (SizingError, InputError, FinSetError, MonoidError, ActionError, EndError,
             GaloisError) as exc:
-        print(_dumps({"schema": SCHEMA, "error": str(exc)}))
-        return 2 if isinstance(exc, SizingError) else 1
+        code = 2 if isinstance(exc, SizingError) else 1
+        payload = {"schema": SCHEMA, "error": str(exc)}
+    # the whole report exists before its first byte goes out, so a failure
+    # prints only its error object
     if isinstance(payload, str):
-        sys.stdout.write(payload)
+        write_text(payload, sys.stdout)
     else:
-        print(_dumps(payload))
+        write_report(payload, sys.stdout)
     return code
 
 

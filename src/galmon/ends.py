@@ -302,15 +302,13 @@ def augmentation_square_check(m, site):
     if to_up(end_base.unit()) != end_up.unit():
         return False
     by_path = trivial_path(m, end_up)
-    for a in m.elements:
-        comps = []
-        for act in extended.objects:
-            X = act.carrier
-            dropped = curry(proj_right(product(m.carrier, X)))  # A -> [X, X], constantly 1
-            comps.append(tuple(map(X.index, dropped.cod.map_images(dropped(a)))))
-        if by_path(a) != tuple(comps):
-            return False
-    return True
+    columns = []  # per object, each element's component
+    for act in extended.objects:
+        X = act.carrier
+        dropped = curry(proj_right(product(m.carrier, X)))  # A -> [X, X], constantly 1
+        columns.append([tuple(map(X.index, dropped.cod.map_images(dropped(a))))
+                        for a in m.elements])
+    return all(by_path(a) == comps for a, comps in zip(m.elements, zip(*columns)))
 
 
 def family_restriction(end, sub):

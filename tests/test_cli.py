@@ -1,11 +1,15 @@
 import argparse
+import contextlib
+import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +17,9 @@ from hypothesis import given, strategies as st
 from conftest import (maps_monoid, products, submonoids_oracle, transformation_monoid,
                       write_monoid)
 from galmon import finset, samples
+from galmon import report as writer
 from galmon.actions import default_site
-from galmon.cli import (COMMANDS, InputError, _corr_dot, _dumps, _field, _hasse_edges,
+from galmon.cli import (COMMANDS, InputError, _corr_dot, _field, _hasse_edges,
                         _symbol, build_parser, parse_monoid, run)
 from galmon.finset import FinSet
 from galmon.galois import galois_correspondence, invariants_oracle
@@ -880,16 +885,109 @@ def _containers(children):
             | KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)))
 
 
+def written(value):
+    """What write_report writes for value, through a StringIO."""
+    buf = io.StringIO()
+    writer.write_report(value, buf)
+    return buf.getvalue()
+
+
+def expected(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 @given(st.recursive(SCALARS, _containers, max_leaves=24))
 def test_dumps_writes_what_json_dumps_writes(value):
     try:
-        expected = json.dumps(value, sort_keys=True, indent=2)
+        text = expected(value)
     except TypeError as exc:
         with pytest.raises(TypeError) as got:
-            _dumps(value)
+            written(value)
         assert str(got.value) == str(exc)
     else:
-        assert _dumps(value) == expected
+        assert written(value) == text
+
+
+# every buffer, batch and write bound at its smallest: each piece goes out
+# on its own, no dict stays buffered long enough to be reused, and arrays of
+# string arrays are joined two at a time
+TINY = {"CHUNK": 3, "_BIG": 1, "_PIECES": 1, "_BATCH": 2}
+
+
+@contextlib.contextmanager
+def bounds(tiny):
+    saved = {name: getattr(writer, name) for name in TINY}
+    if tiny:
+        vars(writer).update(TINY)
+    try:
+        yield
+    finally:
+        vars(writer).update(saved)
+
+
+@given(st.recursive(SCALARS, _containers, max_leaves=24))
+def test_dumps_writes_the_same_text_in_tiny_pieces(value):
+    try:
+        text = expected(value)
+    except TypeError:
+        return
+    with bounds(tiny=True):
+        assert written(value) == text
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def subclassed(base):
+    """base as an instance of a subclass of its type."""
+    return type("Sub" + type(base).__name__, (type(base),), {})(base)
+
+
+SHARED = {"b": ["x", "y"], "a": {"k": [1, None]}}
+NESTING = {"inner": SHARED, "n": 0}
+UNIT = {"F(1)": ["(e,*)"], "G/{e}": []}
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["default-bounds", "tiny-bounds"])
+@pytest.mark.parametrize("value", [
+    [SHARED, SHARED], [SHARED, [SHARED], {"z": SHARED}], {"x": SHARED, "y": [SHARED]},
+    [NESTING, NESTING, SHARED, {"o": NESTING}], [[UNIT, UNIT], [UNIT]],
+    {1: True}, [True, 1, None, 0], {True: False, 2: -3, 1.5: None},
+    [("a", "b"), ["c"], ("d",), [], ()], [["a"], ("b", "c")], ((), ("a",)),
+    [["a"], ["b"], ["c", 1]], [["a"], ("b",), ["c"], [["d"]], ["e"]],
+    [float("nan"), float("inf"), float("-inf"), -0.0, 1e300], {float("nan"): float("inf")},
+    {"\u00e9": ["\u221e", 'a"\\b'], "k": ["\x00"]},
+    [subclassed({"b": subclassed([Name("x"), Count(2)]), Name("a"): 1.5}),
+     subclassed(("y",))]], ids=[
+    "shared-same-indent", "shared-three-indents", "shared-two-indents", "shared-nesting-shared",
+    "shared-in-arrays", "int-key", "scalars", "scalar-keys", "tuples-and-lists",
+    "arrays-of-both", "tuple-of-tuples", "second-batch-fails", "third-batch-fails", "nan-inf",
+    "nan-key", "escapes", "subclasses"])
+def test_dumps_writes_shared_dicts_and_scalars_as_json_dumps_does(value, tiny):
+    with bounds(tiny):
+        assert written(value) == expected(value)
+
+
+def test_dumps_walks_a_shared_dict_twice_per_indent(monkeypatch):
+    walks = []
+
+    def counted(items):
+        walks.append(items)
+        return sorted(items)
+
+    monkeypatch.setattr(writer, "sorted", counted, raising=False)
+    shared, once = {"b": ["x"], "a": 1}, {"c": 2}
+    value = {"rows": [shared, shared, shared, once], "one": shared, "more": [shared]}
+    assert written(value) == expected(value)
+    # the top level, once, and shared: met at the indent of "rows" and
+    # "more" four times, written twice and then as the text it kept, and
+    # at that of "one" once
+    assert len(walks) == 5
 
 
 @pytest.mark.parametrize("value", [
@@ -897,7 +995,7 @@ def test_dumps_writes_what_json_dumps_writes(value):
     ["a", ["b"]], [["a"], {"k": "v"}], [["a", 1]], [["a"], [None]], [[["a"], ["b"]], [["c"]]],
     [[["a"], []]], [["\u00e9", 'a"\\b', "\ud800"]]])
 def test_dumps_writes_arrays_of_arrays_as_json_dumps_does(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert written(value) == expected(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -905,11 +1003,81 @@ def test_dumps_writes_arrays_of_arrays_as_json_dumps_does(value):
     [b"bytes"], object()], ids=["str-int", "nested-none-str", "tuple-key", "set",
                                "bytes", "object"])
 def test_dumps_raises_where_json_dumps_raises(value):
-    with pytest.raises(TypeError) as expected:
+    with pytest.raises(TypeError) as wanted:
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError) as got:
-        _dumps(value)
-    assert str(got.value) == str(expected.value)
+        written(value)
+    assert str(got.value) == str(wanted.value)
+
+
+class Sink:
+    """A stream that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("value", [
+    ["\u00e9" * (1 << 14)] * 256, list(range(1 << 17)), {"k": [[str(i)] for i in range(1 << 15)]}],
+    ids=["long-strings", "short-pieces", "string-arrays"])
+def test_a_large_report_is_never_held_whole(value, monkeypatch):
+    # 4 Mi characters that escape to 6 each, 131 072 pieces, and 32 768
+    # string arrays, written with a bound of 64 Ki characters and a batch
+    # of 1024 arrays
+    monkeypatch.setattr(writer, "CHUNK", 1 << 16)
+    monkeypatch.setattr(writer, "_BATCH", 1 << 10)
+    size = len(expected(value))
+    out = Sink()
+    tracemalloc.start()
+    try:
+        writer.write_report(value, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.written == size and peak < size // 4
+
+
+class Recorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 16], ids=["default-chunk", "64k-chunk"])
+def test_reports_go_out_in_bounded_writes(chunk, monkeypatch):
+    # the report is 561 117 characters, each family's label 10 119 of them
+    if chunk:
+        monkeypatch.setattr(writer, "CHUNK", chunk)
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["end", "--monoid", fx("s4.json")]) == 0
+    assert max(map(len, out.writes)) <= writer.CHUNK
+    assert len(out.writes) > 1 or not chunk
+    # the digest tests/test_report_digests.py pins for this command
+    assert hashlib.sha256("".join(out.writes).encode()).hexdigest() == (
+        "2ad756e9029073f20e83fe9ad69fd624311e01a2bf7c06f25ad0a2166d78f356")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["end", "--monoid", "s3.json", "--site", "free"], 2),
+    (["end", "--monoid", "missing.json"], 1)], ids=["refused", "invalid"])
+def test_an_error_report_is_one_object(argv, code, monkeypatch):
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 10)
+    assert run([fx(w) if w.endswith(".json") else w for w in argv]) == code
+    text = "".join(out.writes)
+    assert text.endswith("}\n") and text.count("{") == 1
+    assert sorted(json.loads(text)) == ["error", "schema"]
 
 
 def count_calls(monkeypatch, names):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 
 import pytest
 
@@ -15,12 +17,14 @@ from galmon.ends import (EndError, ForgetfulDiagram, internal_nat,
                          family_restriction)
 from galmon.galois import GaloisError, Subfunctor
 from galmon import ends, finset, samples
+from galmon.cli import parse_monoid
 
 Z2 = samples.cyclic(2)
 Z3 = samples.cyclic(3)
 E2 = samples.idempotent_pair()
 S3 = samples.symmetric3()
 SWAP = samples.swap_action()
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def free_site(m):
@@ -180,6 +184,25 @@ def test_augmentation_square():
     assert augmentation_square_check(trivial_monoid(), default_site(trivial_monoid()))
     assert augmentation_square_check(Z2, default_site(Z2))
     assert augmentation_square_check(E2, default_site(E2))
+
+
+@pytest.mark.parametrize("fixture, objects", [("s3.json", 13), ("s4.json", 61)])
+def test_augmentation_square_curries_each_projection_once(fixture, objects, monkeypatch):
+    # the curried projection A x X -> X does not depend on the element: on
+    # S4's default site it was built 24 * 61 = 1464 times
+    with open(os.path.join(FIXTURES, fixture)) as fd:
+        m = parse_monoid(json.load(fd))
+    site = default_site(m)
+    assert extend_with_trivials(site)[0].nobj == objects
+    calls, curry = [], ends.curry
+
+    def counted(f):
+        calls.append(f)
+        return curry(f)
+
+    monkeypatch.setattr(ends, "curry", counted)
+    assert augmentation_square_check(m, site)
+    assert len(calls) == objects
 
 
 def test_augmentation_square_checks_that_the_carrier_unit_restricts_to_the_unit(monkeypatch):
