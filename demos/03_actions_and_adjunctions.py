@@ -4,7 +4,7 @@ fixed points, and restriction -| coinduction along a monoid map."""
 from galmon.finset import FinSet, singleton
 from galmon.monoid import MonoidHom, submonoid
 from galmon.actions import (trivial_action, free_action, restrict_action,
-                            equivariant_maps, fixed_points, coinduct,
+                            hom_tuples, fixed_points, coinduct,
                             check_trivial_fixed_adjunction,
                             check_restriction_coinduction_adjunction)
 from galmon import samples
@@ -20,9 +20,12 @@ F, _ = fixed_points(r)
 print("fixed points of the restricted action:", F.elements)
 assert F.elements == ("3",)
 
-# equivariant maps out of the free action on one generator = points
+# equivariant maps out of the free action on one generator = points;
+# each is its tuple of image indices
 F1 = free_action(s3, singleton())
-assert len(equivariant_maps(F1, nat)) == len(nat.carrier)
+maps = hom_tuples(F1, nat)
+print("maps F(1) -> natural action, as image indices:", maps[:2], "...")
+assert len(maps) == len(nat.carrier)
 
 # trivial action -| fixed points
 X = FinSet(("p", "q"))
@@ -37,7 +40,8 @@ K = coinduct(h, N)
 print("coinduced carrier has", len(K.carrier), "elements, e.g.")
 print("  ", K.carrier.elements[0])
 assert len(K.carrier) == 8
-assert check_restriction_coinduction_adjunction(h, nat, N)
+assert check_restriction_coinduction_adjunction(h, nat, N)  # no maps: (12) fixes 3
+assert check_restriction_coinduction_adjunction(h, F1, N)  # 2^3 maps each way
 print("restriction -| coinduction verified")
 
 print("ok")

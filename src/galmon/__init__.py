@@ -15,9 +15,9 @@ from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                      submonoid, submonoid_tuples,
                      is_subgroup, enumerate_submonoids, enumerate_subgroups,
                      fusion_morphism, is_hopf, hopf_witness, antipode, kernel_pairs)
-from .actions import (MAction, EquivariantMap, ActionError, Site,
+from .actions import (MAction, ActionError, Site,
                       validate_action, trivial_action, free_action,
-                      restrict_action, equivariant_maps, fixed_points,
+                      restrict_action, hom_tuples, fixed_points,
                       check_trivial_fixed_adjunction, coinduct,
                       check_restriction_coinduction_adjunction,
                       coset_action, canonical_site, default_site, underlying_site)

@@ -2,22 +2,24 @@
 
 An action is one table of rows: for each monoid element a, the carrier
 indices of a.x in carrier order, the format of a monoid's own table, so
-the law check on rows in galmon.monoid serves actions too.  Sites are
+the law check on rows in galmon.monoid serves actions too.  An
+equivariant map is its image-index tuple (the index of f(x), x in carrier
+order) in hom sets, in sites and in both adjunction checks.  Sites are
 finite lists of named actions; their morphisms (all equivariant maps
 between listed objects) are derived on demand and cached, never stored
 by hand.  Every action is presented by generating points x_i and
 relations, so an equivariant map is fixed by its values y_i = f(x_i) as
-f(r.x_i) = r.y_i and its hom set is read off the target's table, one
-generating point for the cyclic objects the package builds.  Hom sets
-between trivial actions contain every map, so those pairs are iterated
-lazily.  The same read-off, `read_off`, finds the wedge families of
-`galmon.ends`.
+f(r.x_i) = r.y_i and its hom set, `hom_tuples`, is read off the target's
+table, one generating point for the cyclic objects the package builds.
+Hom sets between trivial actions contain every map, so those pairs are
+iterated lazily.  The same read-off, `read_off`, finds the wedge
+families of `galmon.ends`.
 """
 
 import itertools
 
 from . import finset
-from .finset import FinSet, FinMap, FunctionSet, hom_set, product, singleton
+from .finset import FinSet, FinMap, FunctionSet, product, singleton
 from .monoid import (trivial_monoid, generators, laws_hold, acts_along, associativity_failures,
                      submonoid_tuples, is_subgroup, hopf_witness, is_hopf)
 
@@ -143,43 +145,6 @@ def validate_action(M):
             + associativity_failures(m, M.table, points))
 
 
-class EquivariantMap:
-    """A carrier map commuting with the two actions, checked on construction."""
-
-    def __init__(self, src, dst, fmap):
-        if src.monoid != dst.monoid:
-            raise ActionError("equivariant map needs a common monoid")
-        if not isinstance(fmap, FinMap):
-            fmap = FinMap(src.carrier, dst.carrier, fmap)
-        for a in src.monoid.elements:
-            for x in src.carrier:
-                if fmap(src.apply(a, x)) != dst.apply(a, fmap(x)):
-                    raise ActionError("not equivariant at (%s, %s)" % (a, x))
-        self.src = src
-        self.dst = dst
-        self.map = fmap
-
-    @classmethod
-    def identity(cls, M):
-        return cls(M, M, FinMap.identity(M.carrier))
-
-    def __call__(self, x):
-        return self.map(x)
-
-    def __mul__(self, other):
-        return EquivariantMap(other.src, self.dst, self.map * other.map)
-
-    def __eq__(self, other):
-        return (isinstance(other, EquivariantMap) and self.src == other.src
-                and self.dst == other.dst and self.map == other.map)
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.map))
-
-    def __repr__(self):
-        return "EquivariantMap(%r)" % self.map
-
-
 def _built(M):
     """Mark M as built by trivial_action, free_action or coset_action,
     which make an action whenever the monoid's laws hold."""
@@ -244,30 +209,14 @@ def read_off(reps, relations, pos, rows, sizes, layer="actions", made=0):
 
 def hom_tuples(M, N):
     """Image-index tuples of the equivariant maps M -> N, in lexicographic
-    order, the canonical hom order.  M and N must be actions, so that a map
-    commuting with the monoid's generators commutes with every element.  A
-    map is f(p) = r_p.y_i on the points of x_i, read off M's presentation
-    and N's table."""
+    order, the canonical hom order.  M and N must be actions of one monoid,
+    so that a map commuting with the monoid's generators commutes with
+    every element.  A map is f(p) = r_p.y_i on the points of x_i, read off
+    M's presentation and N's table."""
+    if M.monoid != N.monoid:
+        raise ActionError("actions.hom_tuples: source and target act for different monoids")
     points, reps, pos, relations = M._presentation()
     return read_off(reps, relations, pos, N.table, [len(N.carrier)] * len(points))
-
-
-def equivariant_maps(M, N):
-    """All equivariant maps M -> N in canonical table order.  Both must be
-    actions (see `validate_action`): the maps are read off M's presentation,
-    which checks equivariance along the monoid's generators only."""
-    if M.monoid != N.monoid:
-        raise ActionError("actions.coinduct: N is not an action of h's source")
-    xs = M.carrier.elements
-    ys = N.carrier.elements
-    out = []
-    for t in hom_tuples(M, N):
-        fmap = FinMap(M.carrier, N.carrier, {x: ys[i] for x, i in zip(xs, t)})
-        # the read-off already established equivariance
-        em = EquivariantMap.__new__(EquivariantMap)
-        em.src, em.dst, em.map = M, N, fmap
-        out.append(em)
-    return out
 
 
 def fixed_points(M):
@@ -280,37 +229,23 @@ def fixed_points(M):
 
 def check_trivial_fixed_adjunction(m, X, M):
     """Equivariant maps out of the trivial action on X correspond to plain
-    maps into the fixed points of M; checks the bijection and spot-checks
-    naturality by pre- and post-composition."""
+    maps into the fixed points of M.  On index tuples the bijection is the
+    identity: the maps out are the tuples of fixed points, in order.
+    Naturality is spot-checked on endomorphisms k of M and maps g: X -> X:
+    for each map f out, k.f and k.f.g must lie in the hom set."""
     if not isinstance(X, FinSet):
         X = FinSet(X)
-    EX = trivial_action(m, X)
-    lhs = equivariant_maps(EX, M)
-    F, _ = fixed_points(M)
-    rhs = hom_set(X, F)
-    if len(lhs) != len(rhs):
+    fixed = list(map(M.carrier.index, fixed_points(M)[0]))
+    lhs = hom_tuples(trivial_action(m, X), M)
+    if lhs != list(itertools.product(fixed, repeat=len(X))):
         return False
-    down = {}
-    for f in lhs:
-        if any(f(x) not in F for x in X):
-            return False  # images of an equivariant map must be fixed
-        key = tuple(f(x) for x in X)
-        if key in down:
-            return False
-        down[key] = FinMap(X, F, {x: f(x) for x in X})
-    for g in rhs:
-        if g.image_tuple() not in down:
-            return False
-    for g0 in hom_set(X, X)[:8]:
-        Eg0 = EquivariantMap(EX, EX, g0)
-        for k in equivariant_maps(M, M)[:8]:
-            kF = FinMap(F, F, {x: k(x) for x in F})
-            for f in lhs:
-                composite = k * f * Eg0
-                left = tuple(composite(x) for x in X)
-                right = (kF * down[tuple(f(x) for x in X)] * g0).image_tuple()
-                if left != right:
-                    return False
+    maps = set(lhs)
+    gs = list(itertools.islice(itertools.product(range(len(X)), repeat=len(X)), 8))
+    for k in hom_tuples(M, M)[:8]:
+        for f in lhs:
+            kf = tuple(map(k.__getitem__, f))
+            if kf not in maps or any(tuple(map(kf.__getitem__, g)) not in maps for g in gs):
+                return False
     return True
 
 
@@ -318,70 +253,74 @@ def coinduct(h, N):
     """The right adjoint of restriction along h: maps from the target
     monoid (acting on itself through h) into N, translated on the right.
     N must be an action of h's source; ActionError names its first
-    violation otherwise."""
+    violation, or the mismatch of monoids, otherwise."""
+    return _coinduced(h, N)[0]
+
+
+def _coinduced(h, N):
+    """coinduct(h, N) and its elements as image-index tuples over h's
+    target, in its order; None when a translate of a map read off is not
+    among them, which only a faulty hom set makes."""
     bad = validate_action(N)
     if bad:
         raise ActionError("actions.coinduct: N is not an action: %s" % bad[0])
-    if N.monoid != h.src:
-        raise ActionError("actions.coinduct: N is not an action of h's source")
     A, ys = h.dst, N.carrier.elements
     twisted = MAction._trusted(h.src, A.carrier, {b: A.table[h(b)] for b in h.src.elements})
     K = FunctionSet(A.carrier, N.carrier, [tuple(map(ys.__getitem__, t))
                                            for t in hom_tuples(twisted, N)])
-    images = [K.map_images(e) for e in K]
+    images = [tuple(map(N.carrier.index, K.map_images(e))) for e in K]
     at = {t: q for q, t in enumerate(images)}
     table = {}
     for col, a in enumerate(A.elements):
         shift = [A.table[a2][col] for a2 in A.elements]
-        table[a] = tuple(at[tuple(map(t.__getitem__, shift))] for t in images)
-    return MAction._trusted(A, K, table)
+        table[a] = tuple(at.get(tuple(map(t.__getitem__, shift))) for t in images)
+        if None in table[a]:
+            return None
+    return MAction._trusted(A, K, table), images
 
 
-def transpose_to_coinduced(h, M, f, K):
-    """Send f: restrict(M) -> N to its mate M -> coinduct(N)."""
-    table = {}
-    for x in M.carrier:
-        images = tuple(f(M.apply(a, x)) for a in h.dst.carrier)
-        table[x] = K.carrier.map_element(images)
-    return EquivariantMap(M, K, table)
+def transpose_to_coinduced(h, M, f, at):
+    """Send f: restrict(M) -> N to its mate M -> coinduct(N), x |-> (a |->
+    f(a.x)).  `at` gives the index in coinduct(N) of each image tuple over
+    h's target; a point whose images are no element of it goes to None."""
+    columns = zip(*(map(f.__getitem__, M.table[a]) for a in h.dst.elements))
+    return tuple(map(at.get, columns))
 
 
-def transpose_from_coinduced(h, M, N, g):
-    """Send g: M -> coinduct(N) to its mate restrict(M) -> N."""
-    HM = restrict_action(h, M)
-    table = {x: g.dst.carrier.map_apply(g(x), h.dst.unit) for x in M.carrier}
-    return EquivariantMap(HM, N, table)
+def transpose_from_coinduced(h, g, images):
+    """Send g: M -> coinduct(N) to its mate restrict(M) -> N, x |-> g(x)(1),
+    where images[q] is element q of coinduct(N) as its image tuple."""
+    unit = h.dst.carrier.index(h.dst.unit)
+    return tuple(images[q][unit] for q in g)
 
 
 def check_restriction_coinduction_adjunction(h, M, N):
-    """Bijection and spot-checked naturality of restriction -| coinduction."""
-    K = coinduct(h, N)
-    HM = restrict_action(h, M)
-    lhs = equivariant_maps(HM, N)
-    rhs = equivariant_maps(M, K)
-    if len(lhs) != len(rhs):
+    """Bijection and spot-checked naturality of restriction -| coinduction:
+    the maps restrict(M) -> N transpose onto the maps M -> K = coinduct(N)
+    and back, and composites with endomorphisms u of M, v of N and K(v) of
+    K lie in their hom sets and transpose to the composites of the mates."""
+    coinduced = _coinduced(h, N)
+    if coinduced is None:
         return False
-    rhs_keys = {g.map.image_tuple() for g in rhs}
-    up = {}
-    for f in lhs:
-        g = transpose_to_coinduced(h, M, f, K)
-        if g.map.image_tuple() not in rhs_keys:
-            return False
-        if transpose_from_coinduced(h, M, N, g) != f:
-            return False
-        up[f] = g
-    if len(set(up.values())) != len(lhs):
+    K, images = coinduced
+    at = {t: q for q, t in enumerate(images)}
+    up = {f: transpose_to_coinduced(h, M, f, at) for f in hom_tuples(restrict_action(h, M), N)}
+    if (set(up.values()) != set(hom_tuples(M, K))
+            or any(transpose_from_coinduced(h, g, images) != f for f, g in up.items())):
         return False
-    for u in equivariant_maps(M, M)[:8]:
-        Hu = EquivariantMap(HM, HM, u.map)
-        for f in lhs:
-            if transpose_to_coinduced(h, M, f * Hu, K) != up[f] * u:
+    for u in hom_tuples(M, M)[:8]:
+        for f, g in up.items():
+            fu = tuple(map(f.__getitem__, u))
+            if fu not in up or up[fu] != tuple(map(g.__getitem__, u)):
                 return False
-    for v in equivariant_maps(N, N)[:8]:
-        Kv = EquivariantMap(K, K, {e: K.carrier.map_element(
-            tuple(v(y) for y in K.carrier.map_images(e))) for e in K.carrier})
-        for f in lhs:
-            if transpose_to_coinduced(h, M, v * f, K) != Kv * up[f]:
+    for v in hom_tuples(N, N)[:8]:
+        Kv = [at.get(tuple(map(v.__getitem__, t))) for t in images]
+        if None in Kv or any(Kv[row[q]] != row[Kv[q]] for row in K.table.values()
+                             for q in range(len(Kv))):
+            return False
+        for f, g in up.items():
+            vf = tuple(map(v.__getitem__, f))
+            if vf not in up or up[vf] != tuple(map(Kv.__getitem__, g)):
                 return False
     return True
 

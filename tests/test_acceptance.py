@@ -169,12 +169,14 @@ def _random_subaction(m, M, rng):
                                 for a in m.elements for x in carrier})
 
 
-def test_criterion_7_adjunction_checks():
+def adjunction_instances():
+    """50 seeded instances (A, X, M, h, N): a set X and an action M of A for
+    trivial action -| fixed points, and h: B -> A with an action N of B
+    for restriction -| coinduction."""
     rng = random.Random(20260814)
     b_pool = [samples.trivial_monoid(), samples.cyclic(2), samples.cyclic(3),
               samples.cyclic(4), samples.idempotent_pair()]
     a_pool = b_pool + [samples.symmetric3()]
-    ok = True
     for _ in range(50):
         A = rng.choice(a_pool)
         B = rng.choice(b_pool)
@@ -182,6 +184,12 @@ def test_criterion_7_adjunction_checks():
         X = FinSet(tuple("p%d" % i for i in range(rng.randrange(5))))
         M = _random_subaction(A, rng.choice(_action_catalog(A)), rng)
         N = _random_subaction(B, rng.choice(_action_catalog(B)), rng)
+        yield A, X, M, h, N
+
+
+def test_criterion_7_adjunction_checks():
+    ok = True
+    for A, X, M, h, N in adjunction_instances():
         ok = ok and check_trivial_fixed_adjunction(A, X, M)
         ok = ok and check_restriction_coinduction_adjunction(h, M, N)
     verdict(7, "both adjunctions verified on 50 seeded random instances", ok)

@@ -1,16 +1,18 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SAMPLES, entries, maps_monoid
+from test_acceptance import adjunction_instances
 from galmon import actions, finset
 from galmon.finset import FinSet, FinMap, SizingError, hom_set, singleton
 from galmon.monoid import (MonoidHom, submonoid, trivial_monoid, enumerate_submonoids,
                            is_subgroup, is_hopf)
-from galmon.actions import (MAction, ActionError, EquivariantMap, Site,
+from galmon.actions import (MAction, ActionError, Site,
                             validate_action, trivial_action, free_action,
-                            restrict_action, equivariant_maps, fixed_points,
+                            restrict_action, hom_tuples, fixed_points,
                             check_trivial_fixed_adjunction, coinduct,
                             transpose_to_coinduced, transpose_from_coinduced,
                             check_restriction_coinduction_adjunction,
@@ -87,35 +89,33 @@ def test_restrict_composes():
     assert restrict_action(h, NAT3).table == via_c2.table
 
 
-def test_equivariant_maps_counts():
+def test_hom_tuples_counts():
     for m in [Z2, Z3, S3]:
         F1 = free_action(m, singleton())
-        assert len(equivariant_maps(F1, F1)) == len(m.elements)
+        assert len(hom_tuples(F1, F1)) == len(m.elements)
     point = trivial_action(Z2, singleton())
-    assert len(equivariant_maps(SWAP, point)) == 1
-    maps = equivariant_maps(SWAP, trivial_action(Z2, FinSet(("0", "1"))))
-    assert len(maps) == 2
-    assert all(f("0") == f("1") for f in maps)
+    assert hom_tuples(SWAP, point) == [(0, 0)]
+    # a map out of SWAP into a trivial action sends both points to one
+    assert hom_tuples(SWAP, trivial_action(Z2, FinSet(("0", "1")))) == [(0, 0), (1, 1)]
 
 
-def test_equivariant_maps_free_to_any():
+def test_hom_tuples_free_to_any():
     # the free-forgetful adjunction: maps F(1) -> M match points of M
     for M in [SWAP, trivial_action(Z2, FinSet(("a", "b", "c")))]:
         F1 = free_action(Z2, singleton())
-        assert len(equivariant_maps(F1, M)) == len(M.carrier)
+        assert len(hom_tuples(F1, M)) == len(M.carrier)
 
 
-def test_equivariant_maps_canonical_order():
-    maps = equivariant_maps(SWAP, SWAP)
-    tuples = [f.map.image_tuple() for f in maps]
-    assert tuples == sorted(tuples)
-    assert len(maps) == 2
+def test_hom_tuples_canonical_order():
+    assert hom_tuples(SWAP, SWAP) == [(0, 1), (1, 0)]
 
 
-def test_equivariance_enforced():
-    point = trivial_action(Z2, singleton())
-    with pytest.raises(ActionError):
-        EquivariantMap(point, SWAP, {"*": "0"})
+def test_hom_tuples_refuses_actions_of_different_monoids():
+    for M, N in [(NAT3, SWAP), (SWAP, NAT3)]:
+        with pytest.raises(ActionError) as exc:
+            hom_tuples(M, N)
+        assert str(exc.value) == ("actions.hom_tuples: source and target act for "
+                                  "different monoids")
 
 
 def test_fixed_points():
@@ -131,10 +131,10 @@ def test_fixed_points():
 def test_trivial_fixed_adjunction_sizes():
     one = singleton()
     M = trivial_action(Z2, FinSet(("0", "1")))
-    assert len(equivariant_maps(trivial_action(Z2, one), M)) == 2
-    assert len(equivariant_maps(trivial_action(Z2, one), SWAP)) == 0
+    assert hom_tuples(trivial_action(Z2, one), M) == [(0,), (1,)]
+    assert hom_tuples(trivial_action(Z2, one), SWAP) == []
     empty = FinSet()
-    assert len(equivariant_maps(trivial_action(Z2, empty), SWAP)) == 1
+    assert hom_tuples(trivial_action(Z2, empty), SWAP) == [()]
 
 
 def test_trivial_fixed_adjunction():
@@ -145,6 +145,23 @@ def test_trivial_fixed_adjunction():
     assert check_trivial_fixed_adjunction(S3, FinSet(("0", "1")), NAT3)
     assert check_trivial_fixed_adjunction(E2, FinSet(("0", "1")),
                                           free_action(E2, singleton()))
+
+
+def points(n):
+    return FinSet(tuple("p%d" % i for i in range(n)))
+
+
+def test_trivial_fixed_adjunction_takes_only_eight_maps_of_x():
+    # X -> X has 8^8 maps, past the limit; naturality spot-checks 8 of them
+    assert check_trivial_fixed_adjunction(Z2, points(8), SWAP)
+    assert check_trivial_fixed_adjunction(Z2, points(8), trivial_action(Z2, FinSet(("0", "1"))))
+
+
+def test_trivial_fixed_adjunction_on_seven_points_is_quick():
+    start = time.perf_counter()
+    assert check_trivial_fixed_adjunction(Z2, points(7), SWAP)
+    assert check_trivial_fixed_adjunction(Z2, points(7), trivial_action(Z2, FinSet(("0", "1"))))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_coinduct_along_identity():
@@ -181,6 +198,13 @@ def test_coinduct_refuses_a_non_action():
                               "associativity fails at (g, g, 1): 1 vs 0")
 
 
+def test_coinduct_names_a_mismatch_of_monoids():
+    h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
+    with pytest.raises(ActionError) as exc:
+        coinduct(h, NAT3)  # an S3-action, not a Z2-action
+    assert str(exc.value) == "actions.hom_tuples: source and target act for different monoids"
+
+
 def test_coinduct_singleton():
     h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
     K = coinduct(h, trivial_action(Z2, singleton()))
@@ -193,12 +217,61 @@ def test_coinduct_adjunction():
     assert check_restriction_coinduction_adjunction(h, NAT3, N)
     K = coinduct(h, N)
     assert len(K.carrier) == 8
-    HM = restrict_action(h, NAT3)
-    lhs = equivariant_maps(HM, N)
-    assert len(lhs) == len(equivariant_maps(NAT3, K))
-    for f in lhs:
-        g = transpose_to_coinduced(h, NAT3, f, K)
-        assert transpose_from_coinduced(h, NAT3, N, g) == f
+    images = [tuple(map(N.carrier.index, K.carrier.map_images(e))) for e in K.carrier]
+    at = {t: q for q, t in enumerate(images)}
+    # (12) fixes 3 and SWAP fixes nothing, so NAT3 has no maps; F(1) has 2^3
+    for M, count in [(NAT3, 0), (free_action(S3, singleton()), 8)]:
+        assert check_restriction_coinduction_adjunction(h, M, N)
+        lhs = hom_tuples(restrict_action(h, M), N)
+        mates = [transpose_to_coinduced(h, M, f, at) for f in lhs]
+        assert len(lhs) == count and sorted(mates) == hom_tuples(M, K)
+        assert [transpose_from_coinduced(h, g, images) for g in mates] == lhs
+
+
+def dropping_the_last_map(monkeypatch):
+    """Make every hom set of two or more maps lose its last one."""
+    read_off = actions.hom_tuples
+
+    def dropped(M, N):
+        homs = read_off(M, N)
+        return homs[:-1] if len(homs) > 1 else homs
+
+    monkeypatch.setattr(actions, "hom_tuples", dropped)
+
+
+def test_adjunction_checks_flag_a_dropped_map(monkeypatch):
+    h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
+    dropping_the_last_map(monkeypatch)
+    assert check_trivial_fixed_adjunction(S3, FinSet(("0", "1")),
+                                          trivial_action(S3, FinSet(("a", "b")))) is False
+    F1 = free_action(S3, singleton())
+    assert check_restriction_coinduction_adjunction(h, F1, SWAP) is False
+
+
+def test_adjunction_checks_return_a_verdict_on_every_sweep_instance_under_a_dropped_map(
+        monkeypatch):
+    dropping_the_last_map(monkeypatch)
+    verdicts = [(check_trivial_fixed_adjunction(A, X, M),
+                 check_restriction_coinduction_adjunction(h, M, N))
+                for A, X, M, h, N in adjunction_instances()]
+    assert {v for pair in verdicts for v in pair} == {True, False}
+    # the other 34 shorten only an endomorphism spot list, or no hom set at all
+    assert sum(not (a and b) for a, b in verdicts) == 16
+
+
+def test_restriction_coinduction_check_flags_a_wrong_transpose(monkeypatch):
+    h = MonoidHom(Z2, S3, {"e": "e", "g": "(12)"})
+    F1 = free_action(S3, singleton())
+    assert check_restriction_coinduction_adjunction(h, F1, SWAP)
+    first = hom_tuples(restrict_action(h, F1), SWAP)[0]
+    transpose = actions.transpose_to_coinduced
+
+    def perturbed(h, M, f, at):
+        g = transpose(h, M, f, at)
+        return ((g[0] + 1) % len(at),) + g[1:] if f == first else g
+
+    monkeypatch.setattr(actions, "transpose_to_coinduced", perturbed)
+    assert check_restriction_coinduction_adjunction(h, F1, SWAP) is False
 
 
 def checked(M):
@@ -325,13 +398,12 @@ def test_free_actions_are_lawful(m, k):
 
 
 @given(st.data())
-def test_equivariant_maps_against_filter_oracle(data):
+def test_hom_tuples_against_filter_oracle(data):
     M = data.draw(st.sampled_from([SWAP, free_action(Z2, singleton()),
                                    trivial_action(Z2, FinSet(("0", "1")))]))
     N = data.draw(st.sampled_from([SWAP, trivial_action(Z2, FinSet(("a",))),
                                    free_action(Z2, singleton())]))
-    fast = {f.map.image_tuple() for f in equivariant_maps(M, N)}
-    slow = {f.image_tuple() for f in hom_set(M.carrier, N.carrier)
+    slow = [tuple(map(N.carrier.index, f.image_tuple())) for f in hom_set(M.carrier, N.carrier)
             if all(f(M.apply(a, x)) == N.apply(a, f(x))
-                   for a in Z2.elements for x in M.carrier)}
-    assert fast == slow
+                   for a in Z2.elements for x in M.carrier)]
+    assert hom_tuples(M, N) == slow

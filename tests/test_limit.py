@@ -11,7 +11,7 @@ import pytest
 from galmon import finset, samples
 from galmon.finset import FinSet, SizingError, exponential, hom_set, product
 from galmon.monoid import submonoid_tuples
-from galmon.actions import canonical_site, equivariant_maps, trivial_action
+from galmon.actions import canonical_site, hom_tuples, trivial_action
 from galmon.ends import ForgetfulDiagram, end_monoid, end_of_forgetful, internal_nat
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "galmon")
@@ -43,7 +43,7 @@ GUARDS = [
      "finset.exponential: 2^3 elements exceed the limit of 7"),
     # each generating point of E3 tries 3 values and writes 3 images
     ("read_off", lambda: (trivial_action(samples.cyclic(2), points(3)),),
-     lambda E: equivariant_maps(E, E), 7,
+     lambda E: hom_tuples(E, E), 7,
      "actions: 12 candidate assignments exceed the limit of 7"),
     ("canonical_site", lambda: (samples.cyclic(3),), lambda m: canonical_site(m, "free+trivial"),
      11, "actions.canonical_site: 12 table cells exceed the limit of 11"),
