@@ -1,10 +1,11 @@
 """Invariants of a monoid map as the points its generators' images fix, and
-the stabilizer of a subfunctor, each cross-checked against a direct scan."""
+the stabilizer of a subfunctor, each cross-checked against a second route."""
 
+from galmon.finset import singleton
 from galmon.monoid import submonoid, enumerate_submonoids
-from galmon.actions import canonical_site, default_site
-from galmon.galois import (invariants, invariants_oracle, stabilizer,
-                           stabilizer_via_end, fixes)
+from galmon.actions import (canonical_site, default_site, hom_tuples, restrict_action,
+                            trivial_action)
+from galmon.galois import invariants, stabilizer, stabilizer_via_end, fixes
 from galmon import samples
 
 s3 = samples.symmetric3()
@@ -15,7 +16,9 @@ c2, incl = submonoid(s3, ("e", "(12)"))
 V = invariants(incl, site)
 print("invariants of <(12)> on the natural action:", V.component("nat"))
 assert V.component("nat") == ("3",)
-assert V == invariants_oracle(incl, site)
+# the same points as the maps into the restricted action from a fixed point
+fixed = hom_tuples(trivial_action(c2, singleton()), restrict_action(incl, nat))
+assert [nat.carrier.elements[y] for (y,) in fixed] == list(V.component("nat"))
 assert fixes(incl, V)
 
 # over the default site the stabilizer recovers the subgroup

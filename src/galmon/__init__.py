@@ -8,8 +8,7 @@ diagrams, and checks the Galois connection the two constructions induce.
 """
 
 from .finset import (FinSet, FinMap, FinSetError, SizingError, singleton,
-                     product, proj_right, exponential, curry, uncurry,
-                     equalizer, hom_set)
+                     product, exponential, curry, equalizer)
 from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                      validate_monoid, laws_hold, generators, trivial_monoid,
                      submonoid, submonoid_tuples,
@@ -17,16 +16,13 @@ from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                      fusion_morphism, is_hopf, hopf_witness, antipode, kernel_pairs)
 from .actions import (MAction, ActionError, Site,
                       validate_action, trivial_action, free_action,
-                      restrict_action, hom_tuples, fixed_points,
-                      check_trivial_fixed_adjunction, coinduct,
-                      check_restriction_coinduction_adjunction,
-                      coset_action, canonical_site, default_site, underlying_site)
+                      restrict_action, hom_tuples, coinduct,
+                      coset_action, canonical_site, default_site)
 from .ends import (EndObject, EndError, ForgetfulDiagram,
-                   SiteFunctor, internal_nat, end_of_forgetful, end_monoid,
-                   restrict_end, reconstruction_hom, reconstruction_composite_check,
-                   trivial_path, augmentation_square_check, family_restriction)
+                   internal_nat, end_of_forgetful, end_monoid,
+                   reconstruction_hom, trivial_path, family_restriction)
 from .galois import (Subfunctor, GaloisError, fixes, invariants,
-                     invariants_oracle, stabilizer, stabilizer_via_end,
+                     stabilizer, stabilizer_via_end,
                      galois_correspondence, connection_laws,
                      connection_law_failures, random_subfunctor)
 

@@ -4,7 +4,7 @@ An action is one table of rows: for each monoid element a, the carrier
 indices of a.x in carrier order, the format of a monoid's own table, so
 the law check on rows in galmon.monoid serves actions too.  An
 equivariant map is its image-index tuple (the index of f(x), x in carrier
-order) in hom sets, in sites and in both adjunction checks.  Sites are
+order) in hom sets and in sites.  Sites are
 finite lists of named actions; their morphisms (all equivariant maps
 between listed objects) are derived on demand and cached, never stored
 by hand.  Every action is presented by generating points x_i and
@@ -13,14 +13,16 @@ f(r.x_i) = r.y_i and its hom set, `hom_tuples`, is read off the target's
 table, one generating point for the cyclic objects the package builds.
 Hom sets between trivial actions contain every map, so those pairs are
 iterated lazily.  The same read-off, `read_off`, finds the wedge
-families of `galmon.ends`.
+families of `galmon.ends`.  The fixed points of an action are the maps
+into it from the one-point trivial action (trivial action -| fixed
+points), and `coinduct` is the right adjoint of `restrict_action`.
 """
 
 import itertools
 
 from . import finset
-from .finset import FinSet, FinMap, FunctionSet, product, singleton
-from .monoid import (trivial_monoid, generators, laws_hold, acts_along, associativity_failures,
+from .finset import FinSet, FunctionSet, product, singleton
+from .monoid import (generators, laws_hold, acts_along, associativity_failures,
                      submonoid_tuples, is_subgroup, hopf_witness, is_hopf)
 
 
@@ -219,48 +221,13 @@ def hom_tuples(M, N):
     return read_off(reps, relations, pos, N.table, [len(N.carrier)] * len(points))
 
 
-def fixed_points(M):
-    """The subcarrier on which every monoid element acts as the identity."""
-    rows = M.table.values()
-    kept = [x for p, x in enumerate(M.carrier) if all(row[p] == p for row in rows)]
-    F = FinSet(kept, check=False)
-    return F, FinMap(F, M.carrier, {x: x for x in kept})
-
-
-def check_trivial_fixed_adjunction(m, X, M):
-    """Equivariant maps out of the trivial action on X correspond to plain
-    maps into the fixed points of M.  On index tuples the bijection is the
-    identity: the maps out are the tuples of fixed points, in order.
-    Naturality is spot-checked on endomorphisms k of M and maps g: X -> X:
-    for each map f out, k.f and k.f.g must lie in the hom set."""
-    if not isinstance(X, FinSet):
-        X = FinSet(X)
-    fixed = list(map(M.carrier.index, fixed_points(M)[0]))
-    lhs = hom_tuples(trivial_action(m, X), M)
-    if lhs != list(itertools.product(fixed, repeat=len(X))):
-        return False
-    maps = set(lhs)
-    gs = list(itertools.islice(itertools.product(range(len(X)), repeat=len(X)), 8))
-    for k in hom_tuples(M, M)[:8]:
-        for f in lhs:
-            kf = tuple(map(k.__getitem__, f))
-            if kf not in maps or any(tuple(map(kf.__getitem__, g)) not in maps for g in gs):
-                return False
-    return True
-
-
 def coinduct(h, N):
     """The right adjoint of restriction along h: maps from the target
     monoid (acting on itself through h) into N, translated on the right.
     N must be an action of h's source; ActionError names its first
-    violation, or the mismatch of monoids, otherwise."""
-    return _coinduced(h, N)[0]
-
-
-def _coinduced(h, N):
-    """coinduct(h, N) and its elements as image-index tuples over h's
-    target, in its order; None when a translate of a map read off is not
-    among them, which only a faulty hom set makes."""
+    violation, or the mismatch of monoids, otherwise.  A translate that is
+    not among the maps read off, which only a faulty hom set makes, is None
+    in the table."""
     bad = validate_action(N)
     if bad:
         raise ActionError("actions.coinduct: N is not an action: %s" % bad[0])
@@ -274,55 +241,7 @@ def _coinduced(h, N):
     for col, a in enumerate(A.elements):
         shift = [A.table[a2][col] for a2 in A.elements]
         table[a] = tuple(at.get(tuple(map(t.__getitem__, shift))) for t in images)
-        if None in table[a]:
-            return None
-    return MAction._trusted(A, K, table), images
-
-
-def transpose_to_coinduced(h, M, f, at):
-    """Send f: restrict(M) -> N to its mate M -> coinduct(N), x |-> (a |->
-    f(a.x)).  `at` gives the index in coinduct(N) of each image tuple over
-    h's target; a point whose images are no element of it goes to None."""
-    columns = zip(*(map(f.__getitem__, M.table[a]) for a in h.dst.elements))
-    return tuple(map(at.get, columns))
-
-
-def transpose_from_coinduced(h, g, images):
-    """Send g: M -> coinduct(N) to its mate restrict(M) -> N, x |-> g(x)(1),
-    where images[q] is element q of coinduct(N) as its image tuple."""
-    unit = h.dst.carrier.index(h.dst.unit)
-    return tuple(images[q][unit] for q in g)
-
-
-def check_restriction_coinduction_adjunction(h, M, N):
-    """Bijection and spot-checked naturality of restriction -| coinduction:
-    the maps restrict(M) -> N transpose onto the maps M -> K = coinduct(N)
-    and back, and composites with endomorphisms u of M, v of N and K(v) of
-    K lie in their hom sets and transpose to the composites of the mates."""
-    coinduced = _coinduced(h, N)
-    if coinduced is None:
-        return False
-    K, images = coinduced
-    at = {t: q for q, t in enumerate(images)}
-    up = {f: transpose_to_coinduced(h, M, f, at) for f in hom_tuples(restrict_action(h, M), N)}
-    if (set(up.values()) != set(hom_tuples(M, K))
-            or any(transpose_from_coinduced(h, g, images) != f for f, g in up.items())):
-        return False
-    for u in hom_tuples(M, M)[:8]:
-        for f, g in up.items():
-            fu = tuple(map(f.__getitem__, u))
-            if fu not in up or up[fu] != tuple(map(g.__getitem__, u)):
-                return False
-    for v in hom_tuples(N, N)[:8]:
-        Kv = [at.get(tuple(map(v.__getitem__, t))) for t in images]
-        if None in Kv or any(Kv[row[q]] != row[Kv[q]] for row in K.table.values()
-                             for q in range(len(Kv))):
-            return False
-        for f, g in up.items():
-            vf = tuple(map(v.__getitem__, f))
-            if vf not in up or up[vf] != tuple(map(Kv.__getitem__, g)):
-                return False
-    return True
+    return MAction._trusted(A, K, table)
 
 
 class Site:
@@ -480,16 +399,3 @@ def default_site(m):
         return canonical_site(m, "cosets+free")
     return canonical_site(m, "free+trivial")
 
-
-def underlying_site(site):
-    """The site of underlying carriers: trivial actions of the one-point
-    monoid on the distinct carriers, with the index map from `site`."""
-    t = trivial_monoid()
-    carriers = []
-    for act in site.objects:
-        if act.carrier not in carriers:
-            carriers.append(act.carrier)
-    carriers.sort(key=lambda c: (len(c), c.elements))
-    base = Site(t, [("X%d" % i, trivial_action(t, c)) for i, c in enumerate(carriers)])
-    ob_map = tuple(carriers.index(act.carrier) for act in site.objects)
-    return base, ob_map

@@ -10,14 +10,14 @@ import os
 import random
 import sys
 
-from .finset import FinSet, FinSetError, SizingError
+from .finset import FinSet, FinSetError, SizingError, singleton
 from .monoid import (Monoid, MonoidHom, MonoidError, validate_monoid,
                      submonoid_tuples, is_hopf, hopf_witness, antipode,
                      kernel_pairs)
-from .actions import (MAction, ActionError, Site, validate_action,
-                      canonical_site, default_site, coinduct)
+from .actions import (MAction, ActionError, validate_action, trivial_action,
+                      restrict_action, hom_tuples, canonical_site, default_site, coinduct)
 from .ends import EndError, end_of_forgetful, reconstruction_hom
-from .galois import (GaloisError, Subfunctor, invariants, invariants_oracle,
+from .galois import (GaloisError, Subfunctor, invariants,
                      stabilizer, stabilizer_via_end, galois_correspondence,
                      connection_law_failures, random_subfunctor)
 from .report import write_report, write_text
@@ -205,7 +205,11 @@ def cmd_inv(args):
     site = _site_for(m, args.site, _actions_from(args, m))
     h = parse_hom(_load(_require(args, "--hom")), m)
     V = invariants(h, site)
-    O = invariants_oracle(h, site)
+    # trivial action -| fixed points: Inv_h(X) = Fix(Res_h X), the maps 1 -> Res_h X
+    one = trivial_action(h.src, singleton())
+    fixed = {name: [X.carrier.elements[y] for (y,) in hom_tuples(one, restrict_action(h, X))]
+             for name, X in zip(site.names, site.objects)}
+    O = Subfunctor(site, fixed)
     return 0, {"schema": SCHEMA, "command": "inv",
                "hom": {"src": list(h.src.elements),
                        "map": {b: h(b) for b in h.src.elements}},
@@ -232,16 +236,18 @@ def cmd_end(args):
     site = _site_for(m, args.site, _actions_from(args, m))
     end = end_of_forgetful(site)
     rho = reconstruction_hom(m, end)
-    label = {fam: end.label(fam) for fam in end.carrier}  # each family named once
+    label = list(map(end.label, end.carrier))  # each family named once
+    injective = len(set(rho)) == len(rho)
     return 0, {"schema": SCHEMA, "command": "end",
                "site": list(site.names),
-               "families": sorted(label.values()),
+               "families": sorted(label),
                "size": len(end),
-               "unit": label[end.unit()],
-               "reconstruction": {"map": {a: label[rho(a)] for a in m.elements},
-                                  "injective": rho.is_injective(),
-                                  "isomorphism": rho.is_bijection(),
-                                  "kernel_pairs": [list(p) for p in kernel_pairs(rho)]}}
+               "unit": label[end.carrier.index(end.unit())],
+               "reconstruction": {"map": {a: label[k] for a, k in zip(m.elements, rho)},
+                                  "injective": injective,
+                                  "isomorphism": injective and len(rho) == len(end),
+                                  "kernel_pairs": [list(p) for p in
+                                                   kernel_pairs(m.elements, rho)]}}
 
 
 def cmd_corr(args):

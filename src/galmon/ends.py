@@ -18,21 +18,21 @@ sends V's points to; only the `end` report names families, through
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
-action of its source on every site object at once.  Maps into and between
-such ends are carrier maps, so whether one is unital and multiplicative is
-read off the components, and no end's table is composed.  With a free
-object in the site, End[U]'s families are the action tables (Yoneda; see
-`end_of_forgetful`).  A stabilizer's trivial path A -> 1 -> End[U] is the
-augmentation followed by End[U]'s unit; `augmentation_square_check`
-verifies the route through the end of the underlying carriers.
+action of its source on every site object at once.  A map into or between
+ends is its index tuple: the index in the target end's carrier of the image
+of each source element, in source order.  Whether one is unital and
+multiplicative is read off the components, and no end's table is composed.
+With a free object in the site, End[U]'s families are the action tables
+(Yoneda; see `end_of_forgetful`).  A stabilizer's trivial path
+A -> 1 -> End[U] is the augmentation followed by End[U]'s unit.
 """
 
 import itertools
 
 from . import finset
-from .finset import FinSet, FinMap, map_label, product, proj_right, curry, singleton, terminal_map
+from .finset import FinSet, map_label
 from .monoid import Monoid, acts_along, generators
-from .actions import Site, read_off, trivial_action, underlying_site
+from .actions import read_off
 
 
 class EndError(Exception):
@@ -189,141 +189,44 @@ def end_monoid(end):
     return end.monoid()
 
 
-class SiteFunctor:
-    """An object reindexing between sites that keeps carriers and maps as
-    they are; each source morphism must already be a target morphism."""
-
-    def __init__(self, src, dst, ob_map):
-        if len(ob_map) != src.nobj:
-            raise EndError("object map must cover the source site")
-        for i, gi in enumerate(ob_map):
-            if src.objects[i].carrier != dst.objects[gi].carrier:
-                raise EndError("functor must preserve the carrier of %r" % src.names[i])
-        for i, j in itertools.product(range(src.nobj), repeat=2):
-            gi, gj = ob_map[i], ob_map[j]
-            if dst._pair_is_lazy(gi, gj):
-                continue  # every map is a morphism there
-            allowed = set(dst._filtered(gi, gj))
-            for f in src.iter_hom_tuples(i, j):
-                if f not in allowed:
-                    raise EndError("a morphism %r -> %r is not a morphism downstairs"
-                                   % (src.names[i], src.names[j]))
-        self.src = src
-        self.dst = dst
-        self.ob_map = tuple(ob_map)
-
-    def __repr__(self):
-        return "SiteFunctor(%r -> %r)" % (self.src, self.dst)
-
-
-def restrict_end(end, functor, target_end):
-    """Restrict a self-hom end along a site functor into its site.
-
-    Returns the carrier map End[W] -> End[W o G] that drops the components
-    the functor does not reach; dropping components commutes with
-    componentwise composition, so it is a monoid map.
-    """
-    if functor.dst != end.site:
-        raise EndError("functor must land in the end's site")
-    for i, gi in enumerate(functor.ob_map):
-        if target_end.V.obs[i] != end.V.obs[gi] or target_end.W.obs[i] != end.W.obs[gi]:
-            raise EndError("restriction target disagrees on object %r" % functor.src.names[i])
-    table = {fam: tuple(fam[gi] for gi in functor.ob_map) for fam in end.carrier}
-    if not all(map(target_end.carrier.__contains__, table.values())):
-        raise EndError("a restricted family fails the wedge condition downstairs")
-    return FinMap(end.carrier, target_end.carrier, table)
-
-
 def reconstruction_hom(m, end):
-    """The carrier map sending a in m to the family (x -> a.x) over end.site.
+    """The map sending a in m to the family (x -> a.x) over end.site: for
+    each element, in element order, the index of its family in end.carrier.
 
     Families compose componentwise, so it is a monoid map exactly when
     every site object obeys the action law along generators of m, which
     is checked (Light's test).
     """
-    site = end.site
-    table = {a: tuple(act.table[a] for act in site.objects) for a in m.elements}
-    for a, fam in table.items():
+    objects = end.site.objects
+    fams = [tuple(act.table[a] for act in objects) for a in m.elements]
+    for a, fam in zip(m.elements, fams):
         if fam not in end.carrier:
             raise EndError("the action family of %r fails the wedge condition" % a)
-    if not all(acts_along(m, act.table, generators(m)) for act in site.objects):
+    if not all(acts_along(m, act.table, generators(m)) for act in objects):
         raise EndError("the action families are not a monoid map into the end")
-    return FinMap(m.carrier, end.carrier, table)
-
-
-def reconstruction_composite_check(m, end):
-    """Acting through the reconstruction map reproduces every action table."""
-    rho = reconstruction_hom(m, end)
-    return all(rho(a) == tuple(act.table[a] for act in end.site.objects)
-               for a in m.elements)
+    return tuple(map(end.carrier.index, fams))
 
 
 def trivial_path(m, end):
-    """A -> 1 -> End[U], the augmentation followed by the end's unit: every
-    element goes to the identity family (see `augmentation_square_check`)."""
-    eta = FinMap(singleton(), end.carrier, {"*": end.unit()})
-    return eta * terminal_map(m.carrier)
-
-
-def extend_with_trivials(site):
-    """The site plus a trivial action on every carrier it mentions, and the
-    functor data of both directions of the extension."""
-    base, _ = underlying_site(site)
-    objects = list(zip(site.names, site.objects))
-    acts = list(site.objects)
-    into = []
-    for i, b in enumerate(base.objects):
-        t = trivial_action(site.monoid, b.carrier)
-        if t not in acts:
-            objects.append(("E(X%d)" % i, t))
-            acts.append(t)
-        into.append(acts.index(t))
-    extended = Site(site.monoid, objects)
-    _, down = underlying_site(extended)  # the same carriers in the same order
-    return extended, base, tuple(into), down
-
-
-def augmentation_square_check(m, site):
-    """Three identities of the underlying-carrier restriction.
-
-    First: restricting to carriers and coming back along the trivial-action
-    section is the identity on the carrier end.  Second: the carrier end's
-    unit restricts to End[U]'s.  Third: the trivial path agrees with the
-    family of curried projections A x X -> X, object by object, read back
-    as index tuples.  All are checked elementwise.
-    """
-    extended, base, into, down = extend_with_trivials(site)
-    end_up = end_of_forgetful(extended)
-    end_base = end_of_forgetful(base)
-    to_up = restrict_end(end_base, SiteFunctor(extended, base, down), end_up)
-    back = restrict_end(end_up, SiteFunctor(base, extended, into), end_base)
-    if back * to_up != FinMap.identity(end_base.carrier):
-        return False
-    if to_up(end_base.unit()) != end_up.unit():
-        return False
-    by_path = trivial_path(m, end_up)
-    columns = []  # per object, each element's component
-    for act in extended.objects:
-        X = act.carrier
-        dropped = curry(proj_right(product(m.carrier, X)))  # A -> [X, X], constantly 1
-        columns.append([tuple(map(X.index, dropped.cod.map_images(dropped(a))))
-                        for a in m.elements])
-    return all(by_path(a) == comps for a, comps in zip(m.elements, zip(*columns)))
+    """A -> 1 -> End[U], the augmentation followed by the end's unit: the
+    unit family's index in end.carrier, once per element of m."""
+    return (end.carrier.index(end.unit()),) * len(m)
 
 
 def family_restriction(end, sub):
     """Precompose a self-hom end with a subfunctor of its source.
 
-    Returns the carrier map End[U] -> End[sub, U] together with the end it
-    lands in; each component is the original one restricted to the subset,
-    so the projection squares commute by the very same table.
+    Returns the map End[U] -> End[sub, U], as the target index of each
+    family in end.carrier order, together with the end it lands in; each
+    component is the original one restricted to the subset, so the
+    projection squares commute by the very same table.
     """
     if sub.site != end.site:
         raise EndError("subfunctor must live over the end's site")
     full = end.V is end.W and sub.obs == end.W.obs  # sub keeps every point: the end's families
     target = EndObject(end.site, sub, end.W, end.families) if full else internal_nat(sub, end.W)
-    table = {fam: tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))
-             for fam in end.carrier}
-    if not all(map(target.carrier.__contains__, table.values())):
+    cut = [tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))
+           for fam in end.carrier]
+    if not all(map(target.carrier.__contains__, cut)):
         raise EndError("a restricted family fails the wedge condition")
-    return FinMap(end.carrier, target.carrier, table), target
+    return tuple(map(target.carrier.index, cut)), target

@@ -2,8 +2,10 @@
 
 Elements are plain strings.  Carriers built by product() remember how their
 pairs were assembled; a FunctionSet encodes and decodes its own function
-elements, so currying and uncurrying never parse labels.  The internal hom
-[X, Z] is a FunctionSet that lists its |Z|^|X| elements only when iterated.
+elements, so currying never parses labels.  The internal hom [X, Z] is a
+FunctionSet that lists its |Z|^|X| elements only when iterated.  A map
+elsewhere in the package is often its index tuple, the position of each
+image in the codomain, in domain order; `equalizer` takes two of those.
 Every constructor sorts elements into a single canonical order, every
 operation here is pure, and nothing is cached between calls.
 """
@@ -115,12 +117,6 @@ class FinSet:
     def is_product(self):
         return self._pairs is not None
 
-    def pair_parts(self, elem):
-        """Decode an element of a product carrier."""
-        if self._pairs is None:
-            raise FinSetError("%r is not a product carrier" % self)
-        return self._pairs[elem]
-
     def map_images(self, elem):
         raise FinSetError("%r does not carry function elements" % self)
 
@@ -193,10 +189,6 @@ class FunctionSet(FinSet):
         if elem not in self:
             raise FinSetError("no function element %r" % (elem,))
         return self._images[elem]
-
-    def map_apply(self, elem, x):
-        """Evaluate a function element at a point of its base."""
-        return self.map_images(elem)[self.base.index(x)]
 
     def map_element(self, images):
         """Encode a tuple of images, in base order, as a function element."""
@@ -279,10 +271,6 @@ def singleton():
     return _SINGLETON
 
 
-def terminal_map(X):
-    return FinMap(X, _SINGLETON, {x: "*" for x in X})
-
-
 def product(X, Y):
     """Cartesian product with decodable pair elements."""
     if len(X) * len(Y) > MAX_ENUMERATION:
@@ -295,11 +283,6 @@ def product(X, Y):
     P._pairs = pairs
     P._factors = (X, Y)
     return P
-
-
-def proj_right(P):
-    _, Y = P._factors
-    return FinMap(P, Y, {p: xy[1] for p, xy in P._pairs.items()})
 
 
 def exponential(X, Z):
@@ -321,30 +304,8 @@ def curry(f):
     return FinMap(Y, E, table)
 
 
-def uncurry(g):
-    """Transpose g: Y -> [X, Z] into Y x X -> Z."""
-    E = g.cod
-    if not isinstance(E, FunctionSet):
-        raise FinSetError("uncurry needs function elements in the codomain")
-    P = product(g.dom, E.base)
-    table = {p: E.map_apply(g(y), x) for p, (y, x) in P._pairs.items()}
-    return FinMap(P, E.target, table)
-
-
 def equalizer(f, g):
-    """The subset where f and g agree, with its inclusion."""
-    if f.dom != g.dom or f.cod != g.cod:
+    """The positions where two index tuples of the same length agree."""
+    if len(f) != len(g):
         raise FinSetError("equalizer needs a parallel pair")
-    kept = [x for x in f.dom if f(x) == g(x)]
-    E = FinSet(kept, check=False)
-    return E, FinMap(E, f.dom, {x: x for x in kept})
-
-
-def hom_set(X, Y):
-    """All total maps X -> Y in canonical table order."""
-    n = len(Y) ** len(X) if len(X) else 1
-    if n > MAX_ENUMERATION:
-        raise refusal("finset.hom_set", "%d^%d maps" % (len(Y), len(X)))
-    xs = X.elements
-    return [FinMap(X, Y, dict(zip(xs, images)))
-            for images in itertools.product(Y.elements, repeat=len(xs))]
+    return tuple(k for k, (x, y) in enumerate(zip(f, g)) if x == y)

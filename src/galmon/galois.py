@@ -3,9 +3,9 @@ Galois connection between submonoids and natural families of subsets.
 
 A subfunctor is one int over the site's points, and so is each element's
 fixed-point mask, read off the actions' tables.  Invariants are the AND of
-the masks of a generating set of the source, with a direct scan as the
-oracle; a stabilizer is the elements whose masks cover V, or comes through
-the end of the underlying-carrier diagram.  The connection laws and the
+the masks of a generating set of the source; a stabilizer is the elements
+whose masks cover V, or comes through the end of the underlying-carrier
+diagram.  The connection laws and the
 closed object correspondence are then checked rather than assumed.
 Nothing is cached across calls, and the sweeps build no monoid per
 submonoid: they AND the masks of the generators the listing adjoined.
@@ -162,15 +162,6 @@ def invariants(h, site):
     return Subfunctor._trusted(site, functools.reduce(operator.and_, masks.values()))
 
 
-def invariants_oracle(h, site):
-    """Direct scan for the same subfunctor: keep x with h(b).x = x for all b."""
-    if h.dst != site.monoid:
-        raise GaloisError("the hom must land in the site's monoid")
-    return Subfunctor(site, {name: tuple(x for x in act.carrier
-                                         if all(act.apply(h(b), x) == x for b in h.src.elements))
-                             for name, act in zip(site.names, site.objects)})
-
-
 def stabilizer(V):
     """The largest submonoid acting as the identity on V, with inclusion:
     the elements whose fixed-point masks cover V's."""
@@ -186,8 +177,8 @@ def stabilizer_via_end(V):
     rho = ends.reconstruction_hom(m, end)
     path = ends.trivial_path(m, end)
     cut, _ = ends.family_restriction(end, V)
-    eq, _ = equalizer(cut * rho, cut * path)
-    return submonoid(m, eq.elements)[0]
+    kept = equalizer([cut[k] for k in rho], [cut[k] for k in path])
+    return submonoid(m, map(m.elements.__getitem__, kept))[0]
 
 
 def _sweep(m, site):

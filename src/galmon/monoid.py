@@ -251,10 +251,11 @@ class MonoidHom:
         return self.map.is_injective()
 
 
-def kernel_pairs(f):
-    """Pairs a carrier map identifies: for a monoid map, the congruence it
-    induces on the source."""
-    return tuple((a, b) for a, b in itertools.combinations(f.dom, 2) if f(a) == f(b))
+def kernel_pairs(dom, images):
+    """Pairs of dom that a map with these images, in dom's order,
+    identifies: for a monoid map, the congruence it induces on the source."""
+    return tuple((a, b) for (a, x), (b, y) in itertools.combinations(zip(dom, images), 2)
+                 if x == y)
 
 
 def submonoid(m, subset):

@@ -1,33 +1,42 @@
-"""Shared test settings, a monoid-file writer, a monoid's and an action's
-tables by element names, the check of a package-built monoid against the
-checked constructor, the monoid of given self-maps, the sample monoids, the
-brute-force submonoid, subgroup and subfunctor oracles, the object-based
+"""Shared test settings, a monoid's CLI document and file writer, a monoid's
+and an action's tables by element names, the check of a package-built
+monoid against the checked constructor, the monoid of given self-maps, the
+sample monoids, the submonoid one element generates, the brute-force
+submonoid, subgroup, invariant and subfunctor oracles, the object-based
 correspondence and connection-law sweeps, the propagation
 search with its oracles for equivariant maps and for wedge families, the
-filter over all maps for equivariant maps, and the hypothesis strategies of
-band-rich monoids and of transformation monoids."""
+filter over all maps for equivariant maps and the list of all maps, the
+underlying-carrier site and the restriction of ends along site functors,
+the checks of the augmentation square, the reconstruction composite and
+both adjunctions, and the hypothesis strategies of band-rich monoids and of
+transformation monoids."""
 
 import itertools
 import json
 
 from hypothesis import settings, strategies as st
 
-from galmon import samples
-from galmon.finset import FinSet, SizingError, MAX_ENUMERATION
-from galmon.monoid import Monoid, enumerate_submonoids
-from galmon.actions import MAction
-from galmon.galois import Subfunctor, _mask, _naturality_violation, invariants_oracle
+from galmon import actions, samples
+from galmon.finset import FinMap, FinSet, SizingError, MAX_ENUMERATION, curry, product
+from galmon.monoid import Monoid, enumerate_submonoids, submonoid, trivial_monoid
+from galmon.actions import MAction, Site, restrict_action, trivial_action
+from galmon.ends import EndError, end_of_forgetful, reconstruction_hom, trivial_path
+from galmon.galois import Subfunctor, _mask, _naturality_violation
 
 settings.register_profile("galmon", deadline=None, max_examples=60)
 settings.load_profile("galmon")
 
 
+def monoid_doc(m):
+    """m as a document of the CLI's monoid schema."""
+    return {"elements": list(m.elements), "unit": m.unit,
+            "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}}
+
+
 def write_monoid(path, m):
     """Write m as a monoid file of the CLI schema."""
     with open(path, "w") as fd:
-        json.dump({"elements": list(m.elements), "unit": m.unit,
-                   "table": {a: {b: m.mul(a, b) for b in m.elements} for a in m.elements}},
-                  fd)
+        json.dump(monoid_doc(m), fd)
 
 
 def products(m):
@@ -76,6 +85,14 @@ NONASSOC = Monoid(FinSet(("a", "b", "e")), "e",
                    ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a"})
 
 
+def generated_inclusion(m, g):
+    """The inclusion of the submonoid of m that g generates."""
+    S = {m.unit, g}
+    while any(m.mul(a, b) not in S for a in S for b in S):
+        S |= {m.mul(a, b) for a in S for b in S}
+    return submonoid(m, S)[1]
+
+
 def submonoids_oracle(m):
     """All submonoids as element tuples, ordered by size then element list,
     by scanning the subsets that contain the unit and keeping the closed
@@ -122,6 +139,13 @@ def point_sets(V):
 def included(V, W):
     """Per-object inclusion of the chosen elements, V in W."""
     return all(map(frozenset.issubset, point_sets(V), point_sets(W)))
+
+
+def invariants_oracle(h, site):
+    """The invariants of h by a direct scan: keep x with h(b).x = x for all b."""
+    return Subfunctor(site, {name: tuple(x for x in act.carrier
+                                         if all(act.apply(h(b), x) == x for b in h.src.elements))
+                             for name, act in zip(site.names, site.objects)})
 
 
 def stabilizer_oracle(V):
@@ -303,6 +327,185 @@ def equivariant_filter(M, N):
     aM, aN = M.table, N.table
     return [t for t in itertools.product(range(len(N.carrier)), repeat=len(M.carrier))
             if all(t[aM[a][p]] == aN[a][t[p]] for a in aM for p in range(len(t)))]
+
+
+def hom_set(X, Y):
+    """All total maps X -> Y as FinMaps, in canonical table order."""
+    return [FinMap(X, Y, dict(zip(X.elements, images)))
+            for images in itertools.product(Y.elements, repeat=len(X))]
+
+
+def underlying_site(site):
+    """The site of underlying carriers: trivial actions of the one-point
+    monoid on the distinct carriers, with the index map from `site`."""
+    t = trivial_monoid()
+    carriers = []
+    for act in site.objects:
+        if act.carrier not in carriers:
+            carriers.append(act.carrier)
+    carriers.sort(key=lambda c: (len(c), c.elements))
+    base = Site(t, [("X%d" % i, trivial_action(t, c)) for i, c in enumerate(carriers)])
+    ob_map = tuple(carriers.index(act.carrier) for act in site.objects)
+    return base, ob_map
+
+
+class SiteFunctor:
+    """An object reindexing between sites that keeps carriers and maps as
+    they are; each source morphism must already be a target morphism."""
+
+    def __init__(self, src, dst, ob_map):
+        if len(ob_map) != src.nobj:
+            raise EndError("object map must cover the source site")
+        for i, gi in enumerate(ob_map):
+            if src.objects[i].carrier != dst.objects[gi].carrier:
+                raise EndError("functor must preserve the carrier of %r" % src.names[i])
+        for i, j in itertools.product(range(src.nobj), repeat=2):
+            gi, gj = ob_map[i], ob_map[j]
+            if dst._pair_is_lazy(gi, gj):
+                continue  # every map is a morphism there
+            allowed = set(dst._filtered(gi, gj))
+            for f in src.iter_hom_tuples(i, j):
+                if f not in allowed:
+                    raise EndError("a morphism %r -> %r is not a morphism downstairs"
+                                   % (src.names[i], src.names[j]))
+        self.src = src
+        self.dst = dst
+        self.ob_map = tuple(ob_map)
+
+
+def restrict_end(end, functor, target_end):
+    """Restrict a self-hom end along a site functor into its site: the map
+    End[W] -> End[W o G] that drops the components the functor does not
+    reach, as the index in target_end.carrier of each family of
+    end.carrier.  Dropping components commutes with componentwise
+    composition, so it is a monoid map."""
+    if functor.dst != end.site:
+        raise EndError("functor must land in the end's site")
+    kept = [tuple(fam[gi] for gi in functor.ob_map) for fam in end.carrier]
+    if not all(map(target_end.carrier.__contains__, kept)):
+        raise EndError("a restricted family fails the wedge condition downstairs")
+    return tuple(map(target_end.carrier.index, kept))
+
+
+def extend_with_trivials(site):
+    """The site plus a trivial action on every carrier it mentions, and the
+    functor data of both directions of the extension."""
+    base, _ = underlying_site(site)
+    objects = list(zip(site.names, site.objects))
+    acts = list(site.objects)
+    into = []
+    for i, b in enumerate(base.objects):
+        t = trivial_action(site.monoid, b.carrier)
+        if t not in acts:
+            objects.append(("E(X%d)" % i, t))
+            acts.append(t)
+        into.append(acts.index(t))
+    extended = Site(site.monoid, objects)
+    _, down = underlying_site(extended)  # the same carriers in the same order
+    return extended, base, tuple(into), down
+
+
+def augmentation_square_check(m, site):
+    """Three identities of the underlying-carrier restriction.
+
+    First: restricting to carriers and coming back along the trivial-action
+    section is the identity on the carrier end.  Second: the carrier end's
+    unit restricts to End[U]'s.  Third: the trivial path agrees with the
+    family of curried projections A x X -> X, object by object, read back
+    as index tuples.  All are checked elementwise.
+    """
+    extended, base, into, down = extend_with_trivials(site)
+    end_up = end_of_forgetful(extended)
+    end_base = end_of_forgetful(base)
+    to_up = restrict_end(end_base, SiteFunctor(extended, base, down), end_up)
+    back = restrict_end(end_up, SiteFunctor(base, extended, into), end_base)
+    if tuple(map(back.__getitem__, to_up)) != tuple(range(len(end_base))):
+        return False
+    if to_up[end_base.carrier.index(end_base.unit())] != end_up.carrier.index(end_up.unit()):
+        return False
+    columns = []  # per object, each element's component
+    for act in extended.objects:
+        X = act.carrier
+        P = product(m.carrier, X)
+        dropped = curry(FinMap(P, X, {p: x for p, (_, x) in P._pairs.items()}))  # constantly 1
+        columns.append([tuple(map(X.index, dropped.cod.map_images(dropped(a))))
+                        for a in m.elements])
+    return all(end_up.carrier.elements[k] == comps
+               for k, comps in zip(trivial_path(m, end_up), zip(*columns)))
+
+
+def reconstruction_composite_check(m, end):
+    """Acting through the reconstruction map reproduces every action table."""
+    return all(end.carrier.elements[k] == tuple(act.table[a] for act in end.site.objects)
+               for a, k in zip(m.elements, reconstruction_hom(m, end)))
+
+
+def check_trivial_fixed_adjunction(m, X, M):
+    """Equivariant maps out of the trivial action on X correspond to plain
+    maps into the fixed points of M.  On index tuples the bijection is the
+    identity: the maps out are the tuples of fixed points, in order.
+    Naturality is spot-checked on endomorphisms k of M and maps g: X -> X:
+    for each map f out, k.f and k.f.g must lie in the hom set."""
+    rows = M.table.values()
+    fixed = [p for p in range(len(M.carrier)) if all(row[p] == p for row in rows)]
+    lhs = actions.hom_tuples(trivial_action(m, X), M)
+    if lhs != list(itertools.product(fixed, repeat=len(X))):
+        return False
+    maps = set(lhs)
+    gs = list(itertools.islice(itertools.product(range(len(X)), repeat=len(X)), 8))
+    for k in actions.hom_tuples(M, M)[:8]:
+        for f in lhs:
+            kf = tuple(map(k.__getitem__, f))
+            if kf not in maps or any(tuple(map(kf.__getitem__, g)) not in maps for g in gs):
+                return False
+    return True
+
+
+def transpose_to_coinduced(h, M, f, at):
+    """Send f: restrict(M) -> N to its mate M -> coinduct(N), x |-> (a |->
+    f(a.x)).  `at` gives the index in coinduct(N) of each image tuple over
+    h's target; a point whose images are no element of it goes to None."""
+    columns = zip(*(map(f.__getitem__, M.table[a]) for a in h.dst.elements))
+    return tuple(map(at.get, columns))
+
+
+def transpose_from_coinduced(h, g, images):
+    """Send g: M -> coinduct(N) to its mate restrict(M) -> N, x |-> g(x)(1),
+    where images[q] is element q of coinduct(N) as its image tuple."""
+    unit = h.dst.carrier.index(h.dst.unit)
+    return tuple(images[q][unit] for q in g)
+
+
+def check_restriction_coinduction_adjunction(h, M, N):
+    """Bijection and spot-checked naturality of restriction -| coinduction:
+    the maps restrict(M) -> N transpose onto the maps M -> K = coinduct(N)
+    and back, and composites with endomorphisms u of M, v of N and K(v) of
+    K lie in their hom sets and transpose to the composites of the mates."""
+    hom_tuples = actions.hom_tuples
+    K = actions.coinduct(h, N)
+    if any(None in row for row in K.table.values()):
+        return False  # a translate fell outside the maps read off
+    images = [tuple(map(N.carrier.index, K.carrier.map_images(e))) for e in K.carrier]
+    at = {t: q for q, t in enumerate(images)}
+    up = {f: transpose_to_coinduced(h, M, f, at) for f in hom_tuples(restrict_action(h, M), N)}
+    if (set(up.values()) != set(hom_tuples(M, K))
+            or any(transpose_from_coinduced(h, g, images) != f for f, g in up.items())):
+        return False
+    for u in hom_tuples(M, M)[:8]:
+        for f, g in up.items():
+            fu = tuple(map(f.__getitem__, u))
+            if fu not in up or up[fu] != tuple(map(g.__getitem__, u)):
+                return False
+    for v in hom_tuples(N, N)[:8]:
+        Kv = [at.get(tuple(map(v.__getitem__, t))) for t in images]
+        if None in Kv or any(Kv[row[q]] != row[Kv[q]] for row in K.table.values()
+                             for q in range(len(Kv))):
+            return False
+        for f, g in up.items():
+            vf = tuple(map(v.__getitem__, f))
+            if vf not in up or up[vf] != tuple(map(Kv.__getitem__, g)):
+                return False
+    return True
 
 
 def is_subgroup_oracle(m, elements):

@@ -12,17 +12,15 @@ import sys
 import time
 from functools import lru_cache
 
+from conftest import (check_restriction_coinduction_adjunction, check_trivial_fixed_adjunction,
+                      invariants_oracle)
 from galmon.finset import FinSet
-from galmon.monoid import (Monoid, MonoidHom, enumerate_submonoids, is_hopf,
-                           hopf_witness, antipode, submonoid)
+from galmon.monoid import MonoidHom, enumerate_submonoids, is_hopf, hopf_witness, antipode
 from galmon.actions import (MAction, Site, trivial_action, free_action,
-                            coset_action, canonical_site, default_site,
-                            check_trivial_fixed_adjunction,
-                            check_restriction_coinduction_adjunction)
+                            coset_action, canonical_site, default_site)
 from galmon.ends import end_of_forgetful, end_monoid, reconstruction_hom
-from galmon.galois import (invariants, invariants_oracle, stabilizer,
-                           stabilizer_via_end, galois_correspondence,
-                           connection_laws)
+from galmon.galois import (invariants, stabilizer, stabilizer_via_end,
+                           galois_correspondence, connection_laws)
 from galmon import samples
 
 FIXTURES = samples.acceptance_fixtures()
@@ -89,7 +87,7 @@ def test_criterion_4_tannakian_reconstruction():
         end = end_of_forgetful(site)
         rho = reconstruction_hom(m, end)
         E = end_monoid(end)
-        ok = ok and rho.is_bijection() and len(E.elements) == len(m.elements)
+        ok = ok and sorted(rho) == list(range(len(end))) and len(E.elements) == len(m.elements)
     elapsed = time.perf_counter() - start
     verdict(4, "the end over {F(1)} reconstructs the monoid", ok, elapsed, 10)
 

@@ -4,20 +4,19 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SAMPLES, entries, maps_monoid
+import conftest
+from conftest import (SAMPLES, check_restriction_coinduction_adjunction,
+                      check_trivial_fixed_adjunction, entries, hom_set, maps_monoid,
+                      transpose_from_coinduced, transpose_to_coinduced, underlying_site)
 from test_acceptance import adjunction_instances
 from galmon import actions, finset
-from galmon.finset import FinSet, FinMap, SizingError, hom_set, singleton
+from galmon.finset import FinSet, SizingError, singleton
 from galmon.monoid import (MonoidHom, submonoid, trivial_monoid, enumerate_submonoids,
                            is_subgroup, is_hopf)
 from galmon.actions import (MAction, ActionError, Site,
                             validate_action, trivial_action, free_action,
-                            restrict_action, hom_tuples, fixed_points,
-                            check_trivial_fixed_adjunction, coinduct,
-                            transpose_to_coinduced, transpose_from_coinduced,
-                            check_restriction_coinduction_adjunction,
-                            coset_action, canonical_site, default_site,
-                            underlying_site)
+                            restrict_action, hom_tuples, coinduct,
+                            coset_action, canonical_site, default_site)
 from galmon import samples
 
 Z2 = samples.cyclic(2)
@@ -118,14 +117,19 @@ def test_hom_tuples_refuses_actions_of_different_monoids():
                                   "different monoids")
 
 
+def fixed_points(M):
+    """The points of M fixed by every element, as the maps into M from the
+    one-point trivial action (trivial action -| fixed points)."""
+    one = trivial_action(M.monoid, singleton())
+    return [M.carrier.elements[y] for (y,) in hom_tuples(one, M)]
+
+
 def test_fixed_points():
-    F, incl = fixed_points(SWAP)
-    assert len(F) == 0
-    F, incl = fixed_points(trivial_action(Z2, FinSet(("0", "1"))))
-    assert F.elements == ("0", "1")
-    assert len(fixed_points(NAT3)[0]) == 0
+    assert fixed_points(SWAP) == []
+    assert fixed_points(trivial_action(Z2, FinSet(("0", "1")))) == ["0", "1"]
+    assert fixed_points(NAT3) == []
     c2, i2 = submonoid(S3, ("e", "(12)"))
-    assert fixed_points(restrict_action(i2, NAT3))[0].elements == ("3",)
+    assert fixed_points(restrict_action(i2, NAT3)) == ["3"]
 
 
 def test_trivial_fixed_adjunction_sizes():
@@ -179,12 +183,12 @@ def test_coinduct_from_trivial_monoid():
     X = trivial_action(one, FinSet(("0", "1")))
     K = coinduct(h, X)
     assert len(K.carrier) == 4
+    at = Z2.carrier.index
     for e in K.carrier:
         for a in Z2.elements:
-            moved = K.apply(a, e)
+            moved = K.carrier.map_images(K.apply(a, e))
             for a2 in Z2.elements:
-                assert (K.carrier.map_apply(moved, a2)
-                        == K.carrier.map_apply(e, Z2.mul(a2, a)))
+                assert moved[at(a2)] == K.carrier.map_images(e)[at(Z2.mul(a2, a))]
 
 
 def test_coinduct_refuses_a_non_action():
@@ -264,13 +268,11 @@ def test_restriction_coinduction_check_flags_a_wrong_transpose(monkeypatch):
     F1 = free_action(S3, singleton())
     assert check_restriction_coinduction_adjunction(h, F1, SWAP)
     first = hom_tuples(restrict_action(h, F1), SWAP)[0]
-    transpose = actions.transpose_to_coinduced
-
     def perturbed(h, M, f, at):
-        g = transpose(h, M, f, at)
+        g = transpose_to_coinduced(h, M, f, at)
         return ((g[0] + 1) % len(at),) + g[1:] if f == first else g
 
-    monkeypatch.setattr(actions, "transpose_to_coinduced", perturbed)
+    monkeypatch.setattr(conftest, "transpose_to_coinduced", perturbed)
     assert check_restriction_coinduction_adjunction(h, F1, SWAP) is False
 
 

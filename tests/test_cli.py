@@ -14,15 +14,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (maps_monoid, products, submonoids_oracle, transformation_monoid,
-                      write_monoid)
+from conftest import (invariants_oracle, maps_monoid, products, submonoids_oracle,
+                      transformation_monoid, write_monoid)
 from galmon import finset, samples
 from galmon import report as writer
 from galmon.actions import default_site
 from galmon.cli import (COMMANDS, InputError, _corr_dot, _field, _hasse_edges,
                         _symbol, build_parser, parse_monoid, run)
 from galmon.finset import FinSet
-from galmon.galois import galois_correspondence, invariants_oracle
+from galmon.galois import galois_correspondence
 from galmon.monoid import Monoid, enumerate_submonoids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -532,6 +532,16 @@ def test_end_reconstruction(capsys):
     assert doc["size"] == 3
     assert doc["reconstruction"]["isomorphism"]
     assert doc["reconstruction"]["kernel_pairs"] == []
+
+
+def test_end_reconstruction_over_a_fixed_point_identifies_everything(capsys):
+    code, doc = run_json(capsys, ["end", "--monoid", fx("z4.json"), "--site", "trivial"])
+    assert code == 0
+    assert doc["size"] == 1
+    rec = doc["reconstruction"]
+    assert not rec["injective"] and not rec["isomorphism"]
+    pairs = itertools.combinations(["e", "g", "g2", "g3"], 2)
+    assert rec["kernel_pairs"] == [list(p) for p in pairs]
 
 
 def test_end_sizing_guard(capsys, monkeypatch):

@@ -4,19 +4,18 @@ import os
 
 import pytest
 
-from galmon.finset import FinSet, FinMap, SizingError, exponential, hom_set, product
-from galmon.monoid import Monoid, is_hopf, kernel_pairs, submonoid, trivial_monoid
-from galmon.actions import (MAction, Site, trivial_action, free_action,
-                            canonical_site, default_site, coset_action,
-                            underlying_site)
+import conftest
+from conftest import (SiteFunctor, augmentation_square_check, extend_with_trivials,
+                      reconstruction_composite_check, restrict_end)
+from galmon.finset import FinSet, SizingError, product
+from galmon.monoid import Monoid, is_hopf, kernel_pairs, trivial_monoid
+from galmon.actions import (MAction, Site, trivial_action,
+                            canonical_site, default_site, coset_action)
 from galmon.ends import (EndError, ForgetfulDiagram, internal_nat,
-                         end_of_forgetful, end_monoid, SiteFunctor,
-                         restrict_end, reconstruction_hom,
-                         reconstruction_composite_check, trivial_path,
-                         extend_with_trivials, augmentation_square_check,
-                         family_restriction)
+                         end_of_forgetful, end_monoid, reconstruction_hom,
+                         trivial_path, family_restriction)
 from galmon.galois import GaloisError, Subfunctor
-from galmon import ends, finset, samples
+from galmon import finset, samples
 from galmon.cli import parse_monoid
 
 Z2 = samples.cyclic(2)
@@ -90,21 +89,21 @@ def test_reconstruction_trivial_monoid():
     one = trivial_monoid()
     site = canonical_site(one, "free")
     rho = reconstruction_hom(one, end_of_forgetful(site))
-    assert rho.is_bijection()
+    assert rho == (0,)
 
 
 def test_reconstruction_is_iso_over_free_site():
     for m in [Z2, Z3, E2, S3]:
         end = end_of_forgetful(free_site(m))
         rho = reconstruction_hom(m, end)
-        assert rho.is_bijection()
+        assert sorted(rho) == list(range(len(end))) == list(range(len(m)))
         assert reconstruction_composite_check(m, end)
 
 
 def test_reconstruction_injective_with_free_object_present():
     end = end_of_forgetful(default_site(S3))
     rho = reconstruction_hom(S3, end)
-    assert rho.is_injective()
+    assert len(set(rho)) == len(S3)
     assert reconstruction_composite_check(S3, end)
 
 
@@ -115,8 +114,8 @@ def test_reconstruction_kernel_without_free_object():
     end = end_of_forgetful(site)
     assert len(end) == 2
     rho = reconstruction_hom(S3, end)
-    assert not rho.is_injective()
-    kernel = {frozenset(p) for p in kernel_pairs(rho)}
+    assert len(set(rho)) == 2
+    kernel = {frozenset(p) for p in kernel_pairs(S3.elements, rho)}
     assert len(kernel) == 6
     assert frozenset(("(123)", "(132)")) in kernel
     assert frozenset(("(12)", "(13)")) in kernel
@@ -136,7 +135,7 @@ def test_restrict_end_along_identity():
     site = default_site(Z2)
     end = end_of_forgetful(site)
     r = restrict_end(end, SiteFunctor(site, site, tuple(range(site.nobj))), end)
-    assert all(r(e) == e for e in end.carrier)
+    assert r == tuple(range(len(end)))
 
 
 def test_restrict_end_to_one_object_is_that_projection():
@@ -145,9 +144,8 @@ def test_restrict_end_to_one_object_is_that_projection():
     sub = Site(Z2, [("F(1)", site.objects[site.names.index("F(1)")])])
     sub_end = end_of_forgetful(sub)
     r = restrict_end(end, SiteFunctor(sub, site, (0,)), sub_end)
-    assert r.cod == sub_end.carrier
-    for e in end.carrier:
-        assert r(e) == (e[0],)
+    for e, k in zip(end.carrier, r):
+        assert sub_end.carrier.elements[k] == (e[0],)
 
 
 def test_restrict_end_composes():
@@ -158,7 +156,7 @@ def test_restrict_end_composes():
     rBA = restrict_end(endA, SiteFunctor(B, A, (0, 1)), endB)
     rCB = restrict_end(endB, SiteFunctor(C, B, (0,)), endC)
     rCA = restrict_end(endA, SiteFunctor(C, A, (0,)), endC)
-    assert rCB * rBA == rCA
+    assert tuple(map(rCB.__getitem__, rBA)) == rCA
 
 
 def test_trivial_path_lands_on_unit():
@@ -166,7 +164,7 @@ def test_trivial_path_lands_on_unit():
     end = end_of_forgetful(site)
     path = trivial_path(Z2, end)
     unit = end.monoid().unit
-    assert all(path(a) == unit for a in Z2.elements)
+    assert [end.carrier.elements[k] for k in path] == [unit] * len(Z2)
 
 
 def test_extend_with_trivials():
@@ -194,13 +192,13 @@ def test_augmentation_square_curries_each_projection_once(fixture, objects, monk
         m = parse_monoid(json.load(fd))
     site = default_site(m)
     assert extend_with_trivials(site)[0].nobj == objects
-    calls, curry = [], ends.curry
+    calls, curry = [], conftest.curry
 
     def counted(f):
         calls.append(f)
         return curry(f)
 
-    monkeypatch.setattr(ends, "curry", counted)
+    monkeypatch.setattr(conftest, "curry", counted)
     assert augmentation_square_check(m, site)
     assert len(calls) == objects
 
@@ -213,20 +211,20 @@ def test_augmentation_square_checks_that_the_carrier_unit_restricts_to_the_unit(
     extended, base, into, down = extend_with_trivials(site)
     end_up, end_base = end_of_forgetful(extended), end_of_forgetful(base)
     assert len(end_base) == 1
-    g = next(fam for fam in end_up.carrier if fam != end_up.unit())
-    restrict = ends.restrict_end
+    g = next(k for k, fam in enumerate(end_up.carrier) if fam != end_up.unit())
+    unit = end_up.carrier.index(end_up.unit())
 
     def skewed(end, functor, target_end):
-        r = restrict(end, functor, target_end)
-        return FinMap(r.dom, r.cod, {e: g for e in r.dom}) if functor.src == extended else r
+        r = restrict_end(end, functor, target_end)
+        return (g,) * len(r) if functor.src == extended else r
 
     to_up = skewed(end_base, SiteFunctor(extended, base, down), end_up)
     back = skewed(end_up, SiteFunctor(base, extended, into), end_base)
-    assert back * to_up == FinMap.identity(end_base.carrier)
-    assert to_up(end_base.unit()) != end_up.unit()
-    assert all(trivial_path(Z2, end_up)(a) == end_up.unit() for a in Z2.elements)
+    assert tuple(map(back.__getitem__, to_up)) == (0,)
+    assert to_up[0] != unit
+    assert trivial_path(Z2, end_up) == (unit,) * len(Z2)
     assert augmentation_square_check(Z2, site)
-    monkeypatch.setattr(ends, "restrict_end", skewed)
+    monkeypatch.setattr(conftest, "restrict_end", skewed)
     assert not augmentation_square_check(Z2, site)
 
 
@@ -293,17 +291,9 @@ def test_sizing_guard_family_product(monkeypatch):
 
 def test_refusals_name_layer_count_and_limit():
     big = FinSet(tuple("x%04d" % i for i in range(4000)))
-    eight = FinSet(tuple(str(i) for i in range(8)))
-    refusals = [
-        (lambda: product(big, big),
-         "finset.product: 4000 x 4000 elements exceed the limit of 10000000"),
-        (lambda: hom_set(eight, eight),
-         "finset.hom_set: 8^8 maps exceed the limit of 10000000"),
-    ]
-    for refuse, message in refusals:
-        with pytest.raises(SizingError) as exc:
-            refuse()
-        assert str(exc.value) == message
+    with pytest.raises(SizingError) as exc:
+        product(big, big)
+    assert str(exc.value) == "finset.product: 4000 x 4000 elements exceed the limit of 10000000"
 
 
 def test_monoid_needs_self_hom_end():
@@ -318,16 +308,16 @@ def test_family_restriction_full_and_empty():
     site = default_site(Z2)
     end = end_of_forgetful(site)
     cut, target = family_restriction(end, Subfunctor.full(site))
-    assert cut.is_bijection()
+    assert cut == tuple(range(len(end))) and len(target) == len(end)
     cut, target = family_restriction(end, Subfunctor.empty(site))
     assert len(target) == 1
-    assert all(cut(e) == target.carrier.elements[0] for e in end.carrier)
+    assert cut == (0,) * len(end)
 
 
 def test_family_restriction_components():
     site = default_site(S3)
     end = end_of_forgetful(site)
     cut, target = family_restriction(end, Subfunctor.full(site))
-    for e in end.carrier:
+    for e, k in zip(end.carrier, cut):
         for i in range(site.nobj):
-            assert cut(e)[i] == e[i]
+            assert target.carrier.elements[k][i] == e[i]

@@ -1,19 +1,27 @@
+import contextlib
 import gc
+import io
 import itertools
+import json
+import os
 import random
+import tempfile
 import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, SAMPLES, T3, band_monoids, correspondence_oracle, included,
-                      law_failures_oracle, point_sets, subfunctors_oracle,
-                      transformation_monoids)
+from conftest import (NONASSOC, S4, SAMPLES, T3, augmentation_square_check, band_monoids,
+                      correspondence_oracle, generated_inclusion, included, invariants_oracle,
+                      law_failures_oracle, monoid_doc, point_sets, reconstruction_composite_check,
+                      subfunctors_oracle, transformation_monoids)
+from galmon.cli import run
+from galmon.ends import end_of_forgetful
 from galmon.finset import FinSet, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
 from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
 from galmon.galois import (GaloisError, Subfunctor, _naturality_violation, fixes, invariants,
-                           invariants_oracle, stabilizer, stabilizer_via_end,
+                           stabilizer, stabilizer_via_end,
                            galois_correspondence, connection_laws,
                            connection_law_failures, random_subfunctor)
 from galmon import samples
@@ -410,3 +418,57 @@ def test_extras_over_another_site_are_refused():
     extra = Subfunctor.full(default_site(Z4))
     with pytest.raises(GaloisError):
         connection_law_failures(Z4, canonical_site(Z4, "free+trivial"), [extra])
+
+
+def inv_report(m, incl, spec, custom):
+    """The `inv` report of incl over the site spec, each custom action written as a file."""
+    S = incl.src
+    docs = {"m": monoid_doc(m),
+            "h": {"src": monoid_doc(S), "map": {b: incl(b) for b in S.elements}}}
+    for name, act in custom:
+        docs[name] = {"set": list(act.carrier), "act": {
+            a: {x: act.apply(a, x) for x in act.carrier} for a in m.elements}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: os.path.join(tmp, name + ".json") for name in docs}
+        for name, doc in docs.items():
+            with open(path[name], "w") as fd:
+                json.dump(doc, fd)
+        argv = ["inv", "--monoid", path["m"], "--hom", path["h"], "--site", spec]
+        for name, _ in custom:
+            argv += ["--action", path[name]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def assert_tuple_route(m, spec, custom, incls, rng):
+    """On the site of spec, the stabilizer through the end equals the direct
+    one on the invariants of each inclusion, on a random subfunctor and on
+    the empty one; the augmentation square and the reconstruction composite
+    hold; and inv's adjoint route, Fix(Res_h X), equals invariants and the scan."""
+    site = default_site(m) if spec == "default" else canonical_site(m, spec, custom=custom)
+    assert augmentation_square_check(m, site)
+    assert reconstruction_composite_check(m, end_of_forgetful(site))
+    subs = [invariants(incl, site) for incl in incls]
+    for V in subs + [random_subfunctor(site, rng), Subfunctor.empty(site)]:
+        assert stabilizer_via_end(V).elements == stabilizer(V)[0].elements
+    for incl, V in zip(incls, subs):
+        doc = inv_report(m, incl, spec, custom)
+        assert doc["oracle"] == doc["invariants"] == V.as_dict()
+        assert V == invariants_oracle(incl, site)
+
+
+@given(transformation_monoids(), st.randoms(use_true_random=False))
+def test_the_tuple_route_on_transformation_monoids(drawn, rng):
+    m, act, gens = drawn
+    incls = [generated_inclusion(m, g) for g in gens]
+    spec = "free+trivial+custom" if len(m) <= 5 else "trivial+custom"
+    assert_tuple_route(m, spec, [("X", act)], incls, rng)
+
+
+@given(band_monoids(), st.data(), st.randoms(use_true_random=False))
+def test_the_tuple_route_on_bands(m, data, rng):
+    subs = list(enumerate_submonoids(m))
+    drawn = data.draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3))
+    assert_tuple_route(m, "default", [], [incl for _, incl in drawn], rng)

