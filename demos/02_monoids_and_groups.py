@@ -1,9 +1,9 @@
 """Monoids from Cayley tables; telling groups apart from monoids with the
-fusion map (a,b) -> (a,ab), which is a bijection exactly for groups."""
+fusion map (a,b) -> (a,ab), which is a bijection exactly for groups: read
+off the table, exactly when every row b -> ab is one."""
 
 from galmon.monoid import (validate_monoid, enumerate_submonoids,
-                           enumerate_subgroups, fusion_morphism, is_hopf,
-                           hopf_witness, antipode)
+                           enumerate_subgroups, is_hopf, hopf_witness, antipode)
 from galmon import samples
 
 s3 = samples.symmetric3()
@@ -19,13 +19,15 @@ assert len(enumerate_subgroups(s3)) == 6  # in a group they coincide
 
 # fusion on a group is a bijection, and its failure names a witness
 assert is_hopf(s3)
-s = antipode(s3)
-print("antipode of (123):", s("(123)"))
-assert s("(123)") == "(132)"
+s = dict(zip(s3.elements, map(s3.elements.__getitem__, antipode(s3))))  # index tuple
+print("antipode of (123):", s["(123)"])
+assert s["(123)"] == "(132)"
 
+# row z of E2's table sends e and z both to z, so fusion sends (z,e) and
+# (z,z) both to (z,z)
 e2 = samples.idempotent_pair()
-fus = fusion_morphism(e2)
-print("fusion collision in E2: (z,e) and (z,z) both ->", fus("(z,e)"))
+assert e2.mul("z", "e") == e2.mul("z", "z")
+print("fusion collision in E2: (z,e) and (z,z) both ->", "(z,%s)" % e2.mul("z", "e"))
 assert not is_hopf(e2)
 print("non-invertible witness:", hopf_witness(e2))
 

@@ -13,7 +13,7 @@ from .monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                      validate_monoid, laws_hold, generators, trivial_monoid,
                      submonoid, submonoid_tuples,
                      is_subgroup, enumerate_submonoids, enumerate_subgroups,
-                     fusion_morphism, is_hopf, hopf_witness, antipode, kernel_pairs)
+                     is_hopf, hopf_witness, antipode, kernel_pairs)
 from .actions import (MAction, ActionError, Site,
                       validate_action, trivial_action, free_action,
                       restrict_action, hom_tuples, coinduct,

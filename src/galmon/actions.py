@@ -21,7 +21,7 @@ points), and `coinduct` is the right adjoint of `restrict_action`.
 import itertools
 
 from . import finset
-from .finset import FinSet, FunctionSet, product, singleton
+from .finset import FinSet, map_label, product, singleton
 from .monoid import (generators, laws_hold, acts_along, associativity_failures,
                      submonoid_tuples, is_subgroup, hopf_witness, is_hopf)
 
@@ -175,7 +175,7 @@ def restrict_action(h, M):
     """Pull an action on the target of h back along h."""
     if M.monoid != h.dst:
         raise ActionError("restriction needs an action of the hom's target")
-    return MAction._trusted(h.src, M.carrier, {b: M.table[h(b)] for b in h.src.elements})
+    return MAction._trusted(h.src, M.carrier, h.pull_back(M.table))
 
 
 def read_off(reps, relations, pos, rows, sizes, layer="actions", made=0):
@@ -232,10 +232,11 @@ def coinduct(h, N):
     if bad:
         raise ActionError("actions.coinduct: N is not an action: %s" % bad[0])
     A, ys = h.dst, N.carrier.elements
-    twisted = MAction._trusted(h.src, A.carrier, {b: A.table[h(b)] for b in h.src.elements})
-    K = FunctionSet(A.carrier, N.carrier, [tuple(map(ys.__getitem__, t))
-                                           for t in hom_tuples(twisted, N)])
-    images = [tuple(map(N.carrier.index, K.map_images(e))) for e in K]
+    twisted = MAction._trusted(h.src, A.carrier, h.pull_back(A.table))
+    labelled = {map_label(A.elements, tuple(map(ys.__getitem__, t))): t
+                for t in hom_tuples(twisted, N)}
+    K = FinSet(labelled, check=False)
+    images = list(map(labelled.__getitem__, K))
     at = {t: q for q, t in enumerate(images)}
     table = {}
     for col, a in enumerate(A.elements):

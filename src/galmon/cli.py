@@ -191,8 +191,7 @@ def cmd_hopf(args):
     m = _monoid_from(args)
     report = {"schema": SCHEMA, "command": "hopf", "hopf": is_hopf(m)}
     if report["hopf"]:
-        s = antipode(m)
-        report["antipode"] = {a: s(a) for a in m.elements}
+        report["antipode"] = dict(zip(m.elements, map(m.elements.__getitem__, antipode(m))))
         report["witness"] = None
     else:
         report["antipode"] = None

@@ -1,13 +1,15 @@
 """Finite sets and total maps: the ambient cartesian closed category.
 
 Elements are plain strings.  Carriers built by product() remember how their
-pairs were assembled; a FunctionSet encodes and decodes its own function
-elements, so currying never parses labels.  The internal hom [X, Z] is a
-FunctionSet that lists its |Z|^|X| elements only when iterated.  A map
-elsewhere in the package is often its index tuple, the position of each
-image in the codomain, in domain order; `equalizer` takes two of those.
-Every constructor sorts elements into a single canonical order, every
-operation here is pure, and nothing is cached between calls.
+pairs were assembled.  The internal hom [X, Z] is a FunctionSet that
+encodes and decodes its own function elements, so currying never parses
+labels, and lists its |Z|^|X| elements only when iterated; a set of some
+maps is a plain FinSet of their `map_label`s.  A FinMap is a name table,
+kept for `curry`; a map elsewhere in the package is its index tuple, the
+position of each image in the codomain, in domain order, and `equalizer`
+takes two of those.  Every constructor sorts elements into a single
+canonical order, every operation here is pure, and nothing is cached
+between calls.
 """
 
 import itertools
@@ -124,21 +126,18 @@ class FinSet:
 
 
 class FunctionSet(FinSet):
-    """Function elements X -> Z: all of [X, Z], or the maps with the given
-    image tuples (over X's order).
+    """All function elements X -> Z, the internal hom [X, Z].
 
     Elements are labelled with map_label and decoded from what this set has
-    encoded.  The full [X, Z] answers len() from |Z|^|X| and lists its
-    elements only when iterated or asked for one it has not encoded.
+    encoded.  It answers len() from |Z|^|X| and lists its elements only
+    when iterated or asked for one it has not encoded.
     """
 
-    def __init__(self, base, target, images=None):
-        self.base, self.target, self._full = base, target, images is None
+    def __init__(self, base, target):
+        self.base, self.target = base, target
         self._images, self._codes = {}, {}  # elem <-> images over base.elements
         self._hash = self._pairs = self._factors = self._sorted = None
-        for t in images or ():
-            self._encode(tuple(t))
-        self._size = len(target) ** len(base) if self._full else len(self._images)
+        self._size = len(target) ** len(base)
 
     def _encode(self, images):
         elem = map_label(self.base.elements, images)
@@ -149,11 +148,10 @@ class FunctionSet(FinSet):
     @property
     def elements(self):
         if self._sorted is None:
-            if self._full:
-                if self._size > MAX_ENUMERATION:
-                    raise self._refusal()
-                for t in itertools.product(self.target.elements, repeat=len(self.base)):
-                    self._encode(t)
+            if self._size > MAX_ENUMERATION:
+                raise self._refusal()
+            for t in itertools.product(self.target.elements, repeat=len(self.base)):
+                self._encode(t)
             self._sorted = tuple(sorted(self._images))
             self._lookup = {x: i for i, x in enumerate(self._sorted)}
         return self._sorted
@@ -168,7 +166,7 @@ class FunctionSet(FinSet):
         return self._size
 
     def __contains__(self, x):
-        if x not in self._images and self._full and self._sorted is None:
+        if x not in self._images and self._sorted is None:
             self.elements  # a label not encoded yet: list [X, Z]
         return x in self._images
 
@@ -177,8 +175,8 @@ class FunctionSet(FinSet):
         return self._lookup[x]
 
     def __eq__(self, other):
-        # a full set of two or more maps determines its X and Z
-        if isinstance(other, FunctionSet) and self._full and other._full and self._size > 1:
+        # a set of two or more maps determines its X and Z
+        if isinstance(other, FunctionSet) and self._size > 1:
             return self.base == other.base and self.target == other.target
         return FinSet.__eq__(self, other)
 
@@ -195,72 +193,39 @@ class FunctionSet(FinSet):
         images = tuple(images)
         if images in self._codes:
             return self._codes[images]
-        if (not self._full or len(images) != len(self.base)
-                or any(z not in self.target for z in images)):
+        if len(images) != len(self.base) or any(z not in self.target for z in images):
             raise FinSetError("no function element with images %r" % (images,))
         return self._encode(images)
+
+
+def check_total(dom, cod, assignment):
+    """Raise FinSetError at the first element of dom that the assignment
+    leaves undefined, else the first it sends outside cod, else a key
+    outside dom."""
+    missing = [x for x in dom if x not in assignment]
+    if missing:
+        raise FinSetError("map undefined at %r" % missing[0])
+    for x in dom:
+        if assignment[x] not in cod:
+            raise FinSetError("image %r of %r lies outside the codomain" % (assignment[x], x))
+    if len(assignment) != len(dom):
+        extra = sorted(set(assignment) - set(dom))
+        raise FinSetError("assignment mentions %r outside the domain" % extra[0])
 
 
 class FinMap:
     """A total map between finite sets, stored as an assignment table."""
 
     def __init__(self, dom, cod, assignment):
-        missing = [x for x in dom if x not in assignment]
-        if missing:
-            raise FinSetError("map undefined at %r" % missing[0])
-        table = {}
-        for x in dom:
-            y = assignment[x]
-            if y not in cod:
-                raise FinSetError("image %r of %r lies outside the codomain" % (y, x))
-            table[x] = y
-        if len(assignment) != len(table):
-            extra = sorted(set(assignment) - set(table))
-            raise FinSetError("assignment mentions %r outside the domain" % extra[0])
-        self.dom = dom
-        self.cod = cod
-        self.assignment = table
-        self._hash = None
-
-    @classmethod
-    def identity(cls, X):
-        return cls(X, X, {x: x for x in X})
+        check_total(dom, cod, assignment)
+        self.dom, self.cod, self.assignment = dom, cod, {x: assignment[x] for x in dom}
 
     def __call__(self, x):
         return self.assignment[x]
 
-    def __mul__(self, other):
-        """Composition, self after other."""
-        if other.cod != self.dom:
-            raise FinSetError("composition mismatch: %r then %r" % (other, self))
-        return FinMap(other.dom, self.cod,
-                      {x: self.assignment[y] for x, y in other.assignment.items()})
-
     def __eq__(self, other):
         return (isinstance(other, FinMap) and self.dom == other.dom
                 and self.cod == other.cod and self.assignment == other.assignment)
-
-    def __hash__(self):
-        if self._hash is None:
-            items = tuple(self.assignment[x] for x in self.dom)
-            self._hash = hash((self.dom.elements, self.cod.elements, items))
-        return self._hash
-
-    def __repr__(self):
-        items = ["%s%s%s" % (x, ARROW, y) for x, y in list(self.assignment.items())[:6]]
-        if len(self.assignment) > 6:
-            items.append("...[%d]" % len(self.assignment))
-        return "FinMap{%s}" % ",".join(items)
-
-    def is_injective(self):
-        return len(set(self.assignment.values())) == len(self.dom)
-
-    def is_bijection(self):
-        return len(self.dom) == len(self.cod) and self.is_injective()
-
-    def image_tuple(self):
-        """Images in domain order; the canonical key of this map."""
-        return tuple(self.assignment[x] for x in self.dom)
 
 
 _SINGLETON = FinSet(("*",))

@@ -4,17 +4,19 @@ A monoid's table is its action on itself, in the row format of actions,
 so one along-generators check (Light's test) and one associativity scan
 over rows serve both the monoid law and the action law.
 
-Also the structure the product monad carries: homomorphisms, generating
-sets (on which the laws are checked), submonoids (each found once by
-prefix-preserving closure extension, and refused past MAX_MATERIALIZED of
-them or MAX_ENUMERATION closure products made), and the fusion test that
-detects when a monoid is a group (and so has an antipode).
+Also the structure the product monad carries: homomorphisms, each its
+index tuple into the target's carrier and checked as an action along
+generators, generating sets (on which the laws are checked), submonoids
+(each found once by prefix-preserving closure extension, and refused past
+MAX_MATERIALIZED of them or MAX_ENUMERATION closure products made), and the
+Hopf test, which reads off the rows whether the fusion map (a, b) -> (a, ab)
+is a bijection, that is, whether the monoid is a group with an antipode.
 """
 
 import itertools
 
 from . import finset
-from .finset import FinSet, FinMap, pair_label, product
+from .finset import FinSet
 
 
 class MonoidError(Exception):
@@ -37,8 +39,7 @@ class Monoid:
     dict (a, b) -> ab of element names and converts it, as `from_rows` does
     row objects a -> {b: ab}; package builders write rows through
     `_trusted`.  The laws are validate_monoid's.  The instance keeps its
-    hash, generating set, laws' verdict, units, submonoids and whether it
-    is a group once computed.
+    hash, generators, laws' verdict, units, submonoids and Hopf verdict.
     """
 
     def __init__(self, carrier, unit, table):
@@ -201,54 +202,52 @@ def trivial_monoid():
 
 
 class MonoidHom:
-    """A monoid homomorphism, validated on construction."""
+    """A monoid hom given by element names; `images` is the index in
+    dst.carrier of each src element's image, in element order.  When both
+    laws hold, h is a hom iff dst's regular action, faithful, pulled back
+    along h passes `acts_along` on src's generators.  Only a failure, or an
+    unlawful monoid, runs the ordered checks, whose first failure is raised."""
 
     def __init__(self, src, dst, assignment):
-        if isinstance(assignment, FinMap):
-            if assignment.dom != src.carrier or assignment.cod != dst.carrier:
-                raise MonoidError("hom carrier map has the wrong endpoints")
-            fmap = assignment
-        else:
-            fmap = FinMap(src.carrier, dst.carrier, assignment)
-        if fmap(src.unit) != dst.unit:
-            raise MonoidError("hom sends unit to %r" % fmap(src.unit))
-        for a, b in itertools.product(src.elements, repeat=2):
-            if fmap(src.mul(a, b)) != dst.mul(fmap(a), fmap(b)):
-                raise MonoidError("hom breaks multiplicativity at (%s, %s)" % (a, b))
-        self.src, self.dst, self.map = src, dst, fmap
+        images = tuple(map(dst.carrier._lookup.get, map(assignment.get, src.elements)))
+        self.src, self.dst, self.images = src, dst, images
+        if (None in images or len(assignment) != len(images)
+                or not (laws_hold(src) and laws_hold(dst))
+                or not acts_along(src, self.pull_back(dst.table), generators(src))):
+            _raise_hom_failure(src, dst, assignment)
 
     @classmethod
-    def _trusted(cls, src, dst, fmap):
+    def _trusted(cls, src, dst, images):
         """A hom the caller has already checked unital and multiplicative."""
         h = cls.__new__(cls)
-        h.src, h.dst, h.map = src, dst, fmap
+        h.src, h.dst, h.images = src, dst, tuple(images)
         return h
 
-    @classmethod
-    def identity(cls, m):
-        return cls(m, m, FinMap.identity(m.carrier))
+    def __call__(self, b):
+        return self.dst.elements[self.images[self.src.carrier.index(b)]]
 
-    def __call__(self, a):
-        return self.map(a)
-
-    def __mul__(self, other):
-        """Composition, self after other."""
-        if other.dst != self.src:
-            raise MonoidError("hom composition mismatch")
-        return MonoidHom(other.src, self.dst, self.map * other.map)
+    def pull_back(self, table):
+        """The rows of an action of dst (or its table), one per src element: its image's."""
+        rows = list(map(table.__getitem__, self.dst.elements))
+        return dict(zip(self.src.elements, map(rows.__getitem__, self.images)))
 
     def __eq__(self, other):
         return (isinstance(other, MonoidHom) and self.src == other.src
-                and self.dst == other.dst and self.map == other.map)
+                and self.dst == other.dst and self.images == other.images)
 
     def __hash__(self):
-        return hash((self.src, self.dst, self.map))
+        return hash((self.src, self.dst, self.images))
 
-    def __repr__(self):
-        return "MonoidHom(%r)" % self.map
 
-    def is_injective(self):
-        return self.map.is_injective()
+def _raise_hom_failure(src, dst, assignment):
+    """Raise the first failure: an image undefined or outside dst, a key outside
+    src (FinSetErrors), the unit, the first (a, b) with h(ab) != h(a)h(b); or return."""
+    finset.check_total(src.carrier, dst.carrier, assignment)
+    if assignment[src.unit] != dst.unit:
+        raise MonoidError("hom sends unit to %r" % assignment[src.unit])
+    for a, b in itertools.product(src.elements, repeat=2):
+        if assignment[src.mul(a, b)] != dst.mul(assignment[a], assignment[b]):
+            raise MonoidError("hom breaks multiplicativity at (%s, %s)" % (a, b))
 
 
 def kernel_pairs(dom, images):
@@ -278,11 +277,9 @@ def submonoid(m, subset):
                 raise MonoidError("subset not closed: %s*%s = %s escapes"
                                   % (a, b, m.elements[c]))
         table[a] = tuple(map(at.__getitem__, row))
-    # The two checks above prove the table total and the inclusion
-    # multiplicative, so neither constructor checks them again.
+    # the checks above prove the table total and the inclusion a hom
     S = Monoid._trusted(FinSet(elems, check=False), m.unit, table)
-    incl = MonoidHom._trusted(S, m, FinMap(S.carrier, m.carrier, {a: a for a in elems}))
-    return S, incl
+    return S, MonoidHom._trusted(S, m, cols)
 
 
 def _close(mul, mask, members, gens, floor=0):
@@ -406,13 +403,6 @@ def enumerate_subgroups(m):
             if is_subgroup(m, elements)]
 
 
-def fusion_morphism(m):
-    """The self-map of the square sending (a, b) to (a, ab)."""
-    P = product(m.carrier, m.carrier)
-    table = {p: pair_label(a, m.mul(a, b)) for p, (a, b) in P._pairs.items()}
-    return FinMap(P, P, table)
-
-
 def hopf_witness(m):
     """A non-invertible element, or None when all elements are invertible."""
     return next((a for a in m.elements if a not in m.units()), None)
@@ -427,7 +417,8 @@ def is_hopf(m):
 
 
 def antipode(m):
-    """Inversion as a carrier map; defined exactly when m is a group."""
+    """Inversion as an index tuple: the index of each element's inverse, in
+    element order; defined exactly when m is a group."""
     if not is_hopf(m):
         raise NotHopfError(hopf_witness(m))
-    return FinMap(m.carrier, m.carrier, {a: m.inverse(a) for a in m.elements})
+    return tuple(m.carrier.index(m.inverse(a)) for a in m.elements)

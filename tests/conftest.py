@@ -1,7 +1,9 @@
 """Shared test settings, a monoid's CLI document and file writer, a monoid's
 and an action's tables by element names, the check of a package-built
 monoid against the checked constructor, the monoid of given self-maps, the
-sample monoids, the submonoid one element generates, the brute-force
+sample monoids, the identity hom, the hom-law scan, the fusion map and its
+bijectivity, the image tuples of a coinduced action's elements, the
+submonoid one element generates, the brute-force
 submonoid, subgroup, invariant and subfunctor oracles, the object-based
 correspondence and connection-law sweeps, the propagation
 search with its oracles for equivariant maps and for wedge families, the
@@ -17,8 +19,9 @@ import json
 from hypothesis import settings, strategies as st
 
 from galmon import actions, samples
-from galmon.finset import FinMap, FinSet, SizingError, MAX_ENUMERATION, curry, product
-from galmon.monoid import Monoid, enumerate_submonoids, submonoid, trivial_monoid
+from galmon.finset import (FinMap, FinSet, FinSetError, SizingError, MAX_ENUMERATION, curry,
+                           exponential, pair_label, product)
+from galmon.monoid import Monoid, MonoidHom, enumerate_submonoids, submonoid, trivial_monoid
 from galmon.actions import MAction, Site, restrict_action, trivial_action
 from galmon.ends import EndError, end_of_forgetful, reconstruction_hom, trivial_path
 from galmon.galois import Subfunctor, _mask, _naturality_violation
@@ -83,6 +86,43 @@ NONASSOC = Monoid(FinSet(("a", "b", "e")), "e",
                   {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
                    ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "b",
                    ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a"})
+
+
+def identity_hom(m):
+    return MonoidHom(m, m, {a: a for a in m.elements})
+
+
+def hom_law_oracle(src, dst, assignment):
+    """The first failure of the hom law by names, or None: the map's
+    validation, the unit, then every pair (a, b) in order."""
+    try:
+        f = FinMap(src.carrier, dst.carrier, assignment)
+    except FinSetError as exc:
+        return str(exc)
+    if f(src.unit) != dst.unit:
+        return "hom sends unit to %r" % f(src.unit)
+    for a, b in itertools.product(src.elements, repeat=2):
+        if f(src.mul(a, b)) != dst.mul(f(a), f(b)):
+            return "hom breaks multiplicativity at (%s, %s)" % (a, b)
+    return None
+
+
+def fusion_morphism(m):
+    """The self-map (a, b) -> (a, ab) of the square, a bijection exactly
+    when m is a group: the oracle of `is_hopf`."""
+    P = product(m.carrier, m.carrier)
+    return FinMap(P, P, {p: pair_label(a, m.mul(a, b)) for p, (a, b) in P._pairs.items()})
+
+
+def is_bijection(f):
+    return len(f.dom) == len(f.cod) == len(set(f.assignment.values()))
+
+
+def coinduced_images(h, N, K):
+    """Each element of K = coinduct(h, N) as its image-index tuple over h's
+    target, decoded from its label."""
+    E = exponential(h.dst.carrier, N.carrier)
+    return [tuple(map(N.carrier.index, E.map_images(e))) for e in K.carrier]
 
 
 def generated_inclusion(m, g):
@@ -485,7 +525,7 @@ def check_restriction_coinduction_adjunction(h, M, N):
     K = actions.coinduct(h, N)
     if any(None in row for row in K.table.values()):
         return False  # a translate fell outside the maps read off
-    images = [tuple(map(N.carrier.index, K.carrier.map_images(e))) for e in K.carrier]
+    images = coinduced_images(h, N, K)
     at = {t: q for q, t in enumerate(images)}
     up = {f: transpose_to_coinduced(h, M, f, at) for f in hom_tuples(restrict_action(h, M), N)}
     if (set(up.values()) != set(hom_tuples(M, K))

@@ -114,9 +114,9 @@ def test_criterion_6_hopf_characterization():
         invertible = all(m.inverse(a) is not None for a in m.elements)
         ok = ok and is_hopf(m) == invertible
         if is_hopf(m):
-            s = antipode(m)
+            s = dict(zip(m.elements, map(m.elements.__getitem__, antipode(m))))
             for a in m.elements:
-                ok = ok and m.mul(s(a), a) == m.unit == m.mul(a, s(a))
+                ok = ok and m.mul(s[a], a) == m.unit == m.mul(a, s[a])
         else:
             w = hopf_witness(m)
             ok = ok and w is not None and m.inverse(w) is None

@@ -845,14 +845,23 @@ def test_fixtures_regenerate_from_the_samples(tmp_path, monkeypatch):
             assert (tmp_path / name).read_bytes() == fd.read(), name
 
 
-def test_bad_hom_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("key, image, error", [
+    ("g", "(123)", "hom breaks multiplicativity at (g, g)"),
+    ("e", "(12)", "hom sends unit to '(12)'"),
+    ("g", "(1234)", "image '(1234)' of 'g' lies outside the codomain"),
+    ("g", None, "hom file map is missing 'g'"),
+], ids=["multiplicativity", "unit", "outside", "missing"])
+def test_bad_hom_rejected(tmp_path, capsys, key, image, error):
     doc = json.load(open(fx("z2_in_s3.json")))
-    doc["map"]["g"] = "(123)"
+    if image is None:
+        del doc["map"][key]
+    else:
+        doc["map"][key] = image
     path = tmp_path / "badhom.json"
     path.write_text(json.dumps(doc))
     code, out = run_json(capsys, ["inv", "--monoid", fx("s3.json"),
                                   "--hom", str(path)])
-    assert code == 1
+    assert (code, out) == (1, {"schema": "galmon/1", "error": error})
 
 
 def test_corr_runs_are_byte_identical():

@@ -12,8 +12,9 @@ forcing search `propagate`, which scales to generated instances.
 `internal_nat` is then its oracle.
 
 `reconstruction_hom` and `restrict_end` (in conftest) return index tuples
-whose monoid laws are read off the components; the checked |A|^2
-`MonoidHom` constructor into the end's own monoid is their oracle.
+whose monoid laws are read off the components; the |A|^2 scan
+`hom_law_oracle` (in conftest) into the end's own monoid is their oracle,
+and the checked `MonoidHom` constructor must accept them too.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (S4, SAMPLES, SiteFunctor, assert_checked, generated_inclusion,
-                      invariants_oracle, maps_monoid, nat_search_oracle, propagate, restrict_end,
+                      hom_law_oracle, invariants_oracle, maps_monoid, nat_search_oracle, propagate, restrict_end,
                       transformation_monoids, underlying_site)
 from galmon.finset import FinSet, SizingError
 from galmon.monoid import MonoidHom, enumerate_submonoids, is_hopf, trivial_monoid
@@ -269,7 +270,8 @@ def assert_end_matches_search(site):
     assert end.unit() == end.monoid().unit
     rho = reconstruction_hom(site.monoid, end)
     fams = dict(zip(site.monoid.elements, map(end.carrier.elements.__getitem__, rho)))
-    assert MonoidHom(site.monoid, end.monoid(), fams).map.assignment == fams
+    assert hom_law_oracle(site.monoid, end.monoid(), fams) is None
+    assert MonoidHom(site.monoid, end.monoid(), fams).images == rho
     if not searched:
         U = ForgetfulDiagram(site)
         ref = internal_nat(U, U)
@@ -363,7 +365,8 @@ def test_restrictions_are_homs_between_the_end_monoids():
         up, down = end_of_forgetful(dst), end_of_forgetful(src)
         r = restrict_end(up, SiteFunctor(src, dst, ob_map), down)
         fams = dict(zip(up.carrier, map(down.carrier.elements.__getitem__, r)))
-        assert MonoidHom(up.monoid(), down.monoid(), fams).map.assignment == fams
+        assert hom_law_oracle(up.monoid(), down.monoid(), fams) is None
+        assert MonoidHom(up.monoid(), down.monoid(), fams).images == r
 
 
 def test_no_end_table_is_composed_on_the_way_to_a_stabilizer(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, strategies as st
 from conftest import (NONASSOC, S4, SAMPLES, T3, augmentation_square_check, band_monoids,
                       correspondence_oracle, generated_inclusion, included, invariants_oracle,
                       law_failures_oracle, monoid_doc, point_sets, reconstruction_composite_check,
-                      subfunctors_oracle, transformation_monoids)
+                      subfunctors_oracle, transformation_monoids, identity_hom)
 from galmon.cli import run
 from galmon.ends import end_of_forgetful
 from galmon.finset import FinSet, singleton
@@ -70,15 +70,15 @@ def test_fixes_examples():
     whole = Subfunctor.full(site)
     one = trivial_monoid()
     assert fixes(MonoidHom(one, Z2, {"e": "e"}), whole)
-    assert not fixes(MonoidHom.identity(Z2), whole)
-    assert fixes(MonoidHom.identity(Z2), Subfunctor.empty(site))
+    assert not fixes(identity_hom(Z2), whole)
+    assert fixes(identity_hom(Z2), Subfunctor.empty(site))
     with pytest.raises(GaloisError):
-        fixes(MonoidHom.identity(S3), whole)
+        fixes(identity_hom(S3), whole)
 
 
 def test_invariants_examples():
     site = s3_nat_site()
-    assert invariants(MonoidHom.identity(S3), site).component("nat") == ()
+    assert invariants(identity_hom(S3), site).component("nat") == ()
     h = hom_from_subset(S3, ("e", "(12)"))
     assert invariants(h, site).component("nat") == ("3",)
     one = trivial_monoid()
@@ -88,7 +88,7 @@ def test_invariants_examples():
 
 def test_invariants_on_free_and_trivial_objects():
     site = canonical_site(Z2, "free+trivial")
-    V = invariants(MonoidHom.identity(Z2), site)
+    V = invariants(identity_hom(Z2), site)
     assert V.component("F(1)") == ()
     assert V.component("E(1)") == ("*",)
 
@@ -120,7 +120,7 @@ def test_fixes_its_own_invariants():
 
 def test_invariants_universal():
     site = canonical_site(Z2, "free+trivial+custom", custom=(("sw", SWAP),))
-    h = MonoidHom.identity(Z2)
+    h = identity_hom(Z2)
     Inv = invariants(h, site)
     for V in subfunctors_oracle(site):
         if fixes(h, V):

@@ -6,12 +6,14 @@ import itertools
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, SAMPLES, entries, equivariant_filter, hom_search_oracle,
-                      products, transformation_monoid, transformation_monoids)
+from conftest import (NONASSOC, S4, SAMPLES, entries, equivariant_filter, hom_law_oracle,
+                      hom_search_oracle, identity_hom, products, transformation_monoid,
+                      transformation_monoids)
 from galmon import actions, monoid
-from galmon.finset import FinSet, FunctionSet, product, singleton
-from galmon.monoid import (Monoid, MonoidHom, generators, validate_monoid, submonoid_tuples,
-                           enumerate_submonoids, is_subgroup, is_hopf)
+from galmon.finset import FinSet, FinSetError, map_label, product, singleton
+from galmon.monoid import (Monoid, MonoidError, MonoidHom, generators, laws_hold,
+                           validate_monoid, submonoid_tuples, enumerate_submonoids,
+                           is_subgroup, is_hopf)
 from galmon.actions import (MAction, Site, validate_action, trivial_action, free_action,
                             restrict_action, coinduct, coset_action, canonical_site,
                             default_site, hom_tuples)
@@ -89,14 +91,12 @@ def coinduct_oracle(h, N):
     A = h.dst
     twisted = MAction(h.src, A.carrier, {(b, a): A.mul(h(b), a)
                                          for b in h.src.elements for a in A.carrier})
-    K = FunctionSet(A.carrier, N.carrier, [tuple(map(N.carrier.elements.__getitem__, t))
-                                           for t in hom_search_oracle(twisted, N)])
-    act = {}
-    for a in A.elements:
-        for e in K:
-            f = dict(zip(A.carrier, K.map_images(e)))
-            act[(a, e)] = K.map_element(tuple(f[A.mul(a2, a)] for a2 in A.carrier))
-    return MAction(A, K, act)
+    maps = [dict(zip(A.elements, map(N.carrier.elements.__getitem__, t)))
+            for t in hom_search_oracle(twisted, N)]
+    label = [map_label(A.elements, tuple(f.values())) for f in maps]
+    act = {(a, e): map_label(A.elements, tuple(f[A.mul(a2, a)] for a2 in A.elements))
+           for a in A.elements for e, f in zip(label, maps)}
+    return MAction(A, FinSet(label, check=False), act)
 
 
 def relabelled(h):
@@ -355,7 +355,7 @@ def builders_and_oracles(m, M, homs, coinduce_within=256):
 @pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
 def test_builders_equal_their_oracles(m):
     F = free_action_oracle(m, singleton())
-    homs = [MonoidHom.identity(m), constant_hom(m)]
+    homs = [identity_hom(m), constant_hom(m)]
     homs += [relabelled(incl) for _, incl in enumerate_submonoids(m)]
     assert_builders_match_their_oracles(builders_and_oracles(m, F, homs, 2000))
 
@@ -370,6 +370,105 @@ def test_a_monoid_table_is_its_regular_action_table(m):
 def test_builders_equal_their_oracles_on_transformation_monoids(drawn):
     m, act, _ = drawn
     assume(len(m) <= 24)
-    homs = [MonoidHom.identity(m), constant_hom(m)]
+    homs = [identity_hom(m), constant_hom(m)]
     homs += [relabelled(incl) for _, incl in enumerate_submonoids(m)]
     assert_builders_match_their_oracles(builders_and_oracles(m, act, homs))
+
+
+def hom_verdict(src, dst, assignment):
+    """MonoidHom's error on the assignment, or None when it accepts it."""
+    try:
+        MonoidHom(src, dst, assignment)
+    except (FinSetError, MonoidError) as exc:
+        return str(exc)
+    return None
+
+
+def drawn_assignment(data, src, dst):
+    """A random name map src -> dst; half of them fix the unit, and a few
+    leave an element out, send one outside dst or name a key outside src."""
+    images = data.draw(st.lists(st.sampled_from(dst.elements),
+                                min_size=len(src), max_size=len(src)))
+    assignment = dict(zip(src.elements, images))
+    if data.draw(st.booleans()):
+        assignment[src.unit] = dst.unit
+    edit = data.draw(st.sampled_from(["none"] * 5 + ["missing", "outside", "extra"]))
+    b = data.draw(st.sampled_from(src.elements))
+    if edit == "missing":
+        del assignment[b]
+    elif edit == "outside":
+        assignment[b] = "?"
+    elif edit == "extra":
+        assignment["?"] = dst.unit
+    return assignment
+
+
+SMALL_MONOIDS = st.sampled_from(list(SAMPLES.values())) | transformation_monoids().filter(
+    lambda drawn: len(drawn[0]) <= 24).map(lambda drawn: drawn[0])
+
+
+@st.composite
+def unlawful_monoids(draw):
+    """A table on two or three elements, built with Monoid._trusted, whose
+    laws fail."""
+    n = draw(st.integers(2, 3))
+    carrier = FinSet(["u%d" % i for i in range(n)])
+    rows = {a: tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+            for a in carrier}
+    m = Monoid._trusted(carrier, draw(st.sampled_from(carrier.elements)), rows)
+    assume(not laws_hold(m))
+    return m
+
+
+@given(SMALL_MONOIDS, SMALL_MONOIDS, st.data())
+def test_hom_check_matches_the_scan(src, dst, data):
+    assignment = drawn_assignment(data, src, dst)
+    assert hom_verdict(src, dst, assignment) == hom_law_oracle(src, dst, assignment)
+
+
+@given(unlawful_monoids(), SMALL_MONOIDS | unlawful_monoids(), st.booleans(), st.data())
+def test_hom_check_matches_the_scan_on_unlawful_monoids(bad, other, flip, data):
+    src, dst = (other, bad) if flip else (bad, other)
+    assignment = drawn_assignment(data, src, dst)
+    assert hom_verdict(src, dst, assignment) == hom_law_oracle(src, dst, assignment)
+
+
+def homs_into(m):
+    """Inclusions of m's submonoids, its identity and its constant hom."""
+    homs = [incl for _, incl in enumerate_submonoids(m)]
+    return homs + [identity_hom(m), constant_hom(m)]
+
+
+def edits(h):
+    """Name maps one edit away from the hom h: an element left out, sent
+    outside h's target or to the next element of it, or a key outside h's
+    source."""
+    names = {b: h(b) for b in h.src.elements}
+    yield dict(names, **{"?": h.dst.unit})
+    for b in h.src.elements:
+        yield {c: y for c, y in names.items() if c != b}
+        yield dict(names, **{b: "?"})
+        yield dict(names, **{b: bumped(h.dst.elements, names[b])})
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_edited_homs_match_the_scan(m):
+    for h in homs_into(m):
+        for assignment in itertools.islice(edits(h), 40):
+            assert (hom_verdict(h.src, m, assignment)
+                    == hom_law_oracle(h.src, m, assignment))
+
+
+@pytest.mark.parametrize("m", list(SAMPLES.values()) + [S4], ids=list(SAMPLES) + ["S4"])
+def test_lawful_homs_are_decided_on_the_generators(m, monkeypatch):
+    # between lawful monoids the check along generators accepts every hom
+    # alone, with no ordered scan behind it
+    homs = homs_into(m)
+    for h in homs:
+        assert hom_law_oracle(h.src, m, {b: h(b) for b in h.src.elements}) is None
+
+    def scan(*args):
+        raise AssertionError("ordered hom scan")
+    monkeypatch.setattr(monoid, "_raise_hom_failure", scan)
+    for h in homs:
+        assert MonoidHom(h.src, m, {b: h(b) for b in h.src.elements}) == h

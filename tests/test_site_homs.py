@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given
 
 from conftest import (NONASSOC, S4, SAMPLES, equivariant_filter, hom_search_oracle, maps_monoid,
-                      transformation_monoid, transformation_monoids, write_monoid)
+                      transformation_monoid, transformation_monoids, write_monoid,
+                      identity_hom)
 from test_report_digests import FIXTURES, REPORTS
 from galmon import actions, finset
 from galmon.cli import parse_monoid, run
 from galmon.finset import FinSet, SizingError
 from galmon.galois import Subfunctor, invariants, stabilizer, stabilizer_via_end
-from galmon.monoid import MonoidHom, generators, submonoid
+from galmon.monoid import generators, submonoid
 from galmon.actions import (ActionError, MAction, Site, canonical_site, coinduct,
                             default_site, hom_tuples, trivial_action)
 
@@ -115,7 +116,7 @@ def test_site_and_coinduction_share_one_route():
 
     with mock.patch.object(actions, "hom_tuples", spy):
         site._filtered(1, 2)
-        coinduct(MonoidHom.identity(m), X)
+        coinduct(identity_hom(m), X)
     assert [N for _, N in called] == [site.objects[2], X]
 
 
