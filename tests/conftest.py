@@ -93,12 +93,19 @@ def identity_hom(m):
 
 
 def hom_law_oracle(src, dst, assignment):
-    """The first failure of the hom law by names, or None: the map's
-    validation, the unit, then every pair (a, b) in order."""
-    try:
-        f = FinMap(src.carrier, dst.carrier, assignment)
-    except FinSetError as exc:
-        return str(exc)
+    """The first failure of the hom law by names, or None: an element left
+    undefined, an image outside dst, a key outside src, the unit, then
+    every pair (a, b) in order."""
+    for b in src.elements:
+        if b not in assignment:
+            return "map undefined at %r" % (b,)
+    for b in src.elements:
+        if assignment[b] not in dst.carrier:
+            return "image %r of %r lies outside the codomain" % (assignment[b], b)
+    for key in sorted(assignment):
+        if key not in src.carrier:
+            return "assignment mentions %r outside the domain" % (key,)
+    f = assignment.__getitem__
     if f(src.unit) != dst.unit:
         return "hom sends unit to %r" % f(src.unit)
     for a, b in itertools.product(src.elements, repeat=2):
