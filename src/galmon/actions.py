@@ -1,8 +1,9 @@
 """Left actions of a finite monoid on finite sets.
 
-An action is one table of rows: for each monoid element a, the carrier
-indices of a.x in carrier order, the format of a monoid's own table, so
-the law check on rows in galmon.monoid serves actions too.  An
+An action is one tuple of rows indexed by element: row i holds the
+carrier indices of a.x in carrier order, for a the i-th element, the
+format of a monoid's own table, so the law check on rows in galmon.monoid
+serves actions too, and builders multiply on element indices.  An
 equivariant map is its image-index tuple (the index of f(x), x in carrier
 order) in hom sets and in sites.  Sites are
 finite lists of named actions; their morphisms (all equivariant maps
@@ -31,15 +32,16 @@ class ActionError(Exception):
 
 
 class MAction:
-    """A monoid acting on a finite carrier: table[a] is the row of carrier
-    indices of a.x, x in carrier order, for each element a in element order.
-    The constructor checks a total dict (a, x) -> a.x of element names and
-    converts it; package builders write rows through `_trusted`."""
+    """A monoid acting on a finite carrier: table is a tuple of rows in
+    element order, and table[i] is the row of carrier indices of a.x, x in
+    carrier order, for a the i-th element.  The constructor checks a total
+    dict (a, x) -> a.x of element names and converts it, and `apply` acts
+    on names; package builders write rows through `_trusted`."""
 
     def __init__(self, monoid, carrier, act):
         if not isinstance(carrier, FinSet):
             carrier = FinSet(carrier)
-        table = {}
+        table = []
         for a in monoid.elements:
             row = []
             for x in carrier:
@@ -49,11 +51,11 @@ class MAction:
                 if y not in carrier:
                     raise ActionError("image %s.%s = %r lies outside the carrier" % (a, x, y))
                 row.append(carrier.index(y))
-            table[a] = tuple(row)
+            table.append(tuple(row))
         if len(act) != len(monoid) * len(carrier):
             extra = sorted(set(act) - set(itertools.product(monoid.elements, carrier)))
             raise ActionError("action table mentions %r outside the carrier" % (extra[0],))
-        self.monoid, self.carrier, self.table = monoid, carrier, table
+        self.monoid, self.carrier, self.table = monoid, carrier, tuple(table)
         self._trivial = self._pres = None
         self._built = False
 
@@ -67,15 +69,15 @@ class MAction:
         return M
 
     def apply(self, a, x):
-        return self.carrier.elements[self.table[a][self.carrier.index(x)]]
+        row = self.table[self.monoid.carrier.index(a)]
+        return self.carrier.elements[row[self.carrier.index(x)]]
 
     def __eq__(self, other):
         return (isinstance(other, MAction) and self.monoid == other.monoid
                 and self.carrier == other.carrier and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.monoid, self.carrier,
-                     tuple(map(self.table.__getitem__, self.monoid.elements))))
+        return hash((self.monoid, self.carrier, self.table))
 
     def __repr__(self):
         return "MAction(%r on %r)" % (self.monoid, self.carrier)
@@ -84,7 +86,7 @@ class MAction:
     def is_trivial_action(self):
         if self._trivial is None:
             ident = tuple(range(len(self.carrier)))
-            self._trivial = all(row == ident for row in self.table.values())
+            self._trivial = all(row == ident for row in self.table)
         return self._trivial
 
     def _presentation(self):
@@ -98,10 +100,10 @@ class MAction:
         Returns the generating points; per x_i the r_p of its points in
         carrier order; where each point falls when they are listed x_i by
         x_i (None when x_0 is the only one); and per x_i its distinct
-        relations (a, j, b), a.y_i = b.y_j.
+        relations (a, j, b), a.y_i = b.y_j.  Elements are element indices.
         """
         if self._pres is None:
-            m, n, rows = self.monoid, len(self.carrier), self.table.values()
+            m, n, rows = self.monoid, len(self.carrier), self.table
             # a point whose orbit is everything comes first and is the only one
             full = next((p for p, col in enumerate(zip(*rows)) if len(set(col)) == n), None)
             order = [full] if full is not None else sorted(
@@ -109,20 +111,19 @@ class MAction:
             owner, reps, points = [None] * n, [None] * n, []
             for x in order:
                 if owner[x] is None:
-                    for a, row in self.table.items():
+                    for a, row in enumerate(rows):
                         if owner[row[x]] is None:
                             owner[row[x]], reps[row[x]] = len(points), a
-                    reps[x] = m.unit
+                    reps[x] = m.carrier.index(m.unit)
                     points.append(x)
             blocks = [[p for p in range(n) if owner[p] == i] for i in range(len(points))]
             listed = [p for block in blocks for p in block]
             pos = None if len(blocks) == 1 else sorted(range(n), key=listed.__getitem__)
-            at = list(map(m.carrier.index, reps))
             relations = [{} for _ in points]
             for g in generators(m):
-                row_g, mul_g = self.table[g], m.table[g]
+                row_g, mul_g = rows[g], m.table[g]
                 for p, q in enumerate(row_g):
-                    a, b = m.elements[mul_g[at[p]]], reps[q]
+                    a, b = mul_g[reps[p]], reps[q]
                     if a != b or owner[p] != owner[q]:
                         relations[owner[p]][(a, owner[q], b)] = None
             self._pres = (tuple(points), [tuple(map(reps.__getitem__, b)) for b in blocks], pos,
@@ -143,7 +144,7 @@ def validate_action(M):
         return []
     points = M.carrier.elements
     return (["unit fails: %s.%s = %s" % (m.unit, points[p], points[q])
-             for p, q in enumerate(M.table[m.unit]) if q != p]
+             for p, q in enumerate(M.table[m.carrier.index(m.unit)]) if q != p]
             + associativity_failures(m, M.table, points))
 
 
@@ -157,7 +158,7 @@ def _built(M):
 def trivial_action(m, X):
     if not isinstance(X, FinSet):
         X = FinSet(X)
-    return _built(MAction._trusted(m, X, dict.fromkeys(m.elements, tuple(range(len(X))))))
+    return _built(MAction._trusted(m, X, (tuple(range(len(X))),) * len(m)))
 
 
 def free_action(m, X):
@@ -165,10 +166,10 @@ def free_action(m, X):
     if not isinstance(X, FinSet):
         X = FinSet(X)
     P = product(m.carrier, X)
-    pairs = [P._pairs[p] for p in P]
+    pairs = [(m.carrier.index(b), x) for b, x in map(P._pairs.__getitem__, P)]
     at = {bx: q for q, bx in enumerate(pairs)}
-    return _built(MAction._trusted(m, P, {a: tuple(at[(m.mul(a, b), x)] for b, x in pairs)
-                                          for a in m.elements}))
+    return _built(MAction._trusted(m, P, tuple(tuple(at[(row[b], x)] for b, x in pairs)
+                                               for row in m.table)))
 
 
 def restrict_action(h, M):
@@ -238,11 +239,8 @@ def coinduct(h, N):
     K = FinSet(labelled, check=False)
     images = list(map(labelled.__getitem__, K))
     at = {t: q for q, t in enumerate(images)}
-    table = {}
-    for col, a in enumerate(A.elements):
-        shift = [A.table[a2][col] for a2 in A.elements]
-        table[a] = tuple(at.get(tuple(map(t.__getitem__, shift))) for t in images)
-    return MAction._trusted(A, K, table)
+    return MAction._trusted(A, K, tuple(tuple(at.get(tuple(map(t.__getitem__, shift)))
+                                              for t in images) for shift in zip(*A.table)))
 
 
 class Site:
@@ -278,7 +276,6 @@ class Site:
         self.names = tuple(names)
         self.objects = tuple(act for _, act in objects)
         self._homs = {}
-        self._hash = None
 
     @property
     def nobj(self):
@@ -289,9 +286,7 @@ class Site:
                 and self.names == other.names and self.objects == other.objects)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.monoid, self.names, self.objects))
-        return self._hash
+        return hash((self.monoid, self.names, self.objects))
 
     def __repr__(self):
         return "Site(%s)" % ", ".join(self.names)
@@ -338,25 +333,22 @@ def coset_action(m, sub_elements):
     The left cosets partition the group, so each is computed once, from
     its first element, which becomes its representative.
     """
-    subset = tuple(sub_elements)
-    label_of = {}
-    rep = {}
-    for a in m.elements:
-        if a not in label_of:
-            coset = sorted({m.mul(a, s) for s in subset})
-            label = "{%s}" % ",".join(coset)
+    sub = set(map(m.carrier.index, sub_elements))
+    label_of, rep = [None] * len(m), {}
+    for a, row in enumerate(m.table):
+        if label_of[a] is None:
+            coset = {row[s] for s in sub}
+            label = "{%s}" % ",".join(sorted(map(m.elements.__getitem__, coset)))
             rep[label] = a
             for b in coset:
                 label_of[b] = label
     carrier = FinSet(sorted(rep), check=False)
-    at = [carrier.index(label_of[b]) for b in m.elements]
-    cols = [m.carrier.index(rep[c]) for c in carrier]
-    M = MAction._trusted(m, carrier, {a: tuple(at[m.table[a][r]] for r in cols)
-                                      for a in m.elements})
+    at = list(map(carrier.index, label_of))
+    cols = list(map(rep.__getitem__, carrier))
+    M = MAction._trusted(m, carrier, tuple(tuple(at[row[r]] for r in cols) for row in m.table))
     # only a subgroup's cosets are sure to make an action; Site checks the rest
-    sub = set(map(m.carrier.index, subset))
     if is_hopf(m) and m.carrier.index(m.unit) in sub and all(
-            m.table[a][b] in sub for a in subset for b in sub):
+            m.table[a][b] in sub for a in sub for b in sub):
         _built(M)
     return M
 

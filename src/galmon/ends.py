@@ -22,8 +22,9 @@ action of its source on every site object at once.  A map into or between
 ends is its index tuple: the index in the target end's carrier of the image
 of each source element, in source order.  Whether one is unital and
 multiplicative is read off the components, and no end's table is composed.
-With a free object in the site, End[U]'s families are the action tables
-(Yoneda; see `end_of_forgetful`).  A stabilizer's trivial path
+With a free object in the site, End[U]'s families are the action rows,
+act.table[k] on every object for each element index k (Yoneda; see
+`end_of_forgetful`).  A stabilizer's trivial path
 A -> 1 -> End[U] is the augmentation followed by End[U]'s unit.
 """
 
@@ -62,7 +63,6 @@ class EndObject:
         self.W = W
         self.families = tuple(families)
         self.carrier = FinSet(self.families, check=False)
-        self._monoid = None
 
     def __len__(self):
         return len(self.families)
@@ -83,23 +83,6 @@ class EndObject:
         if unit_fam not in self.carrier:
             raise EndError("identity family fails the wedge condition")
         return unit_fam
-
-    def monoid(self):
-        """Componentwise composition, defined when V and W coincide; its
-        |E|^2 table cells count against the limit before any is composed."""
-        if self._monoid is None:
-            unit = self.unit()
-            cells = len(self.families) ** 2
-            if cells > finset.MAX_ENUMERATION:
-                raise finset.refusal("ends.EndObject.monoid", "%d table cells" % cells)
-            fams, table = self.carrier, {}
-            for f in fams:
-                comps = [tuple(tuple(ti[q] for q in tj) for ti, tj in zip(f, g)) for g in fams]
-                if not all(map(fams.__contains__, comps)):
-                    raise EndError("families are not closed under composition")
-                table[f] = tuple(map(fams.index, comps))
-            self._monoid = Monoid._trusted(self.carrier, unit, table)
-        return self._monoid
 
 
 def internal_nat(V, W):
@@ -167,26 +150,32 @@ def end_of_forgetful(site):
     f(x0) for the morphism f: F -> X, a.x0 -> a.x, so a wedge family is
     fixed by its value c.x0 at x0 and is the action of c everywhere; every
     c gives one.  The families are then the action tables of the elements,
-    in lexicographic order as `internal_nat` lists them.  Reading them off
-    makes |A|·Σ|X| assignments, one per family, object and point, counted
-    against the limit.  Sites without a free object go through
-    `internal_nat`.
+    in lexicographic order as `internal_nat` lists them.  Sites without a
+    free object go through `internal_nat`.
     """
     U = ForgetfulDiagram(site)
-    m = site.monoid
-    n = len(m)
+    n = len(site.monoid)
     if not any(len(X.carrier) == n and len(X._presentation()[0]) == 1 for X in site.objects):
         return internal_nat(U, U)  # one generating point and |A| points: free
-    made = n * sum(map(len, U.obs))
-    if made > finset.MAX_ENUMERATION:
-        raise finset.refusal("ends", "%d candidate assignments" % made)
-    return EndObject(site, U, U, sorted(tuple(act.table[a] for act in site.objects)
-                                        for a in m.elements))
+    return EndObject(site, U, U, sorted(tuple(act.table[k] for act in site.objects)
+                                        for k in range(n)))
 
 
 def end_monoid(end):
-    """The end of a self-hom diagram as a monoid."""
-    return end.monoid()
+    """The end of a self-hom diagram as a monoid under componentwise
+    composition; its |E|^2 table cells count against the limit before any
+    is composed."""
+    unit = end.unit()
+    cells = len(end) ** 2
+    if cells > finset.MAX_ENUMERATION:
+        raise finset.refusal("ends.end_monoid", "%d table cells" % cells)
+    fams, table = end.carrier, []
+    for f in fams:
+        comps = [tuple(tuple(ti[q] for q in tj) for ti, tj in zip(f, g)) for g in fams]
+        if not all(map(fams.__contains__, comps)):
+            raise EndError("families are not closed under composition")
+        table.append(tuple(map(fams.index, comps)))
+    return Monoid._trusted(fams, unit, tuple(table))
 
 
 def reconstruction_hom(m, end):
@@ -198,7 +187,7 @@ def reconstruction_hom(m, end):
     is checked (Light's test).
     """
     objects = end.site.objects
-    fams = [tuple(act.table[a] for act in objects) for a in m.elements]
+    fams = [tuple(act.table[k] for act in objects) for k in range(len(m))]
     for a, fam in zip(m.elements, fams):
         if fam not in end.carrier:
             raise EndError("the action family of %r fails the wedge condition" % a)

@@ -84,7 +84,6 @@ class FinSet:
                 check_symbol(e)
         self.elements = elems
         self._lookup = {x: i for i, x in enumerate(elems)}
-        self._hash = None
         # structure metadata, set by product(); never compared
         self._pairs = None     # elem -> (left, right)
         self._factors = None   # (left FinSet, right FinSet)
@@ -105,9 +104,7 @@ class FinSet:
         return isinstance(other, FinSet) and self.elements == other.elements
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.elements)
-        return self._hash
+        return hash(self.elements)
 
     def __repr__(self):
         body = ",".join(map(str, self.elements[:6]))
@@ -136,7 +133,7 @@ class FunctionSet(FinSet):
     def __init__(self, base, target):
         self.base, self.target = base, target
         self._images, self._codes = {}, {}  # elem <-> images over base.elements
-        self._hash = self._pairs = self._factors = self._sorted = None
+        self._pairs = self._factors = self._sorted = None
         self._size = len(target) ** len(base)
 
     def _encode(self, images):

@@ -46,11 +46,12 @@ def _mask(flags):
     return int(bytes(flags)[::-1].translate(_BITS) or b"0", 2)
 
 
-def _fixed_masks(site, elements):
-    """Per element a, the mask of the points a fixes, read off the action rows."""
+def _fixed_masks(site, ks):
+    """For each element index k of ks, in order, the mask of the points the
+    k-th element fixes, read off the action rows."""
     points = list(itertools.chain.from_iterable(range(len(act.carrier)) for act in site.objects))
-    return {a: _mask(map(operator.eq, itertools.chain.from_iterable(
-        [act.table[a] for act in site.objects]), points)) for a in elements}
+    return [_mask(map(operator.eq, itertools.chain.from_iterable(
+        [act.table[k] for act in site.objects]), points)) for k in ks]
 
 
 class Subfunctor:
@@ -157,16 +158,19 @@ def invariants(h, site):
     site's actions obey their laws, so what h(G) fixes, all of h fixes."""
     if h.dst != site.monoid:
         raise GaloisError("the hom must land in the site's monoid")
-    masks = _fixed_masks(site, {h(g) for g in (h.src.unit, *generators(h.src))})
+    src = h.src
+    masks = _fixed_masks(site, {h.images[g] for g in (src.carrier.index(src.unit),
+                                                       *generators(src))})
     # natural by construction: a site morphism commutes with every h(b)
-    return Subfunctor._trusted(site, functools.reduce(operator.and_, masks.values()))
+    return Subfunctor._trusted(site, functools.reduce(operator.and_, masks))
 
 
 def stabilizer(V):
     """The largest submonoid acting as the identity on V, with inclusion:
     the elements whose fixed-point masks cover V's."""
-    m, masks = V.site.monoid, _fixed_masks(V.site, V.site.monoid.elements)
-    return submonoid(m, [a for a in m.elements if not V.mask & ~masks[a]])
+    m = V.site.monoid
+    masks = _fixed_masks(V.site, range(len(m)))
+    return submonoid(m, [a for a, f in zip(m.elements, masks) if not V.mask & ~f])
 
 
 def stabilizer_via_end(V):
@@ -184,8 +188,8 @@ def stabilizer_via_end(V):
 def _sweep(m, site):
     """m's submonoids, their invariants and each element's fixed points, as masks: Inv(S)
     is Inv(S') & fixed(g), S' (listed before S) generated by all but S's last generator g."""
-    masks = _fixed_masks(site, m.elements)
-    by_bit, inv = [masks[a] for a in reversed(m.elements)], {0: masks[m.unit]}
+    masks = _fixed_masks(site, range(len(m)))
+    by_bit, inv = masks[::-1], {0: masks[m.carrier.index(m.unit)]}
     for g in submonoid_generators(m)[1:]:  # after the unit's, which has none
         inv[g] = inv[g ^ 1 << g.bit_length() - 1] & by_bit[g.bit_length() - 1]
     return submonoid_tuples(m), [inv[g] for g in submonoid_generators(m)], masks
@@ -198,7 +202,7 @@ def galois_correspondence(m, site):
     stab, label, pairing, rows = {}, {}, {}, []  # stab and label in order of first appearance
     for S, V in zip(subs, inv):
         if V not in stab:
-            stab[V] = tuple(a for a, f in masks.items() if not V & ~f)
+            stab[V] = tuple(a for a, f in zip(m.elements, masks) if not V & ~f)
             label[V] = Subfunctor._trusted(site, V).as_dict()
         T = stab[V]
         if T == S:
@@ -211,8 +215,8 @@ def galois_correspondence(m, site):
     closed_vs = [V for V, r in zip(stab, vrows) if r["closed"]]
     targets = set(pairing.values())
     bijective = len(targets) == len(pairing) and targets == set(closed_vs)
-    bit = {a: 1 << k for k, a in enumerate(m.elements)}
-    pairs = [(sum(map(bit.__getitem__, S)), V) for S, V in pairing.items()]
+    index = m.carrier.index
+    pairs = [(sum(1 << index(a) for a in S), V) for S, V in pairing.items()]
     reversing = all((not s1 & ~s2) == (not v2 & ~v1)
                     for (s1, v1), (s2, v2) in itertools.product(pairs, repeat=2))
     return {
@@ -237,11 +241,12 @@ def connection_law_failures(m, site, extra_subfunctors=()):
         raise GaloisError("subfunctors over different sites are incomparable")
     failures = []
     subs, inv, masks = _sweep(m, site)
-    bit = {a: 1 << k for k, a in enumerate(m.elements)}
-    swept = [(S, sum(map(bit.__getitem__, S)), V) for S, V in zip(subs, inv)]
+    index = m.carrier.index
+    swept = [(S, sum(1 << index(a) for a in S), V) for S, V in zip(subs, inv)]
     inv_of = {s: V for _, s, V in swept}  # stabilizers are submonoids too
-    tested = list(dict.fromkeys([masks[m.unit], 0, *inv, *(V.mask for V in extra_subfunctors)]))
-    stab = {V: sum(b for a, b in bit.items() if not V & ~masks[a]) for V in tested}
+    tested = list(dict.fromkeys([masks[index(m.unit)], 0, *inv,
+                                 *(V.mask for V in extra_subfunctors)]))
+    stab = {V: sum(1 << k for k, f in enumerate(masks) if not V & ~f) for V in tested}
     named = functools.partial(Subfunctor._trusted, site)
     for S, s, V in swept:
         if s & ~stab[V]:

@@ -1,16 +1,18 @@
 """Finite monoids presented by multiplication tables.
 
-A monoid's table is its action on itself, in the row format of actions,
-so one along-generators check (Light's test) and one associativity scan
-over rows serve both the monoid law and the action law.
+A monoid's table is its action on itself, in the row format of actions (a
+tuple of rows indexed by element), so one along-generators check (Light's
+test) and one associativity scan over rows serve both the monoid law and
+the action law.
 
 Also the structure the product monad carries: homomorphisms, each its
 index tuple into the target's carrier and checked pair by pair on those
-indices, generating sets (on which the laws are checked), submonoids
-(each found once by prefix-preserving closure extension, and refused past
-MAX_MATERIALIZED of them or MAX_ENUMERATION closure products made), and the
-Hopf test, which reads off the rows whether the fusion map (a, b) -> (a, ab)
-is a bijection, that is, whether the monoid is a group with an antipode.
+indices, generating sets of element indices (on which the laws are
+checked), submonoids (each found once by prefix-preserving closure
+extension, and refused past MAX_MATERIALIZED of them or MAX_ENUMERATION
+closure products made), and the Hopf test, which reads off the rows
+whether the fusion map (a, b) -> (a, ab) is a bijection, that is, whether
+the monoid is a group with an antipode.
 """
 
 import itertools
@@ -34,12 +36,13 @@ class NotHopfError(MonoidError):
 class Monoid:
     """A finite monoid: carrier, unit, and total multiplication table.
 
-    table[a] is the row of element indices of ab, b in element order: the
-    table of the monoid acting on itself.  The constructor checks a total
-    dict (a, b) -> ab of element names and converts it, as `from_rows` does
-    row objects a -> {b: ab}; package builders write rows through
-    `_trusted`.  The laws are validate_monoid's.  The instance keeps its
-    hash, generators, laws' verdict, units, submonoids and Hopf verdict.
+    table[i] is the row of element indices of ab, b in element order, for a
+    the i-th element: the table of the monoid acting on itself.  Names stay
+    at the edges: the constructor checks a total dict (a, b) -> ab of names
+    and converts it, as `from_rows` does row objects a -> {b: ab}, and `mul`
+    takes names; package builders write rows through `_trusted`.  The laws
+    are validate_monoid's.  The instance keeps its generators, laws'
+    verdict, units, submonoids and Hopf verdict.
     """
 
     def __init__(self, carrier, unit, table):
@@ -51,7 +54,7 @@ class Monoid:
             extra = sorted(set(table) - set(itertools.product(carrier, repeat=2)))
             raise MonoidError("table mentions %r outside the carrier" % (extra[0],))
         self.carrier, self.unit, self.table = carrier, unit, rows
-        self._hash = self._gens = self._lawful = self._units = self._subs = self._hopf = None
+        self._gens = self._lawful = self._units = self._subs = self._hopf = None
 
     @classmethod
     def from_rows(cls, carrier, unit, rows):
@@ -59,24 +62,24 @@ class Monoid:
         as the constructor checks a table."""
         if unit not in carrier:
             raise MonoidError("unit %r is not in the carrier" % unit)
-        index, table = carrier.index, {}
+        index, table = carrier.index, []
         for a in carrier:
             row = rows[a]
             try:
-                table[a] = tuple([index(row[b]) for b in carrier])
+                table.append(tuple([index(row[b]) for b in carrier]))
             except KeyError:
                 b = next(b for b in carrier if b not in row or row[b] not in carrier)
                 raise MonoidError("table missing entry for (%s, %s)" % (a, b) if b not in row
                                   else "product %s*%s = %r lies outside the carrier"
                                   % (a, b, row[b]))
-        return cls._trusted(carrier, unit, table)
+        return cls._trusted(carrier, unit, tuple(table))
 
     @classmethod
     def _trusted(cls, carrier, unit, table):
         """A monoid on rows the caller has already built total, in element order."""
         m = cls.__new__(cls)
         m.carrier, m.unit, m.table = carrier, unit, table
-        m._hash = m._gens = m._lawful = m._units = m._subs = m._hopf = None
+        m._gens = m._lawful = m._units = m._subs = m._hopf = None
         return m
 
     @property
@@ -84,7 +87,8 @@ class Monoid:
         return self.carrier.elements
 
     def mul(self, a, b):
-        return self.carrier.elements[self.table[a][self.carrier.index(b)]]
+        index = self.carrier.index
+        return self.carrier.elements[self.table[index(a)][index(b)]]
 
     def __len__(self):
         return len(self.carrier)
@@ -94,10 +98,7 @@ class Monoid:
                 and self.unit == other.unit and self.table == other.table)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.carrier.elements, self.unit,
-                               tuple(map(self.table.__getitem__, self.elements))))
-        return self._hash
+        return hash((self.carrier.elements, self.unit, self.table))
 
     def __repr__(self):
         return "Monoid(%s; unit=%s)" % (",".join(map(str, self.elements)), self.unit)
@@ -110,58 +111,56 @@ class Monoid:
 
     def inverse(self, a):
         """The two-sided inverse of a, or None."""
-        u, i, row = self.carrier.index(self.unit), self.carrier.index(a), self.table[a]
-        for b, ab in zip(self.elements, row):
-            if ab == u and self.table[b][i] == u:
+        u, i = self.carrier.index(self.unit), self.carrier.index(a)
+        for b, ab, row_b in zip(self.elements, self.table[i], self.table):
+            if ab == u and row_b[i] == u:
                 return b
         return None
 
 
 def generators(m):
-    """A generating set, in element order: each element not yet reached
-    joins it, and what it reaches is closed under right multiplication.
+    """A generating set, as element indices in order: each element not yet
+    reached joins it, and what it reaches is closed under right
+    multiplication.
 
     Every element is a generator or a product ((e g1) g2) ... gk of the
     unit and generators; when the left unit law holds, every element is
     such a product.
     """
     if m._gens is None:
-        mul = list(map(m.table.__getitem__, m.elements))
         unit = m.carrier.index(m.unit)
         mask, members, gens = 1 << unit, [unit], ()
-        for a in range(len(mul)):
+        for a in range(len(m)):
             if not mask >> a & 1:
                 gens += (a,)
-                mask, new, _ = _close(mul, mask, members, gens)
+                mask, new, _ = _close(m.table, mask, members, gens)
                 members += new
-        m._gens = tuple(m.elements[g] for g in gens)
+        m._gens = gens
     return m._gens
 
 
 def acts_along(m, table, gens):
-    """True iff the rows `table` (one per element of m, over any points)
-    obey the action law along gens: the unit's row is the identity, and
-    row(ag) = row(a)∘row(g) for every element a and every g in gens.  On
-    m's own table this is Light's test."""
-    rows = list(map(table.__getitem__, m.elements))
-    if table[m.unit] != tuple(range(len(rows[0]))):
+    """True iff the rows `table` (one per element of m, in element order,
+    over any points) obey the action law along the element indices gens:
+    the unit's row is the identity, and row(ag) = row(a)∘row(g) for every
+    element a and every g in gens.  On m's own table this is Light's test."""
+    if table[m.carrier.index(m.unit)] != tuple(range(len(table[0]))):
         return False
     for g in gens:
-        col, row_g = m.carrier.index(g), table[g]
-        for row_a, products in zip(rows, map(m.table.__getitem__, m.elements)):
-            if rows[products[col]] != tuple(map(row_a.__getitem__, row_g)):
+        row_g = table[g]
+        for row_a, products in zip(table, m.table):
+            if table[products[g]] != tuple(map(row_a.__getitem__, row_g)):
                 return False
     return True
 
 
 def associativity_failures(m, table, points):
-    """Every (a, b, x) with (ab).x != a.(b.x) for the rows table over the
-    named points, in that order, as violation lines."""
-    rows = list(map(table.__getitem__, m.elements))
+    """Every (a, b, x) with (ab).x != a.(b.x) for the rows table, one per
+    element, over the named points, in that order, as violation lines."""
     out = []
-    for a, row_a, products in zip(m.elements, rows, map(m.table.__getitem__, m.elements)):
-        for b, row_b, ab in zip(m.elements, rows, products):
-            for x, left, right in zip(points, rows[ab], map(row_a.__getitem__, row_b)):
+    for a, row_a, products in zip(m.elements, table, m.table):
+        for b, row_b, ab in zip(m.elements, table, products):
+            for x, left, right in zip(points, table[ab], map(row_a.__getitem__, row_b)):
                 if left != right:
                     out.append("associativity fails at (%s, %s, %s): %s vs %s"
                                % (a, b, x, points[left], points[right]))
@@ -213,10 +212,9 @@ class MonoidHom:
         if assignment[src.unit] != dst.unit:
             raise MonoidError("hom sends unit to %r" % assignment[src.unit])
         images = tuple(map(dst.carrier.index, map(assignment.__getitem__, src.elements)))
-        rows = list(map(dst.table.__getitem__, dst.elements))
-        for a, x in zip(src.elements, images):
-            row_x = rows[x]
-            for b, y, ab in zip(src.elements, images, src.table[a]):
+        for a, x, products in zip(src.elements, images, src.table):
+            row_x = dst.table[x]
+            for b, y, ab in zip(src.elements, images, products):
                 if images[ab] != row_x[y]:
                     raise MonoidError("hom breaks multiplicativity at (%s, %s)" % (a, b))
         self.src, self.dst, self.images = src, dst, images
@@ -233,8 +231,7 @@ class MonoidHom:
 
     def pull_back(self, table):
         """The rows of an action of dst (or its table), one per src element: its image's."""
-        rows = list(map(table.__getitem__, self.dst.elements))
-        return dict(zip(self.src.elements, map(rows.__getitem__, self.images)))
+        return tuple(map(table.__getitem__, self.images))
 
     def __eq__(self, other):
         return (isinstance(other, MonoidHom) and self.src == other.src
@@ -263,16 +260,16 @@ def submonoid(m, subset):
         raise MonoidError("submonoid must contain the unit")
     cols = list(map(m.carrier.index, elems))
     at = {c: k for k, c in enumerate(cols)}
-    table = {}
-    for a in elems:
-        row = tuple(map(m.table[a].__getitem__, cols))
+    table = []
+    for a, col in zip(elems, cols):
+        row = tuple(map(m.table[col].__getitem__, cols))
         for b, c in zip(elems, row):
             if c not in at:
                 raise MonoidError("subset not closed: %s*%s = %s escapes"
                                   % (a, b, m.elements[c]))
-        table[a] = tuple(map(at.__getitem__, row))
+        table.append(tuple(map(at.__getitem__, row)))
     # the checks above prove the table total and the inclusion a hom
-    S = Monoid._trusted(FinSet(elems, check=False), m.unit, table)
+    S = Monoid._trusted(FinSet(elems, check=False), m.unit, tuple(table))
     return S, MonoidHom._trusted(S, m, cols)
 
 
@@ -327,7 +324,7 @@ def submonoid_tuples(m):
         return list(m._subs[0])
     elems = m.elements[::-1]
     n = len(elems)
-    mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
+    mul = [[n - 1 - c for c in reversed(row)] for row in reversed(m.table)]
     unit = elems.index(m.unit)
     # bits s with s*a not in {s, a} and g with a*g not in {a, g}; -1 for a not idempotent
     off_left, off_right = [-1] * n, [-1] * n
@@ -406,7 +403,7 @@ def is_hopf(m):
     """True iff fusion is a bijection, i.e. iff m is a group: iff every row
     b -> ab of the table is one.  The verdict is kept on m."""
     if m._hopf is None:
-        m._hopf = all(len(set(row)) == len(row) for row in m.table.values())
+        m._hopf = all(len(set(row)) == len(row) for row in m.table)
     return m._hopf
 
 

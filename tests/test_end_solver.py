@@ -22,7 +22,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (S4, SAMPLES, SiteFunctor, assert_checked, generated_inclusion,
+from conftest import (S4, SAMPLES, Z4_WORDS, SiteFunctor, assert_checked, generated_inclusion,
                       hom_law_oracle, invariants_oracle, maps_monoid, nat_search_oracle, propagate, restrict_end,
                       transformation_monoids, underlying_site)
 from galmon.finset import FinSet, SizingError
@@ -30,7 +30,8 @@ from galmon.monoid import MonoidHom, enumerate_submonoids, is_hopf, trivial_mono
 from galmon.actions import (MAction, Site, canonical_site, coset_action, default_site,
                             trivial_action)
 from galmon import ends, finset
-from galmon.ends import ForgetfulDiagram, end_of_forgetful, internal_nat, reconstruction_hom
+from galmon.ends import (ForgetfulDiagram, end_monoid, end_of_forgetful, internal_nat,
+                         reconstruction_hom)
 from galmon.galois import (Subfunctor, invariants, random_subfunctor, stabilizer,
                            stabilizer_via_end)
 from galmon import samples
@@ -266,18 +267,18 @@ def assert_end_matches_search(site):
     constructor into that monoid."""
     end, searched = end_and_route(site)
     assert searched != has_free_object(site)
-    assert_checked(end.monoid())
-    assert end.unit() == end.monoid().unit
+    assert_checked(end_monoid(end))
+    assert end.unit() == end_monoid(end).unit
     rho = reconstruction_hom(site.monoid, end)
     fams = dict(zip(site.monoid.elements, map(end.carrier.elements.__getitem__, rho)))
-    assert hom_law_oracle(site.monoid, end.monoid(), fams) is None
-    assert MonoidHom(site.monoid, end.monoid(), fams).images == rho
+    assert hom_law_oracle(site.monoid, end_monoid(end), fams) is None
+    assert MonoidHom(site.monoid, end_monoid(end), fams).images == rho
     if not searched:
         U = ForgetfulDiagram(site)
         ref = internal_nat(U, U)
         assert end.families == ref.families
         assert end.carrier.elements == ref.carrier.elements
-        E, R = end.monoid(), ref.monoid()
+        E, R = end_monoid(end), end_monoid(ref)
         assert_checked(R)
         assert E.unit == R.unit
         assert E.table == R.table
@@ -285,7 +286,7 @@ def assert_end_matches_search(site):
 
 
 READ_OFF = [pytest.param(m, recipe, id="%s-%s" % (name, recipe))
-            for name, m in list(SAMPLES.items()) + [("S4", S4)]
+            for name, m in list(SAMPLES.items()) + [("S4", S4), ("Z4words", Z4_WORDS)]
             for recipe in ("default", "free", "free+trivial")]
 
 
@@ -365,8 +366,8 @@ def test_restrictions_are_homs_between_the_end_monoids():
         up, down = end_of_forgetful(dst), end_of_forgetful(src)
         r = restrict_end(up, SiteFunctor(src, dst, ob_map), down)
         fams = dict(zip(up.carrier, map(down.carrier.elements.__getitem__, r)))
-        assert hom_law_oracle(up.monoid(), down.monoid(), fams) is None
-        assert MonoidHom(up.monoid(), down.monoid(), fams).images == r
+        assert hom_law_oracle(end_monoid(up), end_monoid(down), fams) is None
+        assert MonoidHom(end_monoid(up), end_monoid(down), fams).images == r
 
 
 def test_no_end_table_is_composed_on_the_way_to_a_stabilizer(monkeypatch):
@@ -386,7 +387,7 @@ def test_no_end_table_is_composed_on_the_way_to_a_stabilizer(monkeypatch):
     assert T.elements == stabilizer(V)[0].elements
     assert len(T) == 24
     with pytest.raises(SizingError):
-        end.monoid()
+        end_monoid(end)
 
 
 @given(transformation_monoids())
@@ -418,20 +419,15 @@ def test_sites_without_a_free_object_are_searched():
 
 def test_read_off_guard_counts_one_assignment_per_family_object_and_point(monkeypatch):
     # 6 families of the 6 points of S3's free object, and of the 24 points
-    # of its default site
-    site = canonical_site(samples.symmetric3(), "free")
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 36)
-    end, searched = end_and_route(site)
-    assert len(end) == 6 and not searched
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 35)
-    with pytest.raises(SizingError) as exc:
-        end_of_forgetful(site)
-    assert str(exc.value) == "ends: 36 candidate assignments exceed the limit of 35"
-    monkeypatch.undo()
-    site = default_site(samples.symmetric3())
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 144)
-    assert len(end_of_forgetful(site)) == 6
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 143)
-    with pytest.raises(SizingError) as exc:
-        end_of_forgetful(site)
-    assert str(exc.value) == "ends: 144 candidate assignments exceed the limit of 143"
+    # of its default site: the read-off writes the table cells the site's
+    # guard counted before the site was built, and searches nothing
+    m = samples.symmetric3()
+    for recipe, cells in (("free", 36), ("cosets+free", 144)):
+        monkeypatch.setattr(finset, "MAX_ENUMERATION", cells)
+        end, searched = end_and_route(canonical_site(m, recipe))
+        assert len(end) == 6 and not searched
+        monkeypatch.setattr(finset, "MAX_ENUMERATION", cells - 1)
+        with pytest.raises(SizingError) as exc:
+            canonical_site(m, recipe)
+        assert str(exc.value) == ("actions.canonical_site: %d table cells exceed the limit of %d"
+                                  % (cells, cells - 1))

@@ -34,7 +34,7 @@ def test_end_over_point_site():
     site = canonical_site(Z2, "trivial")
     end = end_of_forgetful(site)
     assert len(end) == 1
-    assert end_monoid(end).elements == (end.monoid().unit,)
+    assert end_monoid(end).elements == (end.unit(),)
 
 
 def test_an_end_of_families_and_its_monoid_have_reprs():
@@ -42,7 +42,7 @@ def test_an_end_of_families_and_its_monoid_have_reprs():
     assert end.carrier.elements == tuple(sorted(end.families))
     fams = ",".join(map(str, end.carrier))
     assert repr(end.carrier) == "FinSet{%s}" % fams
-    assert repr(end.monoid()) == "Monoid(%s; unit=%s)" % (fams, end.unit())
+    assert repr(end_monoid(end)) == "Monoid(%s; unit=%s)" % (fams, end.unit())
 
 
 def test_end_sizes_over_free_site():
@@ -77,7 +77,7 @@ def test_wedge_condition_holds_post_hoc():
 def test_projections_are_monoid_homs():
     site = default_site(Z2)
     end = end_of_forgetful(site)
-    E = end.monoid()
+    E = end_monoid(end)
     for i in range(site.nobj):
         for ef in E.elements:
             for eg in E.elements:
@@ -163,7 +163,7 @@ def test_trivial_path_lands_on_unit():
     site = default_site(Z2)
     end = end_of_forgetful(site)
     path = trivial_path(Z2, end)
-    unit = end.monoid().unit
+    unit = end_monoid(end).unit
     assert [end.carrier.elements[k] for k in path] == [unit] * len(Z2)
 
 
@@ -271,10 +271,10 @@ def test_subset_diagram_escape():
 
 
 def test_sizing_guard_per_object(monkeypatch):
-    site = free_site(S3)
+    # the free object's 36 table cells are refused as the site is built
     monkeypatch.setattr(finset, "MAX_ENUMERATION", 10)
     with pytest.raises(SizingError):
-        end_of_forgetful(site)
+        end_of_forgetful(free_site(S3))
 
 
 def test_sizing_guard_family_product(monkeypatch):
@@ -282,11 +282,13 @@ def test_sizing_guard_family_product(monkeypatch):
                     {("e", "a"): "a", ("e", "b"): "b",
                      ("g", "a"): "b", ("g", "b"): "a"})
     site = Site(Z2, [("sw", SWAP), ("sw2", swap2)])
-    monkeypatch.setattr(finset, "MAX_ENUMERATION", 3)
-    with pytest.raises(SizingError):
-        end_of_forgetful(site)
+    U = ForgetfulDiagram(site)
     monkeypatch.setattr(finset, "MAX_ENUMERATION", 16)
-    assert len(end_of_forgetful(site)) == 2
+    assert len(end_of_forgetful(site)) == 2  # read off a free object, with no search
+    with pytest.raises(SizingError):
+        internal_nat(U, U)  # the search it replaces makes 42 units of work
+    monkeypatch.setattr(finset, "MAX_ENUMERATION", 42)
+    assert len(internal_nat(U, U)) == 2
 
 
 def test_refusals_name_layer_count_and_limit():
@@ -301,7 +303,7 @@ def test_monoid_needs_self_hom_end():
     end = end_of_forgetful(site)
     cut, target = family_restriction(end, Subfunctor.empty(site))
     with pytest.raises(EndError):
-        target.monoid()
+        end_monoid(target)
 
 
 def test_family_restriction_full_and_empty():

@@ -11,10 +11,11 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, SAMPLES, T3, augmentation_square_check, band_monoids,
-                      correspondence_oracle, generated_inclusion, included, invariants_oracle,
-                      law_failures_oracle, monoid_doc, point_sets, reconstruction_composite_check,
-                      subfunctors_oracle, transformation_monoids, identity_hom)
+from conftest import (NONASSOC, S4, SAMPLES, T3, Z4_WORDS, augmentation_square_check,
+                      band_monoids, correspondence_oracle, generated_inclusion, included,
+                      invariants_oracle, law_failures_oracle, monoid_doc, point_sets,
+                      reconstruction_composite_check, subfunctors_oracle,
+                      transformation_monoids, identity_hom)
 from galmon.cli import run
 from galmon.ends import end_of_forgetful
 from galmon.finset import FinSet, singleton
@@ -380,7 +381,7 @@ def assert_sweeps_match_oracles(m, site, seed=0):
     assert connection_law_failures(m, site, extras) == law_failures_oracle(m, site, extras)
 
 
-SWEPT = dict(SAMPLES, S4=S4, T3=T3)
+SWEPT = dict(SAMPLES, S4=S4, T3=T3, Z4words=Z4_WORDS)
 
 
 @pytest.mark.parametrize("m", list(SWEPT.values()), ids=list(SWEPT))
@@ -457,6 +458,13 @@ def assert_tuple_route(m, spec, custom, incls, rng):
         doc = inv_report(m, incl, spec, custom)
         assert doc["oracle"] == doc["invariants"] == V.as_dict()
         assert V == invariants_oracle(incl, site)
+
+
+def test_the_tuple_route_where_the_free_objects_carrier_is_out_of_element_order():
+    site = default_site(Z4_WORDS)
+    assert site.objects[-1].carrier.elements == ("(e,*)", "(g g g,*)", "(g g,*)", "(g,*)")
+    incls = [incl for _, incl in enumerate_submonoids(Z4_WORDS)]
+    assert_tuple_route(Z4_WORDS, "default", [], incls, random.Random(4))
 
 
 @given(transformation_monoids(), st.randoms(use_true_random=False))

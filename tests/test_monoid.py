@@ -242,7 +242,7 @@ def extensions(m):
     by `_close`."""
     elems = m.elements[::-1]
     n = len(elems)
-    mul = [[n - 1 - c for c in reversed(m.table[a])] for a in elems]
+    mul = [[n - 1 - c for c in reversed(row)] for row in reversed(m.table)]
     unit = elems.index(m.unit)
     out, stack = [], [(1 << unit, [unit], (), -1)]
     while stack:
