@@ -56,7 +56,8 @@ def main():
     for name, m in [("trivial", samples.cyclic(1)), ("z2", z2),
                     ("z3", samples.cyclic(3)), ("z4", samples.cyclic(4)),
                     ("e2", samples.idempotent_pair()), ("s3", s3),
-                    ("lz6", samples.left_zero_with_unit(6)), ("s4", s4)]:
+                    ("lz6", samples.left_zero_with_unit(6)),
+                    ("lz12", samples.left_zero_with_unit(12)), ("s4", s4)]:
         dump(name + ".json", monoid_doc(m))
     # symbols that JSON escapes: non-ASCII, a quote and a backslash, a space
     dump("z3_symbols.json", monoid_doc(relabelled(samples.cyclic(3), ["é", 'a"\\b', "∞ x"])))

@@ -9,8 +9,9 @@ Also the structure the product monad carries: homomorphisms, each its
 index tuple into the target's carrier and checked pair by pair on those
 indices, generating sets of element indices (on which the laws are
 checked), submonoids (each found once by prefix-preserving closure
-extension, and refused past MAX_MATERIALIZED of them or MAX_ENUMERATION
-closure products made), and the Hopf test, which reads off the rows
+extension, a subtree of extensions that close by themselves listed in one
+step, and refused past MAX_MATERIALIZED of them or MAX_ENUMERATION closure
+products made), and the Hopf test, which reads off the rows
 whether the fusion map (a, b) -> (a, ab) is a bijection, that is, whether
 the monoid is a group with an antipode.
 """
@@ -315,10 +316,17 @@ def submonoid_tuples(m):
     is closed (Neubüser's cut).  Once m's laws hold, S + a is closed as it
     stands, and charged what _close would make, when a is an idempotent with
     s*a in {s, a} for s in S and a*g in {a, g} for the generators g: a*s
-    stays in S + a along s's generator word.  Indices number the elements in
-    reverse, so the element lists of one size ascend as the masks descend.
-    The products the closures make count against MAX_ENUMERATION, and the
-    submonoids against MAX_MATERIALIZED.  Tuples and generators stay on m.
+    stays in S + a along s's generator word.  When every index in rest, those
+    above the last one adjoined and outside S, is such an idempotent for the
+    masks S + rest and gens + rest (both tests are monotone), the subtree
+    below S is every S + B, B within rest, generated by gens + B.  If rest
+    has two or more indices and no limit could fire inside, the subtree is
+    listed in one step, by doubling, each name put in place as it joins, and
+    charged in closed form what the walk would make.  Indices number the
+    elements in reverse, so the element lists of one size ascend as the
+    masks descend.  The products the closures make count against
+    MAX_ENUMERATION, and the submonoids against MAX_MATERIALIZED.  Tuples
+    and generators stay on m.
     """
     if m._subs is not None:
         return list(m._subs[0])
@@ -326,20 +334,38 @@ def submonoid_tuples(m):
     n = len(elems)
     mul = [[n - 1 - c for c in reversed(row)] for row in reversed(m.table)]
     unit = elems.index(m.unit)
-    # bits s with s*a not in {s, a} and g with a*g not in {a, g}; -1 for a not idempotent
-    off_left, off_right = [-1] * n, [-1] * n
+    # for idempotents a but the unit (bits idem): bits s with s*a not in {s, a} and g
+    # with a*g not in {a, g}; -1 for a not idempotent
+    off_left, off_right, idem = [-1] * n, [-1] * n, 0
     for a in range(n) if laws_hold(m) else ():
-        if mul[a][a] == a:
+        if mul[a][a] == a != unit:
+            idem |= 1 << a
             off_left[a] = sum(1 << s for s in range(n) if mul[s][a] != s and mul[s][a] != a)
             off_right[a] = sum(1 << g for g in range(n) if mul[a][g] != a and mul[a][g] != g)
-    keys, subs, gens_of, products = [], [], [], 0
+    keys, subs, gens_of, products, full = [], [], [], 0, (1 << n) - 1
     limit, most = finset.MAX_ENUMERATION, finset.MAX_MATERIALIZED
     stack = [(1 << unit, [unit], (), 0, -1)]
     while stack:
         mask, members, gens, gmask, core = stack.pop()
         keys.append((len(members) << n) - mask)
-        subs.append(members)
+        subs.append(tuple([elems[i] for i in sorted(members, reverse=True)]))
         gens_of.append(gmask)
+        # every index above core in S or idempotent: is the subtree S + B, B within rest?
+        if idem >> core + 1 and (mask | idem) >> core + 1 == full >> core + 1:
+            rest, start = (full ^ mask) >> core + 1 << core + 1, len(subs) - 1
+            top, low = mask | rest, gmask | rest
+            bits = [a for a in range(core + 1, n) if rest >> a & 1]
+            base, k = len(members) + len(gens) + 1, len(bits)
+            made = (base + k - 2 << k) - base + 2  # sum of 2^j (base + j), j < k
+            if (k > 1 and start + (1 << k) <= most and products + made <= limit
+                    and not any(off_left[a] & top or off_right[a] & low for a in bits)):
+                products += made
+                for a in bits:  # ascending, so a's name goes after those of S above a
+                    p, name, step = (mask >> a).bit_count(), (elems[a],), full + 1 - (1 << a)
+                    subs += [t[:p] + name + t[p:] for t in subs[start:]]
+                    keys += [key + step for key in keys[start:]]
+                    gens_of += [g | 1 << a for g in gens_of[start:]]
+                continue
         if len(subs) > most:
             raise finset.refusal("monoid.enumerate_submonoids",
                                  "more than %d submonoids" % most, most)
@@ -357,8 +383,7 @@ def submonoid_tuples(m):
             if closed is not None:
                 stack.append((closed, members + new, gens + (a,), gmask | 1 << a, a))
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    m._subs = (tuple(tuple([elems[i] for i in sorted(subs[k], reverse=True)]) for k in order),
-               tuple(map(gens_of.__getitem__, order)))
+    m._subs = tuple(map(subs.__getitem__, order)), tuple(map(gens_of.__getitem__, order))
     return list(m._subs[0])
 
 

@@ -9,8 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import (NONASSOC, S4, assert_checked, band_monoids, fusion_morphism,
-                      identity_hom, is_bijection, is_subgroup_oracle, maps_monoid,
+from conftest import (NONASSOC, S4, assert_checked, band_monoids, formula_monoid,
+                      fusion_morphism, identity_hom, is_bijection, is_subgroup_oracle, maps_monoid,
                       submonoids_oracle, transformation_monoids, write_monoid)
 from conftest import SAMPLES as SAMPLE_MONOIDS
 from galmon.actions import default_site
@@ -20,7 +20,8 @@ from galmon.monoid import (Monoid, MonoidHom, MonoidError, NotHopfError,
                            validate_monoid, trivial_monoid, submonoid,
                            enumerate_submonoids, enumerate_subgroups,
                            hopf_witness, is_hopf, antipode,
-                           kernel_pairs, submonoid_tuples, is_subgroup, laws_hold)
+                           kernel_pairs, submonoid_tuples, submonoid_generators,
+                           is_subgroup, laws_hold)
 from galmon.galois import connection_law_failures, galois_correspondence
 from galmon import finset, monoid, samples
 
@@ -236,24 +237,26 @@ def test_closures_count_the_products_they_make(make, monkeypatch):
 
 
 def extensions(m):
-    """The element names of m in reverse, and every extension that
+    """The element names of m in reverse; every extension that
     prefix-preserving closure extension tries on m, as (mask, members, gens,
     a) over those indices with what `_close` returns on it, every one closed
-    by `_close`."""
+    by `_close` and none listed a subtree at a time; and the submonoids it
+    reaches, as a dict from mask to the mask of the generators adjoined."""
     elems = m.elements[::-1]
     n = len(elems)
     mul = [[n - 1 - c for c in reversed(row)] for row in reversed(m.table)]
     unit = elems.index(m.unit)
-    out, stack = [], [(1 << unit, [unit], (), -1)]
+    out, gmasks, stack = [], {}, [(1 << unit, [unit], (), 0, -1)]
     while stack:
-        mask, members, gens, core = stack.pop()
+        mask, members, gens, gmask, core = stack.pop()
+        gmasks[mask] = gmask
         for a in range(core + 1, n):
             if not mask >> a & 1:
                 closed, new, made = monoid._close(mul, mask, members, gens + (a,), a)
                 out.append(((mask, members, gens, a), (closed, new, made)))
                 if closed is not None:
-                    stack.append((closed, members + new, gens + (a,), a))
-    return elems, out
+                    stack.append((closed, members + new, gens + (a,), gmask | 1 << a, a))
+    return elems, out, gmasks
 
 
 def closes_by_itself(m, elems, mask, members, gens, a):
@@ -281,21 +284,60 @@ def listing_closes(m):
 
 @given(band_monoids())
 def test_idempotent_extensions_are_closed_as_close_closes_them(m):
-    elems, walked = extensions(m)
+    elems, walked, _ = extensions(m)
     by_itself = [(ext, got) for ext, got in walked if closes_by_itself(m, elems, *ext)]
     for (mask, members, gens, a), got in by_itself:
         assert got == (mask | 1 << a, [a], len(members) + len(gens) + 1)
-    # the listing closes exactly the other extensions, and charges them all
+    # the listing closes exactly the other extensions (what it charges for
+    # all of them is checked with the subtree steps below)
     subs, calls = listing_closes(m)
     assert subs == submonoids_oracle(m)
     assert calls == len(walked) - len(by_itself)
+
+
+def lists_as_the_walk_lists(m):
+    """The listing, which takes a subtree of extensions that each close by
+    themselves in one step, finds the submonoids, generators and closure
+    products of the walk that takes every extension one at a time."""
+    elems, walked, gmasks = extensions(m)
+    copy = fresh(m)
+    subs = submonoid_tuples(copy)
+    assert subs == submonoids_oracle(m)
+    assert submonoid_generators(copy) == tuple(
+        gmasks[sum(1 << elems.index(a) for a in s)] for s in subs)
     total = sum(made for _, (_, _, made) in walked)
     with mock.patch.object(finset, "MAX_ENUMERATION", total):
         assert submonoid_tuples(fresh(m)) == subs
-    if walked:  # a listing that closes nothing has nothing to refuse
+    if total:  # a listing that charges nothing has nothing to refuse
         with mock.patch.object(finset, "MAX_ENUMERATION", total - 1):
-            with pytest.raises(SizingError):
+            with pytest.raises(SizingError) as exc:
                 submonoid_tuples(fresh(m))
+        assert str(exc.value) == ("monoid.enumerate_submonoids: %d closure products "
+                                  "exceed the limit of %d" % (total, total - 1))
+
+
+@given(band_monoids())
+def test_subtree_steps_list_as_the_walk_lists_on_bands(m):
+    lists_as_the_walk_lists(m)
+
+
+@given(transformation_monoids())
+def test_subtree_steps_list_as_the_walk_lists_on_transformation_monoids(drawn):
+    assume(len(drawn[0]) <= 24)  # as in the oracle test above
+    lists_as_the_walk_lists(drawn[0])
+
+
+@pytest.mark.parametrize("make, count", [(lambda: samples.left_zero_with_unit(12), 4096),
+                                         (lambda: S4, 30)], ids=["LZ13", "S4"])
+def test_submonoids_are_refused_past_the_materialized_limit(make, count, monkeypatch):
+    # one subtree step lists all of LZ13 at its limit; one below, it is walked
+    monkeypatch.setattr(finset, "MAX_MATERIALIZED", count)
+    assert len(submonoid_tuples(fresh(make()))) == count
+    monkeypatch.setattr(finset, "MAX_MATERIALIZED", count - 1)
+    with pytest.raises(SizingError) as exc:
+        submonoid_tuples(fresh(make()))
+    assert str(exc.value) == ("monoid.enumerate_submonoids: more than %d submonoids "
+                              "exceed the limit of %d" % (count - 1, count - 1))
 
 
 def test_a_unit_and_left_zeros_close_no_extension():
@@ -315,20 +357,38 @@ MUTUAL_UNITS = Monoid(FinSet(("a", "b", "e")), "e",
 @pytest.mark.parametrize("m", [NONASSOC, MUTUAL_UNITS], ids=["NONASSOC", "mutual-units"])
 def test_tables_that_break_the_laws_close_every_extension(m):
     assert not laws_hold(m)
-    _, walked = extensions(m)
+    _, walked, _ = extensions(m)
     subs, calls = listing_closes(m)
     assert subs == submonoids_oracle(m) and calls == len(walked)
 
 
+def band_times_z2(zeros):
+    """A unit and `zeros` left zeros, times Z2."""
+    return formula_monoid([(p, i) for p in [None] + list(range(zeros)) for i in range(2)],
+                          (None, 0), lambda p, q: (q[0] if p[0] is None else p[0],
+                                                   (p[1] + q[1]) % 2))
+
+
+def subsets_under_union(k):
+    """The subsets of k points under union."""
+    return formula_monoid([frozenset(c) for r in range(k + 1)
+                           for c in itertools.combinations(range(k), r)],
+                          frozenset(), frozenset.union)
+
+
 # the closure products each listing makes, pinned before idempotent
-# extensions stopped calling _close: the least limit that lets it finish
+# extensions stopped calling _close (the last two before a subtree of them
+# was listed in one step, which covers part of each of their lattices):
+# the least limit that lets it finish
 CLOSURE_PRODUCTS = {
     "LZ13": (lambda: samples.left_zero_with_unit(12), 49152),
     "M16": (lambda: samples.mult_mod(16), 2411),
     "T3": (lambda: maps_monoid(list(itertools.product(range(3), repeat=3))), 21448),
     "S4": (lambda: maps_monoid(list(itertools.permutations(range(4)))), 1189),
     "D10": (lambda: dihedral(10), 657),
-    "RZ11": (lambda: samples.right_zero_with_unit(10), 10240)}
+    "RZ11": (lambda: samples.right_zero_with_unit(10), 10240),
+    "LZ7xZ2": (lambda: band_times_z2(6), 2405),
+    "SUBSETS3": (lambda: subsets_under_union(3), 485)}
 
 
 @pytest.mark.parametrize("name", list(CLOSURE_PRODUCTS))

@@ -64,6 +64,11 @@ REPORTS = [
      0, "857f7b6d384ce8998cc301b2bfe52c25b309e67ba59a2f24f0b57c60597ecc4d"),
     ("corr --monoid lz6.json",
      0, "2794a0c945df69661489ba38b14827cac7e36d9234bd570367008c07bc7a7abb"),
+    # a unit and twelve left zeros: 4096 submonoids, listed in one subtree step
+    ("subgroups --monoid lz12.json",
+     0, "b3485d5c64c156536c3c3b37632027d789a7fd8dba9c10c823812924a4068d3b"),
+    ("corr --monoid lz12.json",
+     0, "6a455d6d6136faed0801fe2081f4c5af8bd4c24348531cfd562d5a4dbf5d897c"),
     # the law sweep over a dense lattice and over a group's coset site
     ("laws --monoid lz6.json --seed 3",
      0, "7da6a6b411b66b6676f7da8368959d5e996c5348005d96a99b025edc4aa87878"),
