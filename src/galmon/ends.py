@@ -18,20 +18,22 @@ sends V's points to; only the `end` report names families, through
 
 When V = W the end is a monoid under componentwise composition, and a
 monoid map into End[U] (U the underlying-carrier diagram) is exactly an
-action of its source on every site object at once.  A map into or between
-ends is its index tuple: the index in the target end's carrier of the image
-of each source element, in source order.  Whether one is unital and
-multiplicative is read off the components, and no end's table is composed.
-With a free object in the site, End[U]'s families are the action rows,
-act.table[k] on every object for each element index k (Yoneda; see
-`end_of_forgetful`).  A stabilizer's trivial path
-A -> 1 -> End[U] is the augmentation followed by End[U]'s unit.
+action of its source on every site object at once: the Site proves that
+once for its own monoid and the end layer relies on it, while another
+monoid is checked along its generators.  A map into or between ends is its
+index tuple into the target end's carrier, in source order; no end's table
+is composed.  With a free object in the site, End[U]'s families are the
+action rows, act.table[k] on every object for each element index k (Yoneda;
+see `end_of_forgetful`).  A stabilizer's trivial path A -> 1 -> End[U] is
+the augmentation followed by End[U]'s unit.
 """
 
+import functools
 import itertools
+import operator
 
 from . import finset
-from .finset import FinSet, map_label
+from .finset import ARROW, FinSet
 from .monoid import Monoid, acts_along, generators
 from .actions import read_off
 
@@ -58,9 +60,7 @@ class EndObject:
     tuple of W-indices of the images of V's points, in V's order."""
 
     def __init__(self, site, V, W, families):
-        self.site = site
-        self.V = V
-        self.W = W
+        self.site, self.V, self.W = site, V, W
         self.families = tuple(families)
         self.carrier = FinSet(self.families, check=False)
 
@@ -70,10 +70,15 @@ class EndObject:
     def __repr__(self):
         return "EndObject(%d families over %r)" % (len(self.families), self.site)
 
+    @functools.cached_property
+    def _prefixes(self):
+        """Per site object, "x↦" for each of V's points, and W's elements."""
+        return [(tuple(x + ARROW for x in V), W.elements) for V, W in zip(self.V.obs, self.W.obs)]
+
     def label(self, fam):
         """The family as a report names it: "({x↦y,...},...)", one map per site object."""
-        return "(%s)" % ",".join(map_label(V.elements, map(W.elements.__getitem__, images))
-                                 for V, W, images in zip(self.V.obs, self.W.obs, fam))
+        return "(%s)" % ",".join(["{%s}" % ",".join(map(operator.add, xs, map(ys.__getitem__, t)))
+                                  for (xs, ys), t in zip(self._prefixes, fam)])
 
     def unit(self):
         """The identity family, defined when V and W coincide."""
@@ -142,6 +147,12 @@ def internal_nat(V, W):
     return EndObject(site, V, W, families)
 
 
+def _is_free(X):
+    """|A| points, one column holding them all: X is free on that point."""
+    n = len(X.monoid)
+    return len(X.carrier) == n and any(len(set(col)) == n for col in zip(*X.table))
+
+
 def end_of_forgetful(site):
     """The end of the underlying-carrier diagram.
 
@@ -154,11 +165,10 @@ def end_of_forgetful(site):
     free object go through `internal_nat`.
     """
     U = ForgetfulDiagram(site)
-    n = len(site.monoid)
-    if not any(len(X.carrier) == n and len(X._presentation()[0]) == 1 for X in site.objects):
-        return internal_nat(U, U)  # one generating point and |A| points: free
+    if not any(map(_is_free, site.objects)):
+        return internal_nat(U, U)
     return EndObject(site, U, U, sorted(tuple(act.table[k] for act in site.objects)
-                                        for k in range(n)))
+                                        for k in range(len(site.monoid))))
 
 
 def end_monoid(end):
@@ -183,17 +193,16 @@ def reconstruction_hom(m, end):
     each element, in element order, the index of its family in end.carrier.
 
     Families compose componentwise, so it is a monoid map exactly when
-    every site object obeys the action law along generators of m, which
-    is checked (Light's test).
-    """
-    objects = end.site.objects
-    fams = [tuple(act.table[k] for act in objects) for k in range(len(m))]
-    for a, fam in zip(m.elements, fams):
-        if fam not in end.carrier:
-            raise EndError("the action family of %r fails the wedge condition" % a)
-    if not all(acts_along(m, act.table, generators(m)) for act in objects):
+    every site object obeys the action law along generators of m: the Site
+    proved that of its own monoid, and any other m is checked (Light's test)."""
+    tables, at = [act.table for act in end.site.objects], end.carrier._lookup.get
+    rho = tuple(at(tuple(t[k] for t in tables)) for k in range(len(m)))
+    if None in rho:
+        a = m.elements[rho.index(None)]
+        raise EndError("the action family of %r fails the wedge condition" % a)
+    if m != end.site.monoid and not all(acts_along(m, t, generators(m)) for t in tables):
         raise EndError("the action families are not a monoid map into the end")
-    return tuple(map(end.carrier.index, fams))
+    return rho
 
 
 def trivial_path(m, end):
@@ -214,8 +223,9 @@ def family_restriction(end, sub):
         raise EndError("subfunctor must live over the end's site")
     full = end.V is end.W and sub.obs == end.W.obs  # sub keeps every point: the end's families
     target = EndObject(end.site, sub, end.W, end.families) if full else internal_nat(sub, end.W)
-    cut = [tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))
-           for fam in end.carrier]
-    if not all(map(target.carrier.__contains__, cut)):
+    cut = tuple(map(target.carrier._lookup.get, (
+        tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(fam, sub._embed))
+        for fam in end.carrier)))
+    if None in cut:
         raise EndError("a restricted family fails the wedge condition")
-    return tuple(map(target.carrier.index, cut)), target
+    return cut, target

@@ -35,9 +35,9 @@ def _naturality_violation(site, comps):
     targets = [j for j, act in enumerate(site.objects) if len(comps[j]) < len(act.carrier)]
     for i, j in itertools.product((i for i in range(site.nobj) if comps[i]), targets):
         for f in site.generating_tuples(i, j):
-            for p in comps[i]:
-                if f[p] not in comps[j]:
-                    return (i, j, site.objects[i].carrier.elements[p])
+            if not comps[j].issuperset(map(f.__getitem__, comps[i])):
+                p = next(p for p in comps[i] if f[p] not in comps[j])
+                return (i, j, site.objects[i].carrier.elements[p])
     return None
 
 

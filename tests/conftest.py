@@ -9,9 +9,10 @@ correspondence and connection-law sweeps, the propagation
 search with its oracles for equivariant maps and for wedge families, the
 filter over all maps for equivariant maps and the list of all maps, the
 underlying-carrier site and the restriction of ends along site functors,
-the checks of the augmentation square, the reconstruction composite and
-both adjunctions, and the hypothesis strategies of band-rich monoids and of
-transformation monoids."""
+the reconstruction map with its action-law check, the checks of the
+augmentation square, the reconstruction composite and both adjunctions,
+and the hypothesis strategies of band-rich monoids and of transformation
+monoids."""
 
 import itertools
 import json
@@ -21,7 +22,8 @@ from hypothesis import settings, strategies as st
 from galmon import actions, samples
 from galmon.finset import (FinMap, FinSet, FinSetError, SizingError, MAX_ENUMERATION, curry,
                            exponential, pair_label, product)
-from galmon.monoid import Monoid, MonoidHom, enumerate_submonoids, submonoid, trivial_monoid
+from galmon.monoid import (Monoid, MonoidHom, acts_along, enumerate_submonoids, generators,
+                          submonoid, trivial_monoid)
 from galmon.actions import MAction, Site, restrict_action, trivial_action
 from galmon.ends import EndError, end_of_forgetful, reconstruction_hom, trivial_path
 from galmon.galois import Subfunctor, _mask, _naturality_violation
@@ -484,6 +486,20 @@ def augmentation_square_check(m, site):
                         for a in m.elements])
     return all(end_up.carrier.elements[k] == comps
                for k, comps in zip(trivial_path(m, end_up), zip(*columns)))
+
+
+def reconstruction_hom_oracle(m, end):
+    """`ends.reconstruction_hom` with the action law checked on every site
+    object along m's generators (Light's test), whether or not m is the
+    site's monoid."""
+    objects = end.site.objects
+    fams = [tuple(act.table[k] for act in objects) for k in range(len(m))]
+    for a, fam in zip(m.elements, fams):
+        if fam not in end.carrier:
+            raise EndError("the action family of %r fails the wedge condition" % a)
+    if not all(acts_along(m, act.table, generators(m)) for act in objects):
+        raise EndError("the action families are not a monoid map into the end")
+    return tuple(map(end.carrier.index, fams))
 
 
 def reconstruction_composite_check(m, end):

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (invariants_oracle, maps_monoid, products, submonoids_oracle,
                       transformation_monoid, write_monoid)
-from galmon import finset, samples
+from galmon import cli, finset, samples
 from galmon import report as writer
 from galmon.actions import default_site
 from galmon.cli import (COMMANDS, InputError, _corr_dot, _field, _hasse_edges,
@@ -201,6 +201,23 @@ def test_custom_site_pins_an_object_that_is_not_an_action(tmp_path, capsys):
   "schema": "galmon/1"
 }
 """
+
+
+def test_end_refuses_an_object_that_is_not_an_action_before_building_an_end(
+        tmp_path, capsys, monkeypatch):
+    # the Site proves the action law once; the reconstruction map then relies on it
+    def built(site):
+        raise AssertionError("an end was built over a site that is not one")
+
+    monkeypatch.setattr(cli, "end_of_forgetful", built)
+    nat = json.load(open(fx("s3_natural.json")))
+    nat["act"]["(12)"] = {"1": "1", "2": "2", "3": "3"}
+    write_json(tmp_path / "nat.json", nat)
+    code, out = run_json(capsys, ["end", "--monoid", fx("s3.json"),
+                                  "--site", "free+custom:%s" % tmp_path])
+    assert code == 1
+    assert out["error"] == ("site object 'nat' is not an action: "
+                            "associativity fails at ((12), (123), 1): 1 vs 2")
 
 
 def test_validate_pins_an_unlawful_action_over_a_lawful_monoid(tmp_path, capsys):

@@ -3,19 +3,21 @@ import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 import conftest
-from conftest import (SiteFunctor, augmentation_square_check, extend_with_trivials,
-                      reconstruction_composite_check, restrict_end)
+from conftest import (SiteFunctor, augmentation_square_check, band_monoids, extend_with_trivials,
+                      generated_inclusion, reconstruction_composite_check,
+                      reconstruction_hom_oracle, restrict_end, transformation_monoids)
 from galmon.finset import FinSet, SizingError, product
 from galmon.monoid import Monoid, is_hopf, kernel_pairs, trivial_monoid
-from galmon.actions import (MAction, Site, trivial_action,
+from galmon.actions import (ActionError, MAction, Site, trivial_action, free_action,
                             canonical_site, default_site, coset_action)
-from galmon.ends import (EndError, ForgetfulDiagram, internal_nat,
+from galmon.ends import (EndError, EndObject, ForgetfulDiagram, _is_free, internal_nat,
                          end_of_forgetful, end_monoid, reconstruction_hom,
                          trivial_path, family_restriction)
-from galmon.galois import GaloisError, Subfunctor
-from galmon import finset, samples
+from galmon.galois import GaloisError, Subfunctor, invariants
+from galmon import ends, finset, samples
 from galmon.cli import parse_monoid
 
 Z2 = samples.cyclic(2)
@@ -129,6 +131,95 @@ def test_reconstruction_checks_the_action_law_of_its_source():
                                     ("g", "e"): "g", ("g", "g"): "g"})
     with pytest.raises(EndError, match="not a monoid map"):
         reconstruction_hom(idem, end_of_forgetful(free_site(Z2)))
+
+
+def outcome(route, m, end):
+    """What route(m, end) returns, or the message of the EndError it raises."""
+    try:
+        return route(m, end)
+    except EndError as exc:
+        return str(exc)
+
+
+def opposite(m):
+    """m with its products reversed: a monoid on the same elements, acting
+    through the same rows, that breaks the action law unless m commutes."""
+    return Monoid(m.carrier, m.unit, {(a, b): m.mul(b, a) for a in m.elements
+                                      for b in m.elements})
+
+
+def reconstructs_as_the_oracle(m, X):
+    """Over sites with the checked object X, with and without the free
+    object, the reconstruction maps of m and of its opposite are the checked
+    oracle's, refusals included."""
+    for recipe in ("trivial+custom", "free+custom"):
+        end = end_of_forgetful(canonical_site(m, recipe, custom=[("X", X)]))
+        assert reconstruction_hom(m, end) == reconstruction_hom_oracle(m, end)
+        op = opposite(m)
+        assert (outcome(reconstruction_hom, op, end)
+                == outcome(reconstruction_hom_oracle, op, end))
+
+
+def left_ideal(m, b):
+    """m acting by left multiplication on m.b, read through the checked constructor."""
+    ideal = FinSet({m.mul(a, b) for a in m.elements})
+    return MAction(m, ideal, {(a, x): m.mul(a, x) for a in m.elements for x in ideal})
+
+
+@given(transformation_monoids())
+def test_reconstruction_is_the_checked_oracle_on_transformation_monoids(drawn):
+    m, act, _ = drawn
+    reconstructs_as_the_oracle(m, act)
+
+
+@given(band_monoids(), st.data())
+def test_reconstruction_is_the_checked_oracle_on_bands(m, data):
+    reconstructs_as_the_oracle(m, left_ideal(m, data.draw(st.sampled_from(m.elements))))
+
+
+def test_reconstruction_trusts_the_site_s_proof_of_the_action_law(monkeypatch):
+    checked = []
+    monkeypatch.setattr(ends, "acts_along", lambda *args: checked.append(args[0]) or True)
+    site = canonical_site(S3, "cosets+free+custom", custom=[("X", samples.natural_action3())])
+    end = end_of_forgetful(site)
+    assert reconstruction_hom(S3, end) == reconstruction_hom_oracle(S3, end)
+    assert checked == []
+    op = opposite(S3)
+    reconstruction_hom(op, end)
+    assert checked and set(checked) == {op}
+
+
+def test_a_site_refuses_an_object_that_is_not_an_action_before_any_end():
+    # E2's z acting as the swap: z.(z.0) = 0, but zz = z sends 0 to 1
+    swap = MAction(E2, FinSet(("0", "1")), {("e", "0"): "0", ("e", "1"): "1",
+                                            ("z", "0"): "1", ("z", "1"): "0"})
+    with pytest.raises(ActionError) as exc:
+        end_of_forgetful(canonical_site(E2, "free+custom", custom=[("X", swap)]))
+    assert str(exc.value) == ("site object 'X' is not an action: "
+                              "associativity fails at (z, z, 0): 1 vs 0")
+
+
+def presented_free(X):
+    """Free on one point by the presentation: one generating point, |A| points."""
+    return len(X._presentation()[0]) == 1 and len(X.carrier) == len(X.monoid)
+
+
+def test_the_column_test_finds_the_free_objects_of_the_samples():
+    objects = [samples.natural_action3(), SWAP]
+    for m in [*conftest.SAMPLES.values(), conftest.S4, conftest.T3]:
+        objects.extend(default_site(m).objects)
+        objects.append(free_action(m, FinSet(("x", "y"))))
+    assert any(map(_is_free, objects)) and not all(map(_is_free, objects))
+    assert [_is_free(X) for X in objects] == [presented_free(X) for X in objects]
+
+
+@given(st.one_of(transformation_monoids().map(lambda drawn: drawn[:2]),
+                 band_monoids().flatmap(lambda m: st.tuples(
+                     st.just(m), st.sampled_from(m.elements).map(lambda b: left_ideal(m, b))))))
+def test_the_column_test_finds_the_free_objects_of_generated_actions(drawn):
+    m, X = drawn
+    for Y in (X, *default_site(m).objects, trivial_action(m, FinSet(("x", "y")))):
+        assert _is_free(Y) == presented_free(Y)
 
 
 def test_restrict_end_along_identity():
@@ -314,6 +405,24 @@ def test_family_restriction_full_and_empty():
     cut, target = family_restriction(end, Subfunctor.empty(site))
     assert len(target) == 1
     assert cut == (0,) * len(end)
+
+
+def test_family_restriction_refuses_a_cut_family_missing_from_the_end(monkeypatch):
+    site = default_site(S3)
+    end = end_of_forgetful(site)
+    V = invariants(generated_inclusion(S3, "(12)"), site)
+    cut, target = family_restriction(end, V)
+    internal = ends.internal_nat
+
+    def dropping(V, W):  # the end of [V, U] less the inclusion, which the unit restricts to
+        found = internal(V, W)
+        return EndObject(found.site, V, W, [f for f in found.families if f != V._embed])
+
+    monkeypatch.setattr(ends, "internal_nat", dropping)
+    assert len(dropping(V, end.W)) == len(target) - 1
+    with pytest.raises(EndError) as exc:
+        family_restriction(end, V)
+    assert str(exc.value) == "a restricted family fails the wedge condition"
 
 
 def test_family_restriction_components():

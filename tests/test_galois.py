@@ -254,6 +254,19 @@ def test_not_natural_names_the_element_moved_out():
                               "outside the subset")
 
 
+@pytest.mark.parametrize("names, message", [
+    (("A", "B"), "not natural: a morphism 'B' -> 'A' moves '0' outside the subset"),
+    (("B", "A"), "not natural: a morphism 'B' -> 'B' moves '1' outside the subset")])
+def test_not_natural_names_the_first_of_several_escapes(names, message):
+    # B's {0, 1} leaves along the map into A (both points) and along B's
+    # 3-cycle (1 only); the first morphism in site order, then its first point
+    one = trivial_monoid()
+    site = Site(one, [(n, trivial_action(one, FinSet(("0", "1", "2")))) for n in names])
+    with pytest.raises(GaloisError) as err:
+        Subfunctor(site, {"B": ("0", "1")})
+    assert str(err.value) == message
+
+
 def test_random_subfunctor_is_natural():
     rng = random.Random(11)
     for site in [default_site(Z2), default_site(E2), s3_nat_site()]:

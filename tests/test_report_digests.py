@@ -138,7 +138,7 @@ def test_stab_labels_no_family(argv, code, digest, capsys, monkeypatch):
     def labelled(*args):
         raise AssertionError("stab wrote the label of an end family")
 
-    monkeypatch.setattr(ends, "map_label", labelled)
+    monkeypatch.setattr(EndObject, "_prefixes", property(labelled))
     monkeypatch.setattr(EndObject, "label", labelled)
     assert_report(argv, code, digest, capsys)
 
