@@ -251,7 +251,10 @@ class Site:
     image tuples.  Out of a cyclic object X = A.x0 (G/H, F(1) and E(1) all
     are), each point p is r_p.x0, so a map f is fixed by y = f(x0) as
     f(p) = r_p.y, and f is equivariant exactly when (g r_p).y = r_{g.p}.y
-    for each generator g and point p: for G/H, y is a point fixed by H.
+    for each generator g and point p.  These three are induced
+    from B = Stab(x0), X = A ⊗_B 1, so those y are exactly the points
+    fixed by B (a conjugate of H for G/H, {e} for F(1), A for E(1)), which
+    `galois` reads off masks instead of hom sets.
     Other objects have more generating points, tied by relations.  Pairs
     of trivial actions have every map as a morphism, so those hom sets are
     iterated lazily instead of being materialized.  Objects that

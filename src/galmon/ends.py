@@ -217,7 +217,9 @@ def family_restriction(end, sub):
     Returns the map End[U] -> End[sub, U], as the target index of each
     family in end.carrier order, together with the end it lands in; each
     component is the original one restricted to the subset, so the
-    projection squares commute by the very same table.
+    projection squares commute by the very same table.  This is the
+    checked form of the restriction `galois.stabilizer_via_end` makes in
+    place, with no end of [sub, U] listed.
     """
     if sub.site != end.site:
         raise EndError("subfunctor must live over the end's site")

@@ -5,7 +5,10 @@ A subfunctor is one int over the site's points, and so is each element's
 fixed-point mask, read off the actions' tables.  Invariants are the AND of
 the masks of a generating set of the source; a stabilizer is the elements
 whose masks cover V, or comes through the end of the underlying-carrier
-diagram.  The connection laws and the
+diagram.  Every object the site builders make is induced from the
+stabilizer B of its base point x0, so the subfunctor a point generates,
+which decides naturality, is read off Inv_B as masks too, with no hom
+set.  The connection laws and the
 closed object correspondence are then checked rather than assumed.
 Nothing is cached across calls, and the sweeps build no monoid per
 submonoid: they AND the masks of the generators the listing adjoined.
@@ -16,7 +19,7 @@ import itertools
 import operator
 
 from .finset import FinSet, equalizer
-from .monoid import generators, submonoid, submonoid_generators, submonoid_tuples
+from .monoid import generators, laws_hold, submonoid, submonoid_generators, submonoid_tuples
 from . import ends
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
@@ -46,12 +49,57 @@ def _mask(flags):
     return int(bytes(flags)[::-1].translate(_BITS) or b"0", 2)
 
 
+def _split(site, mask):
+    """mask's points object by object, as 0/1 bytes over each carrier."""
+    flags = format(mask, "b")[::-1].encode().translate(_FLAGS)
+    sizes = [len(act.carrier) for act in site.objects]
+    return [flags[o:o + n].ljust(n, b"\0")
+            for o, n in zip(itertools.accumulate(sizes, initial=0), sizes)]
+
+
 def _fixed_masks(site, ks):
     """For each element index k of ks, in order, the mask of the points the
     k-th element fixes, read off the action rows."""
     points = list(itertools.chain.from_iterable(range(len(act.carrier)) for act in site.objects))
     return [_mask(map(operator.eq, itertools.chain.from_iterable(
         [act.table[k] for act in site.objects]), points)) for k in ks]
+
+
+def _generated(site, comps):
+    """The mask of the subfunctor that the points comps (element-index sets
+    per object) generate, or None unless the monoid's laws hold and every
+    object with a chosen point is a builder object, on one generating point
+    x0 of its presentation wherever a chosen point is still to be reached.
+    Such an object is induced from B = Stab(x0) (Hom_A(A ⊗_B 1, Y) =
+    Inv_B(Y)): a morphism out of it is a point y of Inv_B(U), the AND of
+    the fixed-point masks of B's generators, sending r_p.x0 to r_p.y.  So
+    p = r_p.x0 generates r_p.Inv_B(U), natural by equivariance, and a point
+    inside the union so far adds nothing.  No hom set is derived."""
+    m = site.monoid
+    if not laws_hold(m) or not all(act._built for act, s in zip(site.objects, comps) if s):
+        return None
+    offsets = list(itertools.accumulate((len(act.carrier) for act in site.objects), initial=0))
+    fixed, out = {}, 0
+    for i, act in enumerate(site.objects):
+        inv = None
+        for p in sorted(comps[i]):
+            if out >> offsets[i] + p & 1:
+                continue
+            if inv is None:  # Inv_B(U), per object
+                points, reps, _, relations = act._presentation()
+                if len(points) != 1:
+                    return None
+                # x0's relations a.x0 = b.x0 give B's generators b^-1 a (Schreier; F(1) has none)
+                B = sorted({m.table[b].index(a) for a, _, b in relations[0]}
+                           | {m.carrier.index(m.unit)})
+                need = [a for a in B if a not in fixed]
+                fixed.update(zip(need, _fixed_masks(site, need)))
+                inv = _split(site, functools.reduce(operator.and_, map(fixed.__getitem__, B)))
+            rows = [X.table[reps[0][p]] for X in site.objects]  # r_p.Inv_B(U), per object
+            out |= _mask(itertools.chain.from_iterable(
+                map(set(itertools.compress(row, f)).__contains__, range(len(f)))
+                for row, f in zip(rows, inv)))
+    return out
 
 
 class Subfunctor:
@@ -71,13 +119,15 @@ class Subfunctor:
             if outside:  # sorted by str, since outside input need not be strings
                 raise GaloisError("element %r is not in site object %r" % (outside[0], name))
             idxsets.append(frozenset(map(act.carrier.index, chosen)))
-        bad = _naturality_violation(site, idxsets)
-        if bad is not None:
-            i, j, x = bad
-            raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
-                              % (site.names[i], site.names[j], x))
-        self.site, self.mask = site, _mask(p in s for act, s in zip(site.objects, idxsets)
-                                           for p in range(len(act.carrier)))
+        mask = _mask(p in s for act, s in zip(site.objects, idxsets)
+                     for p in range(len(act.carrier)))
+        if _generated(site, idxsets) != mask:  # the scan decides, and names an escape
+            bad = _naturality_violation(site, idxsets)
+            if bad is not None:
+                i, j, x = bad
+                raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
+                                  % (site.names[i], site.names[j], x))
+        self.site, self.mask = site, mask
 
     @classmethod
     def _trusted(cls, site, mask):
@@ -97,10 +147,8 @@ class Subfunctor:
     @functools.cached_property
     def _embed(self):
         """Per object, the carrier indices of the chosen points, in order."""
-        flags = format(self.mask, "b")[::-1].encode().translate(_FLAGS)
-        sizes = [len(act.carrier) for act in self.site.objects]
-        return tuple(tuple(itertools.compress(range(n), flags[o:o + n]))
-                     for o, n in zip(itertools.accumulate(sizes, initial=0), sizes))
+        return tuple(tuple(itertools.compress(range(len(f)), f))
+                     for f in _split(self.site, self.mask))
 
     @functools.cached_property
     def _back(self):
@@ -175,12 +223,17 @@ def stabilizer(V):
 
 def stabilizer_via_end(V):
     """The stabilizer again, through the end: equalize the reconstruction
-    map against the trivial path after restricting all families to V."""
+    map against the trivial path after restricting their families to V,
+    component by component.  A restricted wedge is a wedge, so the end of
+    [V, U] is not listed; `ends.family_restriction` is the checked map."""
     site, m = V.site, V.site.monoid
     end = ends.end_of_forgetful(site)
     rho = ends.reconstruction_hom(m, end)
     path = ends.trivial_path(m, end)
-    cut, _ = ends.family_restriction(end, V)
+    cut = end.carrier.elements
+    if V != Subfunctor.full(site):  # else each family is its own restriction
+        cut = {k: tuple(tuple(map(comp.__getitem__, emb)) for comp, emb in zip(cut[k], V._embed))
+               for k in {*rho, *path}}
     kept = equalizer([cut[k] for k in rho], [cut[k] for k in path])
     return submonoid(m, map(m.elements.__getitem__, kept))[0]
 
@@ -275,10 +328,15 @@ def connection_laws(m, site, extra_subfunctors=()):
 
 
 def random_subfunctor(site, rng):
-    """A natural subfunctor grown from random seeds by closing under the generating
-    site morphisms, walking out of an object only when it grew and into one not full."""
+    """A natural subfunctor grown from random seeds: the one they generate, read
+    off the builder objects' base points (see _generated), or else their closure
+    under the generating site morphisms, walking out of an object only when it
+    grew and into one not full."""
     sizes = [len(act.carrier) for act in site.objects]
     idxsets = [{p for p in range(n) if rng.random() < 0.4} for n in sizes]
+    mask = _generated(site, idxsets)
+    if mask is not None:
+        return Subfunctor._trusted(site, mask)
     fresh = {i: set(s) for i, s in enumerate(idxsets) if s}  # points not yet pushed out
     while fresh:
         i, new = fresh.popitem()

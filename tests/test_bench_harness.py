@@ -28,17 +28,23 @@ def test_the_harness_finds_every_name_it_looks_up(monkeypatch):
 
 
 def test_a_traced_stab_runs_and_counts_its_end(monkeypatch, capsys):
-    # the `nat` counter reads internal_nat's first two arguments, V and W
+    # `stab` restricts End[U]'s families in place and lists no end of [V, U], so the
+    # `nat` counter, which reads internal_nat's first two arguments V and W, is read
+    # off `end` on a site with no free object, where End[U] goes through internal_nat
     monkeypatch.syspath_prepend(BENCH)
     import layers
     tracer = layers.Tracer()
+    s3 = os.path.join(FIXTURES, "s3.json")
     try:
         tracer.install()
-        code = galmon.cli.run(["stab", "--monoid", os.path.join(FIXTURES, "s3.json"),
-                               "--sub", os.path.join(FIXTURES, "a3_invariants.json")])
+        codes = [galmon.cli.run(["stab", "--monoid", s3,
+                                 "--sub", os.path.join(FIXTURES, "a3_invariants.json")]),
+                 galmon.cli.run(["end", "--monoid", s3, "--site", "trivial"])]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert code == 0
-    assert tracer.calls["ends.internal_nat"] >= 1
-    assert tracer.count["ends.internal_nat.families"] >= 1
+    assert codes == [0, 0]
+    assert tracer.calls["galois.stabilizer_via_end"] == 1
+    assert tracer.calls["ends.end_of_forgetful"] == 2
+    assert tracer.calls["ends.internal_nat"] == 1
+    assert tracer.count["ends.internal_nat.families"] == 1

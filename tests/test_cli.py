@@ -534,6 +534,15 @@ def test_stab_refuses_a_subfunctor_file_that_is_not_natural(tmp_path, capsys):
 """
 
 
+def test_stab_names_the_scan_s_escape_where_base_points_refuse_a_file(tmp_path, capsys):
+    # the masks of S3's default site find it not natural; the ordered scan names the escape
+    sub = write_json(tmp_path / "sub.json", {"subsets": {"G/{(12),e}": ["{(12),e}"]}})
+    code, doc = run_json(capsys, ["stab", "--monoid", fx("s3.json"), "--sub", sub])
+    assert code == 1
+    assert doc["error"] == ("not natural: a morphism 'G/{(12),e}' -> 'G/{(13),e}' "
+                            "moves '{(12),e}' outside the subset")
+
+
 def test_stab_agrees(capsys):
     code, doc = run_json(capsys, ["stab", "--monoid", fx("s3.json"),
                                   "--sub", fx("a3_invariants.json")])

@@ -10,14 +10,14 @@ from conftest import (SiteFunctor, augmentation_square_check, band_monoids, exte
                       generated_inclusion, reconstruction_composite_check,
                       reconstruction_hom_oracle, restrict_end, transformation_monoids)
 from galmon.finset import FinSet, SizingError, product
-from galmon.monoid import Monoid, is_hopf, kernel_pairs, trivial_monoid
+from galmon.monoid import Monoid, enumerate_submonoids, is_hopf, kernel_pairs, trivial_monoid
 from galmon.actions import (ActionError, MAction, Site, trivial_action, free_action,
                             canonical_site, default_site, coset_action)
 from galmon.ends import (EndError, EndObject, ForgetfulDiagram, _is_free, internal_nat,
                          end_of_forgetful, end_monoid, reconstruction_hom,
                          trivial_path, family_restriction)
 from galmon.galois import GaloisError, Subfunctor, invariants
-from galmon import ends, finset, samples
+from galmon import ends, finset, galois, samples
 from galmon.cli import parse_monoid
 
 Z2 = samples.cyclic(2)
@@ -423,6 +423,26 @@ def test_family_restriction_refuses_a_cut_family_missing_from_the_end(monkeypatc
     with pytest.raises(EndError) as exc:
         family_restriction(end, V)
     assert str(exc.value) == "a restricted family fails the wedge condition"
+
+
+@pytest.mark.parametrize("m", list(conftest.SAMPLES.values()) + [conftest.S4],
+                         ids=list(conftest.SAMPLES) + ["S4"])
+def test_the_end_route_of_stab_restricts_as_family_restriction_does(m, monkeypatch):
+    # stabilizer_via_end cuts End[U]'s families down to V in place; the checked
+    # map into the listed end of [V, U] is the oracle of what it equalizes
+    site = default_site(m)
+    end = end_of_forgetful(site)
+    rho, path = reconstruction_hom(m, end), trivial_path(m, end)
+    compared = []
+    monkeypatch.setattr(galois, "equalizer", lambda f, g: compared.append((f, g))
+                        or finset.equalizer(f, g))
+    subs = [Subfunctor.empty(site), Subfunctor.full(site)]
+    subs += [invariants(incl, site) for _, incl in enumerate_submonoids(m)]
+    for V in subs:
+        cut, target = family_restriction(end, V)
+        fams = target.carrier.elements
+        assert galois.stabilizer_via_end(V).elements == galois.stabilizer(V)[0].elements
+        assert compared.pop() == ([fams[cut[k]] for k in rho], [fams[cut[k]] for k in path])
 
 
 def test_family_restriction_components():

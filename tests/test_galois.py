@@ -7,9 +7,10 @@ import os
 import random
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (NONASSOC, S4, SAMPLES, T3, Z4_WORDS, augmentation_square_check,
                       band_monoids, correspondence_oracle, generated_inclusion, included,
@@ -21,7 +22,9 @@ from galmon.ends import end_of_forgetful
 from galmon.finset import FinSet, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
 from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
-from galmon.galois import (GaloisError, Subfunctor, _naturality_violation, fixes, invariants,
+from galmon import galois
+from galmon.galois import (GaloisError, Subfunctor, _generated, _mask, _naturality_violation,
+                           fixes, invariants,
                            stabilizer, stabilizer_via_end,
                            galois_correspondence, connection_laws,
                            connection_law_failures, random_subfunctor)
@@ -33,6 +36,7 @@ E2 = samples.idempotent_pair()
 S3 = samples.symmetric3()
 SWAP = samples.swap_action()
 NAT3 = samples.natural_action3()
+DEFAULT_SITES = {name: default_site(m) for name, m in [*SAMPLES.items(), ("S4", S4), ("T3", T3)]}
 
 
 def hom_from_subset(m, subset):
@@ -145,14 +149,20 @@ def naturality_oracle(site, comps):
                for p in comps[i])
 
 
-def closure_oracle(site, rng):
-    """The seeds random_subfunctor draws from rng, closed under every morphism."""
-    idxsets = [{p for p in range(len(act.carrier)) if rng.random() < 0.4}
-               for act in site.objects]
-    while not naturality_oracle(site, idxsets):
+def generated_oracle(site, comps):
+    """The index sets comps closed under every morphism."""
+    comps = [set(s) for s in comps]
+    while not naturality_oracle(site, comps):
         for i, j in itertools.product(range(site.nobj), repeat=2):
             for f in site.iter_hom_tuples(i, j):
-                idxsets[j] |= {f[p] for p in idxsets[i]}
+                comps[j] |= {f[p] for p in comps[i]}
+    return comps
+
+
+def closure_oracle(site, rng):
+    """The seeds random_subfunctor draws from rng, closed under every morphism."""
+    idxsets = generated_oracle(site, [{p for p in range(len(act.carrier)) if rng.random() < 0.4}
+                                      for act in site.objects])
     return {name: tuple(act.carrier.elements[p] for p in sorted(s))
             for name, act, s in zip(site.names, site.objects, idxsets)}
 
@@ -265,6 +275,111 @@ def test_not_natural_names_the_first_of_several_escapes(names, message):
     with pytest.raises(GaloisError) as err:
         Subfunctor(site, {"B": ("0", "1")})
     assert str(err.value) == message
+
+
+def assert_masks_judge_as_the_scan_does(site, rng, rounds=8):
+    """On index sets drawn at several densities, _generated gives the oracle's
+    closure, and its verdict on them, on that closure and on the closure with
+    one point flipped equals the ordered scan's.  Returns how many of the
+    sets judged were natural and how many were not."""
+    sizes = [len(act.carrier) for act in site.objects]
+    points = [(i, p) for i, n in enumerate(sizes) for p in range(n)]
+
+    def as_mask(comps):
+        return _mask(p in s for n, s in zip(sizes, comps) for p in range(n))
+
+    counts = [0, 0]  # not natural, natural
+    for _ in range(rounds):
+        density = rng.choice((0.02, 0.1, 0.3, 0.6))
+        drawn = [{p for p in range(n) if rng.random() < density} for n in sizes]
+        closed = generated_oracle(site, drawn)
+        flipped = [set(s) for s in closed]
+        i, p = rng.choice(points)
+        flipped[i] ^= {p}
+        for comps in (drawn, closed, flipped):
+            generated = _generated(site, comps)
+            assert generated == as_mask(generated_oracle(site, comps))
+            verdict = generated == as_mask(comps)
+            assert verdict == (_naturality_violation(site, comps) is None)
+            counts[verdict] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES) + ["S4", "T3"])
+@settings(max_examples=6)
+@given(st.integers(0, 1 << 32))
+def test_masks_judge_naturality_as_the_scan_does(name, seed):
+    # every object of a default site is induced from its base point's stabilizer
+    site = DEFAULT_SITES[name]
+    assert sum(assert_masks_judge_as_the_scan_does(site, random.Random(seed))) == 24
+
+
+@given(transformation_monoids(), st.integers(0, 1 << 32))
+def test_masks_judge_naturality_as_the_scan_does_on_transformation_monoids(drawn, seed):
+    m, _, _ = drawn
+    assume(len(m) <= 24)
+    assert_masks_judge_as_the_scan_does(canonical_site(m, "free+trivial"), random.Random(seed))
+
+
+def test_masks_judge_both_ways_on_the_default_sites():
+    rng = random.Random(5)
+    natural = not_natural = 0
+    for site in DEFAULT_SITES.values():
+        no, yes = assert_masks_judge_as_the_scan_does(site, rng)
+        natural, not_natural = natural + yes, not_natural + no
+    assert natural > 100 and not_natural > 100
+
+
+@given(transformation_monoids(), st.integers(0, 1 << 32))
+def test_a_custom_object_takes_the_scan(drawn, seed):
+    m, act, _ = drawn
+    assume(len(m) <= 24)
+    rng = random.Random(seed)
+    site = canonical_site(m, "free+trivial+custom", custom=[("X", act)])
+    x = site.names.index("X")
+    scanned = []  # the scan's verdicts, in order
+
+    def scan(site, comps):
+        scanned.append(_naturality_violation(site, comps))
+        return scanned[-1]
+
+    for k in range(6):
+        comps = [{p for p in range(len(a.carrier)) if rng.random() < 0.3} for a in site.objects]
+        comps[x].add(rng.randrange(len(act.carrier)))  # V meets the custom object
+        assert _generated(site, comps) is None
+        chosen = {name: [a.carrier.elements[p] for p in s]
+                  for name, a, s in zip(site.names, site.objects, comps)}
+        with mock.patch.object(galois, "_naturality_violation", scan):
+            try:
+                Subfunctor(site, chosen)
+                message = None
+            except GaloisError as err:
+                message = str(err)
+        assert len(scanned) == k + 1
+        bad = scanned[-1]
+        assert message == (bad and "not natural: a morphism %r -> %r moves %r outside the subset"
+                           % (site.names[bad[0]], site.names[bad[1]], bad[2]))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES) + ["S4", "T3"])
+def test_random_subfunctors_off_base_points_equal_the_walk_s(name):
+    # the walk along the generating morphisms, which custom objects still take
+    site = DEFAULT_SITES[name]
+    read = [random_subfunctor(site, random.Random(seed)) for seed in range(8)]
+    with mock.patch.object(galois, "_generated", lambda site, comps: None):
+        walked = [random_subfunctor(site, random.Random(seed)) for seed in range(8)]
+    assert read == walked
+
+
+@given(transformation_monoids(), st.integers(0, 1000))
+def test_random_subfunctors_off_base_points_equal_the_walk_s_on_transformation_monoids(
+        drawn, seed):
+    m, _, _ = drawn
+    assume(len(m) <= 24)
+    site = canonical_site(m, "free+trivial")
+    read = random_subfunctor(site, random.Random(seed))
+    with mock.patch.object(galois, "_generated", lambda site, comps: None):
+        assert random_subfunctor(site, random.Random(seed)) == read
 
 
 def test_random_subfunctor_is_natural():

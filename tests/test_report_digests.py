@@ -110,7 +110,7 @@ REPORTS = [
      0, "56caef2de427f3acd1901bfde27739b5c1ea586b5e65d2b8a03771673ebc94cd"),
     ("laws --monoid s4.json --seed 3",
      0, "5edfbce4cff97cd6d2b376913dbd89c478abd221fbc4166aeacebd43e4146b88"),
-    # V keeps every point, so family_restriction reuses the end's families
+    # V keeps every point, so stab equalizes End[U]'s own families
     ("stab --monoid s3.json --sub s3_all_points.json",
      0, "87c038cfcb4109dd4a59bd7d3ac645f6f245d51c5c87aebb8d21858ff18f9688"),
 ]
