@@ -5,13 +5,14 @@ A subfunctor is one int over the site's points, and so is each element's
 fixed-point mask, read off the actions' tables.  Invariants are the AND of
 the masks of a generating set of the source; a stabilizer is the elements
 whose masks cover V, or comes through the end of the underlying-carrier
-diagram.  Every object the site builders make is induced from the
-stabilizer B of its base point x0, so the subfunctor a point generates,
-which decides naturality, is read off Inv_B as masks too, with no hom
-set.  The connection laws and the
-closed object correspondence are then checked rather than assumed.
-Nothing is cached across calls, and the sweeps build no monoid per
-submonoid: they AND the masks of the generators the listing adjoined.
+diagram.  One closure gives the subfunctor that points generate: it
+decides naturality (V is natural when it generates only itself) and grows
+random subfunctors, and the ordered scan only names the escape of a V that
+is not.  On builder objects the closure is read off base points as masks,
+with no hom set.  The connection laws and the closed object correspondence
+are then checked rather than assumed.  Nothing is cached across calls, and
+the sweeps build no monoid per submonoid: they AND the masks of the
+generators the listing adjoined.
 """
 
 import functools
@@ -32,9 +33,11 @@ class GaloisError(Exception):
 
 def _naturality_violation(site, comps):
     """First (morphism, element) pushing a chosen subset outside another,
-    or None.  comps holds element-index sets per site object.  Naturality is
-    closed under composition, so the generating morphisms suffice; no hom set
-    out of an empty subset or into a full one is derived."""
+    in site order, or None.  comps holds element-index sets per site object.
+    Naturality is closed under composition, so the generating morphisms
+    suffice; no hom set out of an empty subset or into a full one is
+    derived.  Subfunctor asks it only to name the escape once _closure has
+    found V not natural."""
     targets = [j for j, act in enumerate(site.objects) if len(comps[j]) < len(act.carrier)]
     for i, j in itertools.product((i for i in range(site.nobj) if comps[i]), targets):
         for f in site.generating_tuples(i, j):
@@ -65,30 +68,30 @@ def _fixed_masks(site, ks):
         [act.table[k] for act in site.objects]), points)) for k in ks]
 
 
-def _generated(site, comps):
+def _closure(site, comps):
     """The mask of the subfunctor that the points comps (element-index sets
-    per object) generate, or None unless the monoid's laws hold and every
-    object with a chosen point is a builder object, on one generating point
-    x0 of its presentation wherever a chosen point is still to be reached.
-    Such an object is induced from B = Stab(x0) (Hom_A(A ⊗_B 1, Y) =
-    Inv_B(Y)): a morphism out of it is a point y of Inv_B(U), the AND of
-    the fixed-point masks of B's generators, sending r_p.x0 to r_p.y.  So
-    p = r_p.x0 generates r_p.Inv_B(U), natural by equivariance, and a point
-    inside the union so far adds nothing.  No hom set is derived."""
-    m = site.monoid
-    if not laws_hold(m) or not all(act._built for act, s in zip(site.objects, comps) if s):
-        return None
-    offsets = list(itertools.accumulate((len(act.carrier) for act in site.objects), initial=0))
+    per object) generate.  Read off base points when the monoid's laws hold,
+    every object with a chosen point is a builder object, and each with a
+    point still to be reached has one generating point x0: it is induced
+    from B = Stab(x0) (Hom_A(A ⊗_B 1, Y) = Inv_B(Y)), so a morphism out of
+    it is a point y of Inv_B(U), the AND of the fixed-point masks of B's
+    generators, sending r_p.x0 to r_p.y, and p = r_p.x0 generates
+    r_p.Inv_B(U).  Else grown points are walked along the generating
+    morphisms into objects not full, one issuperset per morphism."""
+    m, sizes = site.monoid, [len(act.carrier) for act in site.objects]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    read = laws_hold(m) and all(act._built for act, s in zip(site.objects, comps) if s)
     fixed, out = {}, 0
-    for i, act in enumerate(site.objects):
+    for i, act in enumerate(site.objects if read else ()):
         inv = None
         for p in sorted(comps[i]):
-            if out >> offsets[i] + p & 1:
+            if out >> offsets[i] + p & 1:  # generated already, with all it generates
                 continue
             if inv is None:  # Inv_B(U), per object
                 points, reps, _, relations = act._presentation()
                 if len(points) != 1:
-                    return None
+                    read = False
+                    break
                 # x0's relations a.x0 = b.x0 give B's generators b^-1 a (Schreier; F(1) has none)
                 B = sorted({m.table[b].index(a) for a, _, b in relations[0]}
                            | {m.carrier.index(m.unit)})
@@ -99,13 +102,28 @@ def _generated(site, comps):
             out |= _mask(itertools.chain.from_iterable(
                 map(set(itertools.compress(row, f)).__contains__, range(len(f)))
                 for row, f in zip(rows, inv)))
-    return out
+        if not read:
+            break
+    if read:
+        return out
+    comps = [set(s) for s in comps]
+    fresh = {i: set(s) for i, s in enumerate(comps) if s}  # points not yet pushed out
+    while fresh:
+        i, new = fresh.popitem()
+        for j in (j for j in range(site.nobj) if len(comps[j]) < sizes[j]):
+            for f in site.generating_tuples(i, j):
+                if not comps[j].issuperset(map(f.__getitem__, new)):
+                    grown = {f[p] for p in new} - comps[j]
+                    comps[j] |= grown
+                    fresh.setdefault(j, set()).update(grown)
+    return _mask(p in s for n, s in zip(sizes, comps) for p in range(n))
 
 
 class Subfunctor:
     """Per-object subsets of a site's carriers, closed under all morphisms,
     held as `mask` (see _mask): `<=` is mask inclusion, and == and hash are
-    the mask's.  It is the diagram V ⊆ U that ends restrict to: `obs` and
+    the mask's.  The constructor accepts V when it generates only itself
+    (see _closure).  It is the diagram V ⊆ U that ends restrict to: `obs` and
     `mor` are U's carriers and morphisms cut down to the mask's points."""
 
     def __init__(self, site, subsets):
@@ -121,12 +139,10 @@ class Subfunctor:
             idxsets.append(frozenset(map(act.carrier.index, chosen)))
         mask = _mask(p in s for act, s in zip(site.objects, idxsets)
                      for p in range(len(act.carrier)))
-        if _generated(site, idxsets) != mask:  # the scan decides, and names an escape
-            bad = _naturality_violation(site, idxsets)
-            if bad is not None:
-                i, j, x = bad
-                raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
-                                  % (site.names[i], site.names[j], x))
+        if _closure(site, idxsets) != mask:  # not natural: the ordered scan names an escape
+            i, j, x = _naturality_violation(site, idxsets)
+            raise GaloisError("not natural: a morphism %r -> %r moves %r outside the subset"
+                              % (site.names[i], site.names[j], x))
         self.site, self.mask = site, mask
 
     @classmethod
@@ -328,23 +344,6 @@ def connection_laws(m, site, extra_subfunctors=()):
 
 
 def random_subfunctor(site, rng):
-    """A natural subfunctor grown from random seeds: the one they generate, read
-    off the builder objects' base points (see _generated), or else their closure
-    under the generating site morphisms, walking out of an object only when it
-    grew and into one not full."""
-    sizes = [len(act.carrier) for act in site.objects]
-    idxsets = [{p for p in range(n) if rng.random() < 0.4} for n in sizes]
-    mask = _generated(site, idxsets)
-    if mask is not None:
-        return Subfunctor._trusted(site, mask)
-    fresh = {i: set(s) for i, s in enumerate(idxsets) if s}  # points not yet pushed out
-    while fresh:
-        i, new = fresh.popitem()
-        for j in (j for j in range(site.nobj) if len(idxsets[j]) < sizes[j]):
-            for f in site.generating_tuples(i, j):
-                grown = {f[p] for p in new} - idxsets[j]
-                if grown:
-                    idxsets[j] |= grown
-                    fresh.setdefault(j, set()).update(grown)
-    return Subfunctor._trusted(site, _mask(p in s for n, s in zip(sizes, idxsets)
-                                           for p in range(n)))
+    """A natural subfunctor grown from random seeds: the one they generate (see _closure)."""
+    seeds = [{p for p in range(len(act.carrier)) if rng.random() < 0.4} for act in site.objects]
+    return Subfunctor._trusted(site, _closure(site, seeds))

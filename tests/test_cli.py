@@ -543,6 +543,16 @@ def test_stab_names_the_scan_s_escape_where_base_points_refuse_a_file(tmp_path, 
                             "moves '{(12),e}' outside the subset")
 
 
+def test_stab_names_the_scan_s_escape_on_a_custom_object(tmp_path, capsys):
+    # the walk finds it not natural; the ordered scan names the escape
+    sub = write_json(tmp_path / "sub.json", {"subsets": {"s3_natural": ["1"]}})
+    code, doc = run_json(capsys, ["stab", "--monoid", fx("s3.json"), "--site", "trivial+custom",
+                                  "--action", fx("s3_natural.json"), "--sub", sub])
+    assert code == 1
+    assert doc["error"] == ("not natural: a morphism 's3_natural' -> 'E(1)' "
+                            "moves '1' outside the subset")
+
+
 def test_stab_agrees(capsys):
     code, doc = run_json(capsys, ["stab", "--monoid", fx("s3.json"),
                                   "--sub", fx("a3_invariants.json")])

@@ -21,9 +21,10 @@ from galmon.cli import run
 from galmon.ends import end_of_forgetful
 from galmon.finset import FinSet, singleton
 from galmon.monoid import MonoidHom, submonoid, trivial_monoid, enumerate_submonoids
-from galmon.actions import Site, trivial_action, free_action, canonical_site, default_site
+from galmon.actions import (MAction, Site, trivial_action, free_action, canonical_site,
+                            default_site)
 from galmon import galois
-from galmon.galois import (GaloisError, Subfunctor, _generated, _mask, _naturality_violation,
+from galmon.galois import (GaloisError, Subfunctor, _closure, _mask, _naturality_violation,
                            fixes, invariants,
                            stabilizer, stabilizer_via_end,
                            galois_correspondence, connection_laws,
@@ -36,7 +37,8 @@ E2 = samples.idempotent_pair()
 S3 = samples.symmetric3()
 SWAP = samples.swap_action()
 NAT3 = samples.natural_action3()
-DEFAULT_SITES = {name: default_site(m) for name, m in [*SAMPLES.items(), ("S4", S4), ("T3", T3)]}
+MONOIDS = {**SAMPLES, "S4": S4, "T3": T3}
+DEFAULT_SITES = {name: default_site(m) for name, m in MONOIDS.items()}
 
 
 def hom_from_subset(m, subset):
@@ -159,6 +161,11 @@ def generated_oracle(site, comps):
     return comps
 
 
+def as_mask(site, comps):
+    """The mask of the index sets comps, one per site object."""
+    return _mask(p in s for act, s in zip(site.objects, comps) for p in range(len(act.carrier)))
+
+
 def closure_oracle(site, rng):
     """The seeds random_subfunctor draws from rng, closed under every morphism."""
     idxsets = generated_oracle(site, [{p for p in range(len(act.carrier)) if rng.random() < 0.4}
@@ -278,28 +285,24 @@ def test_not_natural_names_the_first_of_several_escapes(names, message):
 
 
 def assert_masks_judge_as_the_scan_does(site, rng, rounds=8):
-    """On index sets drawn at several densities, _generated gives the oracle's
+    """On index sets drawn at several densities, _closure gives the oracle's
     closure, and its verdict on them, on that closure and on the closure with
     one point flipped equals the ordered scan's.  Returns how many of the
     sets judged were natural and how many were not."""
-    sizes = [len(act.carrier) for act in site.objects]
-    points = [(i, p) for i, n in enumerate(sizes) for p in range(n)]
-
-    def as_mask(comps):
-        return _mask(p in s for n, s in zip(sizes, comps) for p in range(n))
-
+    points = [(i, p) for i, act in enumerate(site.objects) for p in range(len(act.carrier))]
     counts = [0, 0]  # not natural, natural
     for _ in range(rounds):
         density = rng.choice((0.02, 0.1, 0.3, 0.6))
-        drawn = [{p for p in range(n) if rng.random() < density} for n in sizes]
+        drawn = [{p for p in range(len(act.carrier)) if rng.random() < density}
+                 for act in site.objects]
         closed = generated_oracle(site, drawn)
         flipped = [set(s) for s in closed]
         i, p = rng.choice(points)
         flipped[i] ^= {p}
         for comps in (drawn, closed, flipped):
-            generated = _generated(site, comps)
-            assert generated == as_mask(generated_oracle(site, comps))
-            verdict = generated == as_mask(comps)
+            generated = _closure(site, comps)
+            assert generated == as_mask(site, generated_oracle(site, comps))
+            verdict = generated == as_mask(site, comps)
             assert verdict == (_naturality_violation(site, comps) is None)
             counts[verdict] += 1
     return counts
@@ -330,23 +333,34 @@ def test_masks_judge_both_ways_on_the_default_sites():
     assert natural > 100 and not_natural > 100
 
 
+def custom_draws(m, act, rng, rounds=6):
+    """A site of F(1), E(1) and act as the custom object X, and index sets
+    drawn on it, each meeting X."""
+    site = canonical_site(m, "free+trivial+custom", custom=[("X", act)])
+    draws = []
+    for _ in range(rounds):
+        comps = [{p for p in range(len(a.carrier)) if rng.random() < 0.3} for a in site.objects]
+        comps[site.names.index("X")].add(rng.randrange(len(act.carrier)))
+        draws.append(comps)
+    return site, draws
+
+
 @given(transformation_monoids(), st.integers(0, 1 << 32))
 def test_a_custom_object_takes_the_scan(drawn, seed):
+    # the walk decides; the ordered scan runs only on a V that is not natural, and names its escape
     m, act, _ = drawn
     assume(len(m) <= 24)
-    rng = random.Random(seed)
-    site = canonical_site(m, "free+trivial+custom", custom=[("X", act)])
-    x = site.names.index("X")
+    site, draws = custom_draws(m, act, random.Random(seed))
     scanned = []  # the scan's verdicts, in order
 
     def scan(site, comps):
         scanned.append(_naturality_violation(site, comps))
         return scanned[-1]
 
-    for k in range(6):
-        comps = [{p for p in range(len(a.carrier)) if rng.random() < 0.3} for a in site.objects]
-        comps[x].add(rng.randrange(len(act.carrier)))  # V meets the custom object
-        assert _generated(site, comps) is None
+    not_natural = 0
+    for comps in draws:
+        natural = naturality_oracle(site, comps)
+        not_natural += not natural
         chosen = {name: [a.carrier.elements[p] for p in s]
                   for name, a, s in zip(site.names, site.objects, comps)}
         with mock.patch.object(galois, "_naturality_violation", scan):
@@ -355,20 +369,55 @@ def test_a_custom_object_takes_the_scan(drawn, seed):
                 message = None
             except GaloisError as err:
                 message = str(err)
-        assert len(scanned) == k + 1
-        bad = scanned[-1]
+        assert len(scanned) == not_natural
+        bad = None if natural else scanned[-1]
         assert message == (bad and "not natural: a morphism %r -> %r moves %r outside the subset"
                            % (site.names[bad[0]], site.names[bad[1]], bad[2]))
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLES) + ["S4", "T3"])
+@given(transformation_monoids(), st.integers(0, 1 << 32))
+def test_the_walk_gives_the_generated_subfunctor_on_custom_sites(drawn, seed):
+    m, act, _ = drawn
+    assume(len(m) <= 24)
+    site, draws = custom_draws(m, act, random.Random(seed))
+    for comps in draws:
+        assert _closure(site, comps) == as_mask(site, generated_oracle(site, comps))
+    assert random_subfunctor(site, random.Random(seed)).components == closure_oracle(
+        site, random.Random(seed))
+
+
+@given(transformation_monoids(), st.integers(0, 1 << 32))
+def test_a_natural_subfunctor_on_a_custom_object_derives_only_the_scan_s_hom_sets(drawn, seed):
+    # only hom sets out of an object V meets and into one V does not fill
+    m, act, _ = drawn
+    assume(len(m) <= 24)
+    site, draws = custom_draws(m, act, random.Random(seed))
+    for comps in draws:
+        closed = generated_oracle(site, comps)
+        fresh = canonical_site(m, "free+trivial+custom", custom=[("X", act)])
+        Subfunctor(fresh, {name: [a.carrier.elements[p] for p in s]
+                           for name, a, s in zip(site.names, site.objects, closed)})
+        sizes = [len(a.carrier) for a in site.objects]
+        pairs = itertools.product(range(site.nobj), repeat=2)
+        assert set(fresh._homs) <= {(i, j) for i, j in pairs
+                                    if closed[i] and len(closed[j]) < sizes[j]}
+
+
+def unbuilt(site):
+    """An equal site whose objects no builder marked, so _closure walks on it."""
+    return Site(site.monoid, [(name, MAction._trusted(site.monoid, act.carrier, act.table))
+                              for name, act in zip(site.names, site.objects)])
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDS))
 def test_random_subfunctors_off_base_points_equal_the_walk_s(name):
-    # the walk along the generating morphisms, which custom objects still take
-    site = DEFAULT_SITES[name]
-    read = [random_subfunctor(site, random.Random(seed)) for seed in range(8)]
-    with mock.patch.object(galois, "_generated", lambda site, comps: None):
-        walked = [random_subfunctor(site, random.Random(seed)) for seed in range(8)]
-    assert read == walked
+    # the walk along the generating morphisms, which custom objects take
+    site = default_site(MONOIDS[name])
+    walked = unbuilt(site)
+    for seed in range(8):
+        assert random_subfunctor(site, random.Random(seed)) == random_subfunctor(
+            walked, random.Random(seed))
+    assert site._homs == {}  # read off base points
 
 
 @given(transformation_monoids(), st.integers(0, 1000))
@@ -378,8 +427,8 @@ def test_random_subfunctors_off_base_points_equal_the_walk_s_on_transformation_m
     assume(len(m) <= 24)
     site = canonical_site(m, "free+trivial")
     read = random_subfunctor(site, random.Random(seed))
-    with mock.patch.object(galois, "_generated", lambda site, comps: None):
-        assert random_subfunctor(site, random.Random(seed)) == read
+    assert random_subfunctor(unbuilt(site), random.Random(seed)) == read
+    assert site._homs == {}
 
 
 def test_random_subfunctor_is_natural():

@@ -125,3 +125,24 @@ def test_no_module_imports_a_name_it_never_uses():
                  for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert bound <= used, (path, sorted(bound - used))
+
+
+def test_every_private_module_name_is_used_outside_its_definition():
+    # a leftover helper or constant nothing reaches any more
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fd:
+            trees[path] = ast.parse(fd.read())
+    defined = 0
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = {getattr(node, "name", None)} | {
+                n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)}
+            inside = set(map(id, ast.walk(node)))
+            for name in {n for n in names if n and n.startswith("_") and not n.startswith("__")}:
+                defined += 1
+                assert any(getattr(n, "id", getattr(n, "attr", None)) == name
+                           for other in trees.values() for n in ast.walk(other)
+                           if id(n) not in inside), (path, name)
+    assert defined > 20
