@@ -20,6 +20,7 @@ points), and `coinduct` is the right adjoint of `restrict_action`.
 """
 
 import itertools
+import operator
 
 from . import finset
 from .finset import FinSet, map_label, product, singleton
@@ -149,10 +150,16 @@ def validate_action(M):
 
 
 def _built(M):
-    """Mark M as built by trivial_action, free_action or coset_action,
-    which make an action whenever the monoid's laws hold."""
+    """Mark M as built by trivial_action, free_action or, for the subgroups
+    canonical_site lists, coset_action, which make an action whenever the
+    monoid's laws hold."""
     M._built = True
     return M
+
+
+def _getter(ks):
+    """The tuple of a row's items at ks; itemgetter alone gives a bare item for one index."""
+    return operator.itemgetter(*ks) if len(ks) > 1 else lambda r: tuple(map(r.__getitem__, ks))
 
 
 def trivial_action(m, X):
@@ -257,9 +264,9 @@ class Site:
     `galois` reads off masks instead of hom sets.
     Other objects have more generating points, tied by relations.  Pairs
     of trivial actions have every map as a morphism, so those hom sets are
-    iterated lazily instead of being materialized.  Objects that
-    trivial_action, free_action and coset_action build are actions once the
-    monoid's laws hold and are not checked again; other objects are.
+    iterated lazily instead of being materialized.  Objects marked `_built`
+    (by trivial_action, free_action, and canonical_site for each G/H) are
+    actions once the monoid's laws hold and are not checked again; others are.
     """
 
     def __init__(self, monoid, objects):
@@ -331,29 +338,31 @@ class Site:
 
 
 def coset_action(m, sub_elements):
-    """Left translation on left cosets of a subgroup; labels are the cosets.
-
-    The left cosets partition the group, so each is computed once, from
-    its first element, which becomes its representative.
-    """
-    sub = set(map(m.carrier.index, sub_elements))
-    label_of, rep = [None] * len(m), {}
+    """Left translation on the left cosets of a subgroup, labelled by their
+    elements and represented by their first, found in one pass; canonical_site
+    marks them `_built`, and Site checks the rows made from any other subset
+    that holds the unit.  A subset without the unit is refused here."""
+    ks = list(map(m.carrier._lookup.__getitem__, sub_elements))
+    if m.carrier._lookup[m.unit] not in ks:
+        raise ActionError("coset action needs a subgroup; {%s} misses the unit %s"
+                          % (",".join(map(m.elements.__getitem__, ks)), m.unit))
+    owner, reps, members = [None] * len(m), [], _getter(ks)
     for a, row in enumerate(m.table):
-        if label_of[a] is None:
-            coset = {row[s] for s in sub}
-            label = "{%s}" % ",".join(sorted(map(m.elements.__getitem__, coset)))
-            rep[label] = a
-            for b in coset:
-                label_of[b] = label
-    carrier = FinSet(sorted(rep), check=False)
-    at = list(map(carrier.index, label_of))
-    cols = list(map(rep.__getitem__, carrier))
-    M = MAction._trusted(m, carrier, tuple(tuple(at[row[r]] for r in cols) for row in m.table))
-    # only a subgroup's cosets are sure to make an action; Site checks the rest
-    if is_hopf(m) and m.carrier.index(m.unit) in sub and all(
-            m.table[a][b] in sub for a in sub for b in sub):
-        _built(M)
-    return M
+        if owner[a] is None:
+            owner[a] = len(reps)  # a = a·e, set here too in case the table breaks the unit law
+            for b in members(row):
+                if owner[b] is None:
+                    owner[b] = len(reps)
+            reps.append(a)
+    names = [[] for _ in reps]
+    for c, name in zip(owner, m.elements):
+        names[c].append(name)
+    labels = ["{%s}" % ",".join(ns) for ns in names]
+    carrier = FinSet(labels, check=False)
+    at = list(map(carrier._lookup.__getitem__, map(labels.__getitem__, owner)))  # coset places
+    get = _getter(sorted(reps, key=at.__getitem__))  # a -> a·r, r the representatives in order
+    rows = map(map, itertools.repeat(at.__getitem__), map(get, m.table))
+    return MAction._trusted(m, carrier, tuple(map(tuple, rows)))
 
 
 def canonical_site(m, recipe, custom=()):
@@ -377,7 +386,7 @@ def canonical_site(m, recipe, custom=()):
                 raise ActionError("coset site needs a group; %r has no inverse"
                                   % hopf_witness(m))
             plan.extend(("G/{%s}" % ",".join(sub), len(m) // len(sub),
-                         lambda sub=sub: coset_action(m, sub))
+                         lambda sub=sub: _built(coset_action(m, sub)))
                         for sub in submonoid_tuples(m) if is_subgroup(m, sub))
         elif token == "custom":
             plan.extend((name, len(act.carrier), lambda act=act: act) for name, act in custom)

@@ -33,16 +33,16 @@ class GaloisError(Exception):
 
 def _naturality_violation(site, comps):
     """First (morphism, element) pushing a chosen subset outside another,
-    in site order, or None.  comps holds element-index sets per site object.
-    Naturality is closed under composition, so the generating morphisms
-    suffice; no hom set out of an empty subset or into a full one is
-    derived.  Subfunctor asks it only to name the escape once _closure has
-    found V not natural."""
+    in site order, then carrier order, or None.  comps holds element-index
+    sets per site object.  Naturality is closed under composition, so the
+    generating morphisms suffice; no hom set out of an empty subset or into
+    a full one is derived.  Subfunctor asks it only to name the escape once
+    _closure has found V not natural."""
     targets = [j for j, act in enumerate(site.objects) if len(comps[j]) < len(act.carrier)]
     for i, j in itertools.product((i for i in range(site.nobj) if comps[i]), targets):
         for f in site.generating_tuples(i, j):
             if not comps[j].issuperset(map(f.__getitem__, comps[i])):
-                p = next(p for p in comps[i] if f[p] not in comps[j])
+                p = min(p for p in comps[i] if f[p] not in comps[j])
                 return (i, j, site.objects[i].carrier.elements[p])
     return None
 

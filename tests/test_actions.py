@@ -356,6 +356,17 @@ def test_s6_default_site_is_refused_before_any_coset_action_is_built(monkeypatch
                               "the limit of 10000000")
 
 
+def test_every_coset_object_of_s4_is_built_by_coset_action(monkeypatch):
+    # canonical_site lists only subgroups, builds each G/H through the
+    # module's coset_action and marks it built; Site then trusts it
+    built, calls = actions.coset_action, []
+    monkeypatch.setattr(actions, "coset_action", lambda m, sub: calls.append(sub) or built(m, sub))
+    site = default_site(conftest.S4)
+    assert len(calls) == 30 and site.nobj == 31
+    assert site.names[:30] == tuple("G/{%s}" % ",".join(sub) for sub in calls)
+    assert all(act._built for act in site.objects)
+
+
 def test_site_rejects_bad_input():
     with pytest.raises(ActionError):
         Site(Z2, [("a", SWAP), ("a", SWAP)])

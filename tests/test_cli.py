@@ -1077,12 +1077,13 @@ class Sink:
 
 
 @pytest.mark.parametrize("value", [
-    ["\u00e9" * (1 << 14)] * 256, list(range(1 << 17)), {"k": [[str(i)] for i in range(1 << 15)]}],
-    ids=["long-strings", "short-pieces", "string-arrays"])
+    ["\u00e9" * (1 << 14)] * 256, ["\u00e9" * (1 << 14) + str(i) for i in range(256)],
+    list(range(1 << 17)), {"k": [[str(i)] for i in range(1 << 15)]}],
+    ids=["long-strings", "distinct-long-strings", "short-pieces", "string-arrays"])
 def test_a_large_report_is_never_held_whole(value, monkeypatch):
-    # 4 Mi characters that escape to 6 each, 131 072 pieces, and 32 768
-    # string arrays, written with a bound of 64 Ki characters and a batch
-    # of 1024 arrays
+    # 4 Mi characters that escape to 6 each, in one string met 256 times or
+    # in 256 distinct strings, 131 072 pieces, and 32 768 string arrays,
+    # written with a bound of 64 Ki characters and a batch of 1024 arrays
     monkeypatch.setattr(writer, "CHUNK", 1 << 16)
     monkeypatch.setattr(writer, "_BATCH", 1 << 10)
     size = len(expected(value))

@@ -284,6 +284,20 @@ def test_not_natural_names_the_first_of_several_escapes(names, message):
     assert str(err.value) == message
 
 
+def test_not_natural_names_the_first_escape_in_carrier_order():
+    # a frozenset of 2 and 9 iterates 9 first; the custom object's cycle
+    # moves both out, and the message names 2
+    one = trivial_monoid()
+    points = FinSet(map(str, range(10)))
+    X = MAction(one, points, {(one.unit, x): x for x in points})
+    site = canonical_site(one, "custom", custom=[("X", X)])
+    assert next(iter(frozenset((2, 9)))) == 9
+    assert _naturality_violation(site, [frozenset((2, 9))]) == (0, 0, "2")
+    with pytest.raises(GaloisError) as err:
+        Subfunctor(site, {"X": ("9", "2")})
+    assert str(err.value) == "not natural: a morphism 'X' -> 'X' moves '2' outside the subset"
+
+
 def assert_masks_judge_as_the_scan_does(site, rng, rounds=8):
     """On index sets drawn at several densities, _closure gives the oracle's
     closure, and its verdict on them, on that closure and on the closure with

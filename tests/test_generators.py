@@ -292,6 +292,36 @@ def test_coset_action_equals_the_per_element_construction(m):
             assert coset_action(m, reversed(s)) == coset_action_oracle(m, s)
 
 
+@st.composite
+def permutation_groups(draw):
+    """The group up to two drawn permutations of n <= 5 points generate."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    return transformation_monoid([tuple(g) for g in gens])[0]
+
+
+def generated_subgroup(m, elements):
+    """The elements of the subgroup of the group m that elements generate."""
+    closed = {m.unit, *elements}
+    while True:
+        more = {m.mul(a, b) for a in closed for b in closed} - closed
+        if not more:
+            return tuple(a for a in m.elements if a in closed)
+        closed |= more
+
+
+@given(permutation_groups(), st.data())
+def test_group_builders_match_the_oracles_on_permutation_groups(m, data):
+    # H = G and H = {e} give one coset and one point per coset, where a
+    # getter of one index returns an item, not a tuple
+    picks = data.draw(st.lists(st.sampled_from(m.elements), max_size=2))
+    for sub in ((m.unit,), m.elements, generated_subgroup(m, picks)):
+        expected = coset_action_oracle(m, sub)
+        assert coset_action(m, sub) == coset_action(m, sub[::-1]) == expected
+    for X in (FinSet(), singleton(), FinSet(("p", "q"))):
+        assert free_action(m, X) == free_action_oracle(m, X)
+
+
 @given(transformation_monoids(), st.data())
 def test_fast_paths_match_the_scans_on_transformation_monoids(drawn, data):
     m, act, _ = drawn

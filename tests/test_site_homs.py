@@ -215,6 +215,18 @@ def test_builder_actions_are_checked_when_the_monoid_laws_fail():
 
 
 def test_cosets_of_a_subset_that_is_no_subgroup_are_still_checked():
+    # coset_action marks nothing built, and Site refuses these rows; a subset
+    # without the unit, even one whose union with {e} is a subgroup, is
+    # refused by coset_action itself
     Z4 = SAMPLES["Z4"]
-    with pytest.raises(ActionError, match="site object 'X' is not an action"):
-        Site(Z4, [("X", actions.coset_action(Z4, Z4.elements[:2]))])
+    M = actions.coset_action(Z4, Z4.elements[:2])
+    assert not M._built
+    with pytest.raises(ActionError) as exc:
+        Site(Z4, [("X", M)])
+    assert str(exc.value) == ("site object 'X' is not an action: associativity fails at "
+                              "(g, g, {e,g}): {g2,g3} vs {e,g}")
+    for sub in (("g",), ("g2",), ("g2", "g")):
+        with pytest.raises(ActionError) as exc:
+            actions.coset_action(Z4, sub)
+        assert str(exc.value) == ("coset action needs a subgroup; {%s} misses the unit e"
+                                  % ",".join(sub))
